@@ -1,6 +1,6 @@
 """Dual-carrier remote carrier-phase synchronization: simulation and analysis."""
 
-from .channel import CarrierPlan, ChannelLeg, leg_step, prop_phase, sigma_from_snr
+from .channel import CarrierPlan, prop_phase, sigma_from_snr
 from .config import ConfigError, ScenarioConfig, parse_config
 from .linear_analysis import (
     RationalDelayTF,
@@ -33,7 +33,7 @@ from .oscillator import (
     scale_to_rf,
     synthesize_phase,
 )
-from .pll import LoopConfig, LoopUnit, closed_tf, controller_step, discriminate, nco_step, wrap_phase
+from .pll import LoopConfig, LoopUnit, closed_tf, controller_step, discriminate, wrap_phase
 from .spectral import PsdEstimate, cheb_window, decimate, psd_estimate
 
 __version__ = "0.1.0"

@@ -1,21 +1,22 @@
-"""Directed carrier legs: propagation phase, Doppler rotation and AWGN.
+"""Carrier plan, propagation phase and SNR-to-noise calibration.
 
-Each leg applies a static propagation phase (the transport delay wrapped
-at its carrier frequency), a common Doppler rotation and independent
-complex white noise calibrated from the raw per-symbol SNR plus the
-pilot compression gain.  Transport delay beyond the static rotation is
-modeled as an integer number of whole ticks of loop latency; at the
-decimated tick rate one tick is ~120 us, far above any delay of
-interest, so fractional-tick delay dynamics are left to the
-linear-analysis module.
+Each of the four directed carriers sees a static propagation phase (the
+transport delay wrapped at its carrier frequency) and complex white
+noise whose std follows from the raw per-symbol SNR plus the pilot
+compression gain; all four share that std (equal transmit power per
+carrier).  The ring in ``nodes`` applies both, together with a Doppler
+rotation common to all four carriers (carrier offsets are a few percent
+of f_c, so differential Doppler is negligible at the scales simulated
+here).  Transport delay beyond the static rotation is modeled as an
+integer number of whole ticks of loop latency; at the decimated tick
+rate one tick is ~120 us, far above any delay of interest, so
+fractional-tick delay dynamics are left to the linear-analysis module.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .pll import wrap_phase
 
@@ -80,74 +81,3 @@ def compression_gain_db(pilot_len: int = 32) -> float:
     if pilot_len < 1:
         raise ValueError("pilot_len must be positive")
     return 10.0 * math.log10(pilot_len)
-
-
-@dataclass(frozen=True)
-class ChannelLeg:
-    """One directed carrier path at the decimated tick rate."""
-
-    tau_s: float
-    prop_phase_rad: float
-    doppler_hz: float
-    noise_sigma: float
-    tick_period_s: float
-
-    def __post_init__(self):
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be nonnegative")
-        if not -math.pi < self.prop_phase_rad <= math.pi:
-            raise ValueError("prop_phase must be wrapped to (-pi, pi]")
-        if self.tick_period_s <= 0:
-            raise ValueError("tick_period_s must be positive")
-
-    def rotation(self, tick_index: int) -> float:
-        return self.prop_phase_rad + TWO_PI * self.doppler_hz * tick_index * self.tick_period_s
-
-
-def make_leg(f_hz: float, tau_s: float, doppler_hz: float, noise_sigma: float,
-             tick_period_s: float) -> ChannelLeg:
-    return ChannelLeg(
-        tau_s=tau_s,
-        prop_phase_rad=prop_phase(f_hz, tau_s),
-        doppler_hz=doppler_hz,
-        noise_sigma=noise_sigma,
-        tick_period_s=tick_period_s,
-    )
-
-
-def make_legs(plan: CarrierPlan, tau_s: float, doppler_hz: float, noise_sigma: float,
-              tick_period_s: float) -> tuple[ChannelLeg, ChannelLeg, ChannelLeg, ChannelLeg]:
-    """The four legs of the ring, in carrier order (fwd lo, fwd hi, ret lo, ret hi).
-
-    All legs share the same noise_sigma (equal transmit power per carrier)
-    and the same Doppler shift (carrier offsets are a few percent of f_c,
-    so differential Doppler is negligible at the scales simulated here).
-    """
-    return tuple(
-        make_leg(f, tau_s, doppler_hz, noise_sigma, tick_period_s)
-        for f in plan.carriers_hz
-    )
-
-
-def leg_step(tx_phasor: complex, leg: ChannelLeg, tick_index: int, gaussians) -> complex:
-    """Propagate one phasor through the leg at the given tick.
-
-    Rotates by the static propagation phase plus the accumulated Doppler
-    and adds circularly-symmetric complex noise built from two
-    unit-normal draws.
-    """
-    if abs(tx_phasor) > 1.0 + 1e-9:
-        raise ValueError("transmit phasor magnitude exceeds unity")
-    rot = leg.rotation(tick_index)
-    out = tx_phasor * complex(math.cos(rot), math.sin(rot))
-    if leg.noise_sigma > 0.0:
-        ga, gb = (float(g) for g in gaussians)
-        scale = leg.noise_sigma / math.sqrt(2.0)
-        out = out + complex(scale * ga, scale * gb)
-    return out
-
-
-def mean_prop_phase(legs, indices=(0, 1)) -> float:
-    """Circular mean propagation phase of a carrier pair."""
-    s = sum(np.exp(1j * legs[i].prop_phase_rad) for i in indices)
-    return float(np.angle(s))

@@ -72,17 +72,13 @@ def _say(args, message: str) -> None:
         print(message)
 
 
-def _timeseries_rows(result):
-    return result.rows()
-
-
 def _emit_timeseries(path: str, cfg: ScenarioConfig, seed: int, result) -> None:
     _write_csv(
         path,
         _stamp(cfg, seed),
         ["tick", "t_s", "theta_bf_minus_theta0_rad", "theta_out_rad", "alpha_rad",
          "r1_rad", "r2_rad", "r3_rad", "r4_rad"],
-        _timeseries_rows(result),
+        result.rows(),
     )
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 from .channel import CarrierPlan
 from .nodes import Scenario
-from .oscillator import NoiseMask
+from .oscillator import DEFAULT_FOLLOWER_MASK, DEFAULT_MASTER_MASK, NoiseMask
 
 _BOOL_WORDS = {"on": True, "true": True, "yes": True, "1": True,
                "off": False, "false": False, "no": False, "0": False}
@@ -36,8 +36,15 @@ _BOOL_WORDS = {"on": True, "true": True, "yes": True, "1": True,
 
 def _parse_float(text: str) -> float:
     v = float(text)
-    if math.isnan(v):
-        raise ValueError("NaN is not a valid value")
+    if not math.isfinite(v):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return v
+
+
+def _parse_snr_db(text: str) -> float:
+    v = float(text)
+    if math.isnan(v) or v == -math.inf:
+        raise ValueError(f"expected a finite number or +inf, got {text!r}")
     return v
 
 
@@ -74,44 +81,47 @@ def _parse_str(text: str) -> str:
     return text.strip()
 
 
+# scenario defaults live on Scenario, CarrierPlan and the default masks
+_SCN = Scenario()
+
 # schema: section -> key -> (parser, default)
 SCHEMA: dict[str, dict[str, tuple]] = {
     "master": {
-        "mask": (_parse_mask_points, ((1.0, -85.0), (10.0, -125.0), (10e3, -160.0))),
-        "mask_ref_hz": (_parse_float, 10e6),
-        "zeta_m": (_parse_float, 1.0),
-        "omega_m_hz": (_parse_float, 100.0),
-        "theta_offset": (_parse_float, 0.0),
+        "mask": (_parse_mask_points, DEFAULT_MASTER_MASK.points),
+        "mask_ref_hz": (_parse_float, DEFAULT_MASTER_MASK.reference_freq_hz),
+        "zeta_m": (_parse_float, _SCN.zeta_m),
+        "omega_m_hz": (_parse_float, _SCN.omega_m_hz),
+        "theta_offset": (_parse_float, _SCN.theta_offset),
     },
     "follower": {
-        "mask": (_parse_mask_points, ((1.0, -70.0), (10.0, -100.0), (10e3, -140.0))),
-        "mask_ref_hz": (_parse_float, 10e6),
-        "zeta_s": (_parse_float, 1.0),
-        "omega_s_hz": (_parse_float, 100.0),
+        "mask": (_parse_mask_points, DEFAULT_FOLLOWER_MASK.points),
+        "mask_ref_hz": (_parse_float, DEFAULT_FOLLOWER_MASK.reference_freq_hz),
+        "zeta_s": (_parse_float, _SCN.zeta_s),
+        "omega_s_hz": (_parse_float, _SCN.omega_s_hz),
         "initial_phase_deg": (_parse_float, 0.0),
-        "freq_offset_hz": (_parse_float, 0.0),
+        "freq_offset_hz": (_parse_float, _SCN.follower_freq_offset_hz),
     },
     "channel": {
-        "snr_db": (_parse_float, math.inf),
-        "doppler_hz": (_parse_float, 0.0),
-        "tau_s": (_parse_float, 0.0),
-        "loop_latency_ticks": (_parse_int, 1),
-        "fc_hz": (_parse_float, 2200e6),
-        "fm_hz": (_parse_float, 50e6),
-        "fs_hz": (_parse_float, 40e6),
-        "dual_carrier": (_parse_bool, True),
+        "snr_db": (_parse_snr_db, _SCN.snr_db),
+        "doppler_hz": (_parse_float, _SCN.doppler_hz),
+        "tau_s": (_parse_float, _SCN.tau_s),
+        "loop_latency_ticks": (_parse_int, _SCN.loop_latency_ticks),
+        "fc_hz": (_parse_float, _SCN.plan.fc_hz),
+        "fm_hz": (_parse_float, _SCN.plan.fm_hz),
+        "fs_hz": (_parse_float, _SCN.plan.fs_hz),
+        "dual_carrier": (_parse_bool, _SCN.dual_carrier),
     },
     "run": {
-        "duration_s": (_parse_float, 10.0),
+        "duration_s": (_parse_float, _SCN.duration_s),
         "seed": (_parse_int, 1),
-        "baud_hz": (_parse_float, 8e6),
-        "decimation": (_parse_int, 956),
-        "wrap_compensation": (_parse_bool, True),
-        "ideal_clocks": (_parse_bool, False),
-        "omega_units": (_parse_str, "hz_times_2pi"),
+        "baud_hz": (_parse_float, _SCN.baud_hz),
+        "decimation": (_parse_int, _SCN.decimation),
+        "wrap_compensation": (_parse_bool, _SCN.wrap_compensation),
+        "ideal_clocks": (_parse_bool, _SCN.ideal_clocks),
+        "omega_units": (_parse_str, _SCN.omega_units),
     },
     "framing": {
-        "pilot_len": (_parse_int, 32),
+        "pilot_len": (_parse_int, _SCN.pilot_len),
         "inter_pilot": (_parse_int, 956),
         "code_index_master": (_parse_int, 1),
         "code_index_follower": (_parse_int, 2),
@@ -212,8 +222,6 @@ def _semantic_checks(values: dict, errors: list[str]) -> None:
     check(values["channel.tau_s"] >= 0, "channel.tau_s must be nonnegative")
     check(values["channel.loop_latency_ticks"] >= 1,
           "channel.loop_latency_ticks must be >= 1")
-    snr = values["channel.snr_db"]
-    check(not math.isinf(snr) or snr > 0, "channel.snr_db must be finite or +inf")
     check(values["run.duration_s"] > 0, "run.duration_s must be positive")
     check(values["run.seed"] >= 0, "run.seed must be nonnegative")
     check(values["run.baud_hz"] > 0, "run.baud_hz must be positive")

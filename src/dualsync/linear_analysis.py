@@ -25,7 +25,6 @@ SPEED_OF_LIGHT = 299_792_458.0
 
 __all__ = [
     "RationalDelayTF",
-    "SingleLoopInputs",
     "single_loop_tfs",
     "gc_tf",
     "dual_loop_tfs",
@@ -109,15 +108,6 @@ def _require_delay_free(*tfs: RationalDelayTF) -> None:
                 "composite transfer functions require delay-free blocks; "
                 "use delay_margin for transport-delay analysis"
             )
-
-
-@dataclass(frozen=True)
-class SingleLoopInputs:
-    """Labels for the three exogenous phases of the single-frequency model."""
-
-    theta_0: str = "theta_0"
-    theta_x: str = "theta_x"
-    theta_m: str = "theta_m"
 
 
 def single_loop_tfs(gm: RationalDelayTF, gs: RationalDelayTF, h: RationalDelayTF) -> dict:

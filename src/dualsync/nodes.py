@@ -9,7 +9,14 @@ Ring topology per decimated tick (latency >= 1 tick on every leg):
   ``tx1 = tx2 = exp(1j*(theta_0 + alpha/2))``;
 * the follower averages the two forward discriminators, tracks the
   average with its loop and returns
-  ``tx3 = tx4 = exp(1j*(theta_out + theta_x))``.
+  ``tx3 = tx4 = exp(1j*(theta_out + theta_x))``;
+* carrier j reaches the far end rotated by its propagation phase
+  ``channel.prop_phase(f_j, tau_s)`` plus the Doppler phase common to
+  all four carriers, with independent complex AWGN added per carrier.
+
+``_tick_loop`` is the production kernel; ``master_step``/``follower_step``
+driven by ``_reference_loop`` compute the same tick in phasor form and
+serve as the oracle the kernel is tested against.
 
 At a static reciprocal channel the compensation converges to minus the
 round-trip mean propagation phase, the applied half cancels the one-way
@@ -33,19 +40,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .channel import (
-    CarrierPlan,
-    ChannelLeg,
-    compression_gain_db,
-    leg_step,
-    make_legs,
-    sigma_from_snr,
-)
+from .channel import CarrierPlan, compression_gain_db, prop_phase, sigma_from_snr
 from .oscillator import (
     DEFAULT_FOLLOWER_MASK,
     DEFAULT_MASTER_MASK,
     NoiseMask,
-    TwoStateClock,
     fit_two_state,
     synthesize_phase,
 )
@@ -69,7 +68,6 @@ class MasterState:
     """Compensation loop state of the master node."""
 
     cfg: LoopConfig
-    clock: TwoStateClock
     loop: LoopUnit = field(default_factory=LoopUnit)
     alpha: float = 0.0
     theta_offset: float = 0.0
@@ -86,7 +84,6 @@ class FollowerState:
     """Tracking loop state of the follower node."""
 
     cfg: LoopConfig
-    clock: TwoStateClock
     loop: LoopUnit = field(default_factory=LoopUnit)
     theta_out: float = 0.0
     dual_carrier: bool = True
@@ -95,17 +92,18 @@ class FollowerState:
     last_r2: float = 0.0
 
 
-def follower_step(rx1: complex, rx2: complex | None,
-                  state: FollowerState) -> tuple[FollowerState, float, float, complex, complex]:
+def follower_step(rx1: complex, rx2: complex | None, theta_x: float,
+                  state: FollowerState) -> tuple[FollowerState, float, float, complex]:
     """One follower tick: average the discriminators, track, retransmit.
 
-    Returns (new state, theta_out, theta_bf, tx3, tx4).  ``rx2`` may be
-    None in single-carrier operation.  The discriminator reference is the
-    composite carrier (NCO times LO) as generated at the previous update,
-    keeping both terms on the same epoch; a follower LO frequency offset
-    is then absorbed with zero steady-state error.
+    ``theta_x`` is the follower LO phase at this tick.  Returns (new
+    state, theta_out, theta_bf, tx), where ``tx`` is the phasor sent on
+    both return carriers.  ``rx2`` may be None in single-carrier
+    operation.  The discriminator reference is the composite carrier
+    (loop output times LO) as generated at the previous update, keeping
+    both terms on the same epoch; a follower LO frequency offset is then
+    absorbed with zero steady-state error.
     """
-    theta_x = state.clock.phase
     lo_ref = state.lo_prev if state.lo_prev is not None else theta_x
     ref = cmath.exp(1j * (state.theta_out + lo_ref))
     e1 = discriminate(rx1, ref)
@@ -131,18 +129,19 @@ def follower_step(rx1: complex, rx2: complex | None,
         last_r1=wrap_phase(cmath.phase(rx1) - theta_x),
         last_r2=r2,
     )
-    return new, theta_out, theta_bf, tx, tx
+    return new, theta_out, theta_bf, tx
 
 
-def master_step(rx3: complex, rx4: complex | None,
-                state: MasterState) -> tuple[MasterState, float, complex, complex]:
+def master_step(rx3: complex, rx4: complex | None, theta_0: float,
+                state: MasterState) -> tuple[MasterState, float, complex]:
     """One master tick: estimate the round trip, track alpha, pre-distort.
 
-    The measurement uses the previous tick's alpha; its removal leaves
-    the round-trip mean propagation phase, which the loop drives to the
-    commanded setpoint.  Returns (new state, alpha, tx1, tx2).
+    ``theta_0`` is the master LO phase at this tick.  The measurement
+    uses the previous tick's alpha; its removal leaves the round-trip
+    mean propagation phase, which the loop drives to the commanded
+    setpoint.  Returns (new state, alpha, tx), where ``tx`` is the phasor
+    sent on both forward carriers.
     """
-    theta_0 = state.clock.phase
     lo = cmath.exp(1j * theta_0)
     r3 = discriminate(rx3, lo)
     if state.dual_carrier:
@@ -170,7 +169,7 @@ def master_step(rx3: complex, rx4: complex | None,
         last_r3=r3,
         last_r4=r4,
     )
-    return new, alpha, tx, tx
+    return new, alpha, tx
 
 
 @dataclass(frozen=True)
@@ -222,9 +221,9 @@ class Scenario:
     def loop_config_follower(self) -> LoopConfig:
         return LoopConfig(self.zeta_s, self.omega_s_hz, self.tick_period_s, self.omega_units)
 
-    def legs(self) -> tuple[ChannelLeg, ChannelLeg, ChannelLeg, ChannelLeg]:
-        return make_legs(self.plan, self.tau_s, self.doppler_hz, self.noise_sigma,
-                         self.tick_period_s)
+    def prop_phases(self) -> tuple[float, float, float, float]:
+        """Propagation phase of each carrier (fwd lo, fwd hi, ret lo, ret hi)."""
+        return tuple(prop_phase(f, self.tau_s) for f in self.plan.carriers_hz)
 
 
 @dataclass(frozen=True)
@@ -433,8 +432,7 @@ def run_scenario(scn: Scenario, seed: int, engine: str = "kernel") -> ScenarioRe
     else:
         noise = np.zeros((8, 1))
         has_noise = False
-    legs = scn.legs()
-    phi = [leg.prop_phase_rad for leg in legs]
+    phi = scn.prop_phases()
     dopp_per_tick = TWO_PI * scn.doppler_hz * scn.tick_period_s
     cfg_m = scn.loop_config_master()
     cfg_s = scn.loop_config_follower()
@@ -470,45 +468,36 @@ def run_scenario(scn: Scenario, seed: int, engine: str = "kernel") -> ScenarioRe
 def _reference_loop(scn: Scenario, cfg_m: LoopConfig, cfg_s: LoopConfig,
                     th0, thx, noise, has_noise, out) -> int:
     """Tick loop built from the per-step node state machines."""
-    from .oscillator import TwoStateParams
-
-    dummy = TwoStateParams(0.0, 0.0, 0.0, scn.tick_rate_hz)
     master = MasterState(
         cfg=cfg_m,
-        clock=TwoStateClock(dummy),
         theta_offset=scn.theta_offset,
         wrap_compensation=scn.wrap_compensation,
         dual_carrier=scn.dual_carrier,
     )
-    follower = FollowerState(
-        cfg=cfg_s,
-        clock=TwoStateClock(dummy),
-        dual_carrier=scn.dual_carrier,
-    )
-    legs = scn.legs()
+    follower = FollowerState(cfg=cfg_s, dual_carrier=scn.dual_carrier)
+    phi = scn.prop_phases()
+    dopp_per_tick = TWO_PI * scn.doppler_hz * scn.tick_period_s
     lat = scn.loop_latency_ticks
     txf = [cmath.exp(1j * th0[0])] * lat
     txr = [cmath.exp(1j * thx[0])] * lat
-    n = th0.size
     bf0, out_arr, al, r1a, r2a, r3a, r4a = out
-    noiseless = (0.0, 0.0)
-    for i in range(n):
-        master = replace(master, clock=replace(master.clock, phase=th0[i]))
-        follower = replace(follower, clock=replace(follower.clock, phase=thx[i]))
+
+    def through(tx, j, i):
+        # carrier j's propagation and Doppler rotation; noise is pre-scaled
+        # per quadrature
+        rx = tx * cmath.exp(1j * (phi[j] + dopp_per_tick * i))
+        if has_noise:
+            rx += complex(noise[2 * j, i], noise[2 * j + 1, i])
+        return rx
+
+    for i in range(th0.size):
         slot = i % lat
-        g = noise[:, i] if has_noise else None
-        # channel legs carry unit phasors; noise is pre-scaled per quadrature
-        def through(leg, tx, j):
-            rx = leg_step(tx, replace(leg, noise_sigma=0.0), i, noiseless)
-            if g is not None:
-                rx += complex(g[2 * j], g[2 * j + 1])
-            return rx
-        rx3 = through(legs[2], txr[slot], 2)
-        rx4 = through(legs[3], txr[slot], 3) if scn.dual_carrier else None
-        master, alpha, tx_f, _ = master_step(rx3, rx4, master)
-        rx1 = through(legs[0], txf[slot], 0)
-        rx2 = through(legs[1], txf[slot], 1) if scn.dual_carrier else None
-        follower, theta_out, theta_bf, tx_r, _ = follower_step(rx1, rx2, follower)
+        rx3 = through(txr[slot], 2, i)
+        rx4 = through(txr[slot], 3, i) if scn.dual_carrier else None
+        master, alpha, tx_f = master_step(rx3, rx4, th0[i], master)
+        rx1 = through(txf[slot], 0, i)
+        rx2 = through(txf[slot], 1, i) if scn.dual_carrier else None
+        follower, theta_out, theta_bf, tx_r = follower_step(rx1, rx2, thx[i], follower)
         txf[slot] = tx_f
         txr[slot] = tx_r
         bf0[i] = theta_bf - th0[i]

@@ -1,10 +1,12 @@
-"""Second-order tracking loop: discriminator, loop controller, NCO.
+"""Second-order tracking loop: discriminator and loop controller.
 
 The loop controller is ``Y(s) = (2*zeta*omega + omega**2/s)/s``; both
 integrators are discretized with the trapezoidal rule
 ``1/s -> (T/2)*(z+1)/(z-1)``.  The controller emits the per-tick phase
-increment, so the NCO accumulator realizes the outer integrator and the
-closed loop is the classic unity-feedback second-order response
+increment; the caller's output-phase accumulator (``alpha`` at the
+master, ``theta_out`` at the follower, see ``nodes``) realizes the outer
+integrator, and the closed loop is the classic unity-feedback
+second-order response
 
     G(s) = (2*zeta*omega*s + omega**2) / (s**2 + 2*zeta*omega*s + omega**2)
 """
@@ -82,15 +84,14 @@ class LoopConfig:
 class LoopUnit:
     """State of one tracking loop.
 
-    ``acc_inner`` is the trapezoidal accumulator of omega**2 * error,
-    ``acc_outer`` the accumulated control output, and ``nco_phase`` the
-    wrapped output phase.  ``prev_inner_in``/``prev_outer_in`` hold the
-    previous integrator inputs required by the trapezoidal rule.
+    ``acc_inner`` is the trapezoidal accumulator of omega**2 * error and
+    ``acc_outer`` the accumulated control output.
+    ``prev_inner_in``/``prev_outer_in`` hold the previous integrator
+    inputs required by the trapezoidal rule.
     """
 
     acc_inner: float = 0.0
     acc_outer: float = 0.0
-    nco_phase: float = 0.0
     prev_inner_in: float = 0.0
     prev_outer_in: float = 0.0
 
@@ -119,25 +120,6 @@ def controller_step(unit: LoopUnit, error: float, cfg: LoopConfig) -> tuple[Loop
         prev_outer_in=outer_in,
     )
     return new, control
-
-
-def nco_step(unit: LoopUnit, control: float) -> tuple[LoopUnit, complex]:
-    """Advance the NCO phase by ``control`` and return the unit phasor."""
-    if not math.isfinite(control):
-        raise ValueError("control must be finite")
-    phase = wrap_phase(unit.nco_phase + control)
-    return replace(unit, nco_phase=phase), cmath.exp(1j * phase)
-
-
-def loop_step(unit: LoopUnit, received: complex, cfg: LoopConfig) -> tuple[LoopUnit, float]:
-    """One full closed-loop iteration: discriminate, control, advance NCO.
-
-    Returns the new unit and the discriminator error that drove the step.
-    """
-    err = discriminate(received, cmath.exp(1j * unit.nco_phase))
-    unit, control = controller_step(unit, err, cfg)
-    unit, _ = nco_step(unit, control)
-    return unit, err
 
 
 def closed_tf(cfg: LoopConfig) -> RationalDelayTF:

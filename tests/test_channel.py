@@ -1,4 +1,3 @@
-import cmath
 import math
 
 import numpy as np
@@ -7,9 +6,6 @@ import pytest
 from dualsync.channel import (
     CarrierPlan,
     compression_gain_db,
-    leg_step,
-    make_leg,
-    make_legs,
     prop_phase,
     sigma_from_snr,
 )
@@ -72,54 +68,15 @@ class TestSigmaFromSnr:
             sigma_from_snr(math.nan, 15.0)
 
 
-def default_leg(**kw):
-    args = dict(f_hz=2.2e9, tau_s=0.0, doppler_hz=0.0, noise_sigma=0.0,
-                tick_period_s=956 / 8e6)
-    args.update(kw)
-    return make_leg(**args)
-
-
-class TestLegStep:
-    def test_pure_rotation(self):
-        leg = default_leg(tau_s=0.25 / 2.2e9)
-        out = leg_step(1 + 0j, leg, 0, (0.0, 0.0))
-        assert cmath.phase(out) == pytest.approx(-math.pi / 2, abs=1e-9)
-        assert abs(out) == pytest.approx(1.0)
-
-    def test_doppler_per_tick_rotation(self):
-        leg = default_leg(doppler_hz=1.0)
-        per_tick = leg.rotation(1) - leg.rotation(0)
-        assert per_tick == pytest.approx(7.509e-4, abs=2e-6)
-
-    def test_noise_variance_calibration(self):
-        sigma = sigma_from_snr(0.0, 15.0)
-        leg = default_leg(noise_sigma=sigma)
-        rng = np.random.default_rng(17)
-        n = 100_000
-        g = rng.standard_normal((n, 2))
-        errs = np.array([leg_step(1 + 0j, leg, 0, g[i]) - 1.0 for i in range(n)])
-        var = np.mean(np.abs(errs) ** 2)
-        assert var == pytest.approx(10**-1.5, rel=0.02)
-
-    def test_rejects_oversized_phasor(self):
-        with pytest.raises(ValueError):
-            leg_step(2 + 0j, default_leg(), 0, (0.0, 0.0))
-
-
 class TestLegSets:
     def test_reciprocity_of_pair_means(self):
         # same tau and shared midpoint: forward and return mean propagation
         # phases agree modulo 2*pi
-        plan = CarrierPlan()
         tau = 0.83e-6
-        legs = make_legs(plan, tau, 0.0, 0.0, 956 / 8e6)
-        fwd = legs[0].prop_phase_rad + legs[1].prop_phase_rad
-        ret = legs[2].prop_phase_rad + legs[3].prop_phase_rad
+        phi = [prop_phase(f, tau) for f in CarrierPlan().carriers_hz]
+        fwd = phi[0] + phi[1]
+        ret = phi[2] + phi[3]
         assert wrap_phase(fwd - ret) == pytest.approx(0.0, abs=1e-6)
-
-    def test_equal_noise_sigma_on_all_legs(self):
-        legs = make_legs(CarrierPlan(), 0.0, 0.0, 0.123, 956 / 8e6)
-        assert len({leg.noise_sigma for leg in legs}) == 1
 
     def test_noise_streams_independent(self):
         # the runner draws per-leg streams from spawned seeds; verify the

@@ -2,7 +2,12 @@ import math
 
 import pytest
 
-from dualsync.config import ConfigError, parse_config
+from dualsync.config import SCHEMA, ConfigError, parse_config
+from dualsync.nodes import Scenario
+
+FLOAT_KEYS = [(section, key) for section, keys in SCHEMA.items()
+              for key, (_, default) in keys.items()
+              if isinstance(default, float) and (section, key) != ("channel", "snr_db")]
 
 
 class TestDefaults:
@@ -17,6 +22,12 @@ class TestDefaults:
         assert cfg.get("channel", "fs_hz") == 40e6
         assert cfg.get("channel", "snr_db") == math.inf
         assert cfg.get("master", "mask") == ((1.0, -85.0), (10.0, -125.0), (10e3, -160.0))
+
+    def test_empty_text_yields_default_scenario(self):
+        cfg = parse_config("")
+        assert cfg.to_scenario() == Scenario()
+        assert cfg.sha256() == (
+            "c7a39bf1c893b39363a1a6d6783cc9d1176410878d38660b3cde385d5ac3f091")
 
     def test_comments_and_blank_lines_ignored(self):
         cfg = parse_config("# a comment\n\n[run]\n; another\nseed = 7\n")
@@ -89,6 +100,17 @@ class TestValidation:
     def test_bad_mask_reported_per_side(self):
         with pytest.raises(ConfigError, match="follower.mask"):
             parse_config("[follower]\nmask = [(10, -80), (1, -120)]\n")
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("section,key", FLOAT_KEYS)
+    def test_non_finite_float_rejected(self, section, key, value):
+        with pytest.raises(ConfigError, match=f"{section}.{key}"):
+            parse_config(f"[{section}]\n{key} = {value}\n")
+
+    @pytest.mark.parametrize("value", ["-inf", "nan"])
+    def test_snr_accepts_only_positive_infinity(self, value):
+        with pytest.raises(ConfigError, match="channel.snr_db"):
+            parse_config(f"[channel]\nsnr_db = {value}\n")
 
     def test_carrier_plan_ordering(self):
         with pytest.raises(ConfigError, match="carrier plan"):

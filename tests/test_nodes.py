@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dualsync.channel import CarrierPlan, make_legs
+from dualsync.channel import CarrierPlan, prop_phase, sigma_from_snr
 from dualsync.nodes import (
     DivergenceError,
     FollowerState,
@@ -16,15 +18,11 @@ from dualsync.nodes import (
     master_step,
     run_scenario,
 )
-from dualsync.oscillator import TwoStateClock, TwoStateParams
 from dualsync.pll import LoopConfig, wrap_phase
 
 TWO_PI = 2.0 * math.pi
 TICK = 956 / 8e6
-
-
-def quiet_clock(phase=0.0):
-    return TwoStateClock(TwoStateParams(0, 0, 0, 1 / TICK), phase=phase)
+SERIES = ("theta_bf_minus_theta0", "theta_out", "alpha", "r1", "r2", "r3", "r4")
 
 
 def loop_cfg(f_hz=100.0):
@@ -35,23 +33,23 @@ class TestFollowerStep:
     def test_tracks_common_phase_minus_lo(self):
         theta_x = 0.9
         phi = 0.4
-        state = FollowerState(cfg=loop_cfg(), clock=quiet_clock(theta_x))
+        state = FollowerState(cfg=loop_cfg())
         rx = cmath.exp(1j * phi)
         for _ in range(4000):
-            state, theta_out, theta_bf, _, _ = follower_step(rx, rx, state)
+            state, theta_out, theta_bf, _ = follower_step(rx, rx, theta_x, state)
         assert theta_out == pytest.approx(phi - theta_x, abs=1e-3)
         assert theta_bf == pytest.approx(phi, abs=1e-3)
 
     def test_symmetric_split_matches_common_case(self):
         phi, delta = 0.3, 0.25
-        state_a = FollowerState(cfg=loop_cfg(), clock=quiet_clock())
-        state_b = FollowerState(cfg=loop_cfg(), clock=quiet_clock())
+        state_a = FollowerState(cfg=loop_cfg())
+        state_b = FollowerState(cfg=loop_cfg())
         rx = cmath.exp(1j * phi)
         rx_p = cmath.exp(1j * (phi + delta))
         rx_m = cmath.exp(1j * (phi - delta))
         for _ in range(4000):
-            state_a, out_a, _, _, _ = follower_step(rx, rx, state_a)
-            state_b, out_b, _, _, _ = follower_step(rx_p, rx_m, state_b)
+            state_a, out_a, _, _ = follower_step(rx, rx, 0.0, state_a)
+            state_b, out_b, _, _ = follower_step(rx_p, rx_m, 0.0, state_b)
         assert out_b == pytest.approx(out_a, abs=1e-6)
 
     def test_lo_offset_cancels_in_beamforming_phase(self):
@@ -59,52 +57,52 @@ class TestFollowerStep:
         offset = 0.8
         results = []
         for theta_x in (0.0, offset):
-            state = FollowerState(cfg=loop_cfg(), clock=quiet_clock(theta_x))
+            state = FollowerState(cfg=loop_cfg())
             rx = cmath.exp(1j * phi)
             for _ in range(4000):
-                state, _, theta_bf, _, _ = follower_step(rx, rx, state)
+                state, _, theta_bf, _ = follower_step(rx, rx, theta_x, state)
             results.append(theta_bf)
         assert results[1] == pytest.approx(results[0], abs=1e-3)
 
     def test_returns_unit_phasors(self):
-        state = FollowerState(cfg=loop_cfg(), clock=quiet_clock())
-        _, _, _, tx3, tx4 = follower_step(1 + 0j, 1 + 0j, state)
-        assert abs(tx3) == pytest.approx(1.0)
-        assert tx3 == tx4
+        state = FollowerState(cfg=loop_cfg())
+        _, _, theta_bf, tx = follower_step(1 + 0j, 1 + 0j, 0.0, state)
+        assert abs(tx) == pytest.approx(1.0)
+        assert cmath.phase(tx) == pytest.approx(theta_bf, abs=1e-12)
 
     def test_zero_phasor_rejected(self):
-        state = FollowerState(cfg=loop_cfg(), clock=quiet_clock())
+        state = FollowerState(cfg=loop_cfg())
         with pytest.raises(ValueError):
-            follower_step(0j, 1 + 0j, state)
+            follower_step(0j, 1 + 0j, 0.0, state)
 
 
 class TestMasterStep:
     def test_fixed_point_of_compensation(self):
         # theta_r3 + theta_r4 = alpha_prev (= 0) with zero setpoint: the
         # compensation loop sits at its equilibrium and alpha stays put
-        state = MasterState(cfg=loop_cfg(), clock=quiet_clock())
+        state = MasterState(cfg=loop_cfg())
         rx3 = cmath.exp(0.6j)
         rx4 = cmath.exp(-0.6j)
         for _ in range(200):
-            state, alpha, _, _ = master_step(rx3, rx4, state)
+            state, alpha, _ = master_step(rx3, rx4, 0.0, state)
         assert alpha == pytest.approx(0.0, abs=1e-12)
 
     def test_static_compensation_converges_to_round_trip(self):
         # the return carriers carry the applied alpha/2 plus the static
         # round-trip phases; equilibrium alpha is minus their mean
         r3, r4 = 0.2, 0.5
-        state = MasterState(cfg=loop_cfg(), clock=quiet_clock())
+        state = MasterState(cfg=loop_cfg())
         for _ in range(6000):
             rx3 = cmath.exp(1j * (r3 + 0.5 * state.alpha))
             rx4 = cmath.exp(1j * (r4 + 0.5 * state.alpha))
-            state, alpha, tx1, _ = master_step(rx3, rx4, state)
+            state, alpha, tx1 = master_step(rx3, rx4, 0.0, state)
         assert alpha == pytest.approx(-(r3 + r4) / 2, abs=1e-3)
         assert cmath.phase(tx1) == pytest.approx(wrap_phase(alpha / 2), abs=1e-3)
 
     def test_pre_distortion_applies_half_alpha(self):
-        state = MasterState(cfg=loop_cfg(), clock=quiet_clock(0.3), alpha=0.0)
-        _, alpha, tx1, tx2 = master_step(cmath.exp(0.1j), cmath.exp(0.1j), state)
-        assert tx1 == tx2
+        state = MasterState(cfg=loop_cfg(), alpha=0.0)
+        _, alpha, tx1 = master_step(cmath.exp(0.1j), cmath.exp(0.1j), 0.3, state)
+        assert abs(tx1) == pytest.approx(1.0)
         assert cmath.phase(tx1) == pytest.approx(0.3 + alpha / 2, abs=1e-12)
 
 
@@ -129,10 +127,7 @@ def run_kernel(n, phi, zeta=1.0, f_hz=100.0, th0=None, thx=None, doppler_hz=0.0,
 
 class TestScenarioEquilibria:
     def test_static_channel_zero_error(self):
-        plan = CarrierPlan()
-        tau = 1.7e-10
-        legs = make_legs(plan, tau, 0.0, 0.0, TICK)
-        phi = [leg.prop_phase_rad for leg in legs]
+        phi = Scenario(tau_s=1.7e-10).prop_phases()
         n = int(5.0 / TICK)
         bf0, _, al = run_kernel(n, phi)[:3]
         assert abs(wrap_phase(bf0[-1])) < 1e-3
@@ -155,10 +150,7 @@ class TestScenarioEquilibria:
         assert moved[-1] == pytest.approx(base[-1], abs=1e-3)
 
     def test_single_carrier_residual_is_pair_asymmetry(self):
-        plan = CarrierPlan()
-        tau = 1.7e-10
-        legs = make_legs(plan, tau, 0.0, 0.0, TICK)
-        phi = [leg.prop_phase_rad for leg in legs]
+        phi = Scenario(tau_s=1.7e-10).prop_phases()
         n = int(5.0 / TICK)
         bf0 = run_kernel(n, phi, dual=False)[0]
         expected = wrap_phase(0.5 * (phi[0] - phi[2]))
@@ -179,14 +171,62 @@ class TestKernelMatchesReference:
                 getattr(fast, name), getattr(slow, name), atol=1e-10
             )
 
-    def test_engines_agree_with_latency_two(self):
-        scn = Scenario(duration_s=0.2, ideal_clocks=True, tau_s=1.7e-10,
-                       loop_latency_ticks=2)
-        fast = run_scenario(scn, seed=2)
-        slow = run_scenario(scn, seed=2, engine="reference")
-        np.testing.assert_allclose(
-            fast.theta_bf_minus_theta0, slow.theta_bf_minus_theta0, atol=1e-10
-        )
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(
+        latency=st.integers(1, 3),
+        dual=st.booleans(),
+        wrap_comp=st.booleans(),
+        snr_db=st.one_of(st.just(math.inf), st.floats(0.0, 30.0)),
+        tau_s=st.floats(0.0, 1e-6),
+        doppler_hz=st.floats(-5.0, 5.0),
+        seed=st.integers(0, 2**16),
+    )
+    def test_engines_agree_on_every_series(self, latency, dual, wrap_comp, snr_db,
+                                           tau_s, doppler_hz, seed):
+        scn = Scenario(duration_s=0.1, ideal_clocks=True, tau_s=tau_s,
+                       doppler_hz=doppler_hz, snr_db=snr_db, dual_carrier=dual,
+                       wrap_compensation=wrap_comp, loop_latency_ticks=latency)
+        fast = run_scenario(scn, seed=seed)
+        slow = run_scenario(scn, seed=seed, engine="reference")
+        for name in SERIES:
+            np.testing.assert_allclose(
+                getattr(fast, name), getattr(slow, name), atol=1e-10, err_msg=name
+            )
+
+
+@pytest.mark.parametrize("engine", ["kernel", "reference"])
+class TestRingChannel:
+    def test_pure_rotation(self, engine):
+        # ideal clocks and both nodes' initial transmissions at phase zero:
+        # the first tick's raw angles are the carriers' propagation phases
+        plan = CarrierPlan()
+        tau = 0.25 / plan.return_hz[0]
+        r = run_scenario(Scenario(duration_s=0.01, ideal_clocks=True, tau_s=tau),
+                         seed=1, engine=engine)
+        assert r.r3[0] == pytest.approx(-math.pi / 2, abs=1e-9)
+        first = (r.r1[0], r.r2[0], r.r3[0], r.r4[0])
+        expected = [prop_phase(f, tau) for f in plan.carriers_hz]
+        assert first == pytest.approx(expected, abs=1e-12)
+
+    def test_doppler_per_tick_rotation(self, engine):
+        # once the loops have pulled in, the master's raw return angle
+        # turns by the one-way Doppler phase per tick
+        scn = Scenario(duration_s=1.0, ideal_clocks=True, doppler_hz=1.0)
+        r = run_scenario(scn, seed=1, engine=engine)
+        steps = np.diff(np.unwrap(r.r3))[r.n_ticks // 2:]
+        per_tick = TWO_PI * 1.0 * TICK  # 7.5084e-4 rad
+        np.testing.assert_allclose(steps, per_tick, rtol=0, atol=1e-12)
+
+    def test_noise_variance_calibration(self, engine):
+        # same propagation phase on every carrier: the difference of a
+        # pair's raw angles is pure noise, two independent phase noises of
+        # variance sigma**2/2 each
+        scn = Scenario(duration_s=5.0, ideal_clocks=True, snr_db=10.0)
+        r = run_scenario(scn, seed=3, engine=engine)
+        sigma = sigma_from_snr(10.0, 10 * math.log10(32))
+        for a, b in ((r.r1, r.r2), (r.r3, r.r4)):
+            d = np.array([wrap_phase(v) for v in a - b])
+            assert np.var(d) == pytest.approx(sigma**2, rel=0.03)
 
 
 class TestRunScenario:

@@ -11,8 +11,6 @@ from dualsync.pll import (
     closed_tf,
     controller_step,
     discriminate,
-    loop_step,
-    nco_step,
     wrap_phase,
 )
 
@@ -102,28 +100,6 @@ class TestController:
             controller_step(LoopUnit(), math.nan, make_cfg())
 
 
-class TestNco:
-    def test_zero_control(self):
-        unit = LoopUnit(nco_phase=0.4)
-        unit, phasor = nco_step(unit, 0.0)
-        assert unit.nco_phase == 0.4
-        assert abs(phasor) == pytest.approx(1.0)
-
-    def test_quarter_turns(self):
-        unit = LoopUnit()
-        expected = [math.pi / 2, math.pi, -math.pi / 2, 0.0]
-        for want in expected:
-            unit, _ = nco_step(unit, math.pi / 2)
-            assert unit.nco_phase == pytest.approx(want, abs=1e-12)
-
-    def test_unit_magnitude_always(self):
-        rng = np.random.default_rng(3)
-        unit = LoopUnit()
-        for c in rng.uniform(-10, 10, 200):
-            unit, phasor = nco_step(unit, float(c))
-            assert abs(phasor) == pytest.approx(1.0, abs=1e-12)
-
-
 class TestClosedTf:
     def test_dc_gain_exact(self):
         g = closed_tf(make_cfg())
@@ -145,12 +121,19 @@ class TestClosedTf:
 
 
 def run_closed_loop(cfg, input_phase, n):
-    """Drive the discriminator/controller/NCO loop with a phase series."""
+    """Drive the discriminator/controller loop with a phase series.
+
+    The loop's output phase is a local accumulator of the per-tick
+    control, kept wrapped to (-pi, pi].
+    """
     unit = LoopUnit()
+    phase = 0.0
     errs = np.empty(n)
     out = np.empty(n)
     for i in range(n):
-        unit, errs[i] = loop_step(unit, cmath.exp(1j * input_phase(i)), cfg)
+        errs[i] = discriminate(cmath.exp(1j * input_phase(i)), cmath.exp(1j * phase))
+        unit, control = controller_step(unit, errs[i], cfg)
+        phase = wrap_phase(phase + control)
         out[i] = unit.acc_outer
     return out, errs
 
