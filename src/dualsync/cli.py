@@ -19,7 +19,14 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import linear_analysis as la
-from .config import SCHEMA, ConfigError, ScenarioConfig, parse_config, parse_config_file
+from .config import (
+    SCHEMA,
+    ConfigError,
+    ScenarioConfig,
+    _semantic_checks,
+    parse_config,
+    parse_config_file,
+)
 from .nodes import DivergenceError, detect_ambiguity_jumps, run_scenario
 from .oscillator import NoiseMask, fit_two_state, synthesize_phase
 from .spectral import cheb_window, psd_estimate
@@ -236,6 +243,14 @@ def cmd_sweep(args) -> int:
         values = [parser(v.strip()) for v in raw_values.split(",")]
     except ValueError as exc:
         raise ConfigError([f"sweep.values: {exc}"]) from None
+    # each grid point must pass the checks parse_config applies to a file
+    errors = []
+    for v in values:
+        point_errors = []
+        _semantic_checks({**cfg.values, key: v}, point_errors)
+        errors += [f"sweep value {v!r}: {e}" for e in point_errors]
+    if errors:
+        raise ConfigError(errors)
     jobs = [
         (cfg.values, i, key, v, os.path.join(out, f"sweep_{i:03d}"))
         for i, v in enumerate(values)

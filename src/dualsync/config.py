@@ -122,7 +122,7 @@ SCHEMA: dict[str, dict[str, tuple]] = {
     },
     "framing": {
         "pilot_len": (_parse_int, _SCN.pilot_len),
-        "inter_pilot": (_parse_int, 956),
+        "inter_pilot": (_parse_int, _SCN.decimation),
         "code_index_master": (_parse_int, 1),
         "code_index_follower": (_parse_int, 2),
     },
@@ -233,6 +233,9 @@ def _semantic_checks(values: dict, errors: list[str]) -> None:
           "framing.pilot_len must be a power of two in 1..36")
     check(values["framing.inter_pilot"] > pl,
           "framing.inter_pilot must exceed the pilot length")
+    # one pilot per tick: the simulator's tick rate is baud_hz/run.decimation
+    check(values["framing.inter_pilot"] == values["run.decimation"],
+          "framing.inter_pilot must equal run.decimation")
     for which in ("master", "follower"):
         idx = values[f"framing.code_index_{which}"]
         check(0 <= idx < pl, f"framing.code_index_{which} must be in 0..{pl - 1}")

@@ -55,11 +55,11 @@ DIVERGENCE_LIMIT_RAD = 1e6
 
 
 class DivergenceError(RuntimeError):
-    """A loop phase exceeded the divergence guard."""
+    """A loop phase exceeded the divergence guard or became NaN."""
 
     def __init__(self, tick: int):
         super().__init__(f"scenario diverged at tick {tick} (phase beyond "
-                         f"{DIVERGENCE_LIMIT_RAD:g} rad)")
+                         f"{DIVERGENCE_LIMIT_RAD:g} rad or NaN)")
         self.tick = tick
 
 
@@ -273,19 +273,24 @@ def _clock_series(scn: Scenario, rng: np.random.Generator, mask: NoiseMask,
 def _tick_loop(n, tick_period, th0, thx, phi1, phi2, phi3, phi4, dopp_per_tick,
                noise, has_noise, zeta_m, om_m, zeta_s, om_s, theta_offset,
                latency, dual, wrap_comp, bf0, out_arr, al, r1a, r2a, r3a, r4a):
-    """Sequential tick kernel; numba-compiled when available.
+    """Sequential tick kernel in pure Python.
 
     Identical math to master_step/follower_step; returns the first
-    diverged tick or -1.
+    diverged tick or -1.  The series arguments may be ndarrays or
+    memoryviews of them (``noise`` indexed ``[k, i]``); ``run_scenario``
+    passes memoryviews, whose elements are plain floats, which keeps
+    numpy scalar arithmetic out of the loop without changing a bit.
     """
+    cos = math.cos
+    sin = math.sin
+    atan2 = math.atan2
+    floor = math.floor
     pi = math.pi
     two_pi = TWO_PI
+    limit = DIVERGENCE_LIMIT_RAD
     half_t = 0.5 * tick_period
-    txf = np.empty(latency)
-    txr = np.empty(latency)
-    for i in range(latency):
-        txf[i] = th0[0]
-        txr[i] = thx[0]
+    txf = [th0[0]] * latency
+    txr = [thx[0]] * latency
     alpha = 0.0
     theta_out = 0.0
     vm = 0.0
@@ -305,20 +310,20 @@ def _tick_loop(n, tick_period, th0, thx, phi1, phi2, phi3, phi4, dopp_per_tick,
         slot = i % latency
         # master: receive the return pair, update the compensation loop
         p3 = txr[slot] + phi3 + dop
-        re3 = math.cos(p3)
-        im3 = math.sin(p3)
+        re3 = cos(p3)
+        im3 = sin(p3)
         p4 = txr[slot] + phi4 + dop
-        re4 = math.cos(p4)
-        im4 = math.sin(p4)
+        re4 = cos(p4)
+        im4 = sin(p4)
         if has_noise:
             re3 += noise[4, i]
             im3 += noise[5, i]
             re4 += noise[6, i]
             im4 += noise[7, i]
-        c0 = math.cos(t0)
-        s0 = math.sin(t0)
-        r3 = math.atan2(im3 * c0 - re3 * s0, re3 * c0 + im3 * s0)
-        r4 = math.atan2(im4 * c0 - re4 * s0, re4 * c0 + im4 * s0)
+        c0 = cos(t0)
+        s0 = sin(t0)
+        r3 = atan2(im3 * c0 - re3 * s0, re3 * c0 + im3 * s0)
+        r4 = atan2(im4 * c0 - re4 * s0, re4 * c0 + im4 * s0)
         if wrap_comp:
             if not started:
                 tr3 = r3
@@ -326,9 +331,9 @@ def _tick_loop(n, tick_period, th0, thx, phi1, phi2, phi3, phi4, dopp_per_tick,
                 started = True
             else:
                 d3 = r3 - tr3
-                tr3 = tr3 + (d3 + two_pi * math.floor((pi - d3) / two_pi))
+                tr3 = tr3 + (d3 + two_pi * floor((pi - d3) / two_pi))
                 d4 = r4 - tr4
-                tr4 = tr4 + (d4 + two_pi * math.floor((pi - d4) / two_pi))
+                tr4 = tr4 + (d4 + two_pi * floor((pi - d4) / two_pi))
             m3 = tr3
             m4 = tr4
         else:
@@ -336,7 +341,7 @@ def _tick_loop(n, tick_period, th0, thx, phi1, phi2, phi3, phi4, dopp_per_tick,
             m4 = r4
         mean_r = 0.5 * (m3 + m4) if dual else m3
         em = theta_offset - mean_r - 0.5 * alpha
-        em = em + two_pi * math.floor((pi - em) / two_pi)
+        em = em + two_pi * floor((pi - em) / two_pi)
         vm = vm + half_t * om_m * om_m * (em + em_prev)
         wm = 2.0 * zeta_m * om_m * em + vm
         alpha = alpha + half_t * (wm + wm_prev)
@@ -345,11 +350,11 @@ def _tick_loop(n, tick_period, th0, thx, phi1, phi2, phi3, phi4, dopp_per_tick,
         txf_new = t0 + 0.5 * alpha
         # follower: receive the forward pair, update the tracking loop
         p1 = txf[slot] + phi1 + dop
-        re1 = math.cos(p1)
-        im1 = math.sin(p1)
+        re1 = cos(p1)
+        im1 = sin(p1)
         p2 = txf[slot] + phi2 + dop
-        re2 = math.cos(p2)
-        im2 = math.sin(p2)
+        re2 = cos(p2)
+        im2 = sin(p2)
         if has_noise:
             re1 += noise[0, i]
             im1 += noise[1, i]
@@ -357,13 +362,13 @@ def _tick_loop(n, tick_period, th0, thx, phi1, phi2, phi3, phi4, dopp_per_tick,
             im2 += noise[3, i]
         # reference = composite carrier (NCO x LO) from the previous epoch
         ref = theta_out + thx_prev
-        cr = math.cos(ref)
-        sr = math.sin(ref)
-        e1 = math.atan2(im1 * cr - re1 * sr, re1 * cr + im1 * sr)
-        e2 = math.atan2(im2 * cr - re2 * sr, re2 * cr + im2 * sr)
+        cr = cos(ref)
+        sr = sin(ref)
+        e1 = atan2(im1 * cr - re1 * sr, re1 * cr + im1 * sr)
+        e2 = atan2(im2 * cr - re2 * sr, re2 * cr + im2 * sr)
         if dual:
             es = 0.5 * (e1 + e2)
-            es = es + two_pi * math.floor((pi - es) / two_pi)
+            es = es + two_pi * floor((pi - es) / two_pi)
         else:
             es = e1
             e2 = 0.0
@@ -379,24 +384,20 @@ def _tick_loop(n, tick_period, th0, thx, phi1, phi2, phi3, phi4, dopp_per_tick,
         bf0[i] = theta_bf - t0
         out_arr[i] = theta_out
         al[i] = alpha
-        ct = math.cos(tx)
-        st = math.sin(tx)
-        r1a[i] = math.atan2(im1 * ct - re1 * st, re1 * ct + im1 * st)
-        r2a[i] = math.atan2(im2 * ct - re2 * st, re2 * ct + im2 * st) if dual else 0.0
+        ct = cos(tx)
+        st = sin(tx)
+        r1a[i] = atan2(im1 * ct - re1 * st, re1 * ct + im1 * st)
+        r2a[i] = atan2(im2 * ct - re2 * st, re2 * ct + im2 * st) if dual else 0.0
         r3a[i] = r3
         r4a[i] = r4 if dual else 0.0
-        if (abs(alpha) > DIVERGENCE_LIMIT_RAD or abs(theta_out) > DIVERGENCE_LIMIT_RAD
+        if (abs(alpha) > limit or abs(theta_out) > limit
                 or alpha != alpha or theta_out != theta_out):
             return i
     return -1
 
 
-try:  # optional acceleration; the pure-Python kernel is the reference
-    import numba as _numba
-
-    _tick_loop_fast = _numba.njit(cache=True)(_tick_loop)
-except ImportError:  # pragma: no cover
-    _tick_loop_fast = _tick_loop
+# run_scenario calls the kernel through this name, so tracing can wrap it
+_tick_loop_fast = _tick_loop
 
 
 def run_scenario(scn: Scenario, seed: int, engine: str = "kernel") -> ScenarioResult:
@@ -405,7 +406,7 @@ def run_scenario(scn: Scenario, seed: int, engine: str = "kernel") -> ScenarioRe
     Fully deterministic per (scenario, seed): clock synthesis and the four
     leg noise streams draw from independent child generators spawned from
     the seed.  ``engine="reference"`` runs the per-tick dataclass state
-    machines instead of the compiled kernel (slow; used for validation).
+    machines instead of the kernel (slow; used for validation).
     """
     n = scn.n_ticks
     if n < 1:
@@ -439,12 +440,14 @@ def run_scenario(scn: Scenario, seed: int, engine: str = "kernel") -> ScenarioRe
 
     out = [np.empty(n) for _ in range(7)]
     if engine == "kernel":
+        # memoryviews share the arrays' memory and index to plain floats
         bad = _tick_loop_fast(
-            n, scn.tick_period_s, th0, thx, phi[0], phi[1], phi[2], phi[3],
-            dopp_per_tick, noise, has_noise, cfg_m.zeta, cfg_m.omega_rad_s,
-            cfg_s.zeta, cfg_s.omega_rad_s, scn.theta_offset,
-            scn.loop_latency_ticks, scn.dual_carrier, scn.wrap_compensation,
-            *out,
+            n, scn.tick_period_s, memoryview(th0), memoryview(thx),
+            phi[0], phi[1], phi[2], phi[3], dopp_per_tick, memoryview(noise),
+            has_noise, cfg_m.zeta, cfg_m.omega_rad_s, cfg_s.zeta,
+            cfg_s.omega_rad_s, scn.theta_offset, scn.loop_latency_ticks,
+            scn.dual_carrier, scn.wrap_compensation,
+            *(memoryview(a) for a in out),
         )
     elif engine == "reference":
         bad = _reference_loop(scn, cfg_m, cfg_s, th0, thx, noise, has_noise, out)
@@ -507,7 +510,8 @@ def _reference_loop(scn: Scenario, cfg_m: LoopConfig, cfg_s: LoopConfig,
         r2a[i] = follower.last_r2
         r3a[i] = master.last_r3
         r4a[i] = master.last_r4
-        if abs(alpha) > DIVERGENCE_LIMIT_RAD or abs(theta_out) > DIVERGENCE_LIMIT_RAD:
+        if (abs(alpha) > DIVERGENCE_LIMIT_RAD or abs(theta_out) > DIVERGENCE_LIMIT_RAD
+                or alpha != alpha or theta_out != theta_out):
             return i
     return -1
 

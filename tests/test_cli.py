@@ -134,6 +134,19 @@ class TestSweep:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "config"
 
+    def test_sweep_points_are_validated(self, tmp_path, capsys):
+        # a grid point must pass the same checks as a config file
+        cfg = write_config(
+            tmp_path,
+            "[run]\nduration_s = 0.05\n[sweep]\nkey = framing.inter_pilot\n"
+            "values = 956, 478\n",
+        )
+        out = tmp_path / "o"
+        assert run_cli("sweep", "--config", cfg, "--out", str(out), "--quiet") == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["detail"] == ["sweep value 478: framing.inter_pilot must equal run.decimation"]
+        assert not (out / "sweep_000").exists()
+
     def test_parallel_sweep_matches_sequential(self, tmp_path):
         text = ("[run]\nduration_s = 0.1\n[sweep]\nkey = follower.omega_s_hz\n"
                 "values = 50, 120\n")
@@ -189,6 +202,13 @@ class TestErrors:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "config"
         assert any("omega_m_hz" in d for d in err["detail"])
+
+    def test_inter_pilot_other_than_decimation_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "[framing]\ninter_pilot = 478\n")
+        assert run_cli("simulate", "--config", cfg, "--out", str(tmp_path / "o"),
+                       "--quiet") == 2
+        err = json.loads(capsys.readouterr().err)
+        assert any("framing.inter_pilot" in d for d in err["detail"])
 
     def test_divergent_scenario_exits_3(self, tmp_path, capsys):
         cfg = write_config(

@@ -112,6 +112,15 @@ class TestValidation:
         with pytest.raises(ConfigError, match="channel.snr_db"):
             parse_config(f"[channel]\nsnr_db = {value}\n")
 
+    def test_inter_pilot_must_equal_decimation(self):
+        # the tick rate comes from run.decimation; a different pilot
+        # spacing would be accepted and have no effect
+        for text in ("[framing]\ninter_pilot = 512\n", "[run]\ndecimation = 512\n"):
+            with pytest.raises(ConfigError, match="framing.inter_pilot must equal"):
+                parse_config(text)
+        cfg = parse_config("[framing]\ninter_pilot = 512\n[run]\ndecimation = 512\n")
+        assert cfg.to_scenario().tick_rate_hz == 8e6 / 512
+
     def test_carrier_plan_ordering(self):
         with pytest.raises(ConfigError, match="carrier plan"):
             parse_config("[channel]\nfm_hz = 30e6\n")

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dualsync import nodes
 from dualsync.channel import CarrierPlan, prop_phase, sigma_from_snr
 from dualsync.nodes import (
     DivergenceError,
@@ -194,6 +195,37 @@ class TestKernelMatchesReference:
             )
 
 
+class TestKernelInputType:
+    @pytest.mark.parametrize("kw", [
+        dict(snr_db=10.0, tau_s=3.3e-7, doppler_hz=1.5),
+        dict(loop_latency_ticks=3, dual_carrier=False, wrap_compensation=False,
+             tau_s=1e-7, doppler_hz=-2.0),
+        dict(snr_db=5.0, loop_latency_ticks=3, wrap_compensation=False,
+             initial_follower_phase_rad=3.0, follower_freq_offset_hz=0.3),
+        dict(dual_carrier=False, theta_offset=0.1, doppler_hz=0.5, tau_s=5e-8),
+    ])
+    def test_memoryview_and_ndarray_inputs_give_identical_series(self, monkeypatch, kw):
+        # run_scenario feeds the kernel memoryviews (plain float elements);
+        # the same inputs as ndarrays (numpy scalar elements) must give the
+        # same bits, since the arithmetic is the same operation for operation
+        calls = []
+
+        def capture(*args):
+            calls.append(args)
+            return _tick_loop(*args)
+
+        monkeypatch.setattr(nodes, "_tick_loop_fast", capture)
+        r = run_scenario(Scenario(duration_s=0.5, **kw), seed=11)
+        (args,) = calls
+        inputs = args[:-7]
+        assert all(isinstance(inputs[k], memoryview) for k in (2, 3, 9))  # th0, thx, noise
+        inputs = [np.asarray(a) if isinstance(a, memoryview) else a for a in inputs]
+        out = [np.empty(r.n_ticks) for _ in range(7)]
+        assert _tick_loop(*inputs, *out) == -1
+        for name, series in zip(SERIES, out):
+            assert np.array_equal(getattr(r, name), series), name
+
+
 @pytest.mark.parametrize("engine", ["kernel", "reference"])
 class TestRingChannel:
     def test_pure_rotation(self, engine):
@@ -284,6 +316,17 @@ class TestRunScenario:
             with pytest.raises(DivergenceError) as info:
                 run_scenario(scn, seed=1)
         assert info.value.tick >= 0
+
+    @pytest.mark.parametrize("engine", ["kernel", "reference"])
+    @pytest.mark.parametrize("loop", [dict(omega_m_hz=1e300),
+                                      dict(zeta_s=1e300, omega_s_hz=1e200)])
+    def test_nan_loop_state_raises_divergence_on_both_engines(self, engine, loop):
+        # omega**2 overflows to inf and inf*0 is NaN at the first tick
+        scn = Scenario(duration_s=0.01, ideal_clocks=True, **loop)
+        with pytest.warns(UserWarning):
+            with pytest.raises(DivergenceError) as info:
+                run_scenario(scn, seed=1, engine=engine)
+        assert info.value.tick == 0
 
     def test_result_time_axis(self):
         scn = Scenario(duration_s=0.1, ideal_clocks=True)
