@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import tempfile
@@ -19,17 +18,12 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import linear_analysis as la
-from .config import (
-    SCHEMA,
-    ConfigError,
-    ScenarioConfig,
-    _semantic_checks,
-    parse_config,
-    parse_config_file,
-)
+from .config import ConfigError, ScenarioConfig, parse_config, parse_config_file
 from .nodes import DivergenceError, detect_ambiguity_jumps, run_scenario
 from .oscillator import NoiseMask, fit_two_state, synthesize_phase
 from .spectral import cheb_window, psd_estimate
+
+_CLOCK_SOURCES = ("master_clock", "follower_clock")
 
 
 def _fmt(value) -> str:
@@ -55,17 +49,13 @@ def _write_csv(path: str, comment: str, header: list[str], rows) -> None:
         raise
 
 
-def _stamp(cfg: ScenarioConfig, seed: int) -> str:
-    return f"config_sha256={cfg.sha256()} seed={seed}"
+def _stamp(cfg: ScenarioConfig) -> str:
+    return f"config_sha256={cfg.sha256()} seed={cfg.get('run', 'seed')}"
 
 
 def _load_config(args) -> ScenarioConfig:
     cfg = parse_config_file(args.config) if args.config else parse_config("")
-    if args.seed is not None:
-        values = dict(cfg.values)
-        values["run.seed"] = int(args.seed)
-        cfg = ScenarioConfig(values=values)
-    return cfg
+    return cfg if args.seed is None else cfg.with_values({"run.seed": args.seed})
 
 
 def _outdir(args, cfg: ScenarioConfig) -> str:
@@ -79,35 +69,23 @@ def _say(args, message: str) -> None:
         print(message)
 
 
-def _emit_timeseries(path: str, cfg: ScenarioConfig, seed: int, result) -> None:
-    _write_csv(
-        path,
-        _stamp(cfg, seed),
-        ["tick", "t_s", "theta_bf_minus_theta0_rad", "theta_out_rad", "alpha_rad",
-         "r1_rad", "r2_rad", "r3_rad", "r4_rad"],
-        result.rows(),
-    )
-
-
-def _psd_series(cfg: ScenarioConfig, seed: int, result=None) -> tuple[np.ndarray, float]:
-    """Series selected by output.psd_source plus its sample rate."""
+def _psd_series(cfg: ScenarioConfig, result) -> tuple[np.ndarray, float]:
+    """Series selected by output.psd_source plus its sample rate; the ring
+    sources are read from `result`."""
     source = cfg.get("output", "psd_source")
     scn = cfg.to_scenario()
-    if source in ("master_clock", "follower_clock"):
+    if source in _CLOCK_SOURCES:
         side = "master" if source == "master_clock" else "follower"
         mask = NoiseMask(cfg.get(side, "mask_ref_hz"), cfg.get(side, "mask"))
         params = fit_two_state(mask, scn.baud_hz).rescaled(scn.decimation)
         n = cfg.get("output", "psd_block_len") * cfg.get("output", "psd_n_blocks")
-        rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(6)[0 if side == "master" else 1])
-        series = synthesize_phase(params, n, rng) * (scn.plan.fc_hz / mask.reference_freq_hz)
-        return series, scn.tick_rate_hz
-    if result is None:
-        result = run_scenario(scn, seed)
-    series = getattr(result, source)
-    return np.asarray(series), scn.tick_rate_hz
+        seq = np.random.SeedSequence(cfg.get("run", "seed")).spawn(6)[side == "follower"]
+        series = synthesize_phase(params, n, np.random.default_rng(seq))
+        return series * (scn.plan.fc_hz / mask.reference_freq_hz), scn.tick_rate_hz
+    return np.asarray(getattr(result, source)), scn.tick_rate_hz
 
 
-def _emit_psd(path: str, cfg: ScenarioConfig, seed: int, series, fs_hz: float) -> None:
+def _write_psd(path: str, cfg: ScenarioConfig, series, fs_hz: float) -> None:
     est = psd_estimate(
         series,
         fs_hz,
@@ -115,27 +93,42 @@ def _emit_psd(path: str, cfg: ScenarioConfig, seed: int, series, fs_hz: float) -
         n_blocks=cfg.get("output", "psd_n_blocks"),
         window_atten_db=cfg.get("output", "psd_window_atten_db"),
     )
-    _write_csv(
-        path,
-        _stamp(cfg, seed),
-        ["offset_hz", "level_dbc_hz"],
-        zip(est.freqs_hz.tolist(), est.levels_dbc_hz.tolist()),
-    )
+    _write_csv(path, _stamp(cfg), ["offset_hz", "level_dbc_hz"],
+               zip(est.freqs_hz.tolist(), est.levels_dbc_hz.tolist()))
+
+
+def _emit(cfg: ScenarioConfig, timeseries=None, psd=None, jumps=None):
+    """Write the artifacts given a path, running the ring at most once (not
+    at all for a clock PSD alone); returns the ring result or None."""
+    result = None
+    if timeseries or jumps or (psd and cfg.get("output", "psd_source") not in _CLOCK_SOURCES):
+        result = run_scenario(cfg.to_scenario(), cfg.get("run", "seed"))
+    if timeseries:
+        _write_csv(timeseries, _stamp(cfg),
+                   ["tick", "t_s", "theta_bf_minus_theta0_rad", "theta_out_rad", "alpha_rad",
+                    "r1_rad", "r2_rad", "r3_rad", "r4_rad"],
+                   result.rows())
+    if psd:
+        _write_psd(psd, cfg, *_psd_series(cfg, result))
+    if jumps:
+        stride = max(1, int(0.05 * result.tick_rate_hz))
+        found = detect_ambiguity_jumps(result.theta_bf_minus_theta0[::stride])
+        _write_csv(jumps, _stamp(cfg), ["tick", "t_s", "magnitude_rad"],
+                   ((i * stride, i * stride / result.tick_rate_hz, m) for i, m in found))
+    return result
+
+
+def _simulate(cfg: ScenarioConfig, out: str) -> str:
+    """timeseries.csv, plus psd.csv when output.emit_psd is on, in `out`."""
+    ts = os.path.join(out, "timeseries.csv")
+    psd = os.path.join(out, "psd.csv") if cfg.get("output", "emit_psd") else None
+    result = _emit(cfg, timeseries=ts, psd=psd)
+    return f"wrote {ts} ({result.n_ticks} ticks)" + (f" and {psd}" if psd else "")
 
 
 def cmd_simulate(args) -> int:
     cfg = _load_config(args)
-    seed = cfg.get("run", "seed")
-    out = _outdir(args, cfg)
-    result = run_scenario(cfg.to_scenario(), seed)
-    ts_path = os.path.join(out, "timeseries.csv")
-    _emit_timeseries(ts_path, cfg, seed, result)
-    _say(args, f"wrote {ts_path} ({result.n_ticks} ticks)")
-    if cfg.get("output", "emit_psd"):
-        series, fs = _psd_series(cfg, seed, result)
-        psd_path = os.path.join(out, "psd.csv")
-        _emit_psd(psd_path, cfg, seed, series, fs)
-        _say(args, f"wrote {psd_path}")
+    _say(args, _simulate(cfg, _outdir(args, cfg)))
     return 0
 
 
@@ -154,8 +147,7 @@ def cmd_bode(args) -> int:
         for f, mag, ph in la.bode(tfs[tf_id], grid):
             rows.append((tf_id, f, mag, ph))
     path = os.path.join(out, "bode.csv")
-    _write_csv(path, _stamp(cfg, cfg.get("run", "seed")),
-               ["tf_id", "freq_hz", "mag_db", "phase_deg"], rows)
+    _write_csv(path, _stamp(cfg), ["tf_id", "freq_hz", "mag_db", "phase_deg"], rows)
     _say(args, f"wrote {path}")
     return 0
 
@@ -167,15 +159,13 @@ def cmd_delay_margin(args) -> int:
     grid = np.logspace(1, 6, args.points)
     rows = la.delay_margin_grid(grid, zeta=scn.zeta_m, omega_units=scn.omega_units)
     path = os.path.join(out, "delay_margin.csv")
-    _write_csv(path, _stamp(cfg, cfg.get("run", "seed")),
-               ["omega_n_hz", "margin_s"], rows)
+    _write_csv(path, _stamp(cfg), ["omega_n_hz", "margin_s"], rows)
     _say(args, f"wrote {path}")
     return 0
 
 
 def cmd_fit_noise(args) -> int:
     cfg = _load_config(args)
-    seed = cfg.get("run", "seed")
     out = _outdir(args, cfg)
     scn = cfg.to_scenario()
     rows = []
@@ -186,12 +176,11 @@ def cmd_fit_noise(args) -> int:
                      params.tick_rate_hz))
         dec = params.rescaled(scn.decimation)
         n = cfg.get("output", "psd_block_len") * cfg.get("output", "psd_n_blocks")
-        rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[side == "follower"])
-        series = synthesize_phase(dec, n, rng)
-        _emit_psd(os.path.join(out, f"psd_{side}.csv"), cfg, seed, series,
-                  scn.tick_rate_hz)
+        seq = np.random.SeedSequence(cfg.get("run", "seed")).spawn(2)[side == "follower"]
+        series = synthesize_phase(dec, n, np.random.default_rng(seq))
+        _write_psd(os.path.join(out, f"psd_{side}.csv"), cfg, series, scn.tick_rate_hz)
     path = os.path.join(out, "noise_fit.csv")
-    _write_csv(path, _stamp(cfg, seed),
+    _write_csv(path, _stamp(cfg),
                ["node", "sigma0_rad", "sigma1_rad", "sigma2_rad_per_tick", "tick_rate_hz"],
                rows)
     _say(args, f"wrote {path} and verification PSDs")
@@ -200,30 +189,15 @@ def cmd_fit_noise(args) -> int:
 
 def cmd_spectrum(args) -> int:
     cfg = _load_config(args)
-    seed = cfg.get("run", "seed")
-    out = _outdir(args, cfg)
-    series, fs = _psd_series(cfg, seed)
-    path = os.path.join(out, "psd.csv")
-    _emit_psd(path, cfg, seed, series, fs)
+    path = os.path.join(_outdir(args, cfg), "psd.csv")
+    _emit(cfg, psd=path)
     _say(args, f"wrote {path}")
     return 0
 
 
-def _sweep_point(payload):
-    values, index, key, value, directory = payload
-    values = dict(values)
-    section, name = key.split(".", 1)
-    values[f"{section}.{name}"] = value
-    cfg = ScenarioConfig(values=values)
-    seed = cfg.get("run", "seed")
+def _sweep_point(cfg: ScenarioConfig, directory: str) -> None:
     os.makedirs(directory, exist_ok=True)
-    result = run_scenario(cfg.to_scenario(), seed)
-    _emit_timeseries(os.path.join(directory, "timeseries.csv"), cfg, seed, result)
-    if cfg.get("output", "emit_psd"):
-        series = np.asarray(result.theta_bf_minus_theta0)
-        _emit_psd(os.path.join(directory, "psd.csv"), cfg, seed, series,
-                  cfg.to_scenario().tick_rate_hz)
-    return index, key, value, directory, seed
+    _simulate(cfg, directory)
 
 
 def cmd_sweep(args) -> int:
@@ -233,85 +207,85 @@ def cmd_sweep(args) -> int:
     raw_values = cfg.get("sweep", "values")
     if not key or not raw_values:
         raise ConfigError(["sweep requires [sweep] key and values entries"])
-    if key.count(".") != 1:
-        raise ConfigError([f"sweep.key must be section.key, got {key!r}"])
-    section, name = key.split(".")
-    if section not in SCHEMA or name not in SCHEMA[section]:
+    if key not in cfg.values:
         raise ConfigError([f"sweep.key {key!r} is not a known config key"])
-    parser = SCHEMA[section][name][0]
-    try:
-        values = [parser(v.strip()) for v in raw_values.split(",")]
-    except ValueError as exc:
-        raise ConfigError([f"sweep.values: {exc}"]) from None
     # each grid point must pass the checks parse_config applies to a file
-    errors = []
-    for v in values:
-        point_errors = []
-        _semantic_checks({**cfg.values, key: v}, point_errors)
-        errors += [f"sweep value {v!r}: {e}" for e in point_errors]
+    points, errors = [], []
+    for value in [v.strip() for v in raw_values.split(",")]:
+        try:
+            points.append(cfg.with_values({key: value}))
+        except ConfigError as exc:
+            errors += [f"sweep value {value}: {e}" for e in exc.errors]
     if errors:
         raise ConfigError(errors)
-    jobs = [
-        (cfg.values, i, key, v, os.path.join(out, f"sweep_{i:03d}"))
-        for i, v in enumerate(values)
-    ]
+    dirs = [os.path.join(out, f"sweep_{i:03d}") for i in range(len(points))]
     if args.workers > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            manifest = list(pool.map(_sweep_point, jobs))
+            list(pool.map(_sweep_point, points, dirs))
     else:
-        manifest = [_sweep_point(j) for j in jobs]
+        list(map(_sweep_point, points, dirs))
     path = os.path.join(out, "manifest.csv")
-    _write_csv(path, _stamp(cfg, cfg.get("run", "seed")),
-               ["index", "key", "value", "directory", "seed"], manifest)
-    _say(args, f"wrote {path} ({len(manifest)} grid points)")
+    _write_csv(path, _stamp(cfg), ["index", "key", "value", "directory", "seed"],
+               [(i, key, p.values[key], d, p.get("run", "seed"))
+                for i, (p, d) in enumerate(zip(points, dirs))])
+    _say(args, f"wrote {path} ({len(points)} grid points)")
     return 0
 
 
-def _recipe_config(seed: int, **overrides) -> ScenarioConfig:
-    lines = []
-    by_section: dict[str, list[str]] = {}
-    for full, value in overrides.items():
-        section, key = full.split("__")
-        by_section.setdefault(section, []).append(f"{key} = {value}")
-    for section, entries in by_section.items():
-        lines.append(f"[{section}]")
-        lines.extend(entries)
-    cfg = parse_config("\n".join(lines))
-    values = dict(cfg.values)
-    values["run.seed"] = seed
-    return ScenarioConfig(values=values)
+def _loops(omega_hz) -> dict:
+    return {"master.omega_m_hz": omega_hz, "follower.omega_s_hz": omega_hz}
+
+
+# figure -> runs of ({artifact kind: file name}, {section.key: override}); each
+# run starts from the defaults plus run.seed, and its first file names it in
+# configs.txt.  fig14 has no ring and is written by cmd_reproduce itself.
+RECIPES: dict[str, list[tuple[dict, dict]]] = {
+    # RF-scaled oscillator phase-noise estimates for both nodes
+    "fig13": [({"psd": f"psd_{side}.csv"},
+               {"output.psd_block_len": 2**17, "output.psd_n_blocks": 32,
+                "output.psd_window_atten_db": 300, "output.psd_source": f"{side}_clock"})
+              for side in ("master", "follower")],
+    # beamforming-phase noise floors vs SNR (reduced block length for runtime)
+    "fig15": [({"psd": f"psd_snr{snr}.csv"},
+               {"channel.snr_db": snr, "run.duration_s": 70, **_loops(100),
+                "output.psd_block_len": 2**15, "output.psd_n_blocks": 16})
+              for snr in (0, 10, 20)],
+    # error time series at 0/10/20 dB SNR, 10 and 100 Hz loops
+    **{fig: [({"timeseries": f"timeseries_snr{snr}_w{w}.csv"},
+              {"channel.snr_db": snr, "run.duration_s": 120, **_loops(w)})
+             for w in (10, 100)]
+       for fig, snr in (("fig16", 0), ("fig17", 10), ("fig18", 20))},
+    # re-lock from a 180-degree follower phase offset
+    "fig19": [({"timeseries": f"timeseries_offset180_w{w}.csv"},
+               {"run.duration_s": 120, "follower.initial_phase_deg": 180, **_loops(w),
+                "run.ideal_clocks": "on"})
+              for w in (10, 100)],
+    # absorption of a 50 Hz follower frequency offset
+    "fig20": [({"timeseries": f"timeseries_foffset50_w{w}.csv"},
+               {"run.duration_s": 120, "follower.freq_offset_hz": 50, **_loops(w),
+                "run.ideal_clocks": "on"})
+              for w in (10, 100)],
+    # 1 Hz Doppler: bounded tracking at 10 dB and infinite SNR
+    "fig21": [({"timeseries": f"timeseries_doppler1_snr{snr}.csv"},
+               {"channel.snr_db": snr, "channel.doppler_hz": 1, "run.duration_s": 120,
+                **_loops(100)})
+              for snr in (10, "inf")],
+    # unbounded accumulated drift with raw per-tick angle measurements:
+    # the divide-by-two stages produce 90-degree ambiguity jumps
+    "fig22": [({"timeseries": f"timeseries_unbounded_snr{snr}.csv",
+                "jumps": f"jumps_snr{snr}.csv"},
+               {"channel.snr_db": snr, "channel.doppler_hz": 1, "channel.tau_s": 1.875e-8,
+                "run.duration_s": 60, "run.wrap_compensation": "off",
+                "run.ideal_clocks": "on", **_loops(100)})
+              for snr in (10, "inf")],
+}
 
 
 def cmd_reproduce(args) -> int:
     cfg0 = _load_config(args)
-    seed = cfg0.get("run", "seed")
     out = _outdir(args, cfg0)
     fig = args.figure.lower()
-    written: list[str] = []
-    configs: list[tuple[str, ScenarioConfig]] = []
-
-    def emit_run(cfg: ScenarioConfig, name: str):
-        configs.append((name, cfg))
-        result = run_scenario(cfg.to_scenario(), cfg.get("run", "seed"))
-        path = os.path.join(out, name)
-        _emit_timeseries(path, cfg, cfg.get("run", "seed"), result)
-        written.append(path)
-        return result
-
-    if fig == "fig13":
-        # RF-scaled oscillator phase-noise estimates for both nodes
-        cfg = _recipe_config(seed, output__psd_block_len=2**17, output__psd_n_blocks=32,
-                             output__psd_window_atten_db=300)
-        for side in ("master", "follower"):
-            values = dict(cfg.values)
-            values["output.psd_source"] = f"{side}_clock"
-            c = ScenarioConfig(values=values)
-            configs.append((f"psd_{side}.csv", c))
-            series, fs = _psd_series(c, seed)
-            path = os.path.join(out, f"psd_{side}.csv")
-            _emit_psd(path, c, seed, series, fs)
-            written.append(path)
-    elif fig == "fig14":
+    if fig == "fig14":
         # power response of the 2^17-sample 300 dB Dolph-Chebyshev window
         w = cheb_window(2**17, 300.0)
         resp = np.fft.rfft(w, n=8 * 2**17)
@@ -319,78 +293,25 @@ def cmd_reproduce(args) -> int:
             level = 20.0 * np.log10(np.abs(resp) / np.abs(resp[0]))
         freqs = np.arange(resp.size) / (8.0 * 2**17)
         path = os.path.join(out, "window_response.csv")
-        _write_csv(path, _stamp(cfg0, seed), ["freq_cycles_per_sample", "level_db"],
+        _write_csv(path, _stamp(cfg0), ["freq_cycles_per_sample", "level_db"],
                    zip(freqs.tolist(), level.tolist()))
-        written.append(path)
-    elif fig == "fig15":
-        # beamforming-phase noise floors vs SNR (reduced block length for runtime)
-        for snr in (0, 10, 20):
-            cfg = _recipe_config(
-                seed, channel__snr_db=snr, run__duration_s=70,
-                master__omega_m_hz=100, follower__omega_s_hz=100,
-                output__psd_block_len=2**15, output__psd_n_blocks=16,
-            )
-            configs.append((f"psd_snr{snr}.csv", cfg))
-            result = run_scenario(cfg.to_scenario(), seed)
-            path = os.path.join(out, f"psd_snr{snr}.csv")
-            _emit_psd(path, cfg, seed, result.theta_bf_minus_theta0,
-                      cfg.to_scenario().tick_rate_hz)
-            written.append(path)
-    elif fig in ("fig16", "fig17", "fig18"):
-        snr = {"fig16": 0, "fig17": 10, "fig18": 20}[fig]
-        for omega in (10, 100):
-            cfg = _recipe_config(seed, channel__snr_db=snr, run__duration_s=120,
-                                 master__omega_m_hz=omega, follower__omega_s_hz=omega)
-            emit_run(cfg, f"timeseries_snr{snr}_w{omega}.csv")
-    elif fig == "fig19":
-        for omega in (10, 100):
-            cfg = _recipe_config(seed, run__duration_s=120,
-                                 follower__initial_phase_deg=180,
-                                 master__omega_m_hz=omega, follower__omega_s_hz=omega,
-                                 run__ideal_clocks="on")
-            emit_run(cfg, f"timeseries_offset180_w{omega}.csv")
-    elif fig == "fig20":
-        for omega in (10, 100):
-            cfg = _recipe_config(seed, run__duration_s=120,
-                                 follower__freq_offset_hz=50,
-                                 master__omega_m_hz=omega, follower__omega_s_hz=omega,
-                                 run__ideal_clocks="on")
-            emit_run(cfg, f"timeseries_foffset50_w{omega}.csv")
-    elif fig == "fig21":
-        for snr in (10, math.inf):
-            cfg = _recipe_config(seed, channel__snr_db=snr, channel__doppler_hz=1,
-                                 run__duration_s=120, master__omega_m_hz=100,
-                                 follower__omega_s_hz=100)
-            label = "inf" if math.isinf(snr) else str(snr)
-            emit_run(cfg, f"timeseries_doppler1_snr{label}.csv")
-    elif fig == "fig22":
-        # unbounded accumulated drift with raw per-tick angle measurements:
-        # the divide-by-two stages produce 90-degree ambiguity jumps
-        for snr in (10, math.inf):
-            cfg = _recipe_config(
-                seed, channel__snr_db=snr, channel__doppler_hz=1,
-                channel__tau_s=1.875e-8, run__duration_s=60,
-                run__wrap_compensation="off", run__ideal_clocks="on",
-                master__omega_m_hz=100, follower__omega_s_hz=100,
-            )
-            label = "inf" if math.isinf(snr) else str(snr)
-            result = emit_run(cfg, f"timeseries_unbounded_snr{label}.csv")
-            stride = max(1, int(0.05 * result.tick_rate_hz))
-            jumps = detect_ambiguity_jumps(result.theta_bf_minus_theta0[::stride])
-            path = os.path.join(out, f"jumps_snr{label}.csv")
-            _write_csv(path, _stamp(cfg, seed), ["tick", "t_s", "magnitude_rad"],
-                       ((i * stride, i * stride / result.tick_rate_hz, m)
-                        for i, m in jumps))
-            written.append(path)
-    else:
+        _say(args, f"wrote {path}")
+        return 0
+    if fig not in RECIPES:
         raise ConfigError([f"unsupported figure {args.figure!r}; supported: fig13..fig22"])
-    if configs:
-        path = os.path.join(out, "configs.txt")
-        with open(path, "w", encoding="utf-8") as fh:
-            for name, c in configs:
-                fh.write(f"# {name} (sha256 {c.sha256()})\n{c.canonical_text()}\n")
-        written.append(path)
-    _say(args, "wrote " + ", ".join(written))
+    base = parse_config("").with_values({"run.seed": cfg0.get("run", "seed")})
+    written, configs = [], []
+    for files, overrides in RECIPES[fig]:
+        cfg = base.with_values(overrides)
+        paths = {kind: os.path.join(out, name) for kind, name in files.items()}
+        _emit(cfg, **paths)
+        written += paths.values()
+        configs.append(f"# {next(iter(files.values()))} (sha256 {cfg.sha256()})\n"
+                       f"{cfg.canonical_text()}\n")
+    path = os.path.join(out, "configs.txt")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("".join(configs))
+    _say(args, "wrote " + ", ".join(written + [path]))
     return 0
 
 

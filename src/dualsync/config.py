@@ -174,6 +174,30 @@ class ScenarioConfig:
     def sha256(self) -> str:
         return hashlib.sha256(self.canonical_text().encode()).hexdigest()
 
+    def with_values(self, updates: dict) -> ScenarioConfig:
+        """Copy with each "section.key" in `updates` replaced.
+
+        Each value is read from str(value) by its SCHEMA parser, so it can
+        be given as text or as a parsed value, and the result passes the
+        checks parse_config applies to a file; raises ConfigError.
+        """
+        values = dict(self.values)
+        errors: list[str] = []
+        for full, value in updates.items():
+            if full not in values:
+                errors.append(f"{full!r} is not a known config key")
+                continue
+            section, key = full.split(".")
+            try:
+                values[full] = SCHEMA[section][key][0](str(value))
+            except (ValueError, TypeError) as exc:
+                errors.append(f"{full}: {exc}")
+        if not errors:
+            _semantic_checks(values, errors)
+        if errors:
+            raise ConfigError(errors)
+        return ScenarioConfig(values=values)
+
     def to_scenario(self) -> Scenario:
         g = self.get
         return Scenario(

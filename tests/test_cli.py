@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -5,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from dualsync import cli
 from dualsync.cli import main
 
 
@@ -147,6 +149,22 @@ class TestSweep:
         assert err["detail"] == ["sweep value 478: framing.inter_pilot must equal run.decimation"]
         assert not (out / "sweep_000").exists()
 
+    def test_sweep_psd_follows_psd_source(self, tmp_path):
+        # a grid point writes the same psd.csv as simulate of its config
+        cfg = write_config(
+            tmp_path,
+            "[run]\nduration_s = 1.2\nseed = 3\n[output]\nemit_psd = on\n"
+            "psd_source = alpha\npsd_block_len = 512\npsd_n_blocks = 16\n"
+            "[sweep]\nkey = run.seed\nvalues = 3\n",
+        )
+        sim_out, sweep_out = tmp_path / "sim", tmp_path / "sweep"
+        assert run_cli("simulate", "--config", cfg, "--out", str(sim_out), "--quiet") == 0
+        assert run_cli("sweep", "--config", cfg, "--out", str(sweep_out), "--quiet") == 0
+        sim = (sim_out / "psd.csv").read_text().splitlines()[1:]
+        point = (sweep_out / "sweep_000" / "psd.csv").read_text().splitlines()[1:]
+        assert len(sim) == 512 // 2 + 1
+        assert point == sim
+
     def test_parallel_sweep_matches_sequential(self, tmp_path):
         text = ("[run]\nduration_s = 0.1\n[sweep]\nkey = follower.omega_s_hz\n"
                 "values = 50, 120\n")
@@ -162,7 +180,37 @@ class TestSweep:
             assert a == b
 
 
+# sha256 of configs.txt at seed 1: the recipes' configs are part of the
+# reproducibility contract
+RECIPE_CONFIGS_SHA256 = {
+    "fig13": "909383a6f45561fb0560849e5f58723c020452fe2214c1894eadc539945d7580",
+    "fig15": "893eda015a650cb8e80a12008142ef8f4b5aff98507a7f8b5107c5a582c38bc1",
+    "fig16": "958db78ad86bf06bec9ed2dfd8c8314bdaef58c85d62dd19b186921dd411d264",
+    "fig17": "8918ef4829ec928e4498ca33e44bf23e65f90c4b748b6d897e4c79116c9f7a27",
+    "fig18": "d467751bc99b51731a61fbb67ebff41669c4be7af58d8e95cf717a34a251959a",
+    "fig19": "75abe7bdb35268cea5f8303727f95502e6d84503b278e568124137c126565f1b",
+    "fig20": "2545ac77203e4c08e71aeb18d59e52142d3f8d6bc0e294f73ca4855d68a6a1a7",
+    "fig21": "4efc56ffd4e6f9e3c95caae24fa5894958efa0d216758754e6f0d8167412a167",
+    "fig22": "819b24d989532ac0cd5f0a2fc71bfc09435db29c1d2c771b0ebf5b2ba0a0f61e",
+}
+
+
 class TestReproduce:
+    def test_every_recipe_is_pinned(self):
+        assert set(cli.RECIPES) == set(RECIPE_CONFIGS_SHA256)
+
+    @pytest.mark.parametrize("fig", sorted(RECIPE_CONFIGS_SHA256))
+    def test_recipe_configs(self, fig, tmp_path, monkeypatch):
+        # the runs themselves take up to minutes; record what would be written
+        requested = []
+        monkeypatch.setattr(cli, "_emit", lambda cfg, **paths: requested.append(paths))
+        out = tmp_path / "out"
+        assert run_cli("reproduce", fig, "--out", str(out), "--seed", "1", "--quiet") == 0
+        digest = hashlib.sha256((out / "configs.txt").read_bytes()).hexdigest()
+        assert digest == RECIPE_CONFIGS_SHA256[fig]
+        assert [p for r in requested for p in r.values()] == [
+            str(out / name) for files, _ in cli.RECIPES[fig] for name in files.values()]
+
     def test_fig17_emits_both_bandwidths(self, tmp_path):
         out = str(tmp_path / "out")
         assert run_cli("reproduce", "fig17", "--out", out, "--quiet") == 0
@@ -209,6 +257,14 @@ class TestErrors:
                        "--quiet") == 2
         err = json.loads(capsys.readouterr().err)
         assert any("framing.inter_pilot" in d for d in err["detail"])
+
+    @pytest.mark.parametrize("command", ["simulate", "bode"])
+    def test_negative_seed_exits_2(self, command, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert run_cli(command, "--out", str(out), "--seed", "-1", "--quiet") == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "config", "detail": ["run.seed must be nonnegative"]}
+        assert not out.exists()
 
     def test_divergent_scenario_exits_3(self, tmp_path, capsys):
         cfg = write_config(

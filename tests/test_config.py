@@ -140,3 +140,38 @@ class TestCanonicalForm:
     def test_canonical_text_round_trips(self):
         cfg = parse_config("[channel]\nsnr_db = 10\n")
         assert "snr_db = 10.0" in cfg.canonical_text()
+
+
+class TestWithValues:
+    @pytest.mark.parametrize("full", sorted(parse_config("").values))
+    def test_parsed_value_round_trips(self, full):
+        # str() of every schema type reads back as the same value
+        cfg = parse_config("[master]\nomega_m_hz = 50\n[channel]\nsnr_db = 12.5\n")
+        assert cfg.with_values({full: cfg.values[full]}) == cfg
+
+    def test_text_and_value_agree_with_a_parsed_file(self):
+        text = parse_config("").with_values(
+            {"channel.snr_db": "inf", "run.ideal_clocks": "on", "run.duration_s": "70"})
+        value = parse_config("").with_values(
+            {"channel.snr_db": math.inf, "run.ideal_clocks": True, "run.duration_s": 70})
+        parsed = parse_config("[run]\nideal_clocks = on\nduration_s = 70\n")
+        assert text == value == parsed
+
+    def test_leaves_the_original_alone(self):
+        cfg = parse_config("")
+        cfg.with_values({"run.seed": 9})
+        assert cfg.get("run", "seed") == 1
+
+    def test_all_errors_reported_at_once(self):
+        with pytest.raises(ConfigError) as info:
+            parse_config("").with_values(
+                {"run.nope": 1, "run.seed": "x", "master.omega_m_hz": 1})
+        assert info.value.errors[0] == "'run.nope' is not a known config key"
+        assert info.value.errors[1].startswith("run.seed: ")
+        assert len(info.value.errors) == 2
+
+    def test_semantic_checks_apply(self):
+        with pytest.raises(ConfigError) as info:
+            parse_config("").with_values({"run.seed": -1, "framing.inter_pilot": 478})
+        assert info.value.errors == ["run.seed must be nonnegative",
+                                     "framing.inter_pilot must equal run.decimation"]

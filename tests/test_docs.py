@@ -1,0 +1,26 @@
+"""README.md stays true to the code: its example config parses and its
+recipe table lists the recipes the CLI has."""
+
+import re
+from pathlib import Path
+
+from dualsync.cli import RECIPES
+from dualsync.config import parse_config
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+
+def test_example_config_parses_to_the_defaults():
+    block = re.search(r"```ini\n(.*?)```", README, re.S).group(1)
+    example = parse_config(block).values
+    defaults = parse_config("").values
+    differing = {k for k in defaults if example[k] != defaults[k]}
+    assert differing == {"sweep.key", "sweep.values"}
+    assert example["sweep.key"] == "channel.snr_db"
+
+
+def test_recipe_table_lists_every_recipe():
+    section = README.split("### Demonstration recipes", 1)[1].split("\n## ", 1)[0]
+    listed = re.findall(r"^\| (fig\d+) ", section, re.M)
+    assert len(listed) == len(set(listed))
+    assert set(listed) == set(RECIPES) | {"fig14"}
