@@ -26,22 +26,16 @@ from .spectral import cheb_window, psd_estimate
 _CLOCK_SOURCES = ("master_clock", "follower_clock")
 
 
-def _fmt(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
-
-
 def _write_csv(path: str, comment: str, header: list[str], rows) -> None:
+    """Write `rows` of built-in str, int and float values with str(), which
+    for a float is its shortest round-trip repr; a bool must come as 1/0."""
     tmp_fd, tmp_path = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
     try:
         with os.fdopen(tmp_fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(f"# {comment}\n")
             fh.write(",".join(header) + "\n")
             for row in rows:
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
+                fh.write(",".join(map(str, row)) + "\n")
         os.replace(tmp_path, path)
     except BaseException:
         if os.path.exists(tmp_path):
@@ -224,10 +218,13 @@ def cmd_sweep(args) -> int:
             list(pool.map(_sweep_point, points, dirs))
     else:
         list(map(_sweep_point, points, dirs))
+    # a bool grid value is written 1/0, which its config parser reads back
+    values = [p.values[key] for p in points]
+    values = [int(v) if isinstance(v, bool) else v for v in values]
     path = os.path.join(out, "manifest.csv")
     _write_csv(path, _stamp(cfg), ["index", "key", "value", "directory", "seed"],
-               [(i, key, p.values[key], d, p.get("run", "seed"))
-                for i, (p, d) in enumerate(zip(points, dirs))])
+               [(i, key, v, d, p.get("run", "seed"))
+                for i, (v, p, d) in enumerate(zip(values, points, dirs))])
     _say(args, f"wrote {path} ({len(points)} grid points)")
     return 0
 
@@ -283,6 +280,13 @@ RECIPES: dict[str, list[tuple[dict, dict]]] = {
 
 def cmd_reproduce(args) -> int:
     cfg0 = _load_config(args)
+    # recipes take only run.seed and output.directory from --config
+    defaults = parse_config("")
+    ignored = [k for k, v in cfg0.values.items()
+               if k not in ("run.seed", "output.directory") and v != defaults.values[k]]
+    if ignored:
+        raise ConfigError([f"reproduce ignores {k}; only run.seed and output.directory "
+                           f"may differ from the defaults" for k in ignored])
     out = _outdir(args, cfg0)
     fig = args.figure.lower()
     if fig == "fig14":
@@ -299,7 +303,7 @@ def cmd_reproduce(args) -> int:
         return 0
     if fig not in RECIPES:
         raise ConfigError([f"unsupported figure {args.figure!r}; supported: fig13..fig22"])
-    base = parse_config("").with_values({"run.seed": cfg0.get("run", "seed")})
+    base = defaults.with_values({"run.seed": cfg0.get("run", "seed")})
     written, configs = [], []
     for files, overrides in RECIPES[fig]:
         cfg = base.with_values(overrides)

@@ -52,6 +52,8 @@ from .pll import LoopConfig, LoopUnit, controller_step, discriminate, wrap_phase
 
 TWO_PI = 2.0 * math.pi
 DIVERGENCE_LIMIT_RAD = 1e6
+# ticks per block that ScenarioResult.rows() converts to Python floats
+ROW_CHUNK = 8192
 
 
 class DivergenceError(RuntimeError):
@@ -249,11 +251,13 @@ class ScenarioResult:
         return np.arange(self.n_ticks) / self.tick_rate_hz
 
     def rows(self):
-        """Yield timeseries.csv rows (tick, t_s, series...)."""
-        t = self.t_s
-        for i in range(self.n_ticks):
-            yield (i, t[i], self.theta_bf_minus_theta0[i], self.theta_out[i],
-                   self.alpha[i], self.r1[i], self.r2[i], self.r3[i], self.r4[i])
+        """Yield timeseries.csv rows (tick, t_s, series...) of built-in ints
+        and floats, converted ROW_CHUNK ticks at a time to bound memory."""
+        cols = (self.t_s, self.theta_bf_minus_theta0, self.theta_out, self.alpha,
+                self.r1, self.r2, self.r3, self.r4)
+        for start in range(0, self.n_ticks, ROW_CHUNK):
+            stop = min(start + ROW_CHUNK, self.n_ticks)
+            yield from zip(range(start, stop), *(c[start:stop].tolist() for c in cols))
 
 
 def _clock_series(scn: Scenario, rng: np.random.Generator, mask: NoiseMask,
@@ -277,10 +281,13 @@ def _tick_loop(n, tick_period, th0, thx, phi1, phi2, phi3, phi4, dopp_per_tick,
 
     Identical math to master_step/follower_step; returns the first
     diverged tick or -1.  The series arguments may be ndarrays or
-    memoryviews of them (``noise`` indexed ``[k, i]``); ``run_scenario``
-    passes memoryviews, whose elements are plain floats, which keeps
-    numpy scalar arithmetic out of the loop without changing a bit.
+    memoryviews of them, and ``noise`` anything that unpacks to its eight
+    1-D rows (a 2-D ndarray or a list of row memoryviews);
+    ``run_scenario`` passes memoryviews, whose elements are plain floats,
+    which keeps numpy scalar arithmetic out of the loop without changing
+    a bit.
     """
+    n0, n1, n2, n3, n4, n5, n6, n7 = noise
     cos = math.cos
     sin = math.sin
     atan2 = math.atan2
@@ -316,10 +323,10 @@ def _tick_loop(n, tick_period, th0, thx, phi1, phi2, phi3, phi4, dopp_per_tick,
         re4 = cos(p4)
         im4 = sin(p4)
         if has_noise:
-            re3 += noise[4, i]
-            im3 += noise[5, i]
-            re4 += noise[6, i]
-            im4 += noise[7, i]
+            re3 += n4[i]
+            im3 += n5[i]
+            re4 += n6[i]
+            im4 += n7[i]
         c0 = cos(t0)
         s0 = sin(t0)
         r3 = atan2(im3 * c0 - re3 * s0, re3 * c0 + im3 * s0)
@@ -356,10 +363,10 @@ def _tick_loop(n, tick_period, th0, thx, phi1, phi2, phi3, phi4, dopp_per_tick,
         re2 = cos(p2)
         im2 = sin(p2)
         if has_noise:
-            re1 += noise[0, i]
-            im1 += noise[1, i]
-            re2 += noise[2, i]
-            im2 += noise[3, i]
+            re1 += n0[i]
+            im1 += n1[i]
+            re2 += n2[i]
+            im2 += n3[i]
         # reference = composite carrier (NCO x LO) from the previous epoch
         ref = theta_out + thx_prev
         cr = cos(ref)
@@ -443,7 +450,8 @@ def run_scenario(scn: Scenario, seed: int, engine: str = "kernel") -> ScenarioRe
         # memoryviews share the arrays' memory and index to plain floats
         bad = _tick_loop_fast(
             n, scn.tick_period_s, memoryview(th0), memoryview(thx),
-            phi[0], phi[1], phi[2], phi[3], dopp_per_tick, memoryview(noise),
+            phi[0], phi[1], phi[2], phi[3], dopp_per_tick,
+            [memoryview(row) for row in noise],
             has_noise, cfg_m.zeta, cfg_m.omega_rad_s, cfg_s.zeta,
             cfg_s.omega_rad_s, scn.theta_offset, scn.loop_latency_ticks,
             scn.dual_carrier, scn.wrap_compensation,

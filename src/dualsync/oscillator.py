@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import nnls
 
 
 class MaskFitError(ValueError):
@@ -112,6 +111,10 @@ def fit_two_state(mask: NoiseMask, tick_rate_hz: float, tol_db: float = 3.0) -> 
     below 1e-6 of the model everywhere are snapped to zero.  Raises
     MaskFitError when the best fit misses any point by more than tol_db.
     """
+    # imported here: scipy.optimize is most of the package's import time,
+    # and bode, delay-margin and ideal-clock runs never fit a mask
+    from scipy.optimize import nnls
+
     if tick_rate_hz <= 0:
         raise ValueError("tick_rate_hz must be positive")
     f = np.array([p[0] for p in mask.points], dtype=float)

@@ -2,6 +2,8 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -76,6 +78,38 @@ class TestSimulate:
         assert len(rows) == 4096 // 2
 
 
+# sha256 of timeseries.csv from `simulate --seed 1`: the emitted bytes are
+# the reproducibility contract, whatever builds the rows
+SIMULATE_SHA256 = [
+    ("[run]\nduration_s = 0.3\n[channel]\nsnr_db = 10\n",
+     "2b9187da43d33aa188ac5f9b424d04771b186f67d50241eeb9dd5487d379b920"),
+    ("[run]\nduration_s = 0.3\nwrap_compensation = off\n[channel]\n"
+     "loop_latency_ticks = 3\ndual_carrier = off\ndoppler_hz = 1.5\ntau_s = 3.3e-7\n",
+     "799b1f4b56e88ad97b0d7d921b18418a055f0af0fb60479e37843920077682b9"),
+    ("[run]\nduration_s = 0.3\nwrap_compensation = off\n[channel]\nsnr_db = 10\n"
+     "loop_latency_ticks = 3\ndual_carrier = off\ndoppler_hz = 1.5\ntau_s = 3.3e-7\n",
+     "137916d18dece409216d25a7661a106c8f40ad6a89728ba630023730d25aa536"),
+]
+
+
+@pytest.mark.parametrize("text, digest", SIMULATE_SHA256)
+def test_timeseries_bytes_are_pinned(tmp_path, text, digest):
+    cfg = write_config(tmp_path, text)
+    out = tmp_path / "out"
+    assert run_cli("simulate", "--config", cfg, "--out", str(out), "--seed", "1",
+                   "--quiet") == 0
+    assert hashlib.sha256((out / "timeseries.csv").read_bytes()).hexdigest() == digest
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize is most of the import time; only mask fits need it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    probe = "import sys, dualsync.cli; print('scipy.optimize' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), check=True, timeout=120)
+    assert proc.stdout.strip() == "False"
+
+
 class TestAnalysisCommands:
     def test_bode_csv(self, tmp_path):
         out = str(tmp_path / "out")
@@ -129,6 +163,16 @@ class TestSweep:
         assert len(rows) == 3
         for row in rows:
             assert os.path.exists(os.path.join(row[3], "timeseries.csv"))
+
+    def test_bool_grid_manifest_writes_1_and_0(self, tmp_path):
+        cfg = write_config(
+            tmp_path,
+            "[run]\nduration_s = 0.05\n[sweep]\nkey = run.ideal_clocks\nvalues = on, off\n",
+        )
+        out = str(tmp_path / "out")
+        assert run_cli("sweep", "--config", cfg, "--out", out, "--quiet") == 0
+        _, _, rows = read_csv(os.path.join(out, "manifest.csv"))
+        assert [row[2] for row in rows] == ["1", "0"]
 
     def test_sweep_requires_key(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "[run]\nduration_s = 0.2\n")
@@ -236,6 +280,28 @@ class TestReproduce:
         levels = np.array([float(r[1]) for r in rows])
         assert levels[0] == 0.0
         assert np.min(levels) < -290
+
+    def test_config_keys_other_than_seed_and_directory_rejected(self, tmp_path, capsys):
+        # the recipes set their own scenario; a key they would ignore is an error
+        cfg = write_config(tmp_path, "[master]\nomega_m_hz = 10\n[output]\n"
+                                     "psd_block_len = 8192\n[run]\nseed = 3\n")
+        out = tmp_path / "out"
+        assert run_cli("reproduce", "fig14", "--config", cfg, "--out", str(out),
+                       "--quiet") == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config"
+        named = " ".join(err["detail"])
+        assert len(err["detail"]) == 2
+        assert "master.omega_m_hz" in named and "output.psd_block_len" in named
+        assert not (out / "window_response.csv").exists()
+
+    def test_config_seed_and_directory_accepted(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_emit", lambda cfg, **paths: None)
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, f"[run]\nseed = 1\n[output]\ndirectory = {out}\n")
+        assert run_cli("reproduce", "fig13", "--config", cfg, "--quiet") == 0
+        digest = hashlib.sha256((out / "configs.txt").read_bytes()).hexdigest()
+        assert digest == RECIPE_CONFIGS_SHA256["fig13"]
 
     def test_unknown_figure_rejected(self, tmp_path, capsys):
         assert run_cli("reproduce", "fig99", "--out", str(tmp_path), "--quiet") == 2

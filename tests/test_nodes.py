@@ -218,12 +218,32 @@ class TestKernelInputType:
         r = run_scenario(Scenario(duration_s=0.5, **kw), seed=11)
         (args,) = calls
         inputs = args[:-7]
-        assert all(isinstance(inputs[k], memoryview) for k in (2, 3, 9))  # th0, thx, noise
+        assert all(isinstance(inputs[k], memoryview) for k in (2, 3))  # th0, thx
+        assert len(inputs[9]) == 8  # noise: one 1-D memoryview per quadrature
+        assert all(isinstance(v, memoryview) and v.ndim == 1 for v in inputs[9])
         inputs = [np.asarray(a) if isinstance(a, memoryview) else a for a in inputs]
+        inputs[9] = np.array(inputs[9])
         out = [np.empty(r.n_ticks) for _ in range(7)]
         assert _tick_loop(*inputs, *out) == -1
         for name, series in zip(SERIES, out):
             assert np.array_equal(getattr(r, name), series), name
+
+
+class TestRows:
+    def test_rows_are_builtin_and_match_the_series(self):
+        # longer than one ROW_CHUNK, so a chunk boundary is crossed
+        r = run_scenario(Scenario(duration_s=1.2, snr_db=10.0), seed=4)
+        assert r.n_ticks > nodes.ROW_CHUNK
+        rows = list(r.rows())
+        assert len(rows) == r.n_ticks
+        for row in rows:
+            assert type(row[0]) is int
+            assert all(type(v) is float for v in row[1:])
+        cols = np.array([row[1:] for row in rows]).T
+        assert [row[0] for row in rows] == list(range(r.n_ticks))
+        assert np.array_equal(cols[0], r.t_s)
+        for name, col in zip(SERIES, cols[1:]):
+            assert np.array_equal(col, getattr(r, name)), name
 
 
 @pytest.mark.parametrize("engine", ["kernel", "reference"])
