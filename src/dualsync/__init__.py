@@ -7,10 +7,8 @@ from .linear_analysis import (
     asym_error,
     bode,
     delay_margin,
-    doppler_offset,
     dual_loop_tfs,
     gc_tf,
-    single_loop_tfs,
 )
 from .nodes import (
     DivergenceError,
@@ -34,6 +32,6 @@ from .oscillator import (
     synthesize_phase,
 )
 from .pll import LoopConfig, LoopUnit, closed_tf, controller_step, discriminate, wrap_phase
-from .spectral import PsdEstimate, cheb_window, decimate, psd_estimate
+from .spectral import PsdEstimate, cheb_window, psd_estimate
 
 __version__ = "0.1.0"

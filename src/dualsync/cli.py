@@ -134,7 +134,7 @@ def cmd_bode(args) -> int:
 
     gm = closed_tf(scn.loop_config_master())
     gs = closed_tf(scn.loop_config_follower())
-    tfs = la.dual_loop_tfs(gm, gs, la.RationalDelayTF())
+    tfs = la.dual_loop_tfs(gm, gs)
     grid = la.default_bode_grid()
     rows = []
     for tf_id in ("out_from_0", "out_from_x", "bf_from_0", "bf_from_x"):

@@ -260,9 +260,12 @@ def _semantic_checks(values: dict, errors: list[str]) -> None:
     # one pilot per tick: the simulator's tick rate is baud_hz/run.decimation
     check(values["framing.inter_pilot"] == values["run.decimation"],
           "framing.inter_pilot must equal run.decimation")
-    for which in ("master", "follower"):
-        idx = values[f"framing.code_index_{which}"]
-        check(0 <= idx < pl, f"framing.code_index_{which} must be in 0..{pl - 1}")
+    # reserved for a symbol-level pilot mode the tick-rate ring does not
+    # model; any other value would be accepted and have no effect
+    for key in ("code_index_master", "code_index_follower"):
+        default = SCHEMA["framing"][key][1]
+        check(values[f"framing.{key}"] == default,
+              f"framing.{key} is reserved and must be {default}")
     check(values["output.psd_source"] in _PSD_SOURCES,
           f"output.psd_source must be one of {', '.join(_PSD_SOURCES)}")
     check(values["output.psd_block_len"] >= 32, "output.psd_block_len must be >= 32")

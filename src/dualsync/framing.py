@@ -1,11 +1,10 @@
-"""Superframe pilot geometry, Walsh-Hadamard multiplexing and pilot
-correlation.
+"""Walsh-Hadamard pilot multiplexing and pilot correlation.
 
 Only the pilot machinery needed by the synchronization loop is modeled:
-pilot positions on a fixed arithmetic progression, orthogonal +-1 code
-sequences, and matched correlation whose coherent gain links the raw
-per-symbol SNR to the decimated-tick noise level used by the channel
-module.  Payload symbols, FEC and frame headers are out of scope.
+orthogonal +-1 code sequences and matched correlation whose coherent gain
+links the raw per-symbol SNR to the decimated-tick noise level used by the
+channel module.  Pilot placement, payload symbols, FEC and frame headers
+are out of scope.
 """
 
 from __future__ import annotations
@@ -15,43 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import sigma_from_snr
-
-
-@dataclass(frozen=True)
-class SuperframeLayout:
-    """Pilot numerology of the superframe format used for the loop."""
-
-    baud_hz: float = 8e6
-    pilot_len_used: int = 32       # first 32 of the 36 standard pilot symbols
-    inter_pilot_period: int = 956
-    superframe_len: int = 612540
-    modulation: str = "QPSK"
-
-    def __post_init__(self):
-        if not 1 <= self.pilot_len_used <= 36:
-            raise ValueError("pilot_len_used must be in 1..36")
-        if self.inter_pilot_period <= self.pilot_len_used:
-            raise ValueError("inter-pilot period must exceed the pilot length")
-        if self.baud_hz <= 0 or self.superframe_len <= 0:
-            raise ValueError("baud rate and superframe length must be positive")
-
-    @property
-    def decimated_rate_hz(self) -> float:
-        return self.baud_hz / self.inter_pilot_period
-
-    @property
-    def superframe_duration_s(self) -> float:
-        return self.superframe_len / self.baud_hz
-
-    @property
-    def compression_gain_db(self) -> float:
-        return 10.0 * math.log10(self.pilot_len_used)
+from .channel import compression_gain_db, sigma_from_snr
 
 
 @dataclass(frozen=True)
 class PilotSequence:
-    """A +-1 pilot code (one Walsh-Hadamard row, optionally scrambled)."""
+    """A +-1 pilot code (one Walsh-Hadamard row)."""
 
     code_index: int
     chips: tuple
@@ -74,23 +42,6 @@ def wh_sequence(index: int, length: int = 32) -> PilotSequence:
         raise ValueError(f"index must be in 0..{length - 1}")
     chips = tuple(1 - 2 * ((index & col).bit_count() & 1) for col in range(length))
     return PilotSequence(code_index=index, chips=chips)
-
-
-def scramble(seq: PilotSequence, overlay: np.ndarray) -> PilotSequence:
-    """Apply a fixed +-1 overlay; matched correlation is transparent to it."""
-    chips = seq.as_array() * np.asarray(overlay, dtype=float)
-    return PilotSequence(code_index=seq.code_index, chips=tuple(int(c) for c in chips))
-
-
-def pilot_positions(layout: SuperframeLayout) -> list[int]:
-    """Start indices of the full inter-pilot periods in one superframe.
-
-    One pilot per full period: k*inter_pilot_period for
-    k = 0 .. floor(superframe_len/period) - 1 (640 for the default
-    numerology).
-    """
-    count = layout.superframe_len // layout.inter_pilot_period
-    return [k * layout.inter_pilot_period for k in range(count)]
 
 
 def pilot_correlate(rx_symbols, seq: PilotSequence) -> complex:
@@ -126,9 +77,9 @@ def simulate_pilot_rx(tx_phase_rad: float, seq: PilotSequence, symbol_snr_db: fl
     return pilot_correlate(symbols, seq)
 
 
-def decimated_phase_error_model(symbol_snr_db: float, layout: SuperframeLayout,
+def decimated_phase_error_model(symbol_snr_db: float, pilot_len: int,
                                 n: int, rng: np.random.Generator) -> np.ndarray:
     """Phase errors of the decimated-tick AWGN shortcut, for cross-checks."""
-    sigma = sigma_from_snr(symbol_snr_db, layout.compression_gain_db)
+    sigma = sigma_from_snr(symbol_snr_db, compression_gain_db(pilot_len))
     noise = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * (sigma / math.sqrt(2.0))
     return np.angle(1.0 + noise)

@@ -5,12 +5,13 @@ from the master compensation block
 
     G_c(s) = -0.5*G_m(s) / (1 - 0.5*G_m(s))
 
-and the follower tracking loop G_s(s).  The ring denominator is
-``1 - G_c*G_s*H**2``, so the critical point of the open loop
-``L = G_c*G_s`` is +1 (equivalently, -1 for the negative-feedback form
-``-G_c*G_s``).  The delay margin computed here reproduces the 0.23 us
-round-trip budget at a 1 MHz natural frequency, which also pins the
-Hz -> rad/s convention used across the package (omega = 2*pi*f).
+and the follower tracking loop G_s(s).  With a channel H (a pure
+transport delay) the ring denominator is ``1 - G_c*G_s*H**2``, so the
+critical point of the open loop ``L = G_c*G_s`` is +1 (equivalently, -1
+for the negative-feedback form ``-G_c*G_s``).  The delay margin computed
+here reproduces the 0.23 us round-trip budget at a 1 MHz natural
+frequency, which also pins the Hz -> rad/s convention used across the
+package (omega = 2*pi*f).
 """
 
 from __future__ import annotations
@@ -21,34 +22,29 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-SPEED_OF_LIGHT = 299_792_458.0
-
 __all__ = [
     "RationalDelayTF",
-    "single_loop_tfs",
     "gc_tf",
     "dual_loop_tfs",
     "bode",
     "default_bode_grid",
     "delay_margin",
     "delay_margin_grid",
-    "margin_to_one_way_distance_m",
-    "doppler_offset",
     "asym_error",
 ]
 
 
 @dataclass(frozen=True)
 class RationalDelayTF:
-    """Rational transfer function in s with an optional pure delay.
+    """Rational transfer function ``num(s)/den(s)``.
 
     ``num`` and ``den`` are polynomial coefficients in ascending powers of
-    s; the response is ``num(s)/den(s) * exp(-s*delay_s)``.
+    s.  Transport delay is not part of the model; ``delay_margin`` budgets
+    it.
     """
 
     num: tuple = (1.0,)
     den: tuple = (1.0,)
-    delay_s: float = 0.0
 
     def __post_init__(self):
         num = tuple(float(c) for c in np.atleast_1d(self.num))
@@ -66,8 +62,6 @@ class RationalDelayTF:
         with np.errstate(divide="ignore", invalid="ignore"):
             out = n / d
         out = np.where(d == 0, np.inf + 0j, out)
-        if self.delay_s:
-            out = out * np.exp(-s * self.delay_s)
         return out if out.shape else complex(out)
 
     def at_freq_hz(self, f_hz):
@@ -86,10 +80,6 @@ def _mul(a: tuple, b: tuple) -> tuple:
     return tuple(npoly.polymul(a, b))
 
 
-def _add(a: tuple, b: tuple) -> tuple:
-    return tuple(npoly.polyadd(a, b))
-
-
 def _sub(a: tuple, b: tuple) -> tuple:
     return tuple(npoly.polysub(a, b))
 
@@ -98,94 +88,32 @@ def _scale(a: tuple, c: float) -> tuple:
     return tuple(c * x for x in a)
 
 
-def _require_delay_free(*tfs: RationalDelayTF) -> None:
-    # Composite ring TFs with a delayed channel are not expressible as a
-    # rational function times a single delay; delays are handled by
-    # delay_margin instead (the Bode-plot formulas assume negligible delay).
-    for tf in tfs:
-        if tf.delay_s != 0.0:
-            raise ValueError(
-                "composite transfer functions require delay-free blocks; "
-                "use delay_margin for transport-delay analysis"
-            )
-
-
-def single_loop_tfs(gm: RationalDelayTF, gs: RationalDelayTF, h: RationalDelayTF) -> dict:
-    """Six transfer functions of the single-frequency full-duplex loop.
-
-    Returns {"F01", "Fx1", "Fm1", "F02", "Fx2", "Fm2"} sharing the common
-    denominator ``G_m*(1 - 2*H**2*G_s) - 2``.
-    """
-    _require_delay_free(gm, gs, h)
-    nm, dm = gm.num, gm.den
-    ns, ds = gs.num, gs.den
-    nh, dh = h.num, h.den
-    dh2 = _mul(dh, dh)
-    nh2 = _mul(nh, nh)
-    dsdh2 = _mul(ds, dh2)
-    # common denominator over dm*ds*dh2:
-    #   nm*(ds*dh2 - 2*nh2*ns) - 2*dm*ds*dh2
-    den_core = _sub(
-        _mul(nm, _sub(dsdh2, _scale(_mul(nh2, ns), 2.0))),
-        _scale(_mul(dm, dsdh2), 2.0),
-    )
-    if not any(c != 0.0 for c in den_core):
-        raise ValueError("singular model: common denominator is identically zero")
-
-    def build(num_core: tuple, extra_den: tuple = (1.0,)) -> RationalDelayTF:
-        return RationalDelayTF(num=num_core, den=_mul(den_core, extra_den))
-
-    one_plus_gs = _add(ds, ns)          # (1 + G_s) numerator over ds
-    two_plus_gm = _add(_scale(dm, 2.0), nm)  # (2 + G_m) numerator over dm
-    nhdh = _mul(nh, dh)
-    return {
-        "F01": build(_mul(nm, dsdh2)),
-        "Fx1": build(_scale(_mul(_mul(nm, nhdh), one_plus_gs), 2.0)),
-        "Fm1": build(_mul(_mul(nm, two_plus_gm), dsdh2), extra_den=dm),
-        "F02": build(_mul(_sub(_scale(nm, 3.0), _scale(dm, 2.0)), _mul(nhdh, ns))),
-        "Fx2": build(_mul(_sub(nm, _scale(dm, 2.0)), _mul(one_plus_gs, dh2))),
-        "Fm2": build(_mul(_mul(nm, nhdh), _mul(ns, two_plus_gm)), extra_den=dm),
-    }
-
-
 def gc_tf(gm: RationalDelayTF) -> RationalDelayTF:
     """Compensation-block transfer function -0.5*G_m / (1 - 0.5*G_m)."""
-    _require_delay_free(gm)
     num = _scale(gm.num, -0.5)
     den = _sub(gm.den, _scale(gm.num, 0.5))
     return RationalDelayTF(num=num, den=den)
 
 
-def dual_loop_tfs(gm: RationalDelayTF, gs: RationalDelayTF, h: RationalDelayTF) -> dict:
+def dual_loop_tfs(gm: RationalDelayTF, gs: RationalDelayTF) -> dict:
     """Closed-loop transfer functions of the dual-carrier ring.
 
-    Returns a dict with keys ``out_from_0``, ``out_from_x``, ``bf_from_0``
-    and ``bf_from_x``.  ``bf_from_0`` is the identical object as
-    ``out_from_0``; ``bf_from_x`` equals ``out_from_x + 1`` and reduces to
-    ``(1 - G_s)/(1 - G_c*G_s*H**2)``.
+    The channel is taken as H = 1; ``delay_margin`` budgets its transport
+    delay.  Returns a dict with keys ``out_from_0``, ``out_from_x``,
+    ``bf_from_0`` and ``bf_from_x``.  ``bf_from_0`` is the identical
+    object as ``out_from_0``; ``bf_from_x`` equals ``out_from_x + 1`` and
+    reduces to ``(1 - G_s)/(1 - G_c*G_s)``.
     """
-    _require_delay_free(gm, gs, h)
     gc = gc_tf(gm)
     nc, dc = gc.num, gc.den
     ns, ds = gs.num, gs.den
-    nh, dh = h.num, h.den
-    nh2, dh2 = _mul(nh, nh), _mul(dh, dh)
-    # ring denominator over dc*ds*dh2: dc*ds*dh2 - nc*ns*nh2
-    ring = _sub(_mul(dc, _mul(ds, dh2)), _mul(nc, _mul(ns, nh2)))
+    # ring denominator over dc*ds: dc*ds - nc*ns
+    ring = _sub(_mul(dc, ds), _mul(nc, ns))
     if not any(c != 0.0 for c in ring):
         raise ValueError("singular model: ring denominator is identically zero")
-    out_from_0 = RationalDelayTF(
-        num=_mul(_mul(nh, dh), _mul(ns, dc)),
-        den=ring,
-    )
-    out_from_x = RationalDelayTF(
-        num=_mul(_sub(_mul(nh2, nc), _mul(dh2, dc)), ns),
-        den=ring,
-    )
-    bf_from_x = RationalDelayTF(
-        num=_mul(_sub(ds, ns), _mul(dc, dh2)),
-        den=ring,
-    )
+    out_from_0 = RationalDelayTF(num=_mul(ns, dc), den=ring)
+    out_from_x = RationalDelayTF(num=_mul(_sub(nc, dc), ns), den=ring)
+    bf_from_x = RationalDelayTF(num=_mul(_sub(ds, ns), dc), den=ring)
     return {
         "out_from_0": out_from_0,
         "out_from_x": out_from_x,
@@ -281,26 +209,6 @@ def delay_margin_grid(
         (float(f), delay_margin(zeta, float(f), zeta, float(f), omega_units))
         for f in omega_hz_values
     ]
-
-
-def margin_to_one_way_distance_m(margin_s: float) -> float:
-    """One-way node separation corresponding to a round-trip delay budget."""
-    return 0.5 * margin_s * SPEED_OF_LIGHT
-
-
-def doppler_offset(delta_f_hz: float, zeta_m: float, zeta_s: float,
-                   omega_m: float, omega_s: float) -> float:
-    """Rough Doppler figure ``4*delta_f*zeta_m*zeta_s/(omega_m*omega_s)``.
-
-    Evaluated on the values as given, with the natural frequencies passed
-    as configured (Hz), the same way the loop bandwidths are quoted; the
-    result is therefore in seconds, not radians.  It is not the ring's
-    steady response: for a constant Doppler that response is zero, since
-    ``1 + G_c`` has a double zero at s = 0 (acceptance criterion 6a).
-    """
-    if zeta_m <= 0 or zeta_s <= 0 or omega_m <= 0 or omega_s <= 0:
-        raise ValueError("loop parameters must be positive")
-    return 4.0 * delta_f_hz * zeta_m * zeta_s / (omega_m * omega_s)
 
 
 def asym_error(theta_x_minus_theta_0: float, f_mo_hz: float, f_m_hz: float,

@@ -1,11 +1,11 @@
-"""Phase-noise PSD estimation: decimation, Dolph-Chebyshev windowing and
-the averaged periodogram.
+"""Phase-noise PSD estimation: Dolph-Chebyshev windowing and the averaged
+periodogram.
 
 Reported levels are L(f) = S_phi(f)/2 in dBc/Hz, where S_phi is the
 one-sided phase PSD of the input series (radians).  White phase samples
 of variance sigma**2 at rate fs therefore estimate to a flat
-10*log10(sigma**2/fs).  No overlap and no detrending are applied; an
-optional mean-removal flag exists but defaults off.
+10*log10(sigma**2/fs).  No overlap, mean removal or detrending is
+applied.
 """
 
 from __future__ import annotations
@@ -14,20 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["PsdEstimate", "decimate", "cheb_window", "psd_estimate", "psd_level_at"]
-
-
-def decimate(series, factor: int) -> np.ndarray:
-    """Keep every factor-th sample starting at index 0 (no prefilter).
-
-    The output rate is the input rate divided by ``factor``; any white
-    phase-noise floor folds up by the same factor, which is part of the
-    decimated-domain model.
-    """
-    if factor < 1 or int(factor) != factor:
-        raise ValueError("factor must be a positive integer")
-    x = np.asarray(series)
-    return x[:: int(factor)]
+__all__ = ["PsdEstimate", "cheb_window", "psd_estimate", "psd_level_at"]
 
 
 def cheb_window(n: int, atten_db: float) -> np.ndarray:
@@ -105,7 +92,6 @@ def psd_estimate(
     n_blocks: int = 32,
     window: np.ndarray | None = None,
     window_atten_db: float = 300.0,
-    remove_mean: bool = False,
 ) -> PsdEstimate:
     """Averaged periodogram over non-overlapped windowed blocks.
 
@@ -123,8 +109,6 @@ def psd_estimate(
         window = cheb_window(block_len, window_atten_db)
     elif len(window) != block_len:
         raise ValueError("window length must equal block_len")
-    if remove_mean:
-        x = x - np.mean(x[:needed])
     u = np.sum(np.asarray(window) ** 2)
     half = block_len // 2
     acc = np.zeros(half)

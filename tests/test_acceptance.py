@@ -32,7 +32,6 @@ from numpy.polynomial import polynomial as npoly
 from dualsync.channel import sigma_from_snr
 from dualsync.cli import main as cli_main
 from dualsync.linear_analysis import (
-    RationalDelayTF,
     delay_margin,
     delay_margin_grid,
     dual_loop_tfs,
@@ -117,7 +116,7 @@ def test_criterion_2_delay_margin():
 def test_criterion_3_transfer_function_identities():
     gm = closed_tf(LoopConfig(1.0, 200.0, 1e-7))
     gs = closed_tf(LoopConfig(0.7, 120.0, 1e-7))
-    tfs = dual_loop_tfs(gm, gs, RationalDelayTF())
+    tfs = dual_loop_tfs(gm, gs)
     rng = np.random.default_rng(42)
     s = 1j * 2 * math.pi * 10 ** rng.uniform(0, 5, 200)
     same_object = tfs["bf_from_0"] is tfs["out_from_0"]

@@ -324,6 +324,31 @@ class TestErrors:
         err = json.loads(capsys.readouterr().err)
         assert any("framing.inter_pilot" in d for d in err["detail"])
 
+    # the tick-rate ring has no symbol-level pilots to index; any value
+    # but the default would be accepted and have no effect
+    @pytest.mark.parametrize("key, value, default", [("code_index_master", 3, 1),
+                                                     ("code_index_follower", 0, 2)])
+    def test_code_index_other_than_default_exits_2(self, key, value, default,
+                                                   tmp_path, capsys):
+        cfg = write_config(tmp_path, f"[framing]\n{key} = {value}\n")
+        assert run_cli("simulate", "--config", cfg, "--out", str(tmp_path / "o"),
+                       "--quiet") == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["detail"] == [f"framing.{key} is reserved and must be {default}"]
+
+    def test_sweep_over_code_index_exits_2_before_any_point(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            "[run]\nduration_s = 0.05\n[sweep]\nkey = framing.code_index_master\n"
+            "values = 1, 3\n",
+        )
+        out = tmp_path / "o"
+        assert run_cli("sweep", "--config", cfg, "--out", str(out), "--quiet") == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["detail"] == [
+            "sweep value 3: framing.code_index_master is reserved and must be 1"]
+        assert not (out / "sweep_000").exists()
+
     @pytest.mark.parametrize("command", ["simulate", "bode"])
     def test_negative_seed_exits_2(self, command, tmp_path, capsys):
         out = tmp_path / "o"

@@ -121,6 +121,12 @@ class TestValidation:
         cfg = parse_config("[framing]\ninter_pilot = 512\n[run]\ndecimation = 512\n")
         assert cfg.to_scenario().tick_rate_hz == 8e6 / 512
 
+    @pytest.mark.parametrize("pilot_len", [1, 2])
+    def test_short_pilots_parse(self, pilot_len):
+        # the reserved code indices 1 and 2 must not limit the pilot length
+        cfg = parse_config(f"[framing]\npilot_len = {pilot_len}\n")
+        assert cfg.to_scenario().pilot_len == pilot_len
+
     def test_carrier_plan_ordering(self):
         with pytest.raises(ConfigError, match="carrier plan"):
             parse_config("[channel]\nfm_hz = 30e6\n")

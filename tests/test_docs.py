@@ -1,5 +1,6 @@
-"""README.md stays true to the code: its example config parses and its
-recipe table lists the recipes the CLI has."""
+"""README.md stays true to the code: its example config parses, its
+recipe table lists the recipes the CLI has and its library layout lists
+the package's modules."""
 
 import re
 from pathlib import Path
@@ -7,7 +8,8 @@ from pathlib import Path
 from dualsync.cli import RECIPES
 from dualsync.config import parse_config
 
-README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+ROOT = Path(__file__).resolve().parents[1]
+README = (ROOT / "README.md").read_text(encoding="utf-8")
 
 
 def test_example_config_parses_to_the_defaults():
@@ -24,3 +26,11 @@ def test_recipe_table_lists_every_recipe():
     listed = re.findall(r"^\| (fig\d+) ", section, re.M)
     assert len(listed) == len(set(listed))
     assert set(listed) == set(RECIPES) | {"fig14"}
+
+
+def test_library_layout_lists_every_module():
+    section = README.split("## Library layout", 1)[1].split("\n## ", 1)[0]
+    listed = re.findall(r"^\| `(\w+)` ", section, re.M)
+    modules = {p.stem for p in (ROOT / "src" / "dualsync").glob("*.py")} - {"__init__"}
+    assert len(listed) == len(set(listed))
+    assert set(listed) == modules

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualsync.linear_analysis import (
     RationalDelayTF,
@@ -10,11 +12,8 @@ from dualsync.linear_analysis import (
     default_bode_grid,
     delay_margin,
     delay_margin_grid,
-    doppler_offset,
     dual_loop_tfs,
     gc_tf,
-    margin_to_one_way_distance_m,
-    single_loop_tfs,
 )
 from dualsync.pll import LoopConfig, closed_tf
 
@@ -43,14 +42,6 @@ class TestRationalDelayTF:
     def test_constant(self):
         assert ONE.evaluate(1j * 5.0) == 1.0 + 0j
 
-    def test_delay_phase(self):
-        tau = 1e-6
-        tf = RationalDelayTF(delay_s=tau)
-        f = 12345.0
-        val = tf.at_freq_hz(f)
-        assert abs(val) == pytest.approx(1.0)
-        assert np.angle(val) == pytest.approx(-2 * math.pi * f * tau, abs=1e-9)
-
     def test_pole_reports_infinity(self):
         tf = RationalDelayTF(num=(1.0,), den=(0.0, 1.0))  # 1/s
         assert np.isinf(np.abs(tf.evaluate(0.0)))
@@ -58,46 +49,6 @@ class TestRationalDelayTF:
     def test_zero_denominator_rejected(self):
         with pytest.raises(ValueError):
             RationalDelayTF(num=(1.0,), den=(0.0,))
-
-
-class TestSingleLoopTfs:
-    def test_dc_ideal_blocks(self):
-        tfs = single_loop_tfs(ONE, ONE, ONE)
-        assert tfs["F01"].evaluate(0) == pytest.approx(-1 / 3)
-        assert tfs["F02"].evaluate(0) == pytest.approx(-1 / 3)
-
-    def test_severed_link_reductions(self):
-        gm = second_order(1.0, 150.0)
-        gs = second_order(0.7, 80.0)
-        zero = RationalDelayTF(num=(0.0,), den=(1.0,))
-        tfs = single_loop_tfs(gm, gs, zero)
-        s = 1j * 2 * math.pi * random_freqs(50, seed=3)
-        g = gm.evaluate(s)
-        np.testing.assert_allclose(tfs["F01"].evaluate(s), g / (g - 2), rtol=1e-10)
-        np.testing.assert_allclose(
-            tfs["Fx2"].evaluate(s), 1 + gs.evaluate(s), rtol=1e-10
-        )
-
-    def test_common_denominator_against_direct_evaluation(self):
-        zm, fm, zs, fs = 1.0, 200.0, 0.7, 120.0
-        gm = second_order(zm, fm)
-        gs = second_order(zs, fs)
-        tfs = single_loop_tfs(gm, gs, ONE)
-        s = 1j * 2 * math.pi * random_freqs(seed=11)
-        g_m = direct_gm(s, zm, fm)
-        g_s = direct_gm(s, zs, fs)
-        denom = g_m * (1 - 2 * g_s) - 2
-        expected = {
-            "F01": g_m / denom,
-            "Fx1": 2 * g_m * (1 + g_s) / denom,
-            "Fm1": g_m * (2 + g_m) / denom,
-            "F02": (3 * g_m - 2) * g_s / denom,
-            "Fx2": (g_m - 2) * (1 + g_s) / denom,
-            "Fm2": g_m * g_s * (2 + g_m) / denom,
-        }
-        for key, want in expected.items():
-            got = tfs[key].evaluate(s)
-            np.testing.assert_allclose(got, want, rtol=1e-10)
 
 
 class TestGcTf:
@@ -119,31 +70,37 @@ class TestGcTf:
 
 class TestDualLoopTfs:
     def test_dc_values_ideal_blocks(self):
-        tfs = dual_loop_tfs(ONE, ONE, ONE)
+        tfs = dual_loop_tfs(ONE, ONE)
         assert tfs["out_from_0"].evaluate(0) == pytest.approx(0.5)
         assert tfs["out_from_x"].evaluate(0) == pytest.approx(-1.0)
         assert tfs["bf_from_x"].evaluate(0) == 0.0
 
     def test_bf_from_0_is_out_from_0(self):
-        tfs = dual_loop_tfs(second_order(1.0, 200.0), second_order(1.0, 200.0), ONE)
+        tfs = dual_loop_tfs(second_order(1.0, 200.0), second_order(1.0, 200.0))
         assert tfs["bf_from_0"] is tfs["out_from_0"]
 
-    def test_bf_from_x_equals_out_from_x_plus_one(self):
-        gm = second_order(0.9, 180.0)
-        gs = second_order(1.2, 90.0)
-        tfs = dual_loop_tfs(gm, gs, ONE)
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(
+        zm=st.floats(0.3, 3.0), fm=st.floats(1.0, 1e4),
+        zs=st.floats(0.3, 3.0), fs=st.floats(1.0, 1e4),
+    )
+    def test_bf_from_x_equals_out_from_x_plus_one(self, zm, fm, zs, fs):
+        # absolute, not relative: far below the follower bandwidth bf_from_x
+        # is high-pass and the "+1" cancels, so a relative bound measures
+        # that cancellation rather than the identity
+        tfs = dual_loop_tfs(second_order(zm, fm), second_order(zs, fs))
         s = 1j * 2 * math.pi * random_freqs(seed=1)
         lhs = tfs["bf_from_x"].evaluate(s)
         rhs = tfs["out_from_x"].evaluate(s) + 1.0
-        np.testing.assert_allclose(lhs, rhs, rtol=1e-10)
+        np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-12)
 
     def test_dc_null_for_unit_dc_follower(self):
-        tfs = dual_loop_tfs(second_order(1.0, 150.0), second_order(0.8, 60.0), ONE)
+        tfs = dual_loop_tfs(second_order(1.0, 150.0), second_order(0.8, 60.0))
         assert tfs["bf_from_x"].evaluate(0) == 0.0
 
     def test_against_independent_evaluator(self):
         zm, fm, zs, fs = 1.0, 200.0, 0.7, 400.0
-        tfs = dual_loop_tfs(second_order(zm, fm), second_order(zs, fs), ONE)
+        tfs = dual_loop_tfs(second_order(zm, fm), second_order(zs, fs))
         s = 1j * 2 * math.pi * random_freqs(seed=9)
         g_m = direct_gm(s, zm, fm)
         g_s = direct_gm(s, zs, fs)
@@ -162,11 +119,6 @@ class TestDualLoopTfs:
         for key, want in expected.items():
             np.testing.assert_allclose(tfs[key].evaluate(s), want, rtol=1e-10)
 
-    def test_delayed_channel_rejected(self):
-        delayed = RationalDelayTF(delay_s=1e-6)
-        with pytest.raises(ValueError):
-            dual_loop_tfs(ONE, ONE, delayed)
-
 
 class TestBode:
     def test_constant_tf(self):
@@ -175,15 +127,8 @@ class TestBode:
             assert mag == pytest.approx(0.0, abs=1e-12)
             assert phase == pytest.approx(0.0, abs=1e-9)
 
-    def test_pure_delay(self):
-        tau = 1e-5
-        rows = bode(RationalDelayTF(delay_s=tau), np.linspace(10, 1000, 40))
-        for f, mag, phase in rows:
-            assert mag == pytest.approx(0.0, abs=1e-12)
-            assert phase == pytest.approx(-360.0 * f * tau, abs=1e-6)
-
     def test_bf_from_x_is_high_pass(self):
-        tfs = dual_loop_tfs(second_order(1.0, 200.0), second_order(1.0, 200.0), ONE)
+        tfs = dual_loop_tfs(second_order(1.0, 200.0), second_order(1.0, 200.0))
         rows = bode(tfs["bf_from_x"], default_bode_grid())
         mags = np.array([m for _, m, _ in rows])
         assert mags[0] < -50.0
@@ -207,10 +152,6 @@ class TestDelayMargin:
         margins = [m for _, m in rows]
         assert all(b <= a * (1 + 1e-9) for a, b in zip(margins, margins[1:]))
 
-    def test_distance_conversion(self):
-        margin = delay_margin(1.0, 1e6, 1.0, 1e6)
-        assert margin_to_one_way_distance_m(margin) == pytest.approx(34.0, abs=2.0)
-
     def test_wrong_unit_convention_misses_anchor(self):
         margin = delay_margin(1.0, 1e6, 1.0, 1e6, omega_units="hz_as_rad")
         assert abs(margin - 0.23e-6) / 0.23e-6 > 0.25
@@ -224,23 +165,6 @@ class TestDelayMargin:
         assert delay_margin(1.0, 1e3, 1.0, 1e3) == pytest.approx(
             1e3 * delay_margin(1.0, 1e6, 1.0, 1e6), rel=1e-3
         )
-
-
-class TestDopplerOffset:
-    def test_zero_shift(self):
-        assert doppler_offset(0.0, 1.0, 1.0, 100.0, 100.0) == 0.0
-
-    def test_reference_evaluation(self):
-        assert doppler_offset(1.0, 1.0, 1.0, 100.0, 100.0) == pytest.approx(4e-4)
-
-    def test_linear_in_shift(self):
-        one = doppler_offset(1.0, 1.0, 1.0, 250.0, 125.0)
-        two = doppler_offset(2.0, 1.0, 1.0, 250.0, 125.0)
-        assert two == pytest.approx(2 * one)
-
-    def test_rejects_bad_params(self):
-        with pytest.raises(ValueError):
-            doppler_offset(1.0, 0.0, 1.0, 100.0, 100.0)
 
 
 class TestAsymError:

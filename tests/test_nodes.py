@@ -356,32 +356,63 @@ class TestRunScenario:
 
 
 class TestNoiseFloorMatchesAnalysis:
-    def test_awgn_floor_follows_ring_transfer_functions(self):
+    # noise_factor: 0.5 for the L(f) = S_phi/2 convention, halved again in
+    # dual mode, where each end averages two independent discriminators
+    @pytest.mark.parametrize("dual_carrier, noise_factor",
+                             [pytest.param(True, 0.25, id="dual"),
+                              pytest.param(False, 0.5, id="single")])
+    def test_awgn_floor_follows_ring_transfer_functions(self, dual_carrier, noise_factor):
         # superposition through the ring: the error-series PSD under AWGN
-        # equals 0.5*S_disc*|out_from_0|^2*(1+|G_c|^2); this ties the
-        # simulator wiring to the analysis module quantitatively
+        # equals noise_factor*S_disc*|out_from_0|^2*(1+|G_c|^2); this ties
+        # the simulator wiring to the analysis module quantitatively, and
+        # shows dual_loop_tfs also describes single-carrier runs
         from dualsync.channel import sigma_from_snr
-        from dualsync.linear_analysis import RationalDelayTF, dual_loop_tfs, gc_tf
+        from dualsync.linear_analysis import dual_loop_tfs, gc_tf
         from dualsync.pll import closed_tf
         from dualsync.spectral import psd_estimate
 
         fs = 8e6 / 956
-        scn = Scenario(duration_s=40.0, ideal_clocks=True, snr_db=10.0)
+        scn = Scenario(duration_s=40.0, ideal_clocks=True, snr_db=10.0,
+                       dual_carrier=dual_carrier)
         r = run_scenario(scn, seed=1)
         est = psd_estimate(r.theta_bf_minus_theta0, fs, block_len=2**13,
                            n_blocks=16, window_atten_db=120.0)
         band = (est.freqs_hz >= 3.0) & (est.freqs_hz <= 30.0)
         gm = closed_tf(scn.loop_config_master())
-        tfs = dual_loop_tfs(gm, closed_tf(scn.loop_config_follower()),
-                            RationalDelayTF())
+        tfs = dual_loop_tfs(gm, closed_tf(scn.loop_config_follower()))
         f = est.freqs_hz[band]
         t_f = tfs["out_from_0"].at_freq_hz(f)
         g_c = gc_tf(gm).at_freq_hz(f)
         s_disc = sigma_from_snr(10.0, 10 * math.log10(32)) ** 2 / fs
-        predicted = 10 * np.log10(0.25 * s_disc * np.abs(t_f) ** 2
+        predicted = 10 * np.log10(noise_factor * s_disc * np.abs(t_f) ** 2
                                   * (1 + np.abs(g_c) ** 2))
         measured = est.levels_dbc_hz[band]
         assert np.mean(measured) == pytest.approx(np.mean(predicted), abs=1.0)
+
+
+class TestDelayMarginMatchesRing:
+    # the analytic round-trip budget against the simulated ring: lock well
+    # inside it, cycle slips well outside it (the ring does not diverge
+    # past the margin, so the verdict is read off the error's tail spread)
+    @pytest.mark.parametrize("omega_hz", [100.0, 30.0])
+    @pytest.mark.parametrize("factor, locks", [(0.8, True), (1.2, False)])
+    def test_lock_follows_delay_margin(self, omega_hz, factor, locks):
+        from dualsync.linear_analysis import delay_margin
+
+        margin_ticks = delay_margin(1.0, omega_hz, 1.0, omega_hz) / TICK
+        # the round trip 2L is even: the largest below 0.8*margin, or the
+        # smallest above 1.2*margin
+        half = factor * margin_ticks / 2
+        latency = math.floor(half) if locks else math.ceil(half)
+        scn = Scenario(duration_s=6.0, ideal_clocks=True, omega_m_hz=omega_hz,
+                       omega_s_hz=omega_hz, initial_follower_phase_rad=0.3,
+                       loop_latency_ticks=latency)
+        err = run_scenario(scn, seed=1).theta_bf_minus_theta0
+        tail_std = float(np.std(err[err.size // 2:]))
+        if locks:
+            assert tail_std < 1e-6
+        else:
+            assert tail_std > 1.0
 
 
 class TestAmbiguityJumps:

@@ -3,35 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dualsync.spectral import cheb_window, decimate, psd_estimate, psd_level_at
-
-
-class TestDecimate:
-    def test_factor_one_identity(self):
-        x = np.arange(10.0)
-        assert np.array_equal(decimate(x, 1), x)
-
-    def test_keeps_every_factor_th_from_zero(self):
-        x = np.arange(956 * 100)
-        y = decimate(x, 956)
-        assert y.size == 100
-        assert y[0] == 0
-        assert y[1] == 956
-
-    def test_output_rate_arithmetic(self):
-        assert 8e6 / 956 == pytest.approx(8368.2, abs=0.1)
-
-    def test_record_length_arithmetic(self):
-        # 2**22 decimated samples ~ 501 s at the decimated rate
-        assert 2**22 / (8e6 / 956) == pytest.approx(501.3, abs=0.5)
-        assert (2**22 * 956) // 956 == 2**22
-
-    def test_empty_input(self):
-        assert decimate(np.array([]), 4).size == 0
-
-    def test_rejects_bad_factor(self):
-        with pytest.raises(ValueError):
-            decimate(np.arange(4), 0)
+from dualsync.spectral import cheb_window, psd_estimate, psd_level_at
 
 
 class TestChebWindow:
@@ -127,13 +99,6 @@ class TestPsdEstimate:
                             window_atten_db=80)
         ratio = np.std(few.levels_dbc_hz[4:]) / np.std(many.levels_dbc_hz[4:])
         assert ratio == pytest.approx(math.sqrt(2), rel=0.20)
-
-    def test_mean_removal_flag(self):
-        fs = 1e3
-        x = np.ones(2**10 * 4) * 5.0
-        est = psd_estimate(x, fs, block_len=2**10, n_blocks=4, window_atten_db=80,
-                           remove_mean=True)
-        assert np.all(est.levels_dbc_hz[2:] < -200)
 
     def test_level_readout_band_average(self):
         fs = 1e3
