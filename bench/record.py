@@ -2,6 +2,7 @@
 
     python3 bench/record.py --label 7 --runs 5
     python3 bench/record.py --label 6 --runs 5 --checkout ../parent-checkout
+    python3 bench/record.py --label 9 --runs 10 --baseline ../parent-checkout
 
 Runs the benchmark that ``BENCHMARK.json`` of a source checkout (by
 default the one this script sits in) declares, at its ``run_seconds``,
@@ -12,6 +13,13 @@ result line as perfbench printed them, and per metric the median and
 quartiles over the runs that produced a result.  It is written to the root
 of the checkout this script sits in, so a baseline measured on another
 checkout lands beside the others.
+
+With ``--baseline DIR`` the runs come in pairs: for each workload a run of
+the baseline checkout and one of the measured checkout back to back, the
+baseline first in even pairs and second in odd ones, so neither side
+always runs on the warmer or the cooler host.  The file then keeps both
+sides' runs and summaries and, for every metric whose better direction
+``BENCHMARK.json`` declares, in how many pairs the measured checkout won.
 """
 
 from __future__ import annotations
@@ -70,12 +78,36 @@ def summarize(results: list[dict]) -> dict:
     return summary
 
 
+def pairs_won(baseline: list[dict], change: list[dict], better: dict[str, str]) -> dict:
+    """Per metric: pairs in which `change` read better than `baseline`, out
+    of the pairs where both sides produced the metric."""
+    won: dict[str, dict] = {}
+    for base, new in zip(baseline, change):
+        if "result" not in base or "result" not in new:
+            continue
+        for name, metric in new["result"]["metrics"].items():
+            if name not in better or name not in base["result"]["metrics"]:
+                continue
+            a, b = base["result"]["metrics"][name]["value"], metric["value"]
+            entry = won.setdefault(name, {"better": better[name], "won": 0, "pairs": 0})
+            entry["pairs"] += 1
+            entry["won"] += b < a if better[name] == "lower" else b > a
+    return won
+
+
+def _side(runs: list[dict]) -> dict:
+    return {"runs": runs, "summary": summarize([r["result"] for r in runs if "result" in r])}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", required=True, help="file name is BENCH_<label>.json")
     parser.add_argument("--runs", type=int, default=5, help="runs per workload (default 5)")
     parser.add_argument("--checkout", type=Path, default=ROOT,
                         help="source checkout to measure (default: this one)")
+    parser.add_argument("--baseline", type=Path,
+                        help="checkout to alternate with the measured one; --runs "
+                             "then counts pairs")
     args = parser.parse_args(argv)
     if args.runs < 1:
         parser.error("--runs must be at least 1")
@@ -85,31 +117,42 @@ def main(argv=None) -> int:
     command = [*bench["command"], "--seed", "1", "--seconds", str(bench["run_seconds"]),
                "--trace", "0"]
     workloads = [w["name"] for w in bench["workloads"]]
+    sides = {"change": checkout}
+    if args.baseline:
+        sides = {"baseline": args.baseline.resolve(), **sides}
 
-    runs: dict[str, list[dict]] = {w: [] for w in workloads}
+    runs = {side: {w: [] for w in workloads} for side in sides}
     for i in range(args.runs):
         for workload in workloads:
-            run = run_once(checkout, [*command, "--workload", workload])
-            runs[workload].append(run)
-            status = "error" if "error" in run else f"correct={run['result']['correct']}"
-            print(f"{workload} run {i + 1}/{args.runs}: {status}", file=sys.stderr)
+            order = list(sides) if i % 2 == 0 else list(reversed(sides))
+            for side in order:
+                run = run_once(sides[side], [*command, "--workload", workload])
+                runs[side][workload].append(run)
+                status = "error" if "error" in run else f"correct={run['result']['correct']}"
+                print(f"{workload} {side} run {i + 1}/{args.runs}: {status}", file=sys.stderr)
 
-    record = {
-        "label": args.label,
-        "commit": _git(checkout, "rev-parse", "HEAD"),
-        "uncommitted_changes": bool(_git(checkout, "status", "--porcelain", "--", "src")),
-        "command": " ".join(command),
-        "workloads": {
-            w: {"runs": rs, "summary": summarize([r["result"] for r in rs if "result" in r])}
-            for w, rs in runs.items()
-        },
-    }
+    def describe(path: Path) -> dict:
+        return {"commit": _git(path, "rev-parse", "HEAD"),
+                "uncommitted_changes": bool(_git(path, "status", "--porcelain", "--", "src"))}
+
+    record = {"label": args.label, **describe(checkout), "command": " ".join(command)}
+    if args.baseline:
+        better = {m["name"]: m["better"] for m in bench["end_to_end"] + bench["per_layer"]}
+        record["baseline"] = describe(sides["baseline"])
+        record["workloads"] = {
+            w: {"baseline": _side(runs["baseline"][w]), "change": _side(runs["change"][w]),
+                "pairs_won": pairs_won(runs["baseline"][w], runs["change"][w], better)}
+            for w in workloads
+        }
+    else:
+        record["workloads"] = {w: _side(rs) for w, rs in runs["change"].items()}
     path = ROOT / f"BENCH_{args.label}.json"
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=1)
         fh.write("\n")
     print(f"wrote {path}", file=sys.stderr)
-    failed = sum("error" in r or not r["result"]["correct"] for rs in runs.values() for r in rs)
+    failed = sum("error" in r or not r["result"]["correct"]
+                 for by_workload in runs.values() for rs in by_workload.values() for r in rs)
     return 1 if failed else 0
 
 

@@ -28,7 +28,6 @@ from .oscillator import (
     TwoStateParams,
     clock_step,
     fit_two_state,
-    scale_to_rf,
     synthesize_phase,
 )
 from .pll import LoopConfig, LoopUnit, closed_tf, controller_step, discriminate, wrap_phase

@@ -75,7 +75,8 @@ def _psd_series(cfg: ScenarioConfig, result) -> tuple[np.ndarray, float]:
         n = cfg.get("output", "psd_block_len") * cfg.get("output", "psd_n_blocks")
         seq = np.random.SeedSequence(cfg.get("run", "seed")).spawn(6)[side == "follower"]
         series = synthesize_phase(params, n, np.random.default_rng(seq))
-        return series * (scn.plan.fc_hz / mask.reference_freq_hz), scn.tick_rate_hz
+        series *= scn.plan.fc_hz / mask.reference_freq_hz
+        return series, scn.tick_rate_hz
     return np.asarray(getattr(result, source)), scn.tick_rate_hz
 
 

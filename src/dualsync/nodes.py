@@ -270,8 +270,9 @@ def _clock_series(scn: Scenario, rng: np.random.Generator, mask: NoiseMask,
     if scn.ideal_clocks:
         return np.zeros(n)
     params = fit_two_state(mask, scn.baud_hz).rescaled(scn.decimation)
-    rf_ratio = scn.plan.fc_hz / mask.reference_freq_hz
-    return synthesize_phase(params, n, rng) * rf_ratio
+    phase = synthesize_phase(params, n, rng)
+    phase *= scn.plan.fc_hz / mask.reference_freq_hz
+    return phase
 
 
 def _tick_loop(n, tick_period, th0, thx, phi1, phi2, phi3, phi4, dopp_per_tick,
@@ -425,17 +426,17 @@ def run_scenario(scn: Scenario, seed: int, engine: str = "kernel") -> ScenarioRe
     th0 = _clock_series(scn, rng_m, scn.master_mask, n)
     thx = _clock_series(scn, rng_f, scn.follower_mask, n)
     if scn.initial_follower_phase_rad:
-        thx = thx + scn.initial_follower_phase_rad
+        thx += scn.initial_follower_phase_rad
     if scn.follower_freq_offset_hz:
-        thx = thx + TWO_PI * scn.follower_freq_offset_hz * scn.tick_period_s * np.arange(n)
+        thx += TWO_PI * scn.follower_freq_offset_hz * scn.tick_period_s * np.arange(n)
     sigma = scn.noise_sigma
     if sigma > 0.0:
-        per_quad = sigma / math.sqrt(2.0)
+        # each leg's (2, n) draw lands in its own rows, then one scaling
         noise = np.empty((8, n))
         for leg in range(4):
-            g = np.random.default_rng(seeds[2 + leg]).standard_normal((2, n))
-            noise[2 * leg] = per_quad * g[0]
-            noise[2 * leg + 1] = per_quad * g[1]
+            np.random.default_rng(seeds[2 + leg]).standard_normal(
+                out=noise[2 * leg:2 * leg + 2])
+        noise *= sigma / math.sqrt(2.0)
         has_noise = True
     else:
         noise = np.zeros((8, 1))

@@ -30,6 +30,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+# samples of the frequency-walk stream synthesize_phase draws and sums at once
+SYNTH_CHUNK = 1 << 16
+
 
 class MaskFitError(ValueError):
     """Raised when no nonnegative power-law combination fits the mask."""
@@ -160,7 +163,7 @@ def clock_step(clock: TwoStateClock, gaussians) -> tuple[TwoStateClock, float]:
     g0, g1, g2 = (float(g) for g in gaussians)
     p = clock.params
     freq_state = clock.freq_state + p.sigma2 * g2
-    phase = clock.phase + freq_state + p.sigma1 * g1
+    phase = clock.phase + (freq_state + p.sigma1 * g1)
     if not math.isfinite(phase):
         raise ValueError("clock phase diverged")
     sample = phase + p.sigma0 * g0
@@ -172,19 +175,46 @@ def synthesize_phase(params: TwoStateParams, n: int,
     """Vectorized synthesis of n emitted phase samples from a zeroed clock.
 
     Identical sample-for-sample to iterating clock_step with the three
-    gaussian streams drawn as rng.standard_normal((3, n)).
+    gaussian streams drawn as rng.standard_normal((3, n)), and byte for
+    byte to the one-shot formula
+
+        g = rng.standard_normal((3, n))
+        freq = np.cumsum(sigma2 * g[2])
+        phase = np.cumsum(freq + sigma1 * g[1])
+        return phase + sigma0 * g[0]
+
+    while holding 2n floats plus one chunk of SYNTH_CHUNK instead of six
+    full-length arrays.  Drawing g0, g1 and g2 one after the other fills
+    the same stream as the (3, n) draw, so g0 goes straight into the
+    output and g1 into the phase buffer.  np.cumsum adds strictly in
+    sequence, so g2 is drawn and both sums are run a chunk at a time, the
+    chunk's first element adding in the previous chunk's total; a*b, a+b
+    and their in-place forms are the same IEEE operation.
     """
-    g = rng.standard_normal((3, n))
-    freq = np.cumsum(params.sigma2 * g[2])
-    phase = np.cumsum(freq + params.sigma1 * g[1])
-    return phase + params.sigma0 * g[0]
-
-
-def scale_to_rf(phase_series, ratio: float) -> np.ndarray:
-    """Scale a phase series to a higher carrier; PSD shifts by 20*log10(ratio)."""
-    if ratio <= 0:
-        raise ValueError("ratio must be positive")
-    return np.asarray(phase_series, dtype=float) * float(ratio)
+    out = rng.standard_normal(n)
+    phase = rng.standard_normal(n)
+    phase *= params.sigma1
+    buf = np.empty(min(n, SYNTH_CHUNK))
+    for start in range(0, n, SYNTH_CHUNK):
+        stop = min(start + SYNTH_CHUNK, n)
+        freq = buf[:stop - start]
+        rng.standard_normal(out=freq)
+        freq *= params.sigma2
+        if start:
+            # each running total is added where one cumsum would add it
+            freq[0] += freq_total
+        np.cumsum(freq, out=freq)
+        freq_total = freq[-1]
+        p = phase[start:stop]
+        p += freq
+        if start:
+            p[0] += phase_total
+        np.cumsum(p, out=p)
+        phase_total = p[-1]
+        o = out[start:stop]
+        o *= params.sigma0
+        o += p
+    return out
 
 
 # default masks: a low-noise chip-scale atomic clock class reference for

@@ -55,11 +55,13 @@ def cheb_window(n: int, atten_db: float) -> np.ndarray:
 
     m = np.arange(n, dtype=np.int64)
     idx = np.nonzero(main)[0]
+    # cos(pi*r/n) for every phase index r the main-lobe sums look up
+    cos_table = np.cos(np.pi * np.arange(2 * n) / n)
     if n % 2:
         w = np.real(np.fft.fft(np.where(main, 0.0, p)))
         for i in idx:
             r = (2 * int(i) * m) % (2 * n)             # exact phase mod 2*pi
-            w += p[i] * np.cos(np.pi * r / n)
+            w += p[i] * cos_table[r]
         half = (n + 1) // 2
         w = np.concatenate((w[half - 1:0:-1], w[:half]))
     else:
@@ -67,7 +69,7 @@ def cheb_window(n: int, atten_db: float) -> np.ndarray:
         w = np.real(np.fft.fft(np.where(main, 0.0 + 0.0j, p * phase)))
         for i in idx:
             r = (int(i) * (2 * m - 1)) % (2 * n)
-            w += p[i] * np.cos(np.pi * r / n)
+            w += p[i] * cos_table[r]
         half = n // 2 + 1
         w = np.concatenate((w[half - 1:0:-1], w[1:half]))
     return w / np.max(w)

@@ -43,7 +43,6 @@ from dualsync.oscillator import (
     DEFAULT_MASTER_MASK,
     TwoStateParams,
     fit_two_state,
-    scale_to_rf,
     synthesize_phase,
 )
 from dualsync.pll import LoopConfig, LoopUnit, closed_tf, controller_step
@@ -70,10 +69,10 @@ def test_criterion_1_noise_mask_round_trip():
         params = fit_two_state(mask, BAUD)
         # decimated-rate record (the 2**22-sample series) for the low anchors
         rng = np.random.default_rng(1)
-        x = scale_to_rf(synthesize_phase(params.rescaled(DECIMATION), 2**22, rng), 220.0)
+        x = synthesize_phase(params.rescaled(DECIMATION), 2**22, rng) * 220.0
         est_lo = psd_estimate(x, FS_DEC, block, n_blocks, window=window)
         # short full-rate record resolves the 10 kHz anchor
-        x = scale_to_rf(synthesize_phase(params, block * n_blocks, rng), 220.0)
+        x = synthesize_phase(params, block * n_blocks, rng) * 220.0
         est_hi = psd_estimate(x, BAUD, block, n_blocks, window=window)
         for f_anchor, level in mask.points:
             est = est_lo if f_anchor < FS_DEC / 2 else est_hi

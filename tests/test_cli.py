@@ -101,6 +101,31 @@ def test_timeseries_bytes_are_pinned(tmp_path, text, digest):
     assert hashlib.sha256((out / "timeseries.csv").read_bytes()).hexdigest() == digest
 
 
+# sha256 of the clock PSDs at seed 1 as the one-shot (3, n) synthesis wrote
+# them: fit-noise's defaults synthesize 65,536 samples (exactly one
+# SYNTH_CHUNK), the spectrum config 163,840 (two full chunks and a partial one)
+CLOCK_PSD_SHA256 = [
+    ("fit-noise", "", {
+        "psd_master.csv": "bbf5549abe652c73f0f631fbe6b1c7a896203dd0c7c793e29eaf69c04fbe6501",
+        "psd_follower.csv": "a34244e5d8f6ccaf0c2ba611aaa29feee29253149e318128febbabef6fddc179",
+    }),
+    ("spectrum", "[output]\npsd_source = follower_clock\npsd_block_len = 4096\n"
+                 "psd_n_blocks = 40\n", {
+        "psd.csv": "1d59ee967e68daf86fd3bc87022761f9719b1db98c2cc4889ecd014e9fa44773",
+    }),
+]
+
+
+@pytest.mark.parametrize("command, text, digests", CLOCK_PSD_SHA256)
+def test_clock_psd_bytes_are_pinned(tmp_path, command, text, digests):
+    cfg = write_config(tmp_path, text)
+    out = tmp_path / "out"
+    assert run_cli(command, "--config", cfg, "--out", str(out), "--seed", "1",
+                   "--quiet") == 0
+    assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in digests} == digests
+
+
 def test_import_leaves_scipy_optimize_unloaded():
     # scipy.optimize is most of the import time; only mask fits need it
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
@@ -239,6 +264,10 @@ RECIPE_CONFIGS_SHA256 = {
 }
 
 
+# sha256 of fig14's window_response.csv at the default seed
+FIG14_SHA256 = "10e32865fa9baf4b787323e6e7ec094591e1ebe631c1ba9278f49c835039cebb"
+
+
 class TestReproduce:
     def test_every_recipe_is_pinned(self):
         assert set(cli.RECIPES) == set(RECIPE_CONFIGS_SHA256)
@@ -280,6 +309,8 @@ class TestReproduce:
         levels = np.array([float(r[1]) for r in rows])
         assert levels[0] == 0.0
         assert np.min(levels) < -290
+        digest = hashlib.sha256((tmp_path / "out" / "window_response.csv").read_bytes())
+        assert digest.hexdigest() == FIG14_SHA256
 
     def test_config_keys_other_than_seed_and_directory_rejected(self, tmp_path, capsys):
         # the recipes set their own scenario; a key they would ignore is an error

@@ -1,11 +1,15 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dualsync.oscillator import (
     DEFAULT_FOLLOWER_MASK,
     DEFAULT_MASTER_MASK,
+    SYNTH_CHUNK,
     MaskFitError,
     NoiseMask,
     TwoStateClock,
@@ -13,7 +17,6 @@ from dualsync.oscillator import (
     clock_step,
     fit_two_state,
     model_psd_dbc_hz,
-    scale_to_rf,
     synthesize_phase,
 )
 from dualsync.spectral import psd_estimate, psd_level_at
@@ -111,7 +114,7 @@ class TestClockStep:
             clock, s = clock_step(clock, g[:, i])
             stepped.append(s)
         vec = synthesize_phase(params, 64, np.random.default_rng(5))
-        assert np.allclose(stepped, vec, rtol=0, atol=1e-15)
+        assert np.array_equal(stepped, vec)
 
     def test_linearity_in_gaussian_streams(self):
         params = TwoStateParams(1e-3, 1e-4, 1e-6, 1e3)
@@ -128,6 +131,41 @@ class TestClockStep:
             return np.array(out)
 
         assert np.allclose(run(g * c), c * run(g), rtol=1e-12)
+
+
+def one_shot_synthesis(params, n, rng):
+    """The synthesis formula with all three streams drawn at once."""
+    g = rng.standard_normal((3, n))
+    freq = np.cumsum(params.sigma2 * g[2])
+    phase = np.cumsum(freq + params.sigma1 * g[1])
+    return phase + params.sigma0 * g[0]
+
+
+class TestSynthesisBytes:
+    PARAMS = TwoStateParams(2e-3, 5e-4, 1e-6, 1e3)
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 3 * SYNTH_CHUNK + 1), seed=st.integers(0, 2**32 - 1))
+    @example(n=1, seed=0)
+    @example(n=SYNTH_CHUNK - 1, seed=1)
+    @example(n=SYNTH_CHUNK, seed=2)
+    @example(n=SYNTH_CHUNK + 1, seed=3)
+    def test_chunked_synthesis_matches_one_shot_formula(self, n, seed):
+        got = synthesize_phase(self.PARAMS, n, np.random.default_rng(seed))
+        want = one_shot_synthesis(self.PARAMS, n, np.random.default_rng(seed))
+        assert got.tobytes() == want.tobytes()
+
+    def test_peak_memory_is_two_series_plus_a_chunk(self):
+        n = 2**20
+        tracemalloc.start()
+        try:
+            synthesize_phase(self.PARAMS, n, np.random.default_rng(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 2n output and phase floats plus one chunk read 2.06 x 8n bytes;
+        # drawing all three streams at once held 6 x 8n
+        assert peak <= 2.25 * 8 * n
 
 
 def ensemble_phases(params, n, trials, seed):
@@ -178,10 +216,6 @@ class TestPsdSlopes:
 
 
 class TestScaleToRf:
-    def test_identity(self):
-        x = np.array([0.1, -0.2, 0.3])
-        assert np.array_equal(scale_to_rf(x, 1.0), x)
-
     def test_ratio_220_is_46_85_db(self):
         assert 20 * math.log10(220.0) == pytest.approx(46.848, abs=0.01)
 
@@ -190,7 +224,7 @@ class TestScaleToRf:
         rng = np.random.default_rng(3)
         x = rng.standard_normal(2**16) * 1e-4
         lo = psd_estimate(x, fs, block_len=2**12, n_blocks=16, window_atten_db=100)
-        hi = psd_estimate(scale_to_rf(x, 220.0), fs, block_len=2**12, n_blocks=16,
+        hi = psd_estimate(x * 220.0, fs, block_len=2**12, n_blocks=16,
                           window_atten_db=100)
         shift = hi.levels_dbc_hz[5:] - lo.levels_dbc_hz[5:]
         assert np.allclose(shift, 46.848, atol=1e-9)
@@ -198,10 +232,6 @@ class TestScaleToRf:
     def test_mask_example_at_rf(self):
         # -125 dBc/Hz at 10 MHz reference scales to -78.15 dBc/Hz at 2.2 GHz
         assert -125.0 + 20 * math.log10(220.0) == pytest.approx(-78.15, abs=0.01)
-
-    def test_rejects_nonpositive_ratio(self):
-        with pytest.raises(ValueError):
-            scale_to_rf(np.zeros(4), 0.0)
 
 
 class TestMaskRoundTrip:

@@ -47,6 +47,46 @@ class TestChebWindow:
             cheb_window(8, 100.0)
 
 
+def per_sample_cos_window(n, atten_db):
+    """cheb_window as written before its cosine table: each main-lobe
+    sample evaluates np.cos over all n phase indices."""
+    order = n - 1
+    big_a = np.arccosh(10.0 ** (atten_db / 20.0)) / order
+    beta_m1 = 2.0 * np.sinh(0.5 * big_a) ** 2
+    k = np.arange(n)
+    one_m_cos = 2.0 * np.sin(np.pi * np.minimum(k, n - k) / (2.0 * n)) ** 2
+    v = beta_m1 - one_m_cos - beta_m1 * one_m_cos
+    neg_side = 2 * k > n
+    p = np.empty(n)
+    main = v > 0
+    vm = v[main]
+    p[main] = np.cosh(order * np.log1p(vm + np.sqrt(vm * (2.0 + vm))))
+    theta = 2.0 * np.arcsin(np.sqrt(0.5 * np.maximum(-v[~main], 0.0)))
+    p[~main] = np.cos(order * theta)
+    if order % 2 == 1:
+        p[neg_side & ~main] = -p[neg_side & ~main]
+    p[main & neg_side] *= float(2 * (n % 2) - 1)
+    m = np.arange(n, dtype=np.int64)
+    if n % 2:
+        w = np.real(np.fft.fft(np.where(main, 0.0, p)))
+        for i in np.nonzero(main)[0]:
+            w += p[i] * np.cos(np.pi * ((2 * int(i) * m) % (2 * n)) / n)
+        half = (n + 1) // 2
+        w = np.concatenate((w[half - 1:0:-1], w[:half]))
+    else:
+        w = np.real(np.fft.fft(np.where(main, 0.0 + 0.0j, p * np.exp(1j * np.pi * k / n))))
+        for i in np.nonzero(main)[0]:
+            w += p[i] * np.cos(np.pi * ((int(i) * (2 * m - 1)) % (2 * n)) / n)
+        half = n // 2 + 1
+        w = np.concatenate((w[half - 1:0:-1], w[1:half]))
+    return w / np.max(w)
+
+
+@pytest.mark.parametrize("n", [4097, 4096])
+def test_cosine_table_keeps_window_bytes(n):
+    assert cheb_window(n, 300.0).tobytes() == per_sample_cos_window(n, 300.0).tobytes()
+
+
 class TestPsdEstimate:
     def test_white_noise_level(self):
         fs = 8368.2
