@@ -12,13 +12,9 @@ from .linear_analysis import (
 )
 from .nodes import (
     DivergenceError,
-    FollowerState,
-    MasterState,
     Scenario,
     ScenarioResult,
     detect_ambiguity_jumps,
-    follower_step,
-    master_step,
     run_scenario,
 )
 from .oscillator import (

@@ -1,4 +1,4 @@
-"""Master and follower state machines and the scenario runner.
+"""The ring's tick loops, the scenario runner and the jump detector.
 
 Ring topology per decimated tick (latency >= 1 tick on every leg):
 
@@ -14,14 +14,16 @@ Ring topology per decimated tick (latency >= 1 tick on every leg):
   ``channel.prop_phase(f_j, tau_s)`` plus the Doppler phase common to
   all four carriers, with independent complex AWGN added per carrier.
 
-``_tick_loop`` is the production kernel; ``master_step``/``follower_step``
-driven by ``_reference_loop`` compute the same tick in phasor form and
-serve as the oracle the kernel is tested against.
+``_tick_loop`` is the production kernel; ``_reference_loop`` takes the
+same arguments and computes the same tick in phasor form from
+``pll.discriminate`` and ``pll.controller_step``: the oracle the kernel
+is tested against.
 
-At a static reciprocal channel the compensation converges to minus the
-round-trip mean propagation phase, the applied half cancels the one-way
-path, and the beamforming phase difference ``theta_bf - theta_0`` goes
-to zero (shifted by ``theta_offset/2`` when a setpoint is commanded).
+At a static reciprocal channel the loops lock, but each end averages two
+*wrapped* carrier phases, a mean defined only modulo pi, so after the
+master's divide-by-two ``theta_bf - theta_0`` settles at a multiple of
+pi/2 (plus ``theta_offset/2`` for a commanded setpoint): zero only while
+neither pair straddles a wrap, e.g. at short delays and small offsets.
 
 Phase bookkeeping: ``alpha`` and ``theta_out`` accumulate unwrapped;
 wrapping happens only at the discriminators.  The per-carrier ``angle``
@@ -36,7 +38,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -63,115 +65,6 @@ class DivergenceError(RuntimeError):
         super().__init__(f"scenario diverged at tick {tick} (phase beyond "
                          f"{DIVERGENCE_LIMIT_RAD:g} rad or NaN)")
         self.tick = tick
-
-
-@dataclass(frozen=True)
-class MasterState:
-    """Compensation loop state of the master node."""
-
-    cfg: LoopConfig
-    loop: LoopUnit = field(default_factory=LoopUnit)
-    alpha: float = 0.0
-    theta_offset: float = 0.0
-    wrap_compensation: bool = True
-    dual_carrier: bool = True
-    r3_track: float | None = None
-    r4_track: float | None = None
-    last_r3: float = 0.0
-    last_r4: float = 0.0
-
-
-@dataclass(frozen=True)
-class FollowerState:
-    """Tracking loop state of the follower node."""
-
-    cfg: LoopConfig
-    loop: LoopUnit = field(default_factory=LoopUnit)
-    theta_out: float = 0.0
-    dual_carrier: bool = True
-    lo_prev: float | None = None
-    last_r1: float = 0.0
-    last_r2: float = 0.0
-
-
-def follower_step(rx1: complex, rx2: complex | None, theta_x: float,
-                  state: FollowerState) -> tuple[FollowerState, float, float, complex]:
-    """One follower tick: average the discriminators, track, retransmit.
-
-    ``theta_x`` is the follower LO phase at this tick.  Returns (new
-    state, theta_out, theta_bf, tx), where ``tx`` is the phasor sent on
-    both return carriers.  ``rx2`` may be None in single-carrier
-    operation.  The discriminator reference is the composite carrier
-    (loop output times LO) as generated at the previous update, keeping
-    both terms on the same epoch; a follower LO frequency offset is then
-    absorbed with zero steady-state error.
-    """
-    lo_ref = state.lo_prev if state.lo_prev is not None else theta_x
-    ref = cmath.exp(1j * (state.theta_out + lo_ref))
-    e1 = discriminate(rx1, ref)
-    if state.dual_carrier:
-        if rx2 is None:
-            raise ValueError("dual-carrier follower needs both received phasors")
-        e2 = discriminate(rx2, ref)
-        err = wrap_phase(0.5 * (e1 + e2))
-        r2 = wrap_phase(cmath.phase(rx2) - theta_x)
-    else:
-        err = e1
-        e2 = 0.0
-        r2 = 0.0
-    loop, control = controller_step(state.loop, err, state.cfg)
-    theta_out = state.theta_out + control
-    theta_bf = theta_out + theta_x
-    tx = cmath.exp(1j * theta_bf)
-    new = replace(
-        state,
-        loop=loop,
-        theta_out=theta_out,
-        lo_prev=theta_x,
-        last_r1=wrap_phase(cmath.phase(rx1) - theta_x),
-        last_r2=r2,
-    )
-    return new, theta_out, theta_bf, tx
-
-
-def master_step(rx3: complex, rx4: complex | None, theta_0: float,
-                state: MasterState) -> tuple[MasterState, float, complex]:
-    """One master tick: estimate the round trip, track alpha, pre-distort.
-
-    ``theta_0`` is the master LO phase at this tick.  The measurement
-    uses the previous tick's alpha; its removal leaves the round-trip
-    mean propagation phase, which the loop drives to the commanded
-    setpoint.  Returns (new state, alpha, tx), where ``tx`` is the phasor
-    sent on both forward carriers.
-    """
-    lo = cmath.exp(1j * theta_0)
-    r3 = discriminate(rx3, lo)
-    if state.dual_carrier:
-        if rx4 is None:
-            raise ValueError("dual-carrier master needs both received phasors")
-        r4 = discriminate(rx4, lo)
-    else:
-        r4 = 0.0
-    if state.wrap_compensation:
-        t3 = r3 if state.r3_track is None else state.r3_track + wrap_phase(r3 - state.r3_track)
-        t4 = r4 if state.r4_track is None else state.r4_track + wrap_phase(r4 - state.r4_track)
-    else:
-        t3, t4 = r3, r4
-    mean_r = 0.5 * (t3 + t4) if state.dual_carrier else t3
-    err = wrap_phase(state.theta_offset - mean_r - 0.5 * state.alpha)
-    loop, control = controller_step(state.loop, err, state.cfg)
-    alpha = state.alpha + control
-    tx = cmath.exp(1j * (theta_0 + 0.5 * alpha))
-    new = replace(
-        state,
-        loop=loop,
-        alpha=alpha,
-        r3_track=t3 if state.wrap_compensation else None,
-        r4_track=t4 if state.wrap_compensation else None,
-        last_r3=r3,
-        last_r4=r4,
-    )
-    return new, alpha, tx
 
 
 @dataclass(frozen=True)
@@ -280,7 +173,7 @@ def _tick_loop(n, tick_period, th0, thx, phi1, phi2, phi3, phi4, dopp_per_tick,
                latency, dual, wrap_comp, bf0, out_arr, al, r1a, r2a, r3a, r4a):
     """Sequential tick kernel in pure Python.
 
-    Identical math to master_step/follower_step; returns the first
+    Identical math to ``_reference_loop``; returns the first
     diverged tick or -1.  The series arguments may be ndarrays or
     memoryviews of them, and ``noise`` anything that unpacks to its eight
     1-D rows (a 2-D ndarray or a list of row memoryviews);
@@ -408,14 +301,87 @@ def _tick_loop(n, tick_period, th0, thx, phi1, phi2, phi3, phi4, dopp_per_tick,
 _tick_loop_fast = _tick_loop
 
 
+def _reference_loop(n, tick_period, th0, thx, phi1, phi2, phi3, phi4, dopp_per_tick,
+                    noise, has_noise, zeta_m, om_m, zeta_s, om_s, theta_offset,
+                    latency, dual, wrap_comp, bf0, out_arr, al, r1a, r2a, r3a, r4a):
+    """The kernel's tick in phasor form: its oracle, with its arguments.
+
+    Each end sends a unit phasor; carrier j arrives rotated by its
+    propagation and Doppler phases, plus its noise sample, and is measured
+    with ``pll.discriminate`` and tracked with ``pll.controller_step``.
+    A loop's accumulated control is ``alpha`` at the master and
+    ``theta_out`` at the follower.  Returns the first diverged tick or -1.
+    """
+    cfg_m = LoopConfig(zeta_m, om_m, tick_period, omega_units="hz_as_rad")
+    cfg_s = LoopConfig(zeta_s, om_s, tick_period, omega_units="hz_as_rad")
+    master = follower = LoopUnit()
+    phis = (phi1, phi2, phi3, phi4)
+    txf = [cmath.exp(1j * th0[0])] * latency
+    txr = [cmath.exp(1j * thx[0])] * latency
+    tr3 = tr4 = 0.0
+    thx_prev = thx[0]
+
+    def receive(tx, j, i):
+        rx = tx * cmath.exp(1j * (phis[j] + dopp_per_tick * i))
+        if has_noise:
+            rx += complex(noise[2 * j][i], noise[2 * j + 1][i])
+        return rx
+
+    for i in range(n):
+        slot = i % latency
+        # master: measure the return pair, track the round trip, pre-distort
+        lo = cmath.exp(1j * th0[i])
+        r3 = discriminate(receive(txr[slot], 2, i), lo)
+        r4 = discriminate(receive(txr[slot], 3, i), lo) if dual else 0.0
+        if wrap_comp and i:
+            tr3 += wrap_phase(r3 - tr3)
+            tr4 += wrap_phase(r4 - tr4)
+        else:
+            tr3, tr4 = r3, r4
+        mean_r = 0.5 * (tr3 + tr4) if dual else tr3
+        err = wrap_phase(theta_offset - mean_r - 0.5 * master.acc_outer)
+        master = controller_step(master, err, cfg_m)[0]
+        alpha = master.acc_outer
+        # follower: the reference is the composite carrier (loop output plus
+        # LO) of the previous tick, so that a follower LO frequency offset is
+        # absorbed with zero steady-state error; average, track, retransmit
+        ref = cmath.exp(1j * (follower.acc_outer + thx_prev))
+        rx1 = receive(txf[slot], 0, i)
+        err = discriminate(rx1, ref)
+        if dual:
+            rx2 = receive(txf[slot], 1, i)
+            err = wrap_phase(0.5 * (err + discriminate(rx2, ref)))
+        follower = controller_step(follower, err, cfg_s)[0]
+        theta_out = follower.acc_outer
+        theta_bf = theta_out + thx[i]
+        thx_prev = thx[i]
+        txf[slot] = cmath.exp(1j * (th0[i] + 0.5 * alpha))
+        txr[slot] = cmath.exp(1j * theta_bf)
+        bf0[i] = theta_bf - th0[i]
+        out_arr[i] = theta_out
+        al[i] = alpha
+        r1a[i] = wrap_phase(cmath.phase(rx1) - thx[i])
+        r2a[i] = wrap_phase(cmath.phase(rx2) - thx[i]) if dual else 0.0
+        r3a[i] = r3
+        r4a[i] = r4
+        if (abs(alpha) > DIVERGENCE_LIMIT_RAD or abs(theta_out) > DIVERGENCE_LIMIT_RAD
+                or alpha != alpha or theta_out != theta_out):
+            return i
+    return -1
+
+
 def run_scenario(scn: Scenario, seed: int, engine: str = "kernel") -> ScenarioResult:
     """Simulate the ring for scn.duration_s and record the decimated series.
 
     Fully deterministic per (scenario, seed): clock synthesis and the four
     leg noise streams draw from independent child generators spawned from
-    the seed.  ``engine="reference"`` runs the per-tick dataclass state
-    machines instead of the kernel (slow; used for validation).
+    the seed.  ``engine="reference"`` runs the phasor-form oracle
+    ``_reference_loop`` instead of the kernel (slow; used for validation).
     """
+    # looked up per call, so that tracing can patch _tick_loop_fast
+    loop = {"kernel": _tick_loop_fast, "reference": _reference_loop}.get(engine)
+    if loop is None:
+        raise ValueError(f"unknown engine {engine!r}")
     n = scn.n_ticks
     if n < 1:
         raise ValueError("scenario duration shorter than one tick")
@@ -447,21 +413,16 @@ def run_scenario(scn: Scenario, seed: int, engine: str = "kernel") -> ScenarioRe
     cfg_s = scn.loop_config_follower()
 
     out = [np.empty(n) for _ in range(7)]
-    if engine == "kernel":
-        # memoryviews share the arrays' memory and index to plain floats
-        bad = _tick_loop_fast(
-            n, scn.tick_period_s, memoryview(th0), memoryview(thx),
-            phi[0], phi[1], phi[2], phi[3], dopp_per_tick,
-            [memoryview(row) for row in noise],
-            has_noise, cfg_m.zeta, cfg_m.omega_rad_s, cfg_s.zeta,
-            cfg_s.omega_rad_s, scn.theta_offset, scn.loop_latency_ticks,
-            scn.dual_carrier, scn.wrap_compensation,
-            *(memoryview(a) for a in out),
-        )
-    elif engine == "reference":
-        bad = _reference_loop(scn, cfg_m, cfg_s, th0, thx, noise, has_noise, out)
-    else:
-        raise ValueError(f"unknown engine {engine!r}")
+    # memoryviews share the arrays' memory and index to plain floats
+    bad = loop(
+        n, scn.tick_period_s, memoryview(th0), memoryview(thx),
+        phi[0], phi[1], phi[2], phi[3], dopp_per_tick,
+        [memoryview(row) for row in noise],
+        has_noise, cfg_m.zeta, cfg_m.omega_rad_s, cfg_s.zeta,
+        cfg_s.omega_rad_s, scn.theta_offset, scn.loop_latency_ticks,
+        scn.dual_carrier, scn.wrap_compensation,
+        *(memoryview(a) for a in out),
+    )
     if bad >= 0:
         raise DivergenceError(bad)
     return ScenarioResult(
@@ -475,54 +436,6 @@ def run_scenario(scn: Scenario, seed: int, engine: str = "kernel") -> ScenarioRe
         r3=out[5],
         r4=out[6],
     )
-
-
-def _reference_loop(scn: Scenario, cfg_m: LoopConfig, cfg_s: LoopConfig,
-                    th0, thx, noise, has_noise, out) -> int:
-    """Tick loop built from the per-step node state machines."""
-    master = MasterState(
-        cfg=cfg_m,
-        theta_offset=scn.theta_offset,
-        wrap_compensation=scn.wrap_compensation,
-        dual_carrier=scn.dual_carrier,
-    )
-    follower = FollowerState(cfg=cfg_s, dual_carrier=scn.dual_carrier)
-    phi = scn.prop_phases()
-    dopp_per_tick = TWO_PI * scn.doppler_hz * scn.tick_period_s
-    lat = scn.loop_latency_ticks
-    txf = [cmath.exp(1j * th0[0])] * lat
-    txr = [cmath.exp(1j * thx[0])] * lat
-    bf0, out_arr, al, r1a, r2a, r3a, r4a = out
-
-    def through(tx, j, i):
-        # carrier j's propagation and Doppler rotation; noise is pre-scaled
-        # per quadrature
-        rx = tx * cmath.exp(1j * (phi[j] + dopp_per_tick * i))
-        if has_noise:
-            rx += complex(noise[2 * j, i], noise[2 * j + 1, i])
-        return rx
-
-    for i in range(th0.size):
-        slot = i % lat
-        rx3 = through(txr[slot], 2, i)
-        rx4 = through(txr[slot], 3, i) if scn.dual_carrier else None
-        master, alpha, tx_f = master_step(rx3, rx4, th0[i], master)
-        rx1 = through(txf[slot], 0, i)
-        rx2 = through(txf[slot], 1, i) if scn.dual_carrier else None
-        follower, theta_out, theta_bf, tx_r = follower_step(rx1, rx2, thx[i], follower)
-        txf[slot] = tx_f
-        txr[slot] = tx_r
-        bf0[i] = theta_bf - th0[i]
-        out_arr[i] = theta_out
-        al[i] = alpha
-        r1a[i] = follower.last_r1
-        r2a[i] = follower.last_r2
-        r3a[i] = master.last_r3
-        r4a[i] = master.last_r4
-        if (abs(alpha) > DIVERGENCE_LIMIT_RAD or abs(theta_out) > DIVERGENCE_LIMIT_RAD
-                or alpha != alpha or theta_out != theta_out):
-            return i
-    return -1
 
 
 def detect_ambiguity_jumps(series, threshold: float = math.pi / 8,

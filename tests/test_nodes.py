@@ -1,4 +1,4 @@
-import cmath
+import hashlib
 import math
 
 import numpy as np
@@ -10,127 +10,40 @@ from dualsync import nodes
 from dualsync.channel import CarrierPlan, prop_phase, sigma_from_snr
 from dualsync.nodes import (
     DivergenceError,
-    FollowerState,
-    MasterState,
     Scenario,
+    _reference_loop,
     _tick_loop,
     detect_ambiguity_jumps,
-    follower_step,
-    master_step,
     run_scenario,
 )
-from dualsync.pll import LoopConfig, wrap_phase
+from dualsync.pll import wrap_phase
 
 TWO_PI = 2.0 * math.pi
 TICK = 956 / 8e6
 SERIES = ("theta_bf_minus_theta0", "theta_out", "alpha", "r1", "r2", "r3", "r4")
 
 
-def loop_cfg(f_hz=100.0):
-    return LoopConfig(1.0, f_hz, TICK)
-
-
-class TestFollowerStep:
-    def test_tracks_common_phase_minus_lo(self):
-        theta_x = 0.9
-        phi = 0.4
-        state = FollowerState(cfg=loop_cfg())
-        rx = cmath.exp(1j * phi)
-        for _ in range(4000):
-            state, theta_out, theta_bf, _ = follower_step(rx, rx, theta_x, state)
-        assert theta_out == pytest.approx(phi - theta_x, abs=1e-3)
-        assert theta_bf == pytest.approx(phi, abs=1e-3)
-
-    def test_symmetric_split_matches_common_case(self):
-        phi, delta = 0.3, 0.25
-        state_a = FollowerState(cfg=loop_cfg())
-        state_b = FollowerState(cfg=loop_cfg())
-        rx = cmath.exp(1j * phi)
-        rx_p = cmath.exp(1j * (phi + delta))
-        rx_m = cmath.exp(1j * (phi - delta))
-        for _ in range(4000):
-            state_a, out_a, _, _ = follower_step(rx, rx, 0.0, state_a)
-            state_b, out_b, _, _ = follower_step(rx_p, rx_m, 0.0, state_b)
-        assert out_b == pytest.approx(out_a, abs=1e-6)
-
-    def test_lo_offset_cancels_in_beamforming_phase(self):
-        phi = 0.5
-        offset = 0.8
-        results = []
-        for theta_x in (0.0, offset):
-            state = FollowerState(cfg=loop_cfg())
-            rx = cmath.exp(1j * phi)
-            for _ in range(4000):
-                state, _, theta_bf, _ = follower_step(rx, rx, theta_x, state)
-            results.append(theta_bf)
-        assert results[1] == pytest.approx(results[0], abs=1e-3)
-
-    def test_returns_unit_phasors(self):
-        state = FollowerState(cfg=loop_cfg())
-        _, _, theta_bf, tx = follower_step(1 + 0j, 1 + 0j, 0.0, state)
-        assert abs(tx) == pytest.approx(1.0)
-        assert cmath.phase(tx) == pytest.approx(theta_bf, abs=1e-12)
-
-    def test_zero_phasor_rejected(self):
-        state = FollowerState(cfg=loop_cfg())
-        with pytest.raises(ValueError):
-            follower_step(0j, 1 + 0j, 0.0, state)
-
-
-class TestMasterStep:
-    def test_fixed_point_of_compensation(self):
-        # theta_r3 + theta_r4 = alpha_prev (= 0) with zero setpoint: the
-        # compensation loop sits at its equilibrium and alpha stays put
-        state = MasterState(cfg=loop_cfg())
-        rx3 = cmath.exp(0.6j)
-        rx4 = cmath.exp(-0.6j)
-        for _ in range(200):
-            state, alpha, _ = master_step(rx3, rx4, 0.0, state)
-        assert alpha == pytest.approx(0.0, abs=1e-12)
-
-    def test_static_compensation_converges_to_round_trip(self):
-        # the return carriers carry the applied alpha/2 plus the static
-        # round-trip phases; equilibrium alpha is minus their mean
-        r3, r4 = 0.2, 0.5
-        state = MasterState(cfg=loop_cfg())
-        for _ in range(6000):
-            rx3 = cmath.exp(1j * (r3 + 0.5 * state.alpha))
-            rx4 = cmath.exp(1j * (r4 + 0.5 * state.alpha))
-            state, alpha, tx1 = master_step(rx3, rx4, 0.0, state)
-        assert alpha == pytest.approx(-(r3 + r4) / 2, abs=1e-3)
-        assert cmath.phase(tx1) == pytest.approx(wrap_phase(alpha / 2), abs=1e-3)
-
-    def test_pre_distortion_applies_half_alpha(self):
-        state = MasterState(cfg=loop_cfg(), alpha=0.0)
-        _, alpha, tx1 = master_step(cmath.exp(0.1j), cmath.exp(0.1j), 0.3, state)
-        assert abs(tx1) == pytest.approx(1.0)
-        assert cmath.phase(tx1) == pytest.approx(0.3 + alpha / 2, abs=1e-12)
-
-
-def run_kernel(n, phi, zeta=1.0, f_hz=100.0, th0=None, thx=None, doppler_hz=0.0,
-               noise=None, theta_offset=0.0, latency=1, dual=True, wrap_comp=True):
-    th0 = np.zeros(n) if th0 is None else th0
-    thx = np.zeros(n) if thx is None else thx
-    if noise is None:
-        noise = np.zeros((8, 1))
-        has_noise = False
-    else:
-        has_noise = True
+def run_kernel(n, phi, loop=_tick_loop, theta_offset=0.0, dual=True):
+    """Noiseless, ideal-clock ring of n ticks at latency 1 with 100 Hz loops,
+    run by ``loop`` (the kernel or its phasor-form oracle)."""
     out = [np.empty(n) for _ in range(7)]
-    om = TWO_PI * f_hz
-    bad = _tick_loop(n, TICK, th0, thx, phi[0], phi[1], phi[2], phi[3],
-                     TWO_PI * doppler_hz * TICK, noise, has_noise,
-                     zeta, om, zeta, om, theta_offset, latency, dual, wrap_comp,
-                     *out)
+    om = TWO_PI * 100.0
+    bad = loop(n, TICK, np.zeros(n), np.zeros(n), phi[0], phi[1], phi[2], phi[3],
+               0.0, np.zeros((8, 1)), False, 1.0, om, 1.0, om, theta_offset, 1, dual,
+               True, *out)
     assert bad == -1
     return out
 
 
 class TestScenarioEquilibria:
+    # the ring's fixed points, on the kernel here and on its phasor-form
+    # oracle in the subclass below
+    loop = staticmethod(_tick_loop)
+
     def test_static_channel_zero_error(self):
         phi = Scenario(tau_s=1.7e-10).prop_phases()
         n = int(5.0 / TICK)
-        bf0, _, al = run_kernel(n, phi)[:3]
+        bf0, _, al = run_kernel(n, phi, self.loop)[:3]
         assert abs(wrap_phase(bf0[-1])) < 1e-3
         # alpha converges to minus the round-trip mean (mod 2*pi)
         target = 0.5 * (phi[0] + phi[1]) + 0.5 * (phi[2] + phi[3])
@@ -139,23 +52,44 @@ class TestScenarioEquilibria:
     def test_setpoint_shifts_by_half(self):
         phi = [0.3, 0.5, 0.45, 0.35]
         n = int(4.0 / TICK)
-        base = run_kernel(n, phi)[0]
-        shifted = run_kernel(n, phi, theta_offset=0.1)[0]
+        base = run_kernel(n, phi, self.loop)[0]
+        shifted = run_kernel(n, phi, self.loop, theta_offset=0.1)[0]
         assert shifted[-1] - base[-1] == pytest.approx(0.05, abs=1e-6)
 
     def test_constant_added_to_all_legs_is_invisible(self):
         phi = [0.3, 0.5, 0.45, 0.35]
         n = int(4.0 / TICK)
-        base = run_kernel(n, phi)[0]
-        moved = run_kernel(n, [p + 0.4 for p in phi])[0]
+        base = run_kernel(n, phi, self.loop)[0]
+        moved = run_kernel(n, [p + 0.4 for p in phi], self.loop)[0]
         assert moved[-1] == pytest.approx(base[-1], abs=1e-3)
 
     def test_single_carrier_residual_is_pair_asymmetry(self):
         phi = Scenario(tau_s=1.7e-10).prop_phases()
         n = int(5.0 / TICK)
-        bf0 = run_kernel(n, phi, dual=False)[0]
+        bf0 = run_kernel(n, phi, self.loop, dual=False)[0]
         expected = wrap_phase(0.5 * (phi[0] - phi[2]))
         assert wrap_phase(bf0[-1]) == pytest.approx(expected, abs=1e-3)
+
+    def test_symmetric_split_matches_common_pair(self):
+        # each end averages its pair's discriminators, so carriers at
+        # phi +- delta act as a pair at phi
+        n = int(4.0 / TICK)
+        common = run_kernel(n, [0.3, 0.3, 0.45, 0.45], self.loop)
+        split = run_kernel(n, [0.55, 0.05, 0.6, 0.3], self.loop)
+        for name, a, b in zip(SERIES[:3], common, split):
+            np.testing.assert_allclose(b, a, rtol=0, atol=1e-12, err_msg=name)
+
+    def test_pre_distortion_applies_half_alpha(self):
+        # at latency 1 the follower's first-but-one forward carrier left the
+        # master at tick 0 pre-distorted by half the compensation
+        phi = [0.3, 0.5, 0.45, 0.35]
+        _, _, al, r1 = run_kernel(2, phi, self.loop)[:4]
+        assert al[0] != 0.0
+        assert r1[1] == pytest.approx(wrap_phase(phi[0] + al[0] / 2), abs=1e-15)
+
+
+class TestScenarioEquilibriaReference(TestScenarioEquilibria):
+    loop = staticmethod(_reference_loop)
 
 
 class TestKernelMatchesReference:
@@ -180,13 +114,20 @@ class TestKernelMatchesReference:
         snr_db=st.one_of(st.just(math.inf), st.floats(0.0, 30.0)),
         tau_s=st.floats(0.0, 1e-6),
         doppler_hz=st.floats(-5.0, 5.0),
+        ideal_clocks=st.booleans(),
+        theta_offset=st.floats(-math.pi, math.pi),
+        phase_rad=st.floats(-math.pi, math.pi),
+        freq_hz=st.floats(-50.0, 50.0),
         seed=st.integers(0, 2**16),
     )
     def test_engines_agree_on_every_series(self, latency, dual, wrap_comp, snr_db,
-                                           tau_s, doppler_hz, seed):
-        scn = Scenario(duration_s=0.1, ideal_clocks=True, tau_s=tau_s,
+                                           tau_s, doppler_hz, ideal_clocks, theta_offset,
+                                           phase_rad, freq_hz, seed):
+        scn = Scenario(duration_s=0.1, ideal_clocks=ideal_clocks, tau_s=tau_s,
                        doppler_hz=doppler_hz, snr_db=snr_db, dual_carrier=dual,
-                       wrap_compensation=wrap_comp, loop_latency_ticks=latency)
+                       wrap_compensation=wrap_comp, loop_latency_ticks=latency,
+                       theta_offset=theta_offset, initial_follower_phase_rad=phase_rad,
+                       follower_freq_offset_hz=freq_hz)
         fast = run_scenario(scn, seed=seed)
         slow = run_scenario(scn, seed=seed, engine="reference")
         for name in SERIES:
@@ -196,6 +137,10 @@ class TestKernelMatchesReference:
 
 
 class TestKernelInputType:
+    # the loop run_scenario calls for an engine, and the module name it
+    # calls it through; the subclass below checks the oracle
+    engine, name, loop = "kernel", "_tick_loop_fast", staticmethod(_tick_loop)
+
     @pytest.mark.parametrize("kw", [
         dict(snr_db=10.0, tau_s=3.3e-7, doppler_hz=1.5),
         dict(loop_latency_ticks=3, dual_carrier=False, wrap_compensation=False,
@@ -205,17 +150,17 @@ class TestKernelInputType:
         dict(dual_carrier=False, theta_offset=0.1, doppler_hz=0.5, tau_s=5e-8),
     ])
     def test_memoryview_and_ndarray_inputs_give_identical_series(self, monkeypatch, kw):
-        # run_scenario feeds the kernel memoryviews (plain float elements);
+        # run_scenario feeds the loop memoryviews (plain float elements);
         # the same inputs as ndarrays (numpy scalar elements) must give the
         # same bits, since the arithmetic is the same operation for operation
         calls = []
 
         def capture(*args):
             calls.append(args)
-            return _tick_loop(*args)
+            return self.loop(*args)
 
-        monkeypatch.setattr(nodes, "_tick_loop_fast", capture)
-        r = run_scenario(Scenario(duration_s=0.5, **kw), seed=11)
+        monkeypatch.setattr(nodes, self.name, capture)
+        r = run_scenario(Scenario(duration_s=0.5, **kw), seed=11, engine=self.engine)
         (args,) = calls
         inputs = args[:-7]
         assert all(isinstance(inputs[k], memoryview) for k in (2, 3))  # th0, thx
@@ -224,9 +169,35 @@ class TestKernelInputType:
         inputs = [np.asarray(a) if isinstance(a, memoryview) else a for a in inputs]
         inputs[9] = np.array(inputs[9])
         out = [np.empty(r.n_ticks) for _ in range(7)]
-        assert _tick_loop(*inputs, *out) == -1
+        assert self.loop(*inputs, *out) == -1
         for name, series in zip(SERIES, out):
             assert np.array_equal(getattr(r, name), series), name
+
+
+class TestReferenceInputType(TestKernelInputType):
+    engine, name, loop = "reference", "_reference_loop", staticmethod(_reference_loop)
+
+
+class TestReferenceBytes:
+    # sha256 of the seven reference-engine series: a change to the oracle's
+    # arithmetic, not only to its results beyond 1e-10, shows here
+    @pytest.mark.parametrize("kw, digest", [
+        pytest.param(dict(snr_db=10.0, loop_latency_ticks=2, tau_s=3.3e-7),
+                     "ca3455f143c620fc7bf1d51889380407b85e352b71a01a99326fea8394ecf4bf",
+                     id="dual-noise-clocks-latency2"),
+        pytest.param(dict(ideal_clocks=True, dual_carrier=False, wrap_compensation=False,
+                          snr_db=20.0, tau_s=1e-7, doppler_hz=-2.0),
+                     "5bd18b6e941223574f8c4ffb62d98a5fc68c5334736db9460f60a801dea65f0e",
+                     id="single-wrap-off-doppler"),
+        pytest.param(dict(snr_db=15.0, initial_follower_phase_rad=2.5,
+                          follower_freq_offset_hz=0.7, theta_offset=0.3),
+                     "c5efc312d4976a5d48b71256d51bcf207abba22b4f47e5cf22cc159b2873517c",
+                     id="follower-offsets-setpoint"),
+    ])
+    def test_reference_series_bytes_are_pinned(self, kw, digest):
+        r = run_scenario(Scenario(duration_s=0.3, **kw), seed=21, engine="reference")
+        data = b"".join(getattr(r, name).tobytes() for name in SERIES)
+        assert hashlib.sha256(data).hexdigest() == digest
 
 
 class TestRows:
@@ -329,13 +300,26 @@ class TestRunScenario:
         assert np.max(np.abs(tail)) < 0.05
 
     def test_divergent_configuration_raises_with_tick(self):
-        # natural frequency near the tick rate: discrete loop unstable
+        # natural frequency near the tick rate: discrete loop unstable.  Both
+        # engines raise, at different ticks (6105 on the kernel, 3019 on the
+        # oracle): they differ by 9e-16 rad at tick 0, and the unstable loop
+        # grows that to 1.4e-10 rad at tick 8 and past 1 rad at tick 24.
+        # Only the NaN case below, at tick 0, gives both the same tick.
         scn = Scenario(duration_s=1.0, ideal_clocks=True, omega_m_hz=4000.0,
                        omega_s_hz=4000.0, initial_follower_phase_rad=1.0)
-        with pytest.warns(UserWarning):
-            with pytest.raises(DivergenceError) as info:
-                run_scenario(scn, seed=1)
-        assert info.value.tick >= 0
+        for engine in ("kernel", "reference"):
+            with pytest.warns(UserWarning):
+                with pytest.raises(DivergenceError) as info:
+                    run_scenario(scn, seed=1, engine=engine)
+            assert 0 <= info.value.tick < scn.n_ticks, engine
+
+    def test_unknown_engine_rejected_before_any_work(self, monkeypatch):
+        def no_clocks(*args):
+            raise AssertionError("clock synthesis ran before the engine check")
+
+        monkeypatch.setattr(nodes, "_clock_series", no_clocks)
+        with pytest.raises(ValueError, match="unknown engine 'numba'"):
+            run_scenario(Scenario(duration_s=0.1), seed=1, engine="numba")
 
     @pytest.mark.parametrize("engine", ["kernel", "reference"])
     @pytest.mark.parametrize("loop", [dict(omega_m_hz=1e300),
@@ -413,6 +397,27 @@ class TestDelayMarginMatchesRing:
             assert tail_std < 1e-6
         else:
             assert tail_std > 1.0
+
+
+class TestQuarterTurnLock:
+    def test_static_ring_locks_to_a_multiple_of_a_quarter_turn(self):
+        # characterisation of the wrong-branch lock: each end averages two
+        # wrapped carrier phases, a mean defined only modulo pi, and the
+        # master's divide-by-two leaves theta_bf - theta_0 defined only
+        # modulo pi/2.  Noiseless static rings over tau = 0..20 ns with
+        # follower offsets 0..2 rad lock to k*pi/2, and 41 of the 84 to a
+        # k other than 0 (mod 4).
+        quarter = math.pi / 2
+        off_zero = 0
+        for tau_ns in range(21):
+            for offset in (0.0, 0.5, 1.0, 2.0):
+                scn = Scenario(duration_s=1.0, ideal_clocks=True, tau_s=tau_ns * 1e-9,
+                               initial_follower_phase_rad=offset)
+                locked = run_scenario(scn, seed=1).theta_bf_minus_theta0[-1]
+                k = round(locked / quarter)
+                assert abs(locked - k * quarter) < 1e-9, (tau_ns, offset)
+                off_zero += k % 4 != 0
+        assert off_zero == 41
 
 
 class TestAmbiguityJumps:
