@@ -6,6 +6,7 @@ from .linear_analysis import (
     RationalDelayTF,
     asym_error,
     bode,
+    closed_tf,
     delay_margin,
     dual_loop_tfs,
     gc_tf,
@@ -26,7 +27,7 @@ from .oscillator import (
     fit_two_state,
     synthesize_phase,
 )
-from .pll import LoopConfig, LoopUnit, closed_tf, controller_step, discriminate, wrap_phase
+from .pll import LoopConfig, LoopUnit, controller_step, discriminate, wrap_phase
 from .spectral import PsdEstimate, cheb_window, psd_estimate
 
 __version__ = "0.1.0"

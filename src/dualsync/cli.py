@@ -18,12 +18,11 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import linear_analysis as la
-from .config import ConfigError, ScenarioConfig, parse_config, parse_config_file
+from . import nodes
+from .config import CLOCK_SOURCES, ConfigError, ScenarioConfig, parse_config, parse_config_file
 from .nodes import DivergenceError, detect_ambiguity_jumps, run_scenario
-from .oscillator import NoiseMask, fit_two_state, synthesize_phase
+from .oscillator import fit_two_state, synthesize_phase
 from .spectral import cheb_window, psd_estimate
-
-_CLOCK_SOURCES = ("master_clock", "follower_clock")
 
 
 def _write_csv(path: str, comment: str, header: list[str], rows) -> None:
@@ -68,16 +67,12 @@ def _psd_series(cfg: ScenarioConfig, result) -> tuple[np.ndarray, float]:
     sources are read from `result`."""
     source = cfg.get("output", "psd_source")
     scn = cfg.to_scenario()
-    if source in _CLOCK_SOURCES:
-        side = "master" if source == "master_clock" else "follower"
-        mask = NoiseMask(cfg.get(side, "mask_ref_hz"), cfg.get(side, "mask"))
-        params = fit_two_state(mask, scn.baud_hz).rescaled(scn.decimation)
-        n = cfg.get("output", "psd_block_len") * cfg.get("output", "psd_n_blocks")
-        seq = np.random.SeedSequence(cfg.get("run", "seed")).spawn(6)[side == "follower"]
-        series = synthesize_phase(params, n, np.random.default_rng(seq))
-        series *= scn.plan.fc_hz / mask.reference_freq_hz
-        return series, scn.tick_rate_hz
-    return np.asarray(getattr(result, source)), scn.tick_rate_hz
+    if source not in CLOCK_SOURCES:
+        return np.asarray(getattr(result, source)), scn.tick_rate_hz
+    n = cfg.get("output", "psd_block_len") * cfg.get("output", "psd_n_blocks")
+    # through the module attribute, which tracing patches
+    series = nodes._clock_series(scn, cfg.get("run", "seed"), source.removesuffix("_clock"), n)
+    return series, scn.tick_rate_hz
 
 
 def _write_psd(path: str, cfg: ScenarioConfig, series, fs_hz: float) -> None:
@@ -96,7 +91,7 @@ def _emit(cfg: ScenarioConfig, timeseries=None, psd=None, jumps=None):
     """Write the artifacts given a path, running the ring at most once (not
     at all for a clock PSD alone); returns the ring result or None."""
     result = None
-    if timeseries or jumps or (psd and cfg.get("output", "psd_source") not in _CLOCK_SOURCES):
+    if timeseries or jumps or (psd and cfg.get("output", "psd_source") not in CLOCK_SOURCES):
         result = run_scenario(cfg.to_scenario(), cfg.get("run", "seed"))
     if timeseries:
         _write_csv(timeseries, _stamp(cfg),
@@ -106,10 +101,9 @@ def _emit(cfg: ScenarioConfig, timeseries=None, psd=None, jumps=None):
     if psd:
         _write_psd(psd, cfg, *_psd_series(cfg, result))
     if jumps:
-        stride = max(1, int(0.05 * result.tick_rate_hz))
-        found = detect_ambiguity_jumps(result.theta_bf_minus_theta0[::stride])
+        found = detect_ambiguity_jumps(result.theta_bf_minus_theta0, result.tick_rate_hz)
         _write_csv(jumps, _stamp(cfg), ["tick", "t_s", "magnitude_rad"],
-                   ((i * stride, i * stride / result.tick_rate_hz, m) for i, m in found))
+                   ((i, i / result.tick_rate_hz, m) for i, m in found))
     return result
 
 
@@ -131,10 +125,8 @@ def cmd_bode(args) -> int:
     cfg = _load_config(args)
     out = _outdir(args, cfg)
     scn = cfg.to_scenario()
-    from .pll import closed_tf
-
-    gm = closed_tf(scn.loop_config_master())
-    gs = closed_tf(scn.loop_config_follower())
+    gm = la.closed_tf(scn.loop_config_master())
+    gs = la.closed_tf(scn.loop_config_follower())
     tfs = la.dual_loop_tfs(gm, gs)
     grid = la.default_bode_grid()
     rows = []
@@ -163,16 +155,16 @@ def cmd_fit_noise(args) -> int:
     cfg = _load_config(args)
     out = _outdir(args, cfg)
     scn = cfg.to_scenario()
+    n = cfg.get("output", "psd_block_len") * cfg.get("output", "psd_n_blocks")
+    streams = nodes._streams(cfg.get("run", "seed"))
     rows = []
-    for side in ("master", "follower"):
-        mask = NoiseMask(cfg.get(side, "mask_ref_hz"), cfg.get(side, "mask"))
+    for side, mask, stream in zip(("master", "follower"),
+                                  (scn.master_mask, scn.follower_mask), streams):
         params = fit_two_state(mask, scn.baud_hz)
         rows.append((side, params.sigma0, params.sigma1, params.sigma2,
                      params.tick_rate_hz))
-        dec = params.rescaled(scn.decimation)
-        n = cfg.get("output", "psd_block_len") * cfg.get("output", "psd_n_blocks")
-        seq = np.random.SeedSequence(cfg.get("run", "seed")).spawn(2)[side == "follower"]
-        series = synthesize_phase(dec, n, np.random.default_rng(seq))
+        series = synthesize_phase(params.rescaled(scn.decimation), n,
+                                  np.random.default_rng(stream))
         _write_psd(os.path.join(out, f"psd_{side}.csv"), cfg, series, scn.tick_rate_hz)
     path = os.path.join(out, "noise_fit.csv")
     _write_csv(path, _stamp(cfg),

@@ -141,8 +141,8 @@ SCHEMA: dict[str, dict[str, tuple]] = {
     },
 }
 
-_PSD_SOURCES = ("theta_bf_minus_theta0", "theta_out", "alpha",
-                "master_clock", "follower_clock")
+CLOCK_SOURCES = ("master_clock", "follower_clock")
+_PSD_SOURCES = ("theta_bf_minus_theta0", "theta_out", "alpha", *CLOCK_SOURCES)
 
 
 class ConfigError(ValueError):
@@ -268,6 +268,9 @@ def _semantic_checks(values: dict, errors: list[str]) -> None:
               f"framing.{key} is reserved and must be {default}")
     check(values["output.psd_source"] in _PSD_SOURCES,
           f"output.psd_source must be one of {', '.join(_PSD_SOURCES)}")
+    # an ideal clock has no phase noise to estimate
+    check(not (values["run.ideal_clocks"] and values["output.psd_source"] in CLOCK_SOURCES),
+          "output.psd_source master_clock or follower_clock requires run.ideal_clocks = off")
     check(values["output.psd_block_len"] >= 32, "output.psd_block_len must be >= 32")
     check(values["output.psd_n_blocks"] >= 1, "output.psd_n_blocks must be >= 1")
     check(40 <= values["output.psd_window_atten_db"] <= 320,

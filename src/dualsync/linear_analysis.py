@@ -22,8 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
+from .pll import LoopConfig
+
 __all__ = [
     "RationalDelayTF",
+    "closed_tf",
     "gc_tf",
     "dual_loop_tfs",
     "bode",
@@ -88,6 +91,15 @@ def _scale(a: tuple, c: float) -> tuple:
     return tuple(c * x for x in a)
 
 
+def closed_tf(cfg: LoopConfig) -> RationalDelayTF:
+    """Continuous-domain closed-loop transfer function of one tracking loop."""
+    om = cfg.omega_rad_s
+    return RationalDelayTF(
+        num=(om * om, 2.0 * cfg.zeta * om),
+        den=(om * om, 2.0 * cfg.zeta * om, 1.0),
+    )
+
+
 def gc_tf(gm: RationalDelayTF) -> RationalDelayTF:
     """Compensation-block transfer function -0.5*G_m / (1 - 0.5*G_m)."""
     num = _scale(gm.num, -0.5)
@@ -138,23 +150,6 @@ def bode(tf: RationalDelayTF, freqs_hz) -> list[tuple[float, float, float]]:
     return list(zip(f.tolist(), mag_db.tolist(), np.degrees(phase).tolist()))
 
 
-def _open_loop(zeta_m, omega_m_hz, zeta_s, omega_s_hz, omega_units):
-    from .pll import LoopConfig, closed_tf  # deferred: pll imports this module
-
-    # tick period is irrelevant for the continuous TF; pick one small
-    # enough to stay clear of the discretization warning
-    t = 1e-3 / max(omega_m_hz, omega_s_hz)
-    gm = closed_tf(LoopConfig(zeta_m, omega_m_hz, t, omega_units))
-    gs = closed_tf(LoopConfig(zeta_s, omega_s_hz, t, omega_units))
-    gc = gc_tf(gm)
-
-    def L(w):
-        s = 1j * np.asarray(w, dtype=float)
-        return gc.evaluate(s) * gs.evaluate(s)
-
-    return L
-
-
 def delay_margin(
     zeta_m: float,
     omega_m_hz: float,
@@ -173,8 +168,18 @@ def delay_margin(
 
     Returns ``math.inf`` when ``|L|`` never reaches unity.
     """
-    L = _open_loop(zeta_m, omega_m_hz, zeta_s, omega_s_hz, omega_units)
-    w_n = omega_m_hz * (2.0 * math.pi if omega_units == "hz_times_2pi" else 1.0)
+    # tick period is irrelevant for the continuous TF; pick one small
+    # enough to stay clear of the discretization warning
+    t = 1e-3 / max(omega_m_hz, omega_s_hz)
+    cfg_m = LoopConfig(zeta_m, omega_m_hz, t, omega_units)
+    gc = gc_tf(closed_tf(cfg_m))
+    gs = closed_tf(LoopConfig(zeta_s, omega_s_hz, t, omega_units))
+
+    def L(w):
+        s = 1j * np.asarray(w, dtype=float)
+        return gc.evaluate(s) * gs.evaluate(s)
+
+    w_n = cfg_m.omega_rad_s
     grid = np.logspace(math.log10(w_n * 1e-2), math.log10(max(w_n, omega_s_hz * 10) * 1e3), 4000)
     mag = np.abs(L(grid))
     sign = np.sign(mag - 1.0)

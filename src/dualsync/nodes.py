@@ -1,4 +1,7 @@
-"""The ring's tick loops, the scenario runner and the jump detector.
+"""The ring's clocks, tick loops, scenario runner and jump detector.
+
+Stream layout (``_streams``): child 0 of ``SeedSequence(seed)`` draws the
+master clock, child 1 the follower clock, children 2-5 the four legs' noise.
 
 Ring topology per decimated tick (latency >= 1 tick on every leg):
 
@@ -153,17 +156,23 @@ class ScenarioResult:
             yield from zip(range(start, stop), *(c[start:stop].tolist() for c in cols))
 
 
-def _clock_series(scn: Scenario, rng: np.random.Generator, mask: NoiseMask,
-                  n: int) -> np.ndarray:
-    """RF-scaled oscillator phase series at the decimated tick rate.
+def _streams(seed: int) -> list[np.random.SeedSequence]:
+    """The seed's child streams in the module docstring's layout."""
+    return np.random.SeedSequence(seed).spawn(6)
+
+
+def _clock_series(scn: Scenario, seed: int, side: str, n: int) -> np.ndarray:
+    """RF-scaled phase series of the ``side`` ("master" or "follower")
+    oscillator at the decimated tick rate, drawn from the side's stream.
 
     Parameters are fitted at the baud rate and rescaled to the decimated
     rate, mirroring full-rate synthesis followed by plain decimation.
     """
     if scn.ideal_clocks:
         return np.zeros(n)
+    mask = getattr(scn, f"{side}_mask")
     params = fit_two_state(mask, scn.baud_hz).rescaled(scn.decimation)
-    phase = synthesize_phase(params, n, rng)
+    phase = synthesize_phase(params, n, np.random.default_rng(_streams(seed)[side == "follower"]))
     phase *= scn.plan.fc_hz / mask.reference_freq_hz
     return phase
 
@@ -373,10 +382,10 @@ def _reference_loop(n, tick_period, th0, thx, phi1, phi2, phi3, phi4, dopp_per_t
 def run_scenario(scn: Scenario, seed: int, engine: str = "kernel") -> ScenarioResult:
     """Simulate the ring for scn.duration_s and record the decimated series.
 
-    Fully deterministic per (scenario, seed): clock synthesis and the four
-    leg noise streams draw from independent child generators spawned from
-    the seed.  ``engine="reference"`` runs the phasor-form oracle
-    ``_reference_loop`` instead of the kernel (slow; used for validation).
+    Fully deterministic per (scenario, seed): each clock and each leg's
+    noise draws from its own stream of ``_streams(seed)``.
+    ``engine="reference"`` runs the phasor-form oracle ``_reference_loop``
+    instead of the kernel (slow; used for validation).
     """
     # looked up per call, so that tracing can patch _tick_loop_fast
     loop = {"kernel": _tick_loop_fast, "reference": _reference_loop}.get(engine)
@@ -387,10 +396,8 @@ def run_scenario(scn: Scenario, seed: int, engine: str = "kernel") -> ScenarioRe
         raise ValueError("scenario duration shorter than one tick")
     if scn.loop_latency_ticks < 1:
         raise ValueError("loop_latency_ticks must be >= 1 for causality")
-    seeds = np.random.SeedSequence(seed).spawn(6)
-    rng_m, rng_f = (np.random.default_rng(s) for s in seeds[:2])
-    th0 = _clock_series(scn, rng_m, scn.master_mask, n)
-    thx = _clock_series(scn, rng_f, scn.follower_mask, n)
+    th0 = _clock_series(scn, seed, "master", n)
+    thx = _clock_series(scn, seed, "follower", n)
     if scn.initial_follower_phase_rad:
         thx += scn.initial_follower_phase_rad
     if scn.follower_freq_offset_hz:
@@ -399,9 +406,8 @@ def run_scenario(scn: Scenario, seed: int, engine: str = "kernel") -> ScenarioRe
     if sigma > 0.0:
         # each leg's (2, n) draw lands in its own rows, then one scaling
         noise = np.empty((8, n))
-        for leg in range(4):
-            np.random.default_rng(seeds[2 + leg]).standard_normal(
-                out=noise[2 * leg:2 * leg + 2])
+        for leg, stream in enumerate(_streams(seed)[2:]):
+            np.random.default_rng(stream).standard_normal(out=noise[2 * leg:2 * leg + 2])
         noise *= sigma / math.sqrt(2.0)
         has_noise = True
     else:
@@ -438,26 +444,27 @@ def run_scenario(scn: Scenario, seed: int, engine: str = "kernel") -> ScenarioRe
     )
 
 
-def detect_ambiguity_jumps(series, threshold: float = math.pi / 8,
+def detect_ambiguity_jumps(series, tick_rate_hz: float, threshold: float = math.pi / 8,
                            snap_to: float = math.pi / 2,
                            snap_tol: float = math.pi / 16) -> list[tuple[int, float]]:
     """Find divide-by-two ambiguity jumps in a phase-difference series.
 
-    Flags samples whose between-sample change exceeds ``threshold`` and
-    snaps each to the nearest nonzero multiple of ``snap_to``; changes
-    farther than ``snap_tol`` from any such multiple are discarded, so
-    every reported magnitude is ~k*pi/2 within pi/16.  The series should
-    be sampled coarsely relative to the loop settling time (a jump takes
-    ~10/omega_n to complete), e.g. every 50 ms for 100 Hz loops.
+    Reads the series, sampled at ``tick_rate_hz``, every 50 ms, coarse
+    against the settling of 100 Hz loops (a jump takes ~10/omega_n), and
+    flags steps above ``threshold``, snapped to the nearest nonzero
+    multiple of ``snap_to``; steps farther than ``snap_tol`` from any such
+    multiple are discarded, so every magnitude is ~k*pi/2 within pi/16.
+    Returns (full-rate tick, magnitude) pairs.
     """
-    x = np.asarray(series, dtype=float)
+    stride = max(1, int(0.05 * tick_rate_hz))
+    x = np.asarray(series, dtype=float)[::stride]
     if x.size < 2:
-        raise ValueError("series needs at least two samples")
+        raise ValueError("series needs at least two samples 50 ms apart")
     diffs = np.diff(x)
     hits = []
     for idx in np.nonzero(np.abs(diffs) > threshold)[0]:
         d = diffs[idx]
         k = round(d / snap_to)
         if k != 0 and abs(d - k * snap_to) <= snap_tol:
-            hits.append((int(idx + 1), float(k * snap_to)))
+            hits.append((int(idx + 1) * stride, float(k * snap_to)))
     return hits

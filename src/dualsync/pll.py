@@ -6,7 +6,7 @@ integrators are discretized with the trapezoidal rule
 increment; the caller's output-phase accumulator (``alpha`` at the
 master, ``theta_out`` at the follower, see ``nodes``) realizes the outer
 integrator, and the closed loop is the classic unity-feedback
-second-order response
+second-order response (``linear_analysis.closed_tf``)
 
     G(s) = (2*zeta*omega*s + omega**2) / (s**2 + 2*zeta*omega*s + omega**2)
 """
@@ -17,8 +17,6 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass, replace
-
-from .linear_analysis import RationalDelayTF
 
 TWO_PI = 2.0 * math.pi
 
@@ -121,11 +119,3 @@ def controller_step(unit: LoopUnit, error: float, cfg: LoopConfig) -> tuple[Loop
     )
     return new, control
 
-
-def closed_tf(cfg: LoopConfig) -> RationalDelayTF:
-    """Continuous-domain closed-loop transfer function of the unit."""
-    om = cfg.omega_rad_s
-    return RationalDelayTF(
-        num=(om * om, 2.0 * cfg.zeta * om),
-        den=(om * om, 2.0 * cfg.zeta * om, 1.0),
-    )

@@ -13,18 +13,36 @@ from pathlib import Path
 
 import pytest
 
+from dualsync.cli import main
+
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
-def _boundaries():
+def _spans():
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # dataclasses look their module up here
     spec.loader.exec_module(module)
-    return [(b[0], b[1]) for b in module.BOUNDARIES]
+    return module
 
 
-@pytest.mark.parametrize("module_name,attr", _boundaries())
+@pytest.mark.parametrize("module_name,attr", [(b[0], b[1]) for b in _spans().BOUNDARIES])
 def test_patch_point_resolves(module_name, attr):
     module = importlib.import_module(f"dualsync.{module_name}")
     assert callable(getattr(module, attr, None)), f"dualsync.{module_name}.{attr}"
+
+
+def test_clock_psd_synthesis_is_traced(tmp_path):
+    # the tracer patches nodes._clock_series; a caller that bound the name
+    # at import would synthesize outside every span
+    cfg = tmp_path / "clock.cfg"
+    cfg.write_text("[output]\npsd_source = follower_clock\npsd_block_len = 512\n"
+                   "psd_n_blocks = 3\n")
+    tracer = _spans().Tracer()
+    tracer.install()
+    try:
+        assert main(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                     "--quiet"]) == 0
+    finally:
+        tracer.uninstall()
+    assert tracer.totals()["oscillator.synth"]["samples"] == 512 * 3

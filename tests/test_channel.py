@@ -9,6 +9,7 @@ from dualsync.channel import (
     prop_phase,
     sigma_from_snr,
 )
+from dualsync.nodes import _streams
 from dualsync.pll import wrap_phase
 
 TWO_PI = 2.0 * math.pi
@@ -79,9 +80,9 @@ class TestLegSets:
         assert wrap_phase(fwd - ret) == pytest.approx(0.0, abs=1e-6)
 
     def test_noise_streams_independent(self):
-        # the runner draws per-leg streams from spawned seeds; verify the
-        # scheme yields uncorrelated streams
-        seeds = np.random.SeedSequence(123).spawn(6)
+        # the runner draws each leg's noise from its own stream of
+        # nodes._streams; verify the scheme yields uncorrelated streams
+        seeds = _streams(123)
         n = 1_000_000
         a = np.random.default_rng(seeds[2]).standard_normal(n)
         b = np.random.default_rng(seeds[3]).standard_normal(n)

@@ -126,6 +126,30 @@ def test_clock_psd_bytes_are_pinned(tmp_path, command, text, digests):
             for name in digests} == digests
 
 
+# sha256 at seed 1 of artifacts whose code moved between modules: the
+# loop transfer function, the delay margin and fig13's clock pipeline
+ANALYSIS_SHA256 = [
+    (["bode"], {
+        "bode.csv": "c6083c6461fd8fb56d3ce87f23cc3b5bdbbce9e306a63b27f23d35c9428ff3c7",
+    }),
+    (["delay-margin"], {
+        "delay_margin.csv": "df4110e5a88e067963e6c5c3983d4f882932420a78b30b72ecc6742d5e63b1ff",
+    }),
+    (["reproduce", "fig13"], {
+        "psd_master.csv": "895d54b7747faa2b7b7c0e041eed3b818d93998a3df348e8cd8550d525551a67",
+        "psd_follower.csv": "22cba804c73cff3dd9fb9a0bb1a0d0ea89cbd84f67490248868a3ca80e9173a1",
+    }),
+]
+
+
+@pytest.mark.parametrize("argv, digests", ANALYSIS_SHA256)
+def test_analysis_bytes_are_pinned(tmp_path, argv, digests):
+    out = tmp_path / "out"
+    assert run_cli(*argv, "--out", str(out), "--seed", "1", "--quiet") == 0
+    assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in digests} == digests
+
+
 def test_import_leaves_scipy_optimize_unloaded():
     # scipy.optimize is most of the import time; only mask fits need it
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
@@ -379,6 +403,22 @@ class TestErrors:
         assert err["detail"] == [
             "sweep value 3: framing.code_index_master is reserved and must be 1"]
         assert not (out / "sweep_000").exists()
+
+    # an ideal clock has no phase noise: its PSD would ignore the flag
+    @pytest.mark.parametrize("command, text, prefix", [
+        ("spectrum", "[run]\nideal_clocks = on\n", ""),
+        ("sweep", "[sweep]\nkey = run.ideal_clocks\nvalues = on\n", "sweep value on: "),
+    ])
+    def test_clock_psd_of_ideal_clocks_exits_2(self, command, text, prefix, tmp_path,
+                                                capsys):
+        cfg = write_config(tmp_path, "[output]\npsd_source = master_clock\n" + text)
+        out = tmp_path / "o"
+        assert run_cli(command, "--config", cfg, "--out", str(out), "--quiet") == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "config", "detail": [
+            prefix + "output.psd_source master_clock or follower_clock "
+                     "requires run.ideal_clocks = off"]}
+        assert not (out / "psd.csv").exists() and not (out / "sweep_000").exists()
 
     @pytest.mark.parametrize("command", ["simulate", "bode"])
     def test_negative_seed_exits_2(self, command, tmp_path, capsys):

@@ -5,6 +5,9 @@ import pytest
 from dualsync.config import SCHEMA, ConfigError, parse_config
 from dualsync.nodes import Scenario
 
+CLOCK_PSD_OF_IDEAL_CLOCKS = ("output.psd_source master_clock or follower_clock "
+                             "requires run.ideal_clocks = off")
+
 FLOAT_KEYS = [(section, key) for section, keys in SCHEMA.items()
               for key, (_, default) in keys.items()
               if isinstance(default, float) and (section, key) != ("channel", "snr_db")]
@@ -130,6 +133,19 @@ class TestValidation:
     def test_carrier_plan_ordering(self):
         with pytest.raises(ConfigError, match="carrier plan"):
             parse_config("[channel]\nfm_hz = 30e6\n")
+
+    @pytest.mark.parametrize("source", ["master_clock", "follower_clock"])
+    def test_clock_psd_of_ideal_clocks_rejected(self, source):
+        # an ideal clock has no phase noise: the PSD would ignore the flag
+        text = f"[run]\nideal_clocks = on\n[output]\npsd_source = {source}\n"
+        with pytest.raises(ConfigError) as info:
+            parse_config(text)
+        assert info.value.errors == [CLOCK_PSD_OF_IDEAL_CLOCKS]
+        cfg = parse_config(f"[output]\npsd_source = {source}\n")
+        with pytest.raises(ConfigError) as info:
+            cfg.with_values({"run.ideal_clocks": "on"})
+        assert info.value.errors == [CLOCK_PSD_OF_IDEAL_CLOCKS]
+        assert parse_config("[run]\nideal_clocks = on\n").get("run", "ideal_clocks")
 
 
 class TestCanonicalForm:

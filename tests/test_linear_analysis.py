@@ -9,13 +9,14 @@ from dualsync.linear_analysis import (
     RationalDelayTF,
     asym_error,
     bode,
+    closed_tf,
     default_bode_grid,
     delay_margin,
     delay_margin_grid,
     dual_loop_tfs,
     gc_tf,
 )
-from dualsync.pll import LoopConfig, closed_tf
+from dualsync.pll import LoopConfig
 
 ONE = RationalDelayTF()
 

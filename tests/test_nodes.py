@@ -332,6 +332,22 @@ class TestRunScenario:
                 run_scenario(scn, seed=1, engine=engine)
         assert info.value.tick == 0
 
+    def test_ring_clocks_are_the_clock_series(self, monkeypatch):
+        # the ring's clocks come from _clock_series, which the CLI's clock
+        # PSDs use too
+        seen = {}
+
+        def capture(n, tick_period, th0, thx, *rest):
+            seen["master"], seen["follower"] = np.array(th0), np.array(thx)
+            return -1
+
+        monkeypatch.setattr(nodes, "_tick_loop_fast", capture)
+        scn = Scenario(duration_s=0.2)
+        run_scenario(scn, seed=7)
+        for side, series in seen.items():
+            assert np.array_equal(series, nodes._clock_series(scn, 7, side, scn.n_ticks))
+        assert not np.array_equal(seen["master"], seen["follower"])
+
     def test_result_time_axis(self):
         scn = Scenario(duration_s=0.1, ideal_clocks=True)
         r = run_scenario(scn, seed=1)
@@ -351,8 +367,7 @@ class TestNoiseFloorMatchesAnalysis:
         # the simulator wiring to the analysis module quantitatively, and
         # shows dual_loop_tfs also describes single-carrier runs
         from dualsync.channel import sigma_from_snr
-        from dualsync.linear_analysis import dual_loop_tfs, gc_tf
-        from dualsync.pll import closed_tf
+        from dualsync.linear_analysis import closed_tf, dual_loop_tfs, gc_tf
         from dualsync.spectral import psd_estimate
 
         fs = 8e6 / 956
@@ -421,23 +436,33 @@ class TestQuarterTurnLock:
 
 
 class TestAmbiguityJumps:
+    # at 20 Hz the 50 ms sampling reads every sample
     def test_constant_series_empty(self):
-        assert detect_ambiguity_jumps(np.zeros(100)) == []
+        assert detect_ambiguity_jumps(np.zeros(100), 20.0) == []
 
     def test_single_injected_step(self):
         x = np.zeros(200)
         x[120:] += math.pi / 2
-        jumps = detect_ambiguity_jumps(x)
+        jumps = detect_ambiguity_jumps(x, 20.0)
         assert jumps == [(120, pytest.approx(math.pi / 2))]
+
+    def test_step_reported_at_its_full_rate_tick(self):
+        # 100 Hz: every 5th sample is read; the step lands between samples
+        # 120 and 125 and is reported at 125
+        x = np.zeros(200)
+        x[123:] -= math.pi / 2
+        assert detect_ambiguity_jumps(x, 100.0) == [(125, pytest.approx(-math.pi / 2))]
 
     def test_non_quantized_step_discarded(self):
         x = np.zeros(50)
         x[20:] += 1.0  # exceeds threshold but is not near k*pi/2
-        assert detect_ambiguity_jumps(x) == []
+        assert detect_ambiguity_jumps(x, 20.0) == []
 
     def test_short_series_rejected(self):
         with pytest.raises(ValueError):
-            detect_ambiguity_jumps([0.0])
+            detect_ambiguity_jumps([0.0], 20.0)
+        with pytest.raises(ValueError):  # two samples, but within 50 ms
+            detect_ambiguity_jumps([0.0, 1.0], 100.0)
 
     def test_unbounded_drift_produces_quarter_turns(self):
         # anti-phase return legs isolate the wrap events so each ratchet
@@ -446,8 +471,7 @@ class TestAmbiguityJumps:
         scn = Scenario(duration_s=15.0, ideal_clocks=True, doppler_hz=1.0,
                        tau_s=1.875e-8, wrap_compensation=False)
         r = run_scenario(scn, seed=1)
-        stride = max(1, int(0.05 * r.tick_rate_hz))
-        jumps = detect_ambiguity_jumps(r.theta_bf_minus_theta0[::stride])
+        jumps = detect_ambiguity_jumps(r.theta_bf_minus_theta0, r.tick_rate_hz)
         assert len(jumps) >= 5
         for _, mag in jumps:
             assert abs(mag) == pytest.approx(math.pi / 2, abs=1e-9)

@@ -1,14 +1,18 @@
 import cmath
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import scipy.signal
 
+import dualsync
+from dualsync.linear_analysis import closed_tf
 from dualsync.pll import (
     LoopConfig,
     LoopUnit,
-    closed_tf,
     controller_step,
     discriminate,
     wrap_phase,
@@ -19,6 +23,20 @@ TWO_PI = 2.0 * math.pi
 
 def make_cfg(zeta=1.0, f_hz=10.0, t=1e-4):
     return LoopConfig(zeta=zeta, omega_n_hz=f_hz, tick_period_s=t)
+
+
+def test_import_leaves_linear_analysis_unloaded():
+    # the loop controller depends on no transfer-function code; the package
+    # module is created unexecuted, because its __init__ imports everything
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dualsync.__file__)))
+    probe = ("import importlib.util, sys\n"
+             "spec = importlib.util.find_spec('dualsync')\n"
+             "sys.modules['dualsync'] = importlib.util.module_from_spec(spec)\n"
+             "import dualsync.pll\n"
+             "print('dualsync.linear_analysis' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), check=True, timeout=120)
+    assert proc.stdout.strip() == "False"
 
 
 class TestWrapPhase:
