@@ -144,7 +144,7 @@ def cmd_delay_margin(args) -> int:
     out = _outdir(args, cfg)
     scn = cfg.to_scenario()
     grid = np.logspace(1, 6, args.points)
-    rows = la.delay_margin_grid(grid, zeta=scn.zeta_m, omega_units=scn.omega_units)
+    rows = la.delay_margin_grid(grid, scn.zeta_m, scn.zeta_s)
     path = os.path.join(out, "delay_margin.csv")
     _write_csv(path, _stamp(cfg), ["omega_n_hz", "margin_s"], rows)
     _say(args, f"wrote {path}")

@@ -118,7 +118,7 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "decimation": (_parse_int, _SCN.decimation),
         "wrap_compensation": (_parse_bool, _SCN.wrap_compensation),
         "ideal_clocks": (_parse_bool, _SCN.ideal_clocks),
-        "omega_units": (_parse_str, _SCN.omega_units),
+        "omega_units": (_parse_str, "hz_times_2pi"),
     },
     "framing": {
         "pilot_len": (_parse_int, _SCN.pilot_len),
@@ -140,6 +140,13 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "values": (_parse_str, ""),
     },
 }
+
+# keys that must keep their SCHEMA default: a symbol-level pilot mode the
+# tick-rate ring does not model (code indices), and the one Hz -> rad/s
+# reading, omega = 2*pi*f; any other value would be accepted and have no
+# effect.  They stay in SCHEMA so that every config hash keeps its bytes.
+RESERVED_KEYS = ("framing.code_index_master", "framing.code_index_follower",
+                 "run.omega_units")
 
 CLOCK_SOURCES = ("master_clock", "follower_clock")
 _PSD_SOURCES = ("theta_bf_minus_theta0", "theta_out", "alpha", *CLOCK_SOURCES)
@@ -223,7 +230,6 @@ class ScenarioConfig:
             loop_latency_ticks=g("channel", "loop_latency_ticks"),
             dual_carrier=g("channel", "dual_carrier"),
             wrap_compensation=g("run", "wrap_compensation"),
-            omega_units=g("run", "omega_units"),
         )
 
 
@@ -250,8 +256,6 @@ def _semantic_checks(values: dict, errors: list[str]) -> None:
     check(values["run.seed"] >= 0, "run.seed must be nonnegative")
     check(values["run.baud_hz"] > 0, "run.baud_hz must be positive")
     check(values["run.decimation"] >= 1, "run.decimation must be >= 1")
-    check(values["run.omega_units"] in ("hz_times_2pi", "hz_as_rad"),
-          "run.omega_units must be hz_times_2pi or hz_as_rad")
     pl = values["framing.pilot_len"]
     check(1 <= pl <= 36 and (pl & (pl - 1)) == 0,
           "framing.pilot_len must be a power of two in 1..36")
@@ -260,12 +264,10 @@ def _semantic_checks(values: dict, errors: list[str]) -> None:
     # one pilot per tick: the simulator's tick rate is baud_hz/run.decimation
     check(values["framing.inter_pilot"] == values["run.decimation"],
           "framing.inter_pilot must equal run.decimation")
-    # reserved for a symbol-level pilot mode the tick-rate ring does not
-    # model; any other value would be accepted and have no effect
-    for key in ("code_index_master", "code_index_follower"):
-        default = SCHEMA["framing"][key][1]
-        check(values[f"framing.{key}"] == default,
-              f"framing.{key} is reserved and must be {default}")
+    for full in RESERVED_KEYS:
+        section, key = full.split(".")
+        default = SCHEMA[section][key][1]
+        check(values[full] == default, f"{full} is reserved and must be {default}")
     check(values["output.psd_source"] in _PSD_SOURCES,
           f"output.psd_source must be one of {', '.join(_PSD_SOURCES)}")
     # an ideal clock has no phase noise to estimate

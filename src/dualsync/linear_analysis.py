@@ -134,8 +134,9 @@ def dual_loop_tfs(gm: RationalDelayTF, gs: RationalDelayTF) -> dict:
     }
 
 
-def default_bode_grid(f_lo_hz: float = 1.0, f_hi_hz: float = 1e5, points: int = 600) -> np.ndarray:
-    return np.logspace(math.log10(f_lo_hz), math.log10(f_hi_hz), points)
+def default_bode_grid() -> np.ndarray:
+    """600 log-spaced frequencies from 1 Hz to 100 kHz."""
+    return np.logspace(0.0, 5.0, 600)
 
 
 def bode(tf: RationalDelayTF, freqs_hz) -> list[tuple[float, float, float]]:
@@ -150,13 +151,7 @@ def bode(tf: RationalDelayTF, freqs_hz) -> list[tuple[float, float, float]]:
     return list(zip(f.tolist(), mag_db.tolist(), np.degrees(phase).tolist()))
 
 
-def delay_margin(
-    zeta_m: float,
-    omega_m_hz: float,
-    zeta_s: float,
-    omega_s_hz: float,
-    omega_units: str = "hz_times_2pi",
-) -> float:
+def delay_margin(zeta_m: float, omega_m_hz: float, zeta_s: float, omega_s_hz: float) -> float:
     """Round-trip transport-delay budget of the ring, in seconds.
 
     The open loop is ``L = G_c*G_s`` and the ring denominator
@@ -171,9 +166,9 @@ def delay_margin(
     # tick period is irrelevant for the continuous TF; pick one small
     # enough to stay clear of the discretization warning
     t = 1e-3 / max(omega_m_hz, omega_s_hz)
-    cfg_m = LoopConfig(zeta_m, omega_m_hz, t, omega_units)
+    cfg_m = LoopConfig(zeta_m, omega_m_hz, t)
     gc = gc_tf(closed_tf(cfg_m))
-    gs = closed_tf(LoopConfig(zeta_s, omega_s_hz, t, omega_units))
+    gs = closed_tf(LoopConfig(zeta_s, omega_s_hz, t))
 
     def L(w):
         s = 1j * np.asarray(w, dtype=float)
@@ -204,16 +199,12 @@ def delay_margin(
     return best
 
 
-def delay_margin_grid(
-    omega_hz_values,
-    zeta: float = 1.0,
-    omega_units: str = "hz_times_2pi",
-) -> list[tuple[float, float]]:
-    """Delay margin over a grid of natural frequencies (omega_m = omega_s)."""
-    return [
-        (float(f), delay_margin(zeta, float(f), zeta, float(f), omega_units))
-        for f in omega_hz_values
-    ]
+def delay_margin_grid(omega_hz_values, zeta_m: float,
+                      zeta_s: float) -> list[tuple[float, float]]:
+    """Delay margin over a grid of natural frequencies (omega_m = omega_s)
+    at master damping ``zeta_m`` and follower damping ``zeta_s``."""
+    return [(float(f), delay_margin(zeta_m, float(f), zeta_s, float(f)))
+            for f in omega_hz_values]
 
 
 def asym_error(theta_x_minus_theta_0: float, f_mo_hz: float, f_m_hz: float,

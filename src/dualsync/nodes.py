@@ -95,7 +95,6 @@ class Scenario:
     loop_latency_ticks: int = 1
     dual_carrier: bool = True
     wrap_compensation: bool = True
-    omega_units: str = "hz_times_2pi"
 
     @property
     def tick_rate_hz(self) -> float:
@@ -114,10 +113,10 @@ class Scenario:
         return sigma_from_snr(self.snr_db, compression_gain_db(self.pilot_len))
 
     def loop_config_master(self) -> LoopConfig:
-        return LoopConfig(self.zeta_m, self.omega_m_hz, self.tick_period_s, self.omega_units)
+        return LoopConfig(self.zeta_m, self.omega_m_hz, self.tick_period_s)
 
     def loop_config_follower(self) -> LoopConfig:
-        return LoopConfig(self.zeta_s, self.omega_s_hz, self.tick_period_s, self.omega_units)
+        return LoopConfig(self.zeta_s, self.omega_s_hz, self.tick_period_s)
 
     def prop_phases(self) -> tuple[float, float, float, float]:
         """Propagation phase of each carrier (fwd lo, fwd hi, ret lo, ret hi)."""
@@ -177,18 +176,19 @@ def _clock_series(scn: Scenario, seed: int, side: str, n: int) -> np.ndarray:
     return phase
 
 
-def _tick_loop(n, tick_period, th0, thx, phi1, phi2, phi3, phi4, dopp_per_tick,
-               noise, has_noise, zeta_m, om_m, zeta_s, om_s, theta_offset,
-               latency, dual, wrap_comp, bf0, out_arr, al, r1a, r2a, r3a, r4a):
+def _tick_loop(n, cfg_m, cfg_s, th0, thx, phi1, phi2, phi3, phi4, dopp_per_tick,
+               noise, has_noise, theta_offset, latency, dual, wrap_comp,
+               bf0, out_arr, al, r1a, r2a, r3a, r4a):
     """Sequential tick kernel in pure Python.
 
-    Identical math to ``_reference_loop``; returns the first
-    diverged tick or -1.  The series arguments may be ndarrays or
-    memoryviews of them, and ``noise`` anything that unpacks to its eight
-    1-D rows (a 2-D ndarray or a list of row memoryviews);
-    ``run_scenario`` passes memoryviews, whose elements are plain floats,
-    which keeps numpy scalar arithmetic out of the loop without changing
-    a bit.
+    Identical math to ``_reference_loop``; returns the first diverged
+    tick or -1.  ``cfg_m`` and ``cfg_s`` are the master's and the
+    follower's ``pll.LoopConfig``, read once before the loop.  The series
+    arguments may be ndarrays or memoryviews of them, and ``noise``
+    anything that unpacks to its eight 1-D rows (a 2-D ndarray or a list
+    of row memoryviews); ``run_scenario`` passes memoryviews, whose
+    elements are plain floats, which keeps numpy scalar arithmetic out of
+    the loop without changing a bit.
     """
     n0, n1, n2, n3, n4, n5, n6, n7 = noise
     cos = math.cos
@@ -198,7 +198,12 @@ def _tick_loop(n, tick_period, th0, thx, phi1, phi2, phi3, phi4, dopp_per_tick,
     pi = math.pi
     two_pi = TWO_PI
     limit = DIVERGENCE_LIMIT_RAD
-    half_t = 0.5 * tick_period
+    zeta_m = cfg_m.zeta
+    om_m = cfg_m.omega_rad_s
+    half_tm = 0.5 * cfg_m.tick_period_s
+    zeta_s = cfg_s.zeta
+    om_s = cfg_s.omega_rad_s
+    half_ts = 0.5 * cfg_s.tick_period_s
     txf = [th0[0]] * latency
     txr = [thx[0]] * latency
     alpha = 0.0
@@ -252,9 +257,9 @@ def _tick_loop(n, tick_period, th0, thx, phi1, phi2, phi3, phi4, dopp_per_tick,
         mean_r = 0.5 * (m3 + m4) if dual else m3
         em = theta_offset - mean_r - 0.5 * alpha
         em = em + two_pi * floor((pi - em) / two_pi)
-        vm = vm + half_t * om_m * om_m * (em + em_prev)
+        vm = vm + half_tm * om_m * om_m * (em + em_prev)
         wm = 2.0 * zeta_m * om_m * em + vm
-        alpha = alpha + half_t * (wm + wm_prev)
+        alpha = alpha + half_tm * (wm + wm_prev)
         em_prev = em
         wm_prev = wm
         txf_new = t0 + 0.5 * alpha
@@ -282,9 +287,9 @@ def _tick_loop(n, tick_period, th0, thx, phi1, phi2, phi3, phi4, dopp_per_tick,
         else:
             es = e1
             e2 = 0.0
-        vs = vs + half_t * om_s * om_s * (es + es_prev)
+        vs = vs + half_ts * om_s * om_s * (es + es_prev)
         ws = 2.0 * zeta_s * om_s * es + vs
-        theta_out = theta_out + half_t * (ws + ws_prev)
+        theta_out = theta_out + half_ts * (ws + ws_prev)
         es_prev = es
         ws_prev = ws
         theta_bf = theta_out + tx
@@ -310,9 +315,9 @@ def _tick_loop(n, tick_period, th0, thx, phi1, phi2, phi3, phi4, dopp_per_tick,
 _tick_loop_fast = _tick_loop
 
 
-def _reference_loop(n, tick_period, th0, thx, phi1, phi2, phi3, phi4, dopp_per_tick,
-                    noise, has_noise, zeta_m, om_m, zeta_s, om_s, theta_offset,
-                    latency, dual, wrap_comp, bf0, out_arr, al, r1a, r2a, r3a, r4a):
+def _reference_loop(n, cfg_m, cfg_s, th0, thx, phi1, phi2, phi3, phi4, dopp_per_tick,
+                    noise, has_noise, theta_offset, latency, dual, wrap_comp,
+                    bf0, out_arr, al, r1a, r2a, r3a, r4a):
     """The kernel's tick in phasor form: its oracle, with its arguments.
 
     Each end sends a unit phasor; carrier j arrives rotated by its
@@ -321,8 +326,6 @@ def _reference_loop(n, tick_period, th0, thx, phi1, phi2, phi3, phi4, dopp_per_t
     A loop's accumulated control is ``alpha`` at the master and
     ``theta_out`` at the follower.  Returns the first diverged tick or -1.
     """
-    cfg_m = LoopConfig(zeta_m, om_m, tick_period, omega_units="hz_as_rad")
-    cfg_s = LoopConfig(zeta_s, om_s, tick_period, omega_units="hz_as_rad")
     master = follower = LoopUnit()
     phis = (phi1, phi2, phi3, phi4)
     txf = [cmath.exp(1j * th0[0])] * latency
@@ -415,19 +418,15 @@ def run_scenario(scn: Scenario, seed: int, engine: str = "kernel") -> ScenarioRe
         has_noise = False
     phi = scn.prop_phases()
     dopp_per_tick = TWO_PI * scn.doppler_hz * scn.tick_period_s
-    cfg_m = scn.loop_config_master()
-    cfg_s = scn.loop_config_follower()
 
     out = [np.empty(n) for _ in range(7)]
     # memoryviews share the arrays' memory and index to plain floats
     bad = loop(
-        n, scn.tick_period_s, memoryview(th0), memoryview(thx),
-        phi[0], phi[1], phi[2], phi[3], dopp_per_tick,
-        [memoryview(row) for row in noise],
-        has_noise, cfg_m.zeta, cfg_m.omega_rad_s, cfg_s.zeta,
-        cfg_s.omega_rad_s, scn.theta_offset, scn.loop_latency_ticks,
-        scn.dual_carrier, scn.wrap_compensation,
-        *(memoryview(a) for a in out),
+        n, scn.loop_config_master(), scn.loop_config_follower(),
+        memoryview(th0), memoryview(thx), phi[0], phi[1], phi[2], phi[3],
+        dopp_per_tick, [memoryview(row) for row in noise], has_noise,
+        scn.theta_offset, scn.loop_latency_ticks, scn.dual_carrier,
+        scn.wrap_compensation, *(memoryview(a) for a in out),
     )
     if bad >= 0:
         raise DivergenceError(bad)
@@ -444,27 +443,26 @@ def run_scenario(scn: Scenario, seed: int, engine: str = "kernel") -> ScenarioRe
     )
 
 
-def detect_ambiguity_jumps(series, tick_rate_hz: float, threshold: float = math.pi / 8,
-                           snap_to: float = math.pi / 2,
-                           snap_tol: float = math.pi / 16) -> list[tuple[int, float]]:
+def detect_ambiguity_jumps(series, tick_rate_hz: float) -> list[tuple[int, float]]:
     """Find divide-by-two ambiguity jumps in a phase-difference series.
 
     Reads the series, sampled at ``tick_rate_hz``, every 50 ms, coarse
     against the settling of 100 Hz loops (a jump takes ~10/omega_n), and
-    flags steps above ``threshold``, snapped to the nearest nonzero
-    multiple of ``snap_to``; steps farther than ``snap_tol`` from any such
-    multiple are discarded, so every magnitude is ~k*pi/2 within pi/16.
-    Returns (full-rate tick, magnitude) pairs.
+    flags steps above pi/8, snapped to the nearest nonzero multiple of
+    pi/2; steps farther than pi/16 from any such multiple are discarded,
+    so every magnitude is ~k*pi/2 within pi/16.  Returns (full-rate tick,
+    magnitude) pairs.
     """
+    quarter = math.pi / 2
     stride = max(1, int(0.05 * tick_rate_hz))
     x = np.asarray(series, dtype=float)[::stride]
     if x.size < 2:
         raise ValueError("series needs at least two samples 50 ms apart")
     diffs = np.diff(x)
     hits = []
-    for idx in np.nonzero(np.abs(diffs) > threshold)[0]:
+    for idx in np.nonzero(np.abs(diffs) > math.pi / 8)[0]:
         d = diffs[idx]
-        k = round(d / snap_to)
-        if k != 0 and abs(d - k * snap_to) <= snap_tol:
-            hits.append((int(idx + 1) * stride, float(k * snap_to)))
+        k = round(d / quarter)
+        if k != 0 and abs(d - k * quarter) <= math.pi / 16:
+            hits.append((int(idx + 1) * stride, float(k * quarter)))
     return hits

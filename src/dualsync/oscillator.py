@@ -32,6 +32,8 @@ import numpy as np
 
 # samples of the frequency-walk stream synthesize_phase draws and sums at once
 SYNTH_CHUNK = 1 << 16
+# largest miss, in dB, that fit_two_state allows at any mask point
+MASK_FIT_TOL_DB = 3.0
 
 
 class MaskFitError(ValueError):
@@ -106,13 +108,14 @@ class TwoStateClock:
     freq_state: float = 0.0
 
 
-def fit_two_state(mask: NoiseMask, tick_rate_hz: float, tol_db: float = 3.0) -> TwoStateParams:
+def fit_two_state(mask: NoiseMask, tick_rate_hz: float) -> TwoStateParams:
     """Fit per-tick sigmas so the synthesized PSD passes through the mask.
 
     Nonnegative least squares on the mask points in linear power units,
     row-weighted by each point's power; coefficients whose contribution is
     below 1e-6 of the model everywhere are snapped to zero.  Raises
-    MaskFitError when the best fit misses any point by more than tol_db.
+    MaskFitError when the best fit misses any point by more than
+    MASK_FIT_TOL_DB.
     """
     # imported here: scipy.optimize is most of the package's import time,
     # and bode, delay-margin and ideal-clock runs never fit a mask
@@ -132,7 +135,7 @@ def fit_two_state(mask: NoiseMask, tick_rate_hz: float, tol_db: float = 3.0) -> 
     model = basis @ a
     err_db = 10.0 * np.log10(model / power)
     worst = int(np.argmax(np.abs(err_db)))
-    if abs(err_db[worst]) > tol_db:
+    if abs(err_db[worst]) > MASK_FIT_TOL_DB:
         raise MaskFitError(
             f"mask not representable by a0 + a2/f^2 + a4/f^4: worst point "
             f"{f[worst]:g} Hz off by {err_db[worst]:+.2f} dB",

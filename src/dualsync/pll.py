@@ -9,6 +9,9 @@ integrator, and the closed loop is the classic unity-feedback
 second-order response (``linear_analysis.closed_tf``)
 
     G(s) = (2*zeta*omega*s + omega**2) / (s**2 + 2*zeta*omega*s + omega**2)
+
+with omega = 2*pi*f for a natural frequency f configured in Hz, the one
+convention of the package (``LoopConfig.omega_rad_s``).
 """
 
 from __future__ import annotations
@@ -41,19 +44,15 @@ def discriminate(received: complex, reference: complex) -> float:
 class LoopConfig:
     """Damping factor, natural frequency and update interval of one loop.
 
-    ``omega_n_hz`` is the natural frequency as configured, in Hz.  The
-    internal rad/s value depends on ``omega_units``:
-
-    * ``"hz_times_2pi"`` (default): omega = 2*pi*omega_n_hz.  This is the
-      interpretation pinned by the round-trip delay-margin anchor (0.23 us
-      at 1 MHz, see ``linear_analysis.delay_margin``).
-    * ``"hz_as_rad"``: the configured number is used directly as rad/s.
+    ``omega_n_hz`` is the natural frequency as configured, in Hz, and
+    ``omega_rad_s`` the one place it becomes rad/s: omega = 2*pi*omega_n_hz,
+    the reading pinned by the round-trip delay-margin anchor (0.23 us at
+    1 MHz, see ``linear_analysis.delay_margin``).
     """
 
     zeta: float
     omega_n_hz: float
     tick_period_s: float
-    omega_units: str = "hz_times_2pi"
 
     def __post_init__(self):
         if self.zeta <= 0:
@@ -62,8 +61,6 @@ class LoopConfig:
             raise ValueError("omega_n_hz must be positive")
         if self.tick_period_s <= 0:
             raise ValueError("tick_period_s must be positive")
-        if self.omega_units not in ("hz_times_2pi", "hz_as_rad"):
-            raise ValueError(f"unknown omega_units {self.omega_units!r}")
         if self.omega_rad_s * self.tick_period_s > 0.1:
             warnings.warn(
                 "omega_n * tick_period > 0.1; the discrete loop will deviate "
@@ -73,9 +70,7 @@ class LoopConfig:
 
     @property
     def omega_rad_s(self) -> float:
-        if self.omega_units == "hz_times_2pi":
-            return TWO_PI * self.omega_n_hz
-        return self.omega_n_hz
+        return TWO_PI * self.omega_n_hz
 
 
 @dataclass(frozen=True)

@@ -81,10 +81,6 @@ class PsdEstimate:
 
     freqs_hz: np.ndarray
     levels_dbc_hz: np.ndarray
-    block_len: int
-    n_blocks: int
-    window_atten_db: float
-    fs_hz: float
 
 
 def psd_estimate(
@@ -123,24 +119,17 @@ def psd_estimate(
     with np.errstate(divide="ignore"):
         levels = 10.0 * np.log10(0.5 * s_phi)
     freqs = np.arange(half) * (fs_hz / block_len)
-    return PsdEstimate(
-        freqs_hz=freqs,
-        levels_dbc_hz=levels,
-        block_len=block_len,
-        n_blocks=n_blocks,
-        window_atten_db=float(window_atten_db),
-        fs_hz=float(fs_hz),
-    )
+    return PsdEstimate(freqs_hz=freqs, levels_dbc_hz=levels)
 
 
-def psd_level_at(est: PsdEstimate, f_hz: float, rel_width: float = 0.1) -> float:
-    """Mean level (dB) over the bins within +-rel_width of f_hz.
+def psd_level_at(est: PsdEstimate, f_hz: float) -> float:
+    """Mean level (dB) over the bins within +-10% of f_hz.
 
     Averaging a narrow band tames single-bin periodogram scatter when a
     mask anchor is read off the estimate.
     """
     f = est.freqs_hz
-    band = (f >= (1.0 - rel_width) * f_hz) & (f <= (1.0 + rel_width) * f_hz) & (f > 0)
+    band = (f >= 0.9 * f_hz) & (f <= 1.1 * f_hz) & (f > 0)
     if not np.any(band):
         idx = int(np.argmin(np.abs(f - f_hz)))
         if idx == 0:

@@ -97,7 +97,7 @@ def test_criterion_2_delay_margin():
     t0 = time.perf_counter()
     margin = delay_margin(1.0, 1e6, 1.0, 1e6)
     grid = np.logspace(1, 6, 13)
-    margins = [m for _, m in delay_margin_grid(grid)]
+    margins = [m for _, m in delay_margin_grid(grid, 1.0, 1.0)]
     elapsed = time.perf_counter() - t0
     anchor_ok = abs(margin - 0.23e-6) / 0.23e-6 <= 0.25
     monotone_ok = all(b <= a * (1 + 1e-9) for a, b in zip(margins, margins[1:]))
@@ -344,8 +344,8 @@ def test_criterion_6b_ambiguity_jumps():
 
 def test_criterion_7_oracle_equivalences():
     # controller vs independent scalar recurrence
-    zeta, om, t = 0.8, 3.0, 1e-3
-    cfg = LoopConfig(zeta, om, t, omega_units="hz_as_rad")
+    cfg = LoopConfig(0.8, 3.0, 1e-3)
+    zeta, om, t = cfg.zeta, cfg.omega_rad_s, cfg.tick_period_s
     unit = LoopUnit()
     v = u = w2p = wp = 0.0
     worst = 0.0

@@ -177,6 +177,18 @@ class TestAnalysisCommands:
         margins = [float(r[1]) for r in rows]
         assert all(b <= a for a, b in zip(margins, margins[1:]))
 
+    def test_delay_margin_reads_both_dampings(self, tmp_path):
+        from dualsync.linear_analysis import delay_margin
+
+        cfg = write_config(tmp_path, "[master]\nzeta_m = 0.8\n[follower]\nzeta_s = 0.5\n")
+        out = str(tmp_path / "out")
+        assert run_cli("delay-margin", "--config", cfg, "--out", out, "--points", "5",
+                       "--quiet") == 0
+        _, _, rows = read_csv(os.path.join(out, "delay_margin.csv"))
+        assert len(rows) == 5
+        for f, margin in rows:
+            assert float(margin) == delay_margin(0.8, float(f), 0.5, float(f))
+
     def test_fit_noise_artifacts(self, tmp_path):
         cfg = write_config(
             tmp_path, "[output]\npsd_block_len = 8192\npsd_n_blocks = 8\n"
@@ -402,6 +414,19 @@ class TestErrors:
         err = json.loads(capsys.readouterr().err)
         assert err["detail"] == [
             "sweep value 3: framing.code_index_master is reserved and must be 1"]
+        assert not (out / "sweep_000").exists()
+
+    def test_sweep_over_omega_units_exits_2_before_any_point(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            "[run]\nduration_s = 0.05\n[sweep]\nkey = run.omega_units\n"
+            "values = hz_times_2pi, hz_as_rad\n",
+        )
+        out = tmp_path / "o"
+        assert run_cli("sweep", "--config", cfg, "--out", str(out), "--quiet") == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "config", "detail": [
+            "sweep value hz_as_rad: run.omega_units is reserved and must be hz_times_2pi"]}
         assert not (out / "sweep_000").exists()
 
     # an ideal clock has no phase noise: its PSD would ignore the flag

@@ -130,6 +130,17 @@ class TestValidation:
         cfg = parse_config(f"[framing]\npilot_len = {pilot_len}\n")
         assert cfg.to_scenario().pilot_len == pilot_len
 
+    def test_hz_as_rad_is_reserved(self):
+        # omega = 2*pi*f is the one reading; the key keeps its default so
+        # that every config hash keeps its bytes
+        message = "run.omega_units is reserved and must be hz_times_2pi"
+        with pytest.raises(ConfigError) as info:
+            parse_config("[run]\nomega_units = hz_as_rad\n")
+        assert info.value.errors == [message]
+        with pytest.raises(ConfigError) as info:
+            parse_config("").with_values({"run.omega_units": "hz_as_rad"})
+        assert info.value.errors == [message]
+
     def test_carrier_plan_ordering(self):
         with pytest.raises(ConfigError, match="carrier plan"):
             parse_config("[channel]\nfm_hz = 30e6\n")
@@ -197,3 +208,64 @@ class TestWithValues:
             parse_config("").with_values({"run.seed": -1, "framing.inter_pilot": 478})
         assert info.value.errors == ["run.seed must be nonnegative",
                                      "framing.inter_pilot must equal run.decimation"]
+
+
+# keys that shape what is written, not the ring: the seed picks the
+# streams, output.* the artifacts and sweep.* the grid of configs
+EMISSION_ONLY = {
+    "run.seed",
+    "output.directory", "output.emit_psd", "output.psd_block_len", "output.psd_n_blocks",
+    "output.psd_source", "output.psd_window_atten_db",
+    "sweep.key", "sweep.values",
+}
+
+# a value off the default for every other key
+OFF_DEFAULT = {
+    "master.mask": "[(1, -80), (10, -120), (10000, -150)]",
+    "master.mask_ref_hz": "5e6",
+    "master.zeta_m": "0.7",
+    "master.omega_m_hz": "50",
+    "master.theta_offset": "0.1",
+    "follower.mask": "[(1, -75), (10, -105), (10000, -145)]",
+    "follower.mask_ref_hz": "5e6",
+    "follower.zeta_s": "0.5",
+    "follower.omega_s_hz": "50",
+    "follower.initial_phase_deg": "90",
+    "follower.freq_offset_hz": "1",
+    "channel.snr_db": "10",
+    "channel.doppler_hz": "1",
+    "channel.tau_s": "1e-9",
+    "channel.loop_latency_ticks": "2",
+    "channel.fc_hz": "2300e6",
+    "channel.fm_hz": "60e6",
+    "channel.fs_hz": "30e6",
+    "channel.dual_carrier": "off",
+    "run.duration_s": "5",
+    "run.baud_hz": "4e6",
+    "run.decimation": "512",
+    "run.wrap_compensation": "off",
+    "run.ideal_clocks": "on",
+    "run.omega_units": "hz_as_rad",
+    "framing.pilot_len": "16",
+    "framing.inter_pilot": "512",
+    "framing.code_index_master": "3",
+    "framing.code_index_follower": "0",
+}
+
+
+class TestEveryKeyHasAnEffect:
+    def test_every_key_is_classified(self):
+        # a new key fails here until it is listed in one of the two tables
+        keys = {f"{section}.{key}" for section, keys in SCHEMA.items() for key in keys}
+        assert not EMISSION_ONLY & set(OFF_DEFAULT)
+        assert EMISSION_ONLY | set(OFF_DEFAULT) == keys
+
+    @pytest.mark.parametrize("full", sorted(OFF_DEFAULT))
+    def test_off_default_value_is_rejected_or_changes_the_scenario(self, full):
+        base = parse_config("")
+        try:
+            cfg = base.with_values({full: OFF_DEFAULT[full]})
+        except ConfigError:
+            return
+        assert cfg.values[full] != base.values[full]
+        assert cfg.to_scenario() != base.to_scenario()

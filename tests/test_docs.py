@@ -1,12 +1,12 @@
 """README.md stays true to the code: its example config parses, its
-recipe table lists the recipes the CLI has and its library layout lists
-the package's modules."""
+configuration notes name every reserved key, its recipe table lists the
+recipes the CLI has and its library layout lists the package's modules."""
 
 import re
 from pathlib import Path
 
 from dualsync.cli import RECIPES
-from dualsync.config import parse_config
+from dualsync.config import RESERVED_KEYS, parse_config
 
 ROOT = Path(__file__).resolve().parents[1]
 README = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -19,6 +19,12 @@ def test_example_config_parses_to_the_defaults():
     differing = {k for k in defaults if example[k] != defaults[k]}
     assert differing == {"sweep.key", "sweep.values"}
     assert example["sweep.key"] == "channel.snr_db"
+
+
+def test_configuration_names_every_reserved_key():
+    section = README.split("### Configuration", 1)[1].split("\n### ", 1)[0]
+    prose = section.split("```", 2)[2]
+    assert [k for k in RESERVED_KEYS if f"`{k}`" not in prose] == []
 
 
 def test_recipe_table_lists_every_recipe():

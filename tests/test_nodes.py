@@ -16,7 +16,7 @@ from dualsync.nodes import (
     detect_ambiguity_jumps,
     run_scenario,
 )
-from dualsync.pll import wrap_phase
+from dualsync.pll import LoopConfig, wrap_phase
 
 TWO_PI = 2.0 * math.pi
 TICK = 956 / 8e6
@@ -27,10 +27,9 @@ def run_kernel(n, phi, loop=_tick_loop, theta_offset=0.0, dual=True):
     """Noiseless, ideal-clock ring of n ticks at latency 1 with 100 Hz loops,
     run by ``loop`` (the kernel or its phasor-form oracle)."""
     out = [np.empty(n) for _ in range(7)]
-    om = TWO_PI * 100.0
-    bad = loop(n, TICK, np.zeros(n), np.zeros(n), phi[0], phi[1], phi[2], phi[3],
-               0.0, np.zeros((8, 1)), False, 1.0, om, 1.0, om, theta_offset, 1, dual,
-               True, *out)
+    cfg = LoopConfig(1.0, 100.0, TICK)
+    bad = loop(n, cfg, cfg, np.zeros(n), np.zeros(n), phi[0], phi[1], phi[2], phi[3],
+               0.0, np.zeros((8, 1)), False, theta_offset, 1, dual, True, *out)
     assert bad == -1
     return out
 
@@ -163,11 +162,11 @@ class TestKernelInputType:
         r = run_scenario(Scenario(duration_s=0.5, **kw), seed=11, engine=self.engine)
         (args,) = calls
         inputs = args[:-7]
-        assert all(isinstance(inputs[k], memoryview) for k in (2, 3))  # th0, thx
-        assert len(inputs[9]) == 8  # noise: one 1-D memoryview per quadrature
-        assert all(isinstance(v, memoryview) and v.ndim == 1 for v in inputs[9])
+        assert all(isinstance(inputs[k], memoryview) for k in (3, 4))  # th0, thx
+        assert len(inputs[10]) == 8  # noise: one 1-D memoryview per quadrature
+        assert all(isinstance(v, memoryview) and v.ndim == 1 for v in inputs[10])
         inputs = [np.asarray(a) if isinstance(a, memoryview) else a for a in inputs]
-        inputs[9] = np.array(inputs[9])
+        inputs[10] = np.array(inputs[10])
         out = [np.empty(r.n_ticks) for _ in range(7)]
         assert self.loop(*inputs, *out) == -1
         for name, series in zip(SERIES, out):
@@ -337,7 +336,7 @@ class TestRunScenario:
         # PSDs use too
         seen = {}
 
-        def capture(n, tick_period, th0, thx, *rest):
+        def capture(n, cfg_m, cfg_s, th0, thx, *rest):
             seen["master"], seen["follower"] = np.array(th0), np.array(thx)
             return -1
 

@@ -99,8 +99,8 @@ class TestController:
         # independent scalar recurrence:
         #   v(n) = v(n-1) + (T/2)*(w2(n) + w2(n-1)),  w2 = omega**2 * e
         #   u(n) = u(n-1) + (T/2)*(w(n) + w(n-1)),    w  = 2*zeta*omega*e + v
-        zeta, om, t = 1.0, 1.0, 1e-3
-        cfg = LoopConfig(zeta=zeta, omega_n_hz=om, tick_period_s=t, omega_units="hz_as_rad")
+        cfg = LoopConfig(zeta=1.0, omega_n_hz=1.0, tick_period_s=1e-3)
+        zeta, om, t = cfg.zeta, cfg.omega_rad_s, cfg.tick_period_s
         unit = LoopUnit()
         v = u = w2p = wp = 0.0
         for n in range(500):
@@ -200,11 +200,7 @@ class TestLoopConfig:
             LoopConfig(zeta=0.0, omega_n_hz=10.0, tick_period_s=1e-4)
         with pytest.raises(ValueError):
             LoopConfig(zeta=1.0, omega_n_hz=-1.0, tick_period_s=1e-4)
-        with pytest.raises(ValueError):
-            LoopConfig(zeta=1.0, omega_n_hz=10.0, tick_period_s=1e-4, omega_units="radians")
 
     def test_omega_unit_conventions(self):
-        hz = LoopConfig(1.0, 10.0, 1e-4, "hz_times_2pi")
-        raw = LoopConfig(1.0, 10.0, 1e-4, "hz_as_rad")
-        assert hz.omega_rad_s == pytest.approx(TWO_PI * 10.0)
-        assert raw.omega_rad_s == 10.0
+        # the one Hz -> rad/s reading, pinned by the delay-margin anchor
+        assert LoopConfig(1.0, 10.0, 1e-4).omega_rad_s == TWO_PI * 10.0
