@@ -54,7 +54,7 @@ class CarrierPlan:
 
 
 def prop_phase(f_hz: float, tau_s: float) -> float:
-    """Propagation phase -2*pi*f*tau wrapped to (-pi, pi]."""
+    """Propagation phase -2*pi*f*tau, wrapped by ``pll.wrap_phase``."""
     if f_hz <= 0:
         raise ValueError("carrier frequency must be positive")
     if tau_s < 0:

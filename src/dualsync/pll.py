@@ -25,12 +25,20 @@ TWO_PI = 2.0 * math.pi
 
 
 def wrap_phase(x: float) -> float:
-    """Wrap a phase to the half-open interval (-pi, pi]."""
+    """Wrap a phase to (-pi, pi], up to rounding.
+
+    The result is x + 2*pi*k with k = floor((pi - x)/(2*pi)), so it is
+    congruent to x and lies in (-pi, pi] up to the rounding of that sum,
+    which is about one ulp of x: pi + 1 ulp for the input one ulp above
+    -pi, pi + 3.3e-13 for ``channel.prop_phase(2150e6, 3.3e-7)`` (x near
+    -1419*pi).  It is not clamped, so every pinned series keeps its bytes.
+    """
     return x + TWO_PI * math.floor((math.pi - x) / TWO_PI)
 
 
 def discriminate(received: complex, reference: complex) -> float:
-    """Phase of ``received`` relative to ``reference``, in (-pi, pi].
+    """Phase of ``received`` relative to ``reference``, wrapped by
+    ``wrap_phase``.
 
     Raises ValueError if either phasor has zero magnitude (the angle is
     undefined there).

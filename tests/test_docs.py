@@ -1,11 +1,13 @@
 """README.md stays true to the code: its example config parses, its
-configuration notes name every reserved key, its recipe table lists the
-recipes the CLI has and its library layout lists the package's modules."""
+configuration notes name every reserved key, its CLI table lists the
+subcommands the parser has, its recipe table lists the recipes the CLI
+has and its library layout lists the package's modules."""
 
+import argparse
 import re
 from pathlib import Path
 
-from dualsync.cli import RECIPES
+from dualsync.cli import RECIPES, build_parser
 from dualsync.config import RESERVED_KEYS, parse_config
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -25,6 +27,15 @@ def test_configuration_names_every_reserved_key():
     section = README.split("### Configuration", 1)[1].split("\n### ", 1)[0]
     prose = section.split("```", 2)[2]
     assert [k for k in RESERVED_KEYS if f"`{k}`" not in prose] == []
+
+
+def test_cli_table_lists_every_subcommand():
+    section = README.split("\n## CLI\n", 1)[1].split("\n### ", 1)[0]
+    listed = re.findall(r"^\| `([\w-]+)` ", section, re.M)
+    (subparsers,) = [a for a in build_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+    assert len(listed) == len(set(listed))
+    assert set(listed) == set(subparsers.choices)
 
 
 def test_recipe_table_lists_every_recipe():

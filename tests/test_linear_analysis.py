@@ -51,6 +51,14 @@ class TestRationalDelayTF:
         with pytest.raises(ValueError):
             RationalDelayTF(num=(1.0,), den=(0.0,))
 
+    def test_trailing_zeros_trimmed_to_builtin_floats(self):
+        tf = RationalDelayTF(num=(1.0, 2.0, 0.0, -0.0), den=(0.0, 1.0, 0.0))
+        assert tf.num == (1.0, 2.0)
+        assert tf.den == (0.0, 1.0)
+        assert all(type(c) is float for c in tf.num + tf.den)
+        with pytest.raises(ValueError):
+            RationalDelayTF(den=(0.0, 0.0))
+
 
 class TestGcTf:
     def test_dc_value(self):
@@ -162,6 +170,37 @@ class TestDelayMargin:
         assert delay_margin(1.0, 1e3, 1.0, 1e3) == pytest.approx(
             1e3 * delay_margin(1.0, 1e6, 1.0, 1e6), rel=1e-3
         )
+
+    def test_slow_follower_has_a_finite_margin(self):
+        # |L| crosses unity at 88.8 rad/s, below 1e-2 times the master's
+        # omega (628 rad/s): the search band must start from the slower loop
+        assert delay_margin(1.0, 1e4, 1.0, 10.0) == pytest.approx(0.027706, rel=1e-4)
+        assert delay_margin(1.0, 10.0, 1.0, 1e4) == pytest.approx(0.0352416, rel=1e-5)
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(
+        zm=st.floats(0.3, 2.0), zs=st.floats(0.3, 2.0),
+        fm=st.floats(1.0, 1e5), ratio=st.floats(1e-3, 1e3),
+    )
+    def test_matches_brute_force_on_unequal_loops(self, zm, zs, fm, ratio):
+        fs = fm * ratio
+        w_min = 2 * math.pi * min(fm, fs)
+        w_max = 2 * math.pi * max(fm, fs)
+        w = np.logspace(math.log10(1e-4 * w_min), math.log10(1e4 * w_max), 100_000)
+
+        def open_loop(w):
+            g_m = direct_gm(1j * w, zm, fm)
+            return -0.5 * g_m / (1 - 0.5 * g_m) * direct_gm(1j * w, zs, fs)
+
+        log_mag = np.log(np.abs(open_loop(w)))
+        idx = np.nonzero(np.diff(np.sign(log_mag)))[0]
+        # interpolate each unity crossing in (log w, log |L|)
+        frac = log_mag[idx] / (log_mag[idx] - log_mag[idx + 1])
+        wc = np.exp(np.log(w[idx]) + frac * np.log(w[idx + 1] / w[idx]))
+        margins = np.angle(open_loop(wc)) % (2 * math.pi) / wc
+        want = float(margins.min()) if len(wc) else math.inf
+        # approx(inf) equals only inf
+        assert delay_margin(zm, fm, zs, fs) == pytest.approx(want, rel=1e-3)
 
 
 class TestAsymError:

@@ -9,6 +9,7 @@ import pytest
 import scipy.signal
 
 import dualsync
+from dualsync.channel import prop_phase
 from dualsync.linear_analysis import closed_tf
 from dualsync.pll import (
     LoopConfig,
@@ -55,6 +56,15 @@ class TestWrapPhase:
             w = wrap_phase(x)
             assert -math.pi < w <= math.pi
             assert math.isclose(math.cos(w - x), 1.0, abs_tol=1e-9)
+
+    def test_rounding_can_land_just_above_pi(self):
+        # the documented range holds up to the rounding of x + 2*pi*k;
+        # the result is not clamped (pinned series depend on these bytes)
+        above_pi = math.nextafter(math.pi, 4.0)
+        assert wrap_phase(math.nextafter(-math.pi, 0.0)) == above_pi == 3.1415926535897936
+        # f*tau = 709.5 cycles: the rounding of x = -2*pi*f*tau, about -4458,
+        # carries over into the wrapped value
+        assert prop_phase(2150e6, 3.3e-7) == 3.1415926535901235
 
 
 class TestDiscriminate:
