@@ -62,23 +62,22 @@ def _say(args, message: str) -> None:
         print(message)
 
 
-def _psd_series(cfg: ScenarioConfig, result) -> tuple[np.ndarray, float]:
-    """Series selected by output.psd_source plus its sample rate; the ring
-    sources are read from `result`."""
+def _psd_series(cfg: ScenarioConfig, result) -> np.ndarray:
+    """Series selected by output.psd_source; the ring sources are read from
+    `result`."""
     source = cfg.get("output", "psd_source")
-    scn = cfg.to_scenario()
     if source not in CLOCK_SOURCES:
-        return np.asarray(getattr(result, source)), scn.tick_rate_hz
+        return np.asarray(getattr(result, source))
     n = cfg.get("output", "psd_block_len") * cfg.get("output", "psd_n_blocks")
     # through the module attribute, which tracing patches
-    series = nodes._clock_series(scn, cfg.get("run", "seed"), source.removesuffix("_clock"), n)
-    return series, scn.tick_rate_hz
+    return nodes._clock_series(cfg.to_scenario(), cfg.get("run", "seed"),
+                               source.removesuffix("_clock"), n)
 
 
-def _write_psd(path: str, cfg: ScenarioConfig, series, fs_hz: float) -> None:
+def _write_psd(path: str, cfg: ScenarioConfig, series) -> None:
     est = psd_estimate(
         series,
-        fs_hz,
+        cfg.to_scenario().tick_rate_hz,
         block_len=cfg.get("output", "psd_block_len"),
         n_blocks=cfg.get("output", "psd_n_blocks"),
         window_atten_db=cfg.get("output", "psd_window_atten_db"),
@@ -87,23 +86,45 @@ def _write_psd(path: str, cfg: ScenarioConfig, series, fs_hz: float) -> None:
                zip(est.freqs_hz.tolist(), est.levels_dbc_hz.tolist()))
 
 
-def _emit(cfg: ScenarioConfig, timeseries=None, psd=None, jumps=None):
+# timeseries.csv: tick, t_s, then each of these ScenarioResult series in rad
+TIMESERIES_SERIES = ("theta_bf_minus_theta0", "theta_out", "alpha", "r1", "r2", "r3", "r4")
+TIMESERIES_HEADER = ["tick", "t_s", *(f"{name}_rad" for name in TIMESERIES_SERIES)]
+# ticks per block that _timeseries_rows converts to Python floats
+ROW_CHUNK = 8192
+
+
+def _timeseries_rows(result):
+    """Yield timeseries.csv rows of built-in ints and floats, converted
+    ROW_CHUNK ticks at a time to bound memory."""
+    cols = (result.t_s, *(getattr(result, name) for name in TIMESERIES_SERIES))
+    for start in range(0, result.n_ticks, ROW_CHUNK):
+        stop = min(start + ROW_CHUNK, result.n_ticks)
+        yield from zip(range(start, stop), *(c[start:stop].tolist() for c in cols))
+
+
+def _emit(cfg: ScenarioConfig, timeseries=None, psd=None, jumps=None, window_response=None):
     """Write the artifacts given a path, running the ring at most once (not
-    at all for a clock PSD alone); returns the ring result or None."""
+    for a clock PSD or window response alone); returns its result or None."""
     result = None
     if timeseries or jumps or (psd and cfg.get("output", "psd_source") not in CLOCK_SOURCES):
         result = run_scenario(cfg.to_scenario(), cfg.get("run", "seed"))
     if timeseries:
-        _write_csv(timeseries, _stamp(cfg),
-                   ["tick", "t_s", "theta_bf_minus_theta0_rad", "theta_out_rad", "alpha_rad",
-                    "r1_rad", "r2_rad", "r3_rad", "r4_rad"],
-                   result.rows())
+        _write_csv(timeseries, _stamp(cfg), TIMESERIES_HEADER, _timeseries_rows(result))
     if psd:
-        _write_psd(psd, cfg, *_psd_series(cfg, result))
+        _write_psd(psd, cfg, _psd_series(cfg, result))
     if jumps:
         found = detect_ambiguity_jumps(result.theta_bf_minus_theta0, result.tick_rate_hz)
         _write_csv(jumps, _stamp(cfg), ["tick", "t_s", "magnitude_rad"],
                    ((i, i / result.tick_rate_hz, m) for i, m in found))
+    if window_response:
+        # power response of the psd_block_len-sample Dolph-Chebyshev window,
+        # 8x zero-padded, relative to DC
+        n = cfg.get("output", "psd_block_len")
+        resp = np.fft.rfft(cheb_window(n, cfg.get("output", "psd_window_atten_db")), n=8 * n)
+        with np.errstate(divide="ignore"):
+            level = 20.0 * np.log10(np.abs(resp) / np.abs(resp[0]))
+        _write_csv(window_response, _stamp(cfg), ["freq_cycles_per_sample", "level_db"],
+                   zip((np.arange(resp.size) / (8.0 * n)).tolist(), level.tolist()))
     return result
 
 
@@ -139,11 +160,15 @@ def cmd_bode(args) -> int:
     return 0
 
 
+# natural frequencies of delay_margin.csv, log-spaced over 10 Hz..1 MHz
+MARGIN_GRID_POINTS = 25
+
+
 def cmd_delay_margin(args) -> int:
     cfg = _load_config(args)
     out = _outdir(args, cfg)
     scn = cfg.to_scenario()
-    grid = np.logspace(1, 6, args.points)
+    grid = np.logspace(1, 6, MARGIN_GRID_POINTS)
     rows = la.delay_margin_grid(grid, scn.zeta_m, scn.zeta_s)
     path = os.path.join(out, "delay_margin.csv")
     _write_csv(path, _stamp(cfg), ["omega_n_hz", "margin_s"], rows)
@@ -165,7 +190,7 @@ def cmd_fit_noise(args) -> int:
                      params.tick_rate_hz))
         series = synthesize_phase(params.rescaled(scn.decimation), n,
                                   np.random.default_rng(stream))
-        _write_psd(os.path.join(out, f"psd_{side}.csv"), cfg, series, scn.tick_rate_hz)
+        _write_psd(os.path.join(out, f"psd_{side}.csv"), cfg, series)
     path = os.path.join(out, "noise_fit.csv")
     _write_csv(path, _stamp(cfg),
                ["node", "sigma0_rad", "sigma1_rad", "sigma2_rad_per_tick", "tick_rate_hz"],
@@ -228,13 +253,16 @@ def _loops(omega_hz) -> dict:
 
 # figure -> runs of ({artifact kind: file name}, {section.key: override}); each
 # run starts from the defaults plus run.seed, and its first file names it in
-# configs.txt.  fig14 has no ring and is written by cmd_reproduce itself.
+# configs.txt.
 RECIPES: dict[str, list[tuple[dict, dict]]] = {
     # RF-scaled oscillator phase-noise estimates for both nodes
     "fig13": [({"psd": f"psd_{side}.csv"},
                {"output.psd_block_len": 2**17, "output.psd_n_blocks": 32,
                 "output.psd_window_atten_db": 300, "output.psd_source": f"{side}_clock"})
               for side in ("master", "follower")],
+    # power response of the 2^17-sample 300 dB Dolph-Chebyshev window
+    "fig14": [({"window_response": "window_response.csv"},
+               {"output.psd_block_len": 2**17, "output.psd_window_atten_db": 300})],
     # beamforming-phase noise floors vs SNR (reduced block length for runtime)
     "fig15": [({"psd": f"psd_snr{snr}.csv"},
                {"channel.snr_db": snr, "run.duration_s": 70, **_loops(100),
@@ -280,22 +308,10 @@ def cmd_reproduce(args) -> int:
     if ignored:
         raise ConfigError([f"reproduce ignores {k}; only run.seed and output.directory "
                            f"may differ from the defaults" for k in ignored])
-    out = _outdir(args, cfg0)
     fig = args.figure.lower()
-    if fig == "fig14":
-        # power response of the 2^17-sample 300 dB Dolph-Chebyshev window
-        w = cheb_window(2**17, 300.0)
-        resp = np.fft.rfft(w, n=8 * 2**17)
-        with np.errstate(divide="ignore"):
-            level = 20.0 * np.log10(np.abs(resp) / np.abs(resp[0]))
-        freqs = np.arange(resp.size) / (8.0 * 2**17)
-        path = os.path.join(out, "window_response.csv")
-        _write_csv(path, _stamp(cfg0), ["freq_cycles_per_sample", "level_db"],
-                   zip(freqs.tolist(), level.tolist()))
-        _say(args, f"wrote {path}")
-        return 0
     if fig not in RECIPES:
         raise ConfigError([f"unsupported figure {args.figure!r}; supported: fig13..fig22"])
+    out = _outdir(args, cfg0)
     base = defaults.with_values({"run.seed": cfg0.get("run", "seed")})
     written, configs = [], []
     for files, overrides in RECIPES[fig]:
@@ -336,7 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("delay-margin", help="delay margin over a log grid -> delay_margin.csv")
     common(p)
-    p.add_argument("--points", type=int, default=25, help="grid points (default 25)")
     p.set_defaults(func=cmd_delay_margin)
 
     p = sub.add_parser("fit-noise", help="fit oscillator sigmas, emit verification PSDs")

@@ -57,8 +57,6 @@ from .pll import LoopConfig, LoopUnit, controller_step, discriminate, wrap_phase
 
 TWO_PI = 2.0 * math.pi
 DIVERGENCE_LIMIT_RAD = 1e6
-# ticks per block that ScenarioResult.rows() converts to Python floats
-ROW_CHUNK = 8192
 
 
 class DivergenceError(RuntimeError):
@@ -68,6 +66,10 @@ class DivergenceError(RuntimeError):
         super().__init__(f"scenario diverged at tick {tick} (phase beyond "
                          f"{DIVERGENCE_LIMIT_RAD:g} rad or NaN)")
         self.tick = tick
+
+    def __reduce__(self):
+        # RuntimeError's default would call __init__ with the whole message
+        return DivergenceError, (self.tick,)
 
 
 @dataclass(frozen=True)
@@ -145,15 +147,6 @@ class ScenarioResult:
     def t_s(self) -> np.ndarray:
         return np.arange(self.n_ticks) / self.tick_rate_hz
 
-    def rows(self):
-        """Yield timeseries.csv rows (tick, t_s, series...) of built-in ints
-        and floats, converted ROW_CHUNK ticks at a time to bound memory."""
-        cols = (self.t_s, self.theta_bf_minus_theta0, self.theta_out, self.alpha,
-                self.r1, self.r2, self.r3, self.r4)
-        for start in range(0, self.n_ticks, ROW_CHUNK):
-            stop = min(start + ROW_CHUNK, self.n_ticks)
-            yield from zip(range(start, stop), *(c[start:stop].tolist() for c in cols))
-
 
 def _streams(seed: int) -> list[np.random.SeedSequence]:
     """The seed's child streams in the module docstring's layout."""
@@ -177,20 +170,21 @@ def _clock_series(scn: Scenario, seed: int, side: str, n: int) -> np.ndarray:
 
 
 def _tick_loop(n, cfg_m, cfg_s, th0, thx, phi1, phi2, phi3, phi4, dopp_per_tick,
-               noise, has_noise, theta_offset, latency, dual, wrap_comp,
+               noise, theta_offset, latency, dual, wrap_comp,
                bf0, out_arr, al, r1a, r2a, r3a, r4a):
     """Sequential tick kernel in pure Python.
 
     Identical math to ``_reference_loop``; returns the first diverged
     tick or -1.  ``cfg_m`` and ``cfg_s`` are the master's and the
     follower's ``pll.LoopConfig``, read once before the loop.  The series
-    arguments may be ndarrays or memoryviews of them, and ``noise``
-    anything that unpacks to its eight 1-D rows (a 2-D ndarray or a list
-    of row memoryviews); ``run_scenario`` passes memoryviews, whose
-    elements are plain floats, which keeps numpy scalar arithmetic out of
-    the loop without changing a bit.
+    arguments may be ndarrays or memoryviews of them, and ``noise`` None
+    for a noiseless ring or anything that unpacks to its eight 1-D rows (a
+    2-D ndarray or a list of row memoryviews); ``run_scenario`` passes
+    memoryviews, whose elements are plain floats, which keeps numpy scalar
+    arithmetic out of the loop without changing a bit.
     """
-    n0, n1, n2, n3, n4, n5, n6, n7 = noise
+    has_noise = noise is not None
+    n0, n1, n2, n3, n4, n5, n6, n7 = noise if has_noise else (None,) * 8
     cos = math.cos
     sin = math.sin
     atan2 = math.atan2
@@ -316,7 +310,7 @@ _tick_loop_fast = _tick_loop
 
 
 def _reference_loop(n, cfg_m, cfg_s, th0, thx, phi1, phi2, phi3, phi4, dopp_per_tick,
-                    noise, has_noise, theta_offset, latency, dual, wrap_comp,
+                    noise, theta_offset, latency, dual, wrap_comp,
                     bf0, out_arr, al, r1a, r2a, r3a, r4a):
     """The kernel's tick in phasor form: its oracle, with its arguments.
 
@@ -335,7 +329,7 @@ def _reference_loop(n, cfg_m, cfg_s, th0, thx, phi1, phi2, phi3, phi4, dopp_per_
 
     def receive(tx, j, i):
         rx = tx * cmath.exp(1j * (phis[j] + dopp_per_tick * i))
-        if has_noise:
+        if noise is not None:
             rx += complex(noise[2 * j][i], noise[2 * j + 1][i])
         return rx
 
@@ -406,16 +400,14 @@ def run_scenario(scn: Scenario, seed: int, engine: str = "kernel") -> ScenarioRe
     if scn.follower_freq_offset_hz:
         thx += TWO_PI * scn.follower_freq_offset_hz * scn.tick_period_s * np.arange(n)
     sigma = scn.noise_sigma
+    noise = None
     if sigma > 0.0:
         # each leg's (2, n) draw lands in its own rows, then one scaling
-        noise = np.empty((8, n))
+        draws = np.empty((8, n))
         for leg, stream in enumerate(_streams(seed)[2:]):
-            np.random.default_rng(stream).standard_normal(out=noise[2 * leg:2 * leg + 2])
-        noise *= sigma / math.sqrt(2.0)
-        has_noise = True
-    else:
-        noise = np.zeros((8, 1))
-        has_noise = False
+            np.random.default_rng(stream).standard_normal(out=draws[2 * leg:2 * leg + 2])
+        draws *= sigma / math.sqrt(2.0)
+        noise = [memoryview(row) for row in draws]
     phi = scn.prop_phases()
     dopp_per_tick = TWO_PI * scn.doppler_hz * scn.tick_period_s
 
@@ -424,8 +416,7 @@ def run_scenario(scn: Scenario, seed: int, engine: str = "kernel") -> ScenarioRe
     bad = loop(
         n, scn.loop_config_master(), scn.loop_config_follower(),
         memoryview(th0), memoryview(thx), phi[0], phi[1], phi[2], phi[3],
-        dopp_per_tick, [memoryview(row) for row in noise], has_noise,
-        scn.theta_offset, scn.loop_latency_ticks, scn.dual_carrier,
+        dopp_per_tick, noise, scn.theta_offset, scn.loop_latency_ticks, scn.dual_carrier,
         scn.wrap_compensation, *(memoryview(a) for a in out),
     )
     if bad >= 0:

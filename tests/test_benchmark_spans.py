@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from dualsync.cli import main
+from dualsync.config import parse_config_file
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -46,3 +47,27 @@ def test_clock_psd_synthesis_is_traced(tmp_path):
     finally:
         tracer.uninstall()
     assert tracer.totals()["oscillator.synth"]["samples"] == 512 * 3
+
+
+def test_positional_counts_match_the_run(tmp_path):
+    # the tracer reads the tick count, the CSV rows and the series lengths
+    # from positional arguments; an argument moved out of its position is
+    # still a patch point that resolves, but counts the wrong value
+    cfg = tmp_path / "ring.cfg"
+    cfg.write_text("[run]\nduration_s = 0.1\n[output]\nemit_psd = on\n"
+                   "psd_source = master_clock\npsd_block_len = 64\npsd_n_blocks = 8\n")
+    n_ticks = parse_config_file(str(cfg)).to_scenario().n_ticks
+    tracer = _spans().Tracer()
+    tracer.install()
+    try:
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                     "--quiet"]) == 0
+    finally:
+        tracer.uninstall()
+    totals = tracer.totals()
+    assert totals["nodes.kernel"]["ticks"] == n_ticks
+    # timeseries.csv, then psd.csv with one row per bin below Nyquist
+    assert [s.counts["rows"] for s in tracer.spans if s.name == "cli.emit"] == [n_ticks, 32]
+    assert totals["spectral.psd"]["samples"] == 64 * 8
+    # both ring clocks, then the master clock for its PSD
+    assert totals["oscillator.synth"]["samples"] == 2 * n_ticks + 64 * 8

@@ -10,6 +10,7 @@ import pytest
 
 from dualsync import cli
 from dualsync.cli import main
+from dualsync.nodes import Scenario, run_scenario
 
 
 def run_cli(*argv):
@@ -171,9 +172,10 @@ class TestAnalysisCommands:
 
     def test_delay_margin_monotone(self, tmp_path):
         out = str(tmp_path / "out")
-        assert run_cli("delay-margin", "--out", out, "--points", "9", "--quiet") == 0
+        assert run_cli("delay-margin", "--out", out, "--quiet") == 0
         _, header, rows = read_csv(os.path.join(out, "delay_margin.csv"))
         assert header == ["omega_n_hz", "margin_s"]
+        assert len(rows) == cli.MARGIN_GRID_POINTS == 25
         margins = [float(r[1]) for r in rows]
         assert all(b <= a for a, b in zip(margins, margins[1:]))
 
@@ -182,10 +184,9 @@ class TestAnalysisCommands:
 
         cfg = write_config(tmp_path, "[master]\nzeta_m = 0.8\n[follower]\nzeta_s = 0.5\n")
         out = str(tmp_path / "out")
-        assert run_cli("delay-margin", "--config", cfg, "--out", out, "--points", "5",
-                       "--quiet") == 0
+        assert run_cli("delay-margin", "--config", cfg, "--out", out, "--quiet") == 0
         _, _, rows = read_csv(os.path.join(out, "delay_margin.csv"))
-        assert len(rows) == 5
+        assert len(rows) == 25
         for f, margin in rows:
             assert float(margin) == delay_margin(0.8, float(f), 0.5, float(f))
 
@@ -284,11 +285,32 @@ class TestSweep:
             b = open(os.path.join(par_out, f"sweep_{i:03d}", "timeseries.csv"), "rb").read()
             assert a == b
 
+    @pytest.mark.filterwarnings("ignore:.*:UserWarning")
+    def test_parallel_sweep_reports_divergence_as_sequential(self, tmp_path, capsys):
+        # the error crosses the process boundary by pickle, which must rebuild
+        # it from its tick rather than from its message
+        cfg = write_config(
+            tmp_path,
+            "[run]\nduration_s = 1\nideal_clocks = on\n[master]\nomega_m_hz = 4000\n"
+            "[follower]\nomega_s_hz = 4000\ninitial_phase_deg = 60\n"
+            "[sweep]\nkey = run.seed\nvalues = 1, 2\n",
+        )
+        errors = []
+        for workers in ("1", "2"):
+            assert run_cli("sweep", "--config", cfg, "--out", str(tmp_path / workers),
+                           "--quiet", "--workers", workers) == 3
+            errors.append(capsys.readouterr().err)
+        assert errors[1] == errors[0]
+        assert json.loads(errors[0]) == {
+            "error": "divergence", "tick": 5069,
+            "detail": "scenario diverged at tick 5069 (phase beyond 1e+06 rad or NaN)"}
+
 
 # sha256 of configs.txt at seed 1: the recipes' configs are part of the
 # reproducibility contract
 RECIPE_CONFIGS_SHA256 = {
     "fig13": "909383a6f45561fb0560849e5f58723c020452fe2214c1894eadc539945d7580",
+    "fig14": "1299d0b7cbd29ec7225cf9044b21838c7d63d4d4c3a21e7aad50d3a4ec5b70a3",
     "fig15": "893eda015a650cb8e80a12008142ef8f4b5aff98507a7f8b5107c5a582c38bc1",
     "fig16": "958db78ad86bf06bec9ed2dfd8c8314bdaef58c85d62dd19b186921dd411d264",
     "fig17": "8918ef4829ec928e4498ca33e44bf23e65f90c4b748b6d897e4c79116c9f7a27",
@@ -300,8 +322,10 @@ RECIPE_CONFIGS_SHA256 = {
 }
 
 
-# sha256 of fig14's window_response.csv at the default seed
-FIG14_SHA256 = "10e32865fa9baf4b787323e6e7ec094591e1ebe631c1ba9278f49c835039cebb"
+# sha256 of fig14's window_response.csv at the default seed, and of its
+# lines after the stamp, which hashes the config that sets the window
+FIG14_SHA256 = "7432ce9dd2cd10c59c95693f94c4fe37c539e9569f124333007af1119090c5fe"
+FIG14_BODY_SHA256 = "cb96ab706744d79ae535b73869599e6875191cdb534fa0837151f932916c4268"
 
 
 class TestReproduce:
@@ -345,8 +369,11 @@ class TestReproduce:
         levels = np.array([float(r[1]) for r in rows])
         assert levels[0] == 0.0
         assert np.min(levels) < -290
-        digest = hashlib.sha256((tmp_path / "out" / "window_response.csv").read_bytes())
-        assert digest.hexdigest() == FIG14_SHA256
+        data = (tmp_path / "out" / "window_response.csv").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == FIG14_SHA256
+        body = data.split(b"\n", 1)[1]
+        assert hashlib.sha256(body).hexdigest() == FIG14_BODY_SHA256
+        assert (tmp_path / "out" / "configs.txt").exists()
 
     def test_config_keys_other_than_seed_and_directory_rejected(self, tmp_path, capsys):
         # the recipes set their own scenario; a key they would ignore is an error
@@ -371,9 +398,29 @@ class TestReproduce:
         assert digest == RECIPE_CONFIGS_SHA256["fig13"]
 
     def test_unknown_figure_rejected(self, tmp_path, capsys):
-        assert run_cli("reproduce", "fig99", "--out", str(tmp_path), "--quiet") == 2
+        out = tmp_path / "out"
+        assert run_cli("reproduce", "fig99", "--out", str(out), "--quiet") == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "config"
+        assert not out.exists()
+
+
+class TestTimeseriesRows:
+    def test_rows_are_builtin_and_match_the_series(self):
+        # longer than one ROW_CHUNK, so a chunk boundary is crossed
+        r = run_scenario(Scenario(duration_s=1.2, snr_db=10.0), seed=4)
+        assert r.n_ticks > cli.ROW_CHUNK
+        rows = list(cli._timeseries_rows(r))
+        assert len(rows) == r.n_ticks
+        assert all(len(row) == len(cli.TIMESERIES_HEADER) for row in rows)
+        for row in rows:
+            assert type(row[0]) is int
+            assert all(type(v) is float for v in row[1:])
+        cols = np.array([row[1:] for row in rows]).T
+        assert [row[0] for row in rows] == list(range(r.n_ticks))
+        assert np.array_equal(cols[0], r.t_s)
+        for name, col in zip(cli.TIMESERIES_SERIES, cols[1:]):
+            assert np.array_equal(col, getattr(r, name)), name
 
 
 class TestErrors:

@@ -1,12 +1,14 @@
 """README.md stays true to the code: its example config parses, its
 configuration notes name every reserved key, its CLI table lists the
-subcommands the parser has, its recipe table lists the recipes the CLI
-has and its library layout lists the package's modules."""
+subcommands the parser has, its CSV schemas name every header the CLI
+writes, its recipe table lists the recipes the CLI has and its library
+layout lists the package's modules."""
 
 import argparse
 import re
 from pathlib import Path
 
+from dualsync import cli
 from dualsync.cli import RECIPES, build_parser
 from dualsync.config import RESERVED_KEYS, parse_config
 
@@ -42,7 +44,7 @@ def test_recipe_table_lists_every_recipe():
     section = README.split("### Demonstration recipes", 1)[1].split("\n## ", 1)[0]
     listed = re.findall(r"^\| (fig\d+) ", section, re.M)
     assert len(listed) == len(set(listed))
-    assert set(listed) == set(RECIPES) | {"fig14"}
+    assert set(listed) == set(RECIPES)
 
 
 def test_library_layout_lists_every_module():
@@ -51,3 +53,26 @@ def test_library_layout_lists_every_module():
     modules = {p.stem for p in (ROOT / "src" / "dualsync").glob("*.py")} - {"__init__"}
     assert len(listed) == len(set(listed))
     assert set(listed) == modules
+
+
+def test_csv_schemas_name_every_header(tmp_path, monkeypatch):
+    headers = set()
+    monkeypatch.setattr(cli, "_write_csv",
+                        lambda path, comment, header, rows: headers.add(", ".join(header)))
+    short = "[run]\nduration_s = 0.2\n[output]\npsd_block_len = 32\npsd_n_blocks = 8\n"
+    configs = {
+        "simulate": short + "emit_psd = on\n",
+        "bode": "", "delay-margin": "", "fit-noise": short,
+        "sweep": short + "[sweep]\nkey = run.seed\nvalues = 1, 2\n",
+    }
+    for command, text in configs.items():
+        path = tmp_path / f"{command}.cfg"
+        path.write_text(text)
+        assert cli.main([command, "--config", str(path), "--out", str(tmp_path / command),
+                         "--quiet"]) == 0
+    assert cli.main(["reproduce", "fig14", "--out", str(tmp_path / "fig14"), "--quiet"]) == 0
+    cli._emit(parse_config(short), jumps=str(tmp_path / "jumps.csv"))
+    section = README.split("### CSV schemas", 1)[1].split("\n### ", 1)[0]
+    prose = " ".join(section.split())
+    assert len(headers) == 8  # one layout per CSV kind
+    assert [h for h in sorted(headers) if f"`{h}`" not in prose] == []

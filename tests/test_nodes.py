@@ -1,5 +1,6 @@
 import hashlib
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ def run_kernel(n, phi, loop=_tick_loop, theta_offset=0.0, dual=True):
     out = [np.empty(n) for _ in range(7)]
     cfg = LoopConfig(1.0, 100.0, TICK)
     bad = loop(n, cfg, cfg, np.zeros(n), np.zeros(n), phi[0], phi[1], phi[2], phi[3],
-               0.0, np.zeros((8, 1)), False, theta_offset, 1, dual, True, *out)
+               0.0, None, theta_offset, 1, dual, True, *out)
     assert bad == -1
     return out
 
@@ -163,10 +164,14 @@ class TestKernelInputType:
         (args,) = calls
         inputs = args[:-7]
         assert all(isinstance(inputs[k], memoryview) for k in (3, 4))  # th0, thx
-        assert len(inputs[10]) == 8  # noise: one 1-D memoryview per quadrature
-        assert all(isinstance(v, memoryview) and v.ndim == 1 for v in inputs[10])
+        # noise: None for a noiseless ring, else one 1-D memoryview per quadrature
+        noise = inputs[10]
+        assert (noise is None) == (kw.get("snr_db", math.inf) == math.inf)
         inputs = [np.asarray(a) if isinstance(a, memoryview) else a for a in inputs]
-        inputs[10] = np.array(inputs[10])
+        if noise is not None:
+            assert len(noise) == 8
+            assert all(isinstance(v, memoryview) and v.ndim == 1 for v in noise)
+            inputs[10] = np.array(noise)
         out = [np.empty(r.n_ticks) for _ in range(7)]
         assert self.loop(*inputs, *out) == -1
         for name, series in zip(SERIES, out):
@@ -197,23 +202,6 @@ class TestReferenceBytes:
         r = run_scenario(Scenario(duration_s=0.3, **kw), seed=21, engine="reference")
         data = b"".join(getattr(r, name).tobytes() for name in SERIES)
         assert hashlib.sha256(data).hexdigest() == digest
-
-
-class TestRows:
-    def test_rows_are_builtin_and_match_the_series(self):
-        # longer than one ROW_CHUNK, so a chunk boundary is crossed
-        r = run_scenario(Scenario(duration_s=1.2, snr_db=10.0), seed=4)
-        assert r.n_ticks > nodes.ROW_CHUNK
-        rows = list(r.rows())
-        assert len(rows) == r.n_ticks
-        for row in rows:
-            assert type(row[0]) is int
-            assert all(type(v) is float for v in row[1:])
-        cols = np.array([row[1:] for row in rows]).T
-        assert [row[0] for row in rows] == list(range(r.n_ticks))
-        assert np.array_equal(cols[0], r.t_s)
-        for name, col in zip(SERIES, cols[1:]):
-            assert np.array_equal(col, getattr(r, name)), name
 
 
 @pytest.mark.parametrize("engine", ["kernel", "reference"])
@@ -311,6 +299,13 @@ class TestRunScenario:
                 with pytest.raises(DivergenceError) as info:
                     run_scenario(scn, seed=1, engine=engine)
             assert 0 <= info.value.tick < scn.n_ticks, engine
+
+    def test_divergence_error_survives_pickle(self):
+        # a sweep worker sends the error back to its parent by pickle
+        err = pickle.loads(pickle.dumps(DivergenceError(5069)))
+        assert type(err) is DivergenceError
+        assert err.tick == 5069
+        assert str(err) == str(DivergenceError(5069))
 
     def test_unknown_engine_rejected_before_any_work(self, monkeypatch):
         def no_clocks(*args):
