@@ -18,11 +18,11 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import linear_analysis as la
-from . import nodes
+from . import nodes, spectral
 from .config import CLOCK_SOURCES, ConfigError, ScenarioConfig, parse_config, parse_config_file
 from .nodes import DivergenceError, detect_ambiguity_jumps, run_scenario
 from .oscillator import fit_two_state, synthesize_phase
-from .spectral import cheb_window, psd_estimate
+from .spectral import psd_estimate
 
 
 def _write_csv(path: str, comment: str, header: list[str], rows) -> None:
@@ -74,13 +74,23 @@ def _psd_series(cfg: ScenarioConfig, result) -> np.ndarray:
                                source.removesuffix("_clock"), n)
 
 
-def _write_psd(path: str, cfg: ScenarioConfig, series) -> None:
+def _window(cfg: ScenarioConfig, windows: dict) -> np.ndarray:
+    """The psd_block_len-sample window at psd_window_atten_db, built once per
+    command: `windows` holds the command's windows by (length, attenuation)."""
+    key = (cfg.get("output", "psd_block_len"), cfg.get("output", "psd_window_atten_db"))
+    if key not in windows:
+        # through the module attribute, which tracing patches
+        windows[key] = spectral.cheb_window(*key)
+    return windows[key]
+
+
+def _write_psd(path: str, cfg: ScenarioConfig, series, windows: dict) -> None:
     est = psd_estimate(
         series,
         cfg.to_scenario().tick_rate_hz,
         block_len=cfg.get("output", "psd_block_len"),
         n_blocks=cfg.get("output", "psd_n_blocks"),
-        window_atten_db=cfg.get("output", "psd_window_atten_db"),
+        window=_window(cfg, windows),
     )
     _write_csv(path, _stamp(cfg), ["offset_hz", "level_dbc_hz"],
                zip(est.freqs_hz.tolist(), est.levels_dbc_hz.tolist()))
@@ -102,16 +112,24 @@ def _timeseries_rows(result):
         yield from zip(range(start, stop), *(c[start:stop].tolist() for c in cols))
 
 
-def _emit(cfg: ScenarioConfig, timeseries=None, psd=None, jumps=None, window_response=None):
+def _emit(cfg: ScenarioConfig, timeseries=None, psd=None, jumps=None, window_response=None,
+          windows=None):
     """Write the artifacts given a path, running the ring at most once (not
-    for a clock PSD or window response alone); returns its result or None."""
+    for a clock PSD or window response alone); returns its result or None.
+
+    Only timeseries.csv reads the ring's discriminator series r1..r4, so
+    the ring records them only when it is written.  `windows` is the
+    command's window store (see _window); a fresh one by default.
+    """
+    windows = {} if windows is None else windows
     result = None
     if timeseries or jumps or (psd and cfg.get("output", "psd_source") not in CLOCK_SOURCES):
-        result = run_scenario(cfg.to_scenario(), cfg.get("run", "seed"))
+        result = run_scenario(cfg.to_scenario(), cfg.get("run", "seed"),
+                              discriminators=bool(timeseries))
     if timeseries:
         _write_csv(timeseries, _stamp(cfg), TIMESERIES_HEADER, _timeseries_rows(result))
     if psd:
-        _write_psd(psd, cfg, _psd_series(cfg, result))
+        _write_psd(psd, cfg, _psd_series(cfg, result), windows)
     if jumps:
         found = detect_ambiguity_jumps(result.theta_bf_minus_theta0, result.tick_rate_hz)
         _write_csv(jumps, _stamp(cfg), ["tick", "t_s", "magnitude_rad"],
@@ -120,7 +138,7 @@ def _emit(cfg: ScenarioConfig, timeseries=None, psd=None, jumps=None, window_res
         # power response of the psd_block_len-sample Dolph-Chebyshev window,
         # 8x zero-padded, relative to DC
         n = cfg.get("output", "psd_block_len")
-        resp = np.fft.rfft(cheb_window(n, cfg.get("output", "psd_window_atten_db")), n=8 * n)
+        resp = np.fft.rfft(_window(cfg, windows), n=8 * n)
         with np.errstate(divide="ignore"):
             level = 20.0 * np.log10(np.abs(resp) / np.abs(resp[0]))
         _write_csv(window_response, _stamp(cfg), ["freq_cycles_per_sample", "level_db"],
@@ -182,7 +200,7 @@ def cmd_fit_noise(args) -> int:
     scn = cfg.to_scenario()
     n = cfg.get("output", "psd_block_len") * cfg.get("output", "psd_n_blocks")
     streams = nodes._streams(cfg.get("run", "seed"))
-    rows = []
+    rows, windows = [], {}
     for side, mask, stream in zip(("master", "follower"),
                                   (scn.master_mask, scn.follower_mask), streams):
         params = fit_two_state(mask, scn.baud_hz)
@@ -190,7 +208,7 @@ def cmd_fit_noise(args) -> int:
                      params.tick_rate_hz))
         series = synthesize_phase(params.rescaled(scn.decimation), n,
                                   np.random.default_rng(stream))
-        _write_psd(os.path.join(out, f"psd_{side}.csv"), cfg, series)
+        _write_psd(os.path.join(out, f"psd_{side}.csv"), cfg, series, windows)
     path = os.path.join(out, "noise_fit.csv")
     _write_csv(path, _stamp(cfg),
                ["node", "sigma0_rad", "sigma1_rad", "sigma2_rad_per_tick", "tick_rate_hz"],
@@ -313,11 +331,11 @@ def cmd_reproduce(args) -> int:
         raise ConfigError([f"unsupported figure {args.figure!r}; supported: fig13..fig22"])
     out = _outdir(args, cfg0)
     base = defaults.with_values({"run.seed": cfg0.get("run", "seed")})
-    written, configs = [], []
+    written, configs, windows = [], [], {}
     for files, overrides in RECIPES[fig]:
         cfg = base.with_values(overrides)
         paths = {kind: os.path.join(out, name) for kind, name in files.items()}
-        _emit(cfg, **paths)
+        _emit(cfg, windows=windows, **paths)
         written += paths.values()
         configs.append(f"# {next(iter(files.values()))} (sha256 {cfg.sha256()})\n"
                        f"{cfg.canonical_text()}\n")

@@ -20,7 +20,12 @@ Ring topology per decimated tick (latency >= 1 tick on every leg):
 ``_tick_loop`` is the production kernel; ``_reference_loop`` takes the
 same arguments and computes the same tick in phasor form from
 ``pll.discriminate`` and ``pll.controller_step``: the oracle the kernel
-is tested against.
+is tested against.  Both record ``theta_bf - theta_0``, ``theta_out`` and
+``alpha`` on every tick.  The four per-carrier discriminator series
+``r1..r4`` are recorded only when their buffers are given: a run called
+with ``discriminators=False`` passes None for all four, and both loops
+then skip the work that only those series need.  Only
+``timeseries.csv`` reads them.
 
 At a static reciprocal channel the loops lock, but each end averages two
 *wrapped* carrier phases, a mean defined only modulo pi, so after the
@@ -134,10 +139,11 @@ class ScenarioResult:
     theta_bf_minus_theta0: np.ndarray
     theta_out: np.ndarray
     alpha: np.ndarray
-    r1: np.ndarray
-    r2: np.ndarray
-    r3: np.ndarray
-    r4: np.ndarray
+    # None when run without discriminators
+    r1: np.ndarray | None
+    r2: np.ndarray | None
+    r3: np.ndarray | None
+    r4: np.ndarray | None
 
     @property
     def n_ticks(self) -> int:
@@ -182,8 +188,14 @@ def _tick_loop(n, cfg_m, cfg_s, th0, thx, phi1, phi2, phi3, phi4, dopp_per_tick,
     2-D ndarray or a list of row memoryviews); ``run_scenario`` passes
     memoryviews, whose elements are plain floats, which keeps numpy scalar
     arithmetic out of the loop without changing a bit.
+
+    ``r1a..r4a`` are either all buffers or all None.  With None the loop
+    skips the follower's ``r1``/``r2`` (a cosine, a sine and two
+    ``atan2`` per tick) and every ``r`` store; ``bf0``, ``out_arr``,
+    ``al`` and the diverged tick come out bit for bit the same.
     """
     has_noise = noise is not None
+    record = r1a is not None
     n0, n1, n2, n3, n4, n5, n6, n7 = noise if has_noise else (None,) * 8
     cos = math.cos
     sin = math.sin
@@ -192,12 +204,16 @@ def _tick_loop(n, cfg_m, cfg_s, th0, thx, phi1, phi2, phi3, phi4, dopp_per_tick,
     pi = math.pi
     two_pi = TWO_PI
     limit = DIVERGENCE_LIMIT_RAD
-    zeta_m = cfg_m.zeta
+    # loop-invariant leading products of the trapezoid updates: Python
+    # multiplies left to right, so hoisting them keeps every bit
     om_m = cfg_m.omega_rad_s
     half_tm = 0.5 * cfg_m.tick_period_s
-    zeta_s = cfg_s.zeta
+    ki_m = half_tm * om_m * om_m
+    kp_m = 2.0 * cfg_m.zeta * om_m
     om_s = cfg_s.omega_rad_s
     half_ts = 0.5 * cfg_s.tick_period_s
+    ki_s = half_ts * om_s * om_s
+    kp_s = 2.0 * cfg_s.zeta * om_s
     txf = [th0[0]] * latency
     txr = [thx[0]] * latency
     alpha = 0.0
@@ -251,8 +267,8 @@ def _tick_loop(n, cfg_m, cfg_s, th0, thx, phi1, phi2, phi3, phi4, dopp_per_tick,
         mean_r = 0.5 * (m3 + m4) if dual else m3
         em = theta_offset - mean_r - 0.5 * alpha
         em = em + two_pi * floor((pi - em) / two_pi)
-        vm = vm + half_tm * om_m * om_m * (em + em_prev)
-        wm = 2.0 * zeta_m * om_m * em + vm
+        vm = vm + ki_m * (em + em_prev)
+        wm = kp_m * em + vm
         alpha = alpha + half_tm * (wm + wm_prev)
         em_prev = em
         wm_prev = wm
@@ -274,15 +290,14 @@ def _tick_loop(n, cfg_m, cfg_s, th0, thx, phi1, phi2, phi3, phi4, dopp_per_tick,
         cr = cos(ref)
         sr = sin(ref)
         e1 = atan2(im1 * cr - re1 * sr, re1 * cr + im1 * sr)
-        e2 = atan2(im2 * cr - re2 * sr, re2 * cr + im2 * sr)
         if dual:
+            e2 = atan2(im2 * cr - re2 * sr, re2 * cr + im2 * sr)
             es = 0.5 * (e1 + e2)
             es = es + two_pi * floor((pi - es) / two_pi)
         else:
             es = e1
-            e2 = 0.0
-        vs = vs + half_ts * om_s * om_s * (es + es_prev)
-        ws = 2.0 * zeta_s * om_s * es + vs
+        vs = vs + ki_s * (es + es_prev)
+        ws = kp_s * es + vs
         theta_out = theta_out + half_ts * (ws + ws_prev)
         es_prev = es
         ws_prev = ws
@@ -293,14 +308,15 @@ def _tick_loop(n, cfg_m, cfg_s, th0, thx, phi1, phi2, phi3, phi4, dopp_per_tick,
         bf0[i] = theta_bf - t0
         out_arr[i] = theta_out
         al[i] = alpha
-        ct = cos(tx)
-        st = sin(tx)
-        r1a[i] = atan2(im1 * ct - re1 * st, re1 * ct + im1 * st)
-        r2a[i] = atan2(im2 * ct - re2 * st, re2 * ct + im2 * st) if dual else 0.0
-        r3a[i] = r3
-        r4a[i] = r4 if dual else 0.0
-        if (abs(alpha) > limit or abs(theta_out) > limit
-                or alpha != alpha or theta_out != theta_out):
+        if record:
+            ct = cos(tx)
+            st = sin(tx)
+            r1a[i] = atan2(im1 * ct - re1 * st, re1 * ct + im1 * st)
+            r2a[i] = atan2(im2 * ct - re2 * st, re2 * ct + im2 * st) if dual else 0.0
+            r3a[i] = r3
+            r4a[i] = r4 if dual else 0.0
+        # false for NaN as for a phase beyond the limit
+        if not (abs(alpha) <= limit and abs(theta_out) <= limit):
             return i
     return -1
 
@@ -318,8 +334,10 @@ def _reference_loop(n, cfg_m, cfg_s, th0, thx, phi1, phi2, phi3, phi4, dopp_per_
     propagation and Doppler phases, plus its noise sample, and is measured
     with ``pll.discriminate`` and tracked with ``pll.controller_step``.
     A loop's accumulated control is ``alpha`` at the master and
-    ``theta_out`` at the follower.  Returns the first diverged tick or -1.
+    ``theta_out`` at the follower.  Returns the first diverged tick or -1;
+    ``r1a..r4a`` all None skips the ``r`` series, as in the kernel.
     """
+    record = r1a is not None
     master = follower = LoopUnit()
     phis = (phi1, phi2, phi3, phi4)
     txf = [cmath.exp(1j * th0[0])] * latency
@@ -366,23 +384,27 @@ def _reference_loop(n, cfg_m, cfg_s, th0, thx, phi1, phi2, phi3, phi4, dopp_per_
         bf0[i] = theta_bf - th0[i]
         out_arr[i] = theta_out
         al[i] = alpha
-        r1a[i] = wrap_phase(cmath.phase(rx1) - thx[i])
-        r2a[i] = wrap_phase(cmath.phase(rx2) - thx[i]) if dual else 0.0
-        r3a[i] = r3
-        r4a[i] = r4
-        if (abs(alpha) > DIVERGENCE_LIMIT_RAD or abs(theta_out) > DIVERGENCE_LIMIT_RAD
-                or alpha != alpha or theta_out != theta_out):
+        if record:
+            r1a[i] = wrap_phase(cmath.phase(rx1) - thx[i])
+            r2a[i] = wrap_phase(cmath.phase(rx2) - thx[i]) if dual else 0.0
+            r3a[i] = r3
+            r4a[i] = r4
+        if not (abs(alpha) <= DIVERGENCE_LIMIT_RAD and abs(theta_out) <= DIVERGENCE_LIMIT_RAD):
             return i
     return -1
 
 
-def run_scenario(scn: Scenario, seed: int, engine: str = "kernel") -> ScenarioResult:
+def run_scenario(scn: Scenario, seed: int, engine: str = "kernel", *,
+                 discriminators: bool = True) -> ScenarioResult:
     """Simulate the ring for scn.duration_s and record the decimated series.
 
     Fully deterministic per (scenario, seed): each clock and each leg's
     noise draws from its own stream of ``_streams(seed)``.
     ``engine="reference"`` runs the phasor-form oracle ``_reference_loop``
-    instead of the kernel (slow; used for validation).
+    instead of the kernel (slow; used for validation).  With
+    ``discriminators=False`` the per-carrier series are neither computed
+    nor allocated and ``r1..r4`` of the result are None; the other series
+    keep their bits.
     """
     # looked up per call, so that tracing can patch _tick_loop_fast
     loop = {"kernel": _tick_loop_fast, "reference": _reference_loop}.get(engine)
@@ -411,27 +433,19 @@ def run_scenario(scn: Scenario, seed: int, engine: str = "kernel") -> ScenarioRe
     phi = scn.prop_phases()
     dopp_per_tick = TWO_PI * scn.doppler_hz * scn.tick_period_s
 
-    out = [np.empty(n) for _ in range(7)]
+    # the result's seven series in field order; None for r1..r4 when lean
+    recorded = 7 if discriminators else 3
+    out = [np.empty(n) for _ in range(recorded)] + [None] * (7 - recorded)
     # memoryviews share the arrays' memory and index to plain floats
     bad = loop(
         n, scn.loop_config_master(), scn.loop_config_follower(),
         memoryview(th0), memoryview(thx), phi[0], phi[1], phi[2], phi[3],
         dopp_per_tick, noise, scn.theta_offset, scn.loop_latency_ticks, scn.dual_carrier,
-        scn.wrap_compensation, *(memoryview(a) for a in out),
+        scn.wrap_compensation, *(a if a is None else memoryview(a) for a in out),
     )
     if bad >= 0:
         raise DivergenceError(bad)
-    return ScenarioResult(
-        tick_rate_hz=scn.tick_rate_hz,
-        seed=seed,
-        theta_bf_minus_theta0=out[0],
-        theta_out=out[1],
-        alpha=out[2],
-        r1=out[3],
-        r2=out[4],
-        r3=out[5],
-        r4=out[6],
-    )
+    return ScenarioResult(scn.tick_rate_hz, seed, *out)
 
 
 def detect_ambiguity_jumps(series, tick_rate_hz: float) -> list[tuple[int, float]]:

@@ -127,6 +127,89 @@ def test_clock_psd_bytes_are_pinned(tmp_path, command, text, digests):
             for name in digests} == digests
 
 
+# sha256 of `spectrum`'s psd.csv at seed 1 for each ring series a PSD may
+# read, and of a fig22-style jumps file: rings that record no discriminator
+# series must give the bytes the full ring gave
+RING_PSD_SHA256 = [
+    ("[run]\nduration_s = 2\n[channel]\nsnr_db = 10\n[output]\n"
+     "psd_source = theta_bf_minus_theta0\npsd_block_len = 2048\npsd_n_blocks = 8\n",
+     "b609d93b989b660df46cdcaeacf6124d65eaeafcc26dcec5f180ab89f0cc0f02"),
+    ("[run]\nduration_s = 2\nwrap_compensation = off\n[channel]\nsnr_db = 20\n"
+     "loop_latency_ticks = 2\ndoppler_hz = 0.5\ntau_s = 3.3e-7\n[output]\n"
+     "psd_source = theta_out\npsd_block_len = 2048\npsd_n_blocks = 8\n",
+     "84b041910a7ec7d61a18a927e45947e3ec2e926d3360d743928e2179958f8afe"),
+    ("[run]\nduration_s = 2\n[channel]\nsnr_db = 5\ndual_carrier = off\n[follower]\n"
+     "freq_offset_hz = 3\n[output]\npsd_source = alpha\npsd_block_len = 2048\n"
+     "psd_n_blocks = 8\n",
+     "6183fcec5f4bda20401593c2995867d363bcd13848c46300495050b6197fd539"),
+]
+JUMPS_CONFIG = ("[run]\nduration_s = 10\nwrap_compensation = off\nideal_clocks = on\n"
+                "[channel]\nsnr_db = 10\ndoppler_hz = 1\ntau_s = 1.875e-8\n")
+JUMPS_SHA256 = "643f6e2d1791d2dc911a7882a144c4f055acce48744d7d1da18e17e094aee441"
+
+
+@pytest.mark.parametrize("text, digest", RING_PSD_SHA256)
+def test_ring_psd_bytes_are_pinned(tmp_path, text, digest):
+    cfg = write_config(tmp_path, text)
+    out = tmp_path / "out"
+    assert run_cli("spectrum", "--config", cfg, "--out", str(out), "--seed", "1",
+                   "--quiet") == 0
+    assert hashlib.sha256((out / "psd.csv").read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("kinds, discriminators", [
+    (("timeseries",), True), (("psd",), False), (("jumps",), False),
+    (("timeseries", "psd", "jumps"), True),
+])
+def test_emit_records_discriminators_only_for_timeseries(tmp_path, monkeypatch, kinds,
+                                                         discriminators):
+    runs = []
+
+    def run(scn, seed, **kw):
+        result = run_scenario(scn, seed, **kw)
+        runs.append(result)
+        return result
+
+    monkeypatch.setattr(cli, "run_scenario", run)
+    cfg = cli.parse_config("[run]\nduration_s = 0.2\n[output]\npsd_block_len = 256\n"
+                           "psd_n_blocks = 4\n")
+    cli._emit(cfg, **{kind: str(tmp_path / f"{kind}.csv") for kind in kinds})
+    (result,) = runs
+    assert (result.r1 is not None) is discriminators
+    assert all(os.path.exists(tmp_path / f"{kind}.csv") for kind in kinds)
+
+
+@pytest.mark.parametrize("argv, lengths", [
+    (["fit-noise"], [4096]),
+    (["reproduce", "fig13"], [2**17]),
+])
+def test_one_window_per_command(tmp_path, monkeypatch, argv, lengths):
+    # fit-noise's two PSDs and fig13's two share one window
+    built = []
+    cheb_window = cli.spectral.cheb_window
+
+    def count(n, atten_db):
+        built.append(n)
+        return cheb_window(n, atten_db)
+
+    monkeypatch.setattr(cli.spectral, "cheb_window", count)
+    if argv[0] == "reproduce":
+        # the window is what this counts; two small clock series stand in
+        monkeypatch.setattr(cli.nodes, "_clock_series",
+                            lambda scn, seed, side, n: np.zeros(n))
+    assert run_cli(*argv, "--out", str(tmp_path / "out"), "--quiet") == 0
+    assert built == lengths
+
+
+def test_jumps_bytes_are_pinned(tmp_path):
+    # 38 quarter-turn jumps in 10 s; only fig22 writes a jumps file
+    path = tmp_path / "jumps.csv"
+    cli._emit(cli.parse_config(JUMPS_CONFIG), jumps=str(path))
+    data = path.read_bytes()
+    assert data.count(b"\n") == 2 + 38
+    assert hashlib.sha256(data).hexdigest() == JUMPS_SHA256
+
+
 # sha256 at seed 1 of artifacts whose code moved between modules: the
 # loop transfer function, the delay margin and fig13's clock pipeline
 ANALYSIS_SHA256 = [
@@ -335,14 +418,21 @@ class TestReproduce:
     @pytest.mark.parametrize("fig", sorted(RECIPE_CONFIGS_SHA256))
     def test_recipe_configs(self, fig, tmp_path, monkeypatch):
         # the runs themselves take up to minutes; record what would be written
-        requested = []
-        monkeypatch.setattr(cli, "_emit", lambda cfg, **paths: requested.append(paths))
+        # (every run of one figure shares the command's window store)
+        requested, stores = [], set()
+
+        def record(cfg, windows, **paths):
+            stores.add(id(windows))
+            requested.append(paths)
+
+        monkeypatch.setattr(cli, "_emit", record)
         out = tmp_path / "out"
         assert run_cli("reproduce", fig, "--out", str(out), "--seed", "1", "--quiet") == 0
         digest = hashlib.sha256((out / "configs.txt").read_bytes()).hexdigest()
         assert digest == RECIPE_CONFIGS_SHA256[fig]
         assert [p for r in requested for p in r.values()] == [
             str(out / name) for files, _ in cli.RECIPES[fig] for name in files.values()]
+        assert len(stores) == 1
 
     def test_fig17_emits_both_bandwidths(self, tmp_path):
         out = str(tmp_path / "out")

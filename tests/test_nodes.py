@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from dualsync import nodes
 from dualsync.channel import CarrierPlan, prop_phase, sigma_from_snr
+from dualsync.config import _PSD_SOURCES, CLOCK_SOURCES
 from dualsync.nodes import (
     DivergenceError,
     Scenario,
@@ -92,6 +93,23 @@ class TestScenarioEquilibriaReference(TestScenarioEquilibria):
     loop = staticmethod(_reference_loop)
 
 
+# 0.1 s rings over the space the engines are compared in
+SCENARIOS = st.builds(
+    Scenario,
+    duration_s=st.just(0.1),
+    loop_latency_ticks=st.integers(1, 3),
+    dual_carrier=st.booleans(),
+    wrap_compensation=st.booleans(),
+    snr_db=st.one_of(st.just(math.inf), st.floats(0.0, 30.0)),
+    tau_s=st.floats(0.0, 1e-6),
+    doppler_hz=st.floats(-5.0, 5.0),
+    ideal_clocks=st.booleans(),
+    theta_offset=st.floats(-math.pi, math.pi),
+    initial_follower_phase_rad=st.floats(-math.pi, math.pi),
+    follower_freq_offset_hz=st.floats(-50.0, 50.0),
+)
+
+
 class TestKernelMatchesReference:
     @pytest.mark.parametrize("dual", [True, False])
     @pytest.mark.parametrize("wrap_comp", [True, False])
@@ -107,33 +125,61 @@ class TestKernelMatchesReference:
             )
 
     @settings(max_examples=20, deadline=None, derandomize=True)
-    @given(
-        latency=st.integers(1, 3),
-        dual=st.booleans(),
-        wrap_comp=st.booleans(),
-        snr_db=st.one_of(st.just(math.inf), st.floats(0.0, 30.0)),
-        tau_s=st.floats(0.0, 1e-6),
-        doppler_hz=st.floats(-5.0, 5.0),
-        ideal_clocks=st.booleans(),
-        theta_offset=st.floats(-math.pi, math.pi),
-        phase_rad=st.floats(-math.pi, math.pi),
-        freq_hz=st.floats(-50.0, 50.0),
-        seed=st.integers(0, 2**16),
-    )
-    def test_engines_agree_on_every_series(self, latency, dual, wrap_comp, snr_db,
-                                           tau_s, doppler_hz, ideal_clocks, theta_offset,
-                                           phase_rad, freq_hz, seed):
-        scn = Scenario(duration_s=0.1, ideal_clocks=ideal_clocks, tau_s=tau_s,
-                       doppler_hz=doppler_hz, snr_db=snr_db, dual_carrier=dual,
-                       wrap_compensation=wrap_comp, loop_latency_ticks=latency,
-                       theta_offset=theta_offset, initial_follower_phase_rad=phase_rad,
-                       follower_freq_offset_hz=freq_hz)
+    @given(scn=SCENARIOS, seed=st.integers(0, 2**16))
+    def test_engines_agree_on_every_series(self, scn, seed):
         fast = run_scenario(scn, seed=seed)
         slow = run_scenario(scn, seed=seed, engine="reference")
         for name in SERIES:
             np.testing.assert_allclose(
                 getattr(fast, name), getattr(slow, name), atol=1e-10, err_msg=name
             )
+
+
+def outcome(scn, seed, engine, discriminators):
+    """The run's result, or the tick it diverged at."""
+    try:
+        return run_scenario(scn, seed, engine, discriminators=discriminators)
+    except DivergenceError as exc:
+        return exc.tick
+
+
+@pytest.mark.parametrize("engine", ["kernel", "reference"])
+class TestLeanRing:
+    # without discriminators a ring records the other three series bit for
+    # bit, and diverges at the same tick
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(scn=SCENARIOS, seed=st.integers(0, 2**16))
+    def test_lean_ring_matches_full_ring(self, engine, scn, seed):
+        full = outcome(scn, seed, engine, True)
+        lean = outcome(scn, seed, engine, False)
+        assert type(lean) is type(full)
+        if isinstance(full, int):
+            assert lean == full
+            return
+        for name in SERIES[:3]:
+            assert getattr(lean, name).tobytes() == getattr(full, name).tobytes(), name
+        assert all(getattr(full, name) is not None for name in SERIES[3:])
+        assert all(getattr(lean, name) is None for name in SERIES[3:])
+
+    @pytest.mark.filterwarnings("ignore:omega_n")
+    @pytest.mark.parametrize("loop", [
+        dict(omega_m_hz=4000.0, omega_s_hz=4000.0, initial_follower_phase_rad=1.0),
+        dict(omega_m_hz=1e300),
+    ])
+    def test_lean_ring_diverges_at_the_full_rings_tick(self, engine, loop):
+        scn = Scenario(duration_s=1.0, ideal_clocks=True, **loop)
+        full = outcome(scn, 1, engine, True)
+        assert isinstance(full, int)
+        assert outcome(scn, 1, engine, False) == full
+
+    def test_ring_psd_sources_are_recorded(self, engine):
+        # output.psd_source reads its ring series from a lean ring
+        lean = run_scenario(Scenario(duration_s=0.01), seed=1, engine=engine,
+                            discriminators=False)
+        ring = [s for s in _PSD_SOURCES if s not in CLOCK_SOURCES]
+        assert ring
+        for name in ring:
+            assert isinstance(getattr(lean, name), np.ndarray), name
 
 
 class TestKernelInputType:
