@@ -1,14 +1,16 @@
-"""Record the dualsync benchmark's end-to-end metrics into BENCH_<label>.json.
+"""Record the dualsync benchmark's metrics into BENCH_<label>.json.
 
     python3 bench/record.py --label 7 --runs 5
     python3 bench/record.py --label 6 --runs 5 --checkout ../parent-checkout
     python3 bench/record.py --label 9 --runs 10 --baseline ../parent-checkout
+    python3 bench/record.py --label 16_trace --runs 1 --trace 1 --baseline ../parent-checkout
 
 Runs the benchmark that ``BENCHMARK.json`` of a source checkout (by
 default the one this script sits in) declares, at its ``run_seconds``,
 seed 1 and ``--trace 0``, ``--runs`` times for each workload, cycling
 through the workloads so that slow drift of a shared host spreads over all
-of them.  The JSON file keeps, per workload, every run's ``facts`` line and
+of them.  ``--trace 1`` runs perfbench's traced mode instead, whose result
+lines add the per-layer metrics; measure end-to-end metrics untraced.  The JSON file keeps, per workload, every run's ``facts`` line and
 result line as perfbench printed them, and per metric the median and
 quartiles over the runs that produced a result.  It is written to the root
 of the checkout this script sits in, so a baseline measured on another
@@ -105,6 +107,8 @@ def main(argv=None) -> int:
     parser.add_argument("--runs", type=int, default=5, help="runs per workload (default 5)")
     parser.add_argument("--checkout", type=Path, default=ROOT,
                         help="source checkout to measure (default: this one)")
+    parser.add_argument("--trace", type=int, choices=(0, 1), default=0,
+                        help="perfbench --trace; 1 adds per-layer metrics (default 0)")
     parser.add_argument("--baseline", type=Path,
                         help="checkout to alternate with the measured one; --runs "
                              "then counts pairs")
@@ -115,7 +119,7 @@ def main(argv=None) -> int:
     with open(checkout / "BENCHMARK.json", encoding="utf-8") as fh:
         bench = json.load(fh)
     command = [*bench["command"], "--seed", "1", "--seconds", str(bench["run_seconds"]),
-               "--trace", "0"]
+               "--trace", str(args.trace)]
     workloads = [w["name"] for w in bench["workloads"]]
     sides = {"change": checkout}
     if args.baseline:

@@ -84,13 +84,13 @@ def _window(cfg: ScenarioConfig, windows: dict) -> np.ndarray:
     return windows[key]
 
 
-def _write_psd(path: str, cfg: ScenarioConfig, series, windows: dict) -> None:
+def _write_psd(path: str, cfg: ScenarioConfig, series, window: np.ndarray) -> None:
     est = psd_estimate(
         series,
         cfg.to_scenario().tick_rate_hz,
         block_len=cfg.get("output", "psd_block_len"),
         n_blocks=cfg.get("output", "psd_n_blocks"),
-        window=_window(cfg, windows),
+        window=window,
     )
     _write_csv(path, _stamp(cfg), ["offset_hz", "level_dbc_hz"],
                zip(est.freqs_hz.tolist(), est.levels_dbc_hz.tolist()))
@@ -129,7 +129,11 @@ def _emit(cfg: ScenarioConfig, timeseries=None, psd=None, jumps=None, window_res
     if timeseries:
         _write_csv(timeseries, _stamp(cfg), TIMESERIES_HEADER, _timeseries_rows(result))
     if psd:
-        _write_psd(psd, cfg, _psd_series(cfg, result), windows)
+        # the window before the series: built after it, the window kept for
+        # the command's next PSD splits the heap the next series reuses, and
+        # fig13's peak memory rose by 7 MB
+        window = _window(cfg, windows)
+        _write_psd(psd, cfg, _psd_series(cfg, result), window)
     if jumps:
         found = detect_ambiguity_jumps(result.theta_bf_minus_theta0, result.tick_rate_hz)
         _write_csv(jumps, _stamp(cfg), ["tick", "t_s", "magnitude_rad"],
@@ -200,7 +204,7 @@ def cmd_fit_noise(args) -> int:
     scn = cfg.to_scenario()
     n = cfg.get("output", "psd_block_len") * cfg.get("output", "psd_n_blocks")
     streams = nodes._streams(cfg.get("run", "seed"))
-    rows, windows = [], {}
+    rows, window = [], _window(cfg, {})
     for side, mask, stream in zip(("master", "follower"),
                                   (scn.master_mask, scn.follower_mask), streams):
         params = fit_two_state(mask, scn.baud_hz)
@@ -208,7 +212,7 @@ def cmd_fit_noise(args) -> int:
                      params.tick_rate_hz))
         series = synthesize_phase(params.rescaled(scn.decimation), n,
                                   np.random.default_rng(stream))
-        _write_psd(os.path.join(out, f"psd_{side}.csv"), cfg, series, windows)
+        _write_psd(os.path.join(out, f"psd_{side}.csv"), cfg, series, window)
     path = os.path.join(out, "noise_fit.csv")
     _write_csv(path, _stamp(cfg),
                ["node", "sigma0_rad", "sigma1_rad", "sigma2_rad_per_tick", "tick_rate_hz"],

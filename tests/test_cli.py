@@ -157,6 +157,15 @@ def test_ring_psd_bytes_are_pinned(tmp_path, text, digest):
     assert hashlib.sha256((out / "psd.csv").read_bytes()).hexdigest() == digest
 
 
+def test_jumps_bytes_are_pinned(tmp_path):
+    # 38 quarter-turn jumps in 10 s; only fig22 writes a jumps file
+    path = tmp_path / "jumps.csv"
+    cli._emit(cli.parse_config(JUMPS_CONFIG), jumps=str(path))
+    data = path.read_bytes()
+    assert data.count(b"\n") == 2 + 38
+    assert hashlib.sha256(data).hexdigest() == JUMPS_SHA256
+
+
 @pytest.mark.parametrize("kinds, discriminators", [
     (("timeseries",), True), (("psd",), False), (("jumps",), False),
     (("timeseries", "psd", "jumps"), True),
@@ -199,15 +208,6 @@ def test_one_window_per_command(tmp_path, monkeypatch, argv, lengths):
                             lambda scn, seed, side, n: np.zeros(n))
     assert run_cli(*argv, "--out", str(tmp_path / "out"), "--quiet") == 0
     assert built == lengths
-
-
-def test_jumps_bytes_are_pinned(tmp_path):
-    # 38 quarter-turn jumps in 10 s; only fig22 writes a jumps file
-    path = tmp_path / "jumps.csv"
-    cli._emit(cli.parse_config(JUMPS_CONFIG), jumps=str(path))
-    data = path.read_bytes()
-    assert data.count(b"\n") == 2 + 38
-    assert hashlib.sha256(data).hexdigest() == JUMPS_SHA256
 
 
 # sha256 at seed 1 of artifacts whose code moved between modules: the
