@@ -168,14 +168,12 @@ def cmd_bode(args) -> int:
     cfg = _load_config(args)
     out = _outdir(args, cfg)
     scn = cfg.to_scenario()
-    gm = la.closed_tf(scn.loop_config_master())
-    gs = la.closed_tf(scn.loop_config_follower())
-    tfs = la.dual_loop_tfs(gm, gs)
+    tfs = la.dual_loop_tfs(la.closed_tf(scn.loop_config_master()),
+                           la.closed_tf(scn.loop_config_follower()))
     grid = la.default_bode_grid()
-    rows = []
-    for tf_id in ("out_from_0", "out_from_x", "bf_from_0", "bf_from_x"):
-        for f, mag, ph in la.bode(tfs[tf_id], grid):
-            rows.append((tf_id, f, mag, ph))
+    rows = [(tf_id, f, mag, ph)
+            for tf_id in ("out_from_0", "out_from_x", "bf_from_0", "bf_from_x")
+            for f, mag, ph in la.bode(tfs[tf_id], grid)]
     path = os.path.join(out, "bode.csv")
     _write_csv(path, _stamp(cfg), ["tf_id", "freq_hz", "mag_db", "phase_deg"], rows)
     _say(args, f"wrote {path}")
@@ -229,12 +227,17 @@ def cmd_spectrum(args) -> int:
     return 0
 
 
-def _sweep_point(cfg: ScenarioConfig, directory: str) -> None:
+def _sweep_point(cfg: ScenarioConfig, directory: str) -> DivergenceError | None:
     os.makedirs(directory, exist_ok=True)
-    _simulate(cfg, directory)
+    try:
+        _simulate(cfg, directory)
+    except DivergenceError as exc:
+        return exc
 
 
 def cmd_sweep(args) -> int:
+    if args.workers < 1:
+        raise ValueError(f"--workers must be >= 1, got {args.workers}")
     cfg = _load_config(args)
     out = _outdir(args, cfg)
     key = cfg.get("sweep", "key")
@@ -253,11 +256,15 @@ def cmd_sweep(args) -> int:
     if errors:
         raise ConfigError(errors)
     dirs = [os.path.join(out, f"sweep_{i:03d}") for i in range(len(points))]
-    if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            list(pool.map(_sweep_point, points, dirs))
+    # every point runs, whatever the worker count; the first divergence is raised after
+    workers = min(args.workers, len(points))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            diverged = list(pool.map(_sweep_point, points, dirs))
     else:
-        list(map(_sweep_point, points, dirs))
+        diverged = list(map(_sweep_point, points, dirs))
+    for exc in filter(None, diverged):
+        raise exc
     # a bool grid value is written 1/0, which its config parser reads back
     values = [p.values[key] for p in points]
     values = [int(v) if isinstance(v, bool) else v for v in values]

@@ -118,13 +118,9 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "decimation": (_parse_int, _SCN.decimation),
         "wrap_compensation": (_parse_bool, _SCN.wrap_compensation),
         "ideal_clocks": (_parse_bool, _SCN.ideal_clocks),
-        "omega_units": (_parse_str, "hz_times_2pi"),
     },
     "framing": {
         "pilot_len": (_parse_int, _SCN.pilot_len),
-        "inter_pilot": (_parse_int, _SCN.decimation),
-        "code_index_master": (_parse_int, 1),
-        "code_index_follower": (_parse_int, 2),
     },
     "output": {
         "directory": (_parse_str, "out"),
@@ -141,12 +137,15 @@ SCHEMA: dict[str, dict[str, tuple]] = {
     },
 }
 
-# keys that must keep their SCHEMA default: a symbol-level pilot mode the
-# tick-rate ring does not model (code indices), and the one Hz -> rad/s
-# reading, omega = 2*pi*f; any other value would be accepted and have no
-# effect.  They stay in SCHEMA so that every config hash keeps its bytes.
-RESERVED_KEYS = ("framing.code_index_master", "framing.code_index_follower",
-                 "run.omega_units")
+# keys with no effect, retired from SCHEMA (code indices and pilot spacing
+# of a symbol-level pilot mode; omega is always 2*pi*f): canonical_text
+# still writes each one's fixed value, so every config hash keeps its bytes
+RETIRED_KEYS = {
+    "framing.code_index_follower": lambda values: 2,
+    "framing.code_index_master": lambda values: 1,
+    "framing.inter_pilot": lambda values: values["run.decimation"],
+    "run.omega_units": lambda values: "hz_times_2pi",
+}
 
 CLOCK_SOURCES = ("master_clock", "follower_clock")
 _PSD_SOURCES = ("theta_bf_minus_theta0", "theta_out", "alpha", *CLOCK_SOURCES)
@@ -171,11 +170,12 @@ class ScenarioConfig:
 
     def canonical_text(self) -> str:
         """Deterministic serialization used for hashing and reproduction."""
+        values = {**self.values, **{k: fixed(self.values) for k, fixed in RETIRED_KEYS.items()}}
         lines = []
         for section in sorted(SCHEMA):
             lines.append(f"[{section}]")
-            for key in sorted(SCHEMA[section]):
-                lines.append(f"{key} = {self.values[f'{section}.{key}']!r}")
+            for full in sorted(k for k in values if k.startswith(f"{section}.")):
+                lines.append(f"{full.split('.')[1]} = {values[full]!r}")
         return "\n".join(lines) + "\n"
 
     def sha256(self) -> str:
@@ -255,19 +255,11 @@ def _semantic_checks(values: dict, errors: list[str]) -> None:
     check(values["run.duration_s"] > 0, "run.duration_s must be positive")
     check(values["run.seed"] >= 0, "run.seed must be nonnegative")
     check(values["run.baud_hz"] > 0, "run.baud_hz must be positive")
-    check(values["run.decimation"] >= 1, "run.decimation must be >= 1")
     pl = values["framing.pilot_len"]
     check(1 <= pl <= 36 and (pl & (pl - 1)) == 0,
           "framing.pilot_len must be a power of two in 1..36")
-    check(values["framing.inter_pilot"] > pl,
-          "framing.inter_pilot must exceed the pilot length")
-    # one pilot per tick: the simulator's tick rate is baud_hz/run.decimation
-    check(values["framing.inter_pilot"] == values["run.decimation"],
-          "framing.inter_pilot must equal run.decimation")
-    for full in RESERVED_KEYS:
-        section, key = full.split(".")
-        default = SCHEMA[section][key][1]
-        check(values[full] == default, f"{full} is reserved and must be {default}")
+    # one pilot per tick, and it must fit in the tick
+    check(values["run.decimation"] > pl, "run.decimation must exceed framing.pilot_len")
     check(values["output.psd_source"] in _PSD_SOURCES,
           f"output.psd_source must be one of {', '.join(_PSD_SOURCES)}")
     # an ideal clock has no phase noise to estimate

@@ -277,20 +277,21 @@ def _tick_loop(n, cfg_m, cfg_s, th0, thx, phi1, phi2, phi3, phi4, dopp_per_tick,
         p1 = txf[slot] + phi1 + dop
         re1 = cos(p1)
         im1 = sin(p1)
-        p2 = txf[slot] + phi2 + dop
-        re2 = cos(p2)
-        im2 = sin(p2)
         if has_noise:
             re1 += n0[i]
             im1 += n1[i]
-            re2 += n2[i]
-            im2 += n3[i]
         # reference = composite carrier (NCO x LO) from the previous epoch
         ref = theta_out + thx_prev
         cr = cos(ref)
         sr = sin(ref)
         e1 = atan2(im1 * cr - re1 * sr, re1 * cr + im1 * sr)
         if dual:
+            p2 = txf[slot] + phi2 + dop
+            re2 = cos(p2)
+            im2 = sin(p2)
+            if has_noise:
+                re2 += n2[i]
+                im2 += n3[i]
             e2 = atan2(im2 * cr - re2 * sr, re2 * cr + im2 * sr)
             es = 0.5 * (e1 + e2)
             es = es + two_pi * floor((pi - es) / two_pi)

@@ -10,6 +10,7 @@ import pytest
 
 from dualsync import cli
 from dualsync.cli import main
+from dualsync.config import RETIRED_KEYS, ConfigError, parse_config
 from dualsync.nodes import Scenario, run_scenario
 
 
@@ -329,14 +330,28 @@ class TestSweep:
         # a grid point must pass the same checks as a config file
         cfg = write_config(
             tmp_path,
-            "[run]\nduration_s = 0.05\n[sweep]\nkey = framing.inter_pilot\n"
-            "values = 956, 478\n",
+            "[run]\nduration_s = 0.05\n[sweep]\nkey = run.decimation\n"
+            "values = 956, 16\n",
         )
         out = tmp_path / "o"
         assert run_cli("sweep", "--config", cfg, "--out", str(out), "--quiet") == 2
         err = json.loads(capsys.readouterr().err)
-        assert err["detail"] == ["sweep value 478: framing.inter_pilot must equal run.decimation"]
+        assert err["detail"] == ["sweep value 16: run.decimation must exceed framing.pilot_len"]
         assert not (out / "sweep_000").exists()
+
+    def test_sweep_over_decimation(self, tmp_path):
+        # each grid point runs at its own tick rate, baud_hz/run.decimation
+        cfg = write_config(
+            tmp_path,
+            "[run]\nduration_s = 0.05\n[sweep]\nkey = run.decimation\nvalues = 512, 956\n",
+        )
+        out = tmp_path / "o"
+        assert run_cli("sweep", "--config", cfg, "--out", str(out), "--quiet") == 0
+        _, _, rows = read_csv(out / "manifest.csv")
+        assert [row[2] for row in rows] == ["512", "956"]
+        for i, decimation in enumerate((512, 956)):
+            _, _, series = read_csv(out / f"sweep_{i:03d}" / "timeseries.csv")
+            assert len(series) == round(0.05 * 8e6 / decimation)
 
     def test_sweep_psd_follows_psd_source(self, tmp_path):
         # a grid point writes the same psd.csv as simulate of its config
@@ -387,6 +402,66 @@ class TestSweep:
         assert json.loads(errors[0]) == {
             "error": "divergence", "tick": 5069,
             "detail": "scenario diverged at tick 5069 (phase beyond 1e+06 rad or NaN)"}
+
+    @pytest.mark.filterwarnings("ignore:.*:UserWarning")
+    def test_diverged_sweep_leaves_the_same_files_for_any_worker_count(self, tmp_path,
+                                                                       capsys):
+        # every point runs, and the first diverged point's error is raised
+        cfg = write_config(
+            tmp_path,
+            "[run]\nduration_s = 1\nideal_clocks = on\n[follower]\ninitial_phase_deg = 60\n"
+            "[sweep]\nkey = master.omega_m_hz\nvalues = 4000, 100, 100\n",
+        )
+        trees, errors = [], []
+        for workers in ("1", "2"):
+            out = tmp_path / workers
+            assert run_cli("sweep", "--config", cfg, "--out", str(out), "--quiet",
+                           "--workers", workers) == 3
+            errors.append(json.loads(capsys.readouterr().err))
+            trees.append({str(p.relative_to(out)): p.read_bytes() if p.is_file() else None
+                          for p in out.rglob("*")})
+        assert errors[0] == errors[1]
+        assert errors[0]["tick"] == 2571
+        assert trees[0] == trees[1]
+        assert sorted(trees[0]) == ["sweep_000", "sweep_001", "sweep_001/timeseries.csv",
+                                    "sweep_002", "sweep_002/timeseries.csv"]
+
+    def test_pool_has_at_most_one_worker_per_point(self, tmp_path, monkeypatch):
+        # a stand-in records each pool's size and runs the points in-process
+        sizes = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+        for n_points, workers, size in [(3, 8, 3), (3, 2, 2), (1, 4, None), (3, 1, None)]:
+            values = ", ".join(str(seed) for seed in range(1, n_points + 1))
+            cfg = write_config(tmp_path, "[run]\nduration_s = 0.01\n"
+                               f"[sweep]\nkey = run.seed\nvalues = {values}\n")
+            sizes.clear()
+            assert run_cli("sweep", "--config", cfg, "--out", str(tmp_path / "o"),
+                           "--quiet", "--workers", str(workers)) == 0
+            assert sizes == ([] if size is None else [size])
+
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_workers_below_one_exit_2(self, workers, tmp_path, capsys):
+        cfg = write_config(tmp_path, "[sweep]\nkey = run.seed\nvalues = 1\n")
+        out = tmp_path / "o"
+        assert run_cli("sweep", "--config", cfg, "--out", str(out), "--quiet",
+                       "--workers", workers) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ValueError", "detail": f"--workers must be >= 1, got {workers}"}
+        assert not out.exists()
 
 
 # sha256 of configs.txt at seed 1: the recipes' configs are part of the
@@ -521,49 +596,29 @@ class TestErrors:
         assert err["error"] == "config"
         assert any("omega_m_hz" in d for d in err["detail"])
 
-    def test_inter_pilot_other_than_decimation_exits_2(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, "[framing]\ninter_pilot = 478\n")
-        assert run_cli("simulate", "--config", cfg, "--out", str(tmp_path / "o"),
-                       "--quiet") == 2
-        err = json.loads(capsys.readouterr().err)
-        assert any("framing.inter_pilot" in d for d in err["detail"])
-
-    # the tick-rate ring has no symbol-level pilots to index; any value
-    # but the default would be accepted and have no effect
-    @pytest.mark.parametrize("key, value, default", [("code_index_master", 3, 1),
-                                                     ("code_index_follower", 0, 2)])
-    def test_code_index_other_than_default_exits_2(self, key, value, default,
-                                                   tmp_path, capsys):
-        cfg = write_config(tmp_path, f"[framing]\n{key} = {value}\n")
-        assert run_cli("simulate", "--config", cfg, "--out", str(tmp_path / "o"),
-                       "--quiet") == 2
-        err = json.loads(capsys.readouterr().err)
-        assert err["detail"] == [f"framing.{key} is reserved and must be {default}"]
-
-    def test_sweep_over_code_index_exits_2_before_any_point(self, tmp_path, capsys):
-        cfg = write_config(
-            tmp_path,
-            "[run]\nduration_s = 0.05\n[sweep]\nkey = framing.code_index_master\n"
-            "values = 1, 3\n",
-        )
+    # keys with no effect on the ring, retired from the schema: every value,
+    # the old default included, is an unknown key wherever a key is named
+    @pytest.mark.parametrize("full, value", [
+        ("framing.code_index_follower", 2), ("framing.code_index_follower", 0),
+        ("framing.code_index_master", 1), ("framing.code_index_master", 3),
+        ("framing.inter_pilot", 956), ("framing.inter_pilot", 512),
+        ("run.omega_units", "hz_times_2pi"), ("run.omega_units", "hz_as_rad"),
+    ])
+    def test_retired_key_is_unknown(self, full, value, tmp_path, capsys):
+        assert full in RETIRED_KEYS
+        section, key = full.split(".")
+        with pytest.raises(ConfigError) as info:
+            parse_config(f"[{section}]\n{key} = {value}\n")
+        assert info.value.errors == [f"line 2: unknown key {key!r} in section [{section}]"]
+        with pytest.raises(ConfigError) as info:
+            parse_config("").with_values({full: value})
+        assert info.value.errors == [f"{full!r} is not a known config key"]
+        cfg = write_config(tmp_path, f"[sweep]\nkey = {full}\nvalues = {value}\n")
         out = tmp_path / "o"
         assert run_cli("sweep", "--config", cfg, "--out", str(out), "--quiet") == 2
         err = json.loads(capsys.readouterr().err)
-        assert err["detail"] == [
-            "sweep value 3: framing.code_index_master is reserved and must be 1"]
-        assert not (out / "sweep_000").exists()
-
-    def test_sweep_over_omega_units_exits_2_before_any_point(self, tmp_path, capsys):
-        cfg = write_config(
-            tmp_path,
-            "[run]\nduration_s = 0.05\n[sweep]\nkey = run.omega_units\n"
-            "values = hz_times_2pi, hz_as_rad\n",
-        )
-        out = tmp_path / "o"
-        assert run_cli("sweep", "--config", cfg, "--out", str(out), "--quiet") == 2
-        err = json.loads(capsys.readouterr().err)
-        assert err == {"error": "config", "detail": [
-            "sweep value hz_as_rad: run.omega_units is reserved and must be hz_times_2pi"]}
+        assert err == {"error": "config",
+                       "detail": [f"sweep.key {full!r} is not a known config key"]}
         assert not (out / "sweep_000").exists()
 
     # an ideal clock has no phase noise: its PSD would ignore the flag

@@ -19,7 +19,6 @@ class TestDefaults:
         assert cfg.get("run", "baud_hz") == 8e6
         assert cfg.get("run", "decimation") == 956
         assert cfg.get("framing", "pilot_len") == 32
-        assert cfg.get("framing", "inter_pilot") == 956
         assert cfg.get("channel", "fc_hz") == 2200e6
         assert cfg.get("channel", "fm_hz") == 50e6
         assert cfg.get("channel", "fs_hz") == 40e6
@@ -86,7 +85,7 @@ class TestValidation:
         bad = (
             "[master]\nomega_m_hz = -5\nzeta_m = 0\n"
             "[channel]\nfs_hz = 90e6\n"
-            "[run]\nomega_units = radians\n"
+            "[run]\nduration_s = -1\n"
         )
         with pytest.raises(ConfigError) as info:
             parse_config(bad)
@@ -115,31 +114,24 @@ class TestValidation:
         with pytest.raises(ConfigError, match="channel.snr_db"):
             parse_config(f"[channel]\nsnr_db = {value}\n")
 
-    def test_inter_pilot_must_equal_decimation(self):
-        # the tick rate comes from run.decimation; a different pilot
-        # spacing would be accepted and have no effect
-        for text in ("[framing]\ninter_pilot = 512\n", "[run]\ndecimation = 512\n"):
-            with pytest.raises(ConfigError, match="framing.inter_pilot must equal"):
-                parse_config(text)
-        cfg = parse_config("[framing]\ninter_pilot = 512\n[run]\ndecimation = 512\n")
-        assert cfg.to_scenario().tick_rate_hz == 8e6 / 512
+    @pytest.mark.parametrize("pilot_len, decimation", [(32, 32), (16, 16), (32, 1), (1, 0)])
+    def test_pilot_must_fit_in_a_tick(self, pilot_len, decimation):
+        # one pilot per tick: the tick rate is baud_hz/run.decimation
+        text = f"[framing]\npilot_len = {pilot_len}\n[run]\ndecimation = {decimation}\n"
+        with pytest.raises(ConfigError) as info:
+            parse_config(text)
+        assert info.value.errors == ["run.decimation must exceed framing.pilot_len"]
+
+    @pytest.mark.parametrize("pilot_len, decimation", [(32, 33), (32, 512), (1, 2)])
+    def test_any_decimation_above_the_pilot_length_parses(self, pilot_len, decimation):
+        cfg = parse_config(
+            f"[framing]\npilot_len = {pilot_len}\n[run]\ndecimation = {decimation}\n")
+        assert cfg.to_scenario().tick_rate_hz == 8e6 / decimation
 
     @pytest.mark.parametrize("pilot_len", [1, 2])
     def test_short_pilots_parse(self, pilot_len):
-        # the reserved code indices 1 and 2 must not limit the pilot length
         cfg = parse_config(f"[framing]\npilot_len = {pilot_len}\n")
         assert cfg.to_scenario().pilot_len == pilot_len
-
-    def test_hz_as_rad_is_reserved(self):
-        # omega = 2*pi*f is the one reading; the key keeps its default so
-        # that every config hash keeps its bytes
-        message = "run.omega_units is reserved and must be hz_times_2pi"
-        with pytest.raises(ConfigError) as info:
-            parse_config("[run]\nomega_units = hz_as_rad\n")
-        assert info.value.errors == [message]
-        with pytest.raises(ConfigError) as info:
-            parse_config("").with_values({"run.omega_units": "hz_as_rad"})
-        assert info.value.errors == [message]
 
     def test_carrier_plan_ordering(self):
         with pytest.raises(ConfigError, match="carrier plan"):
@@ -174,6 +166,16 @@ class TestCanonicalForm:
         cfg = parse_config("[channel]\nsnr_db = 10\n")
         assert "snr_db = 10.0" in cfg.canonical_text()
 
+    def test_canonical_text_writes_the_retired_keys_in_their_sorted_places(self):
+        # the hash still covers the retired keys' fixed values, so every
+        # hash written before their retirement keeps its bytes
+        text = parse_config("[run]\ndecimation = 512\n").canonical_text()
+        assert ("[framing]\ncode_index_follower = 2\ncode_index_master = 1\n"
+                "inter_pilot = 512\npilot_len = 32\n[master]\n") in text
+        assert ("[run]\nbaud_hz = 8000000.0\ndecimation = 512\nduration_s = 10.0\n"
+                "ideal_clocks = False\nomega_units = 'hz_times_2pi'\nseed = 1\n"
+                "wrap_compensation = True\n[sweep]\n") in text
+
 
 class TestWithValues:
     @pytest.mark.parametrize("full", sorted(parse_config("").values))
@@ -205,9 +207,9 @@ class TestWithValues:
 
     def test_semantic_checks_apply(self):
         with pytest.raises(ConfigError) as info:
-            parse_config("").with_values({"run.seed": -1, "framing.inter_pilot": 478})
+            parse_config("").with_values({"run.seed": -1, "run.decimation": 32})
         assert info.value.errors == ["run.seed must be nonnegative",
-                                     "framing.inter_pilot must equal run.decimation"]
+                                     "run.decimation must exceed framing.pilot_len"]
 
 
 # keys that shape what is written, not the ring: the seed picks the
@@ -245,11 +247,7 @@ OFF_DEFAULT = {
     "run.decimation": "512",
     "run.wrap_compensation": "off",
     "run.ideal_clocks": "on",
-    "run.omega_units": "hz_as_rad",
     "framing.pilot_len": "16",
-    "framing.inter_pilot": "512",
-    "framing.code_index_master": "3",
-    "framing.code_index_follower": "0",
 }
 
 

@@ -1,5 +1,5 @@
 """README.md stays true to the code: its example config parses, its
-configuration notes name every reserved key, its CLI table lists the
+configuration notes name every retired key, its CLI table lists the
 subcommands the parser has, its CSV schemas name every header the CLI
 writes, its recipe table lists the recipes the CLI has and its library
 layout lists the package's modules."""
@@ -10,7 +10,7 @@ from pathlib import Path
 
 from dualsync import cli
 from dualsync.cli import RECIPES, build_parser
-from dualsync.config import RESERVED_KEYS, parse_config
+from dualsync.config import RETIRED_KEYS, parse_config
 
 ROOT = Path(__file__).resolve().parents[1]
 README = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -25,10 +25,10 @@ def test_example_config_parses_to_the_defaults():
     assert example["sweep.key"] == "channel.snr_db"
 
 
-def test_configuration_names_every_reserved_key():
+def test_configuration_names_every_retired_key():
     section = README.split("### Configuration", 1)[1].split("\n### ", 1)[0]
     prose = section.split("```", 2)[2]
-    assert [k for k in RESERVED_KEYS if f"`{k}`" not in prose] == []
+    assert [k for k in RETIRED_KEYS if f"`{k}`" not in prose] == []
 
 
 def test_cli_table_lists_every_subcommand():
