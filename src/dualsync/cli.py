@@ -168,12 +168,14 @@ def cmd_bode(args) -> int:
     cfg = _load_config(args)
     out = _outdir(args, cfg)
     scn = cfg.to_scenario()
-    tfs = la.dual_loop_tfs(la.closed_tf(scn.loop_config_master()),
-                           la.closed_tf(scn.loop_config_follower()))
+    gm = la.closed_tf(scn.loop_config_master())
+    gs = la.closed_tf(scn.loop_config_follower())
+    tfs = la.dual_loop_tfs(gm, gs)
     grid = la.default_bode_grid()
-    rows = [(tf_id, f, mag, ph)
-            for tf_id in ("out_from_0", "out_from_x", "bf_from_0", "bf_from_x")
-            for f, mag, ph in la.bode(tfs[tf_id], grid)]
+    rows = []
+    for tf_id in ("out_from_0", "out_from_x", "bf_from_0", "bf_from_x"):
+        for f, mag, ph in la.bode(tfs[tf_id], grid):
+            rows.append((tf_id, f, mag, ph))
     path = os.path.join(out, "bode.csv")
     _write_csv(path, _stamp(cfg), ["tf_id", "freq_hz", "mag_db", "phase_deg"], rows)
     _say(args, f"wrote {path}")
