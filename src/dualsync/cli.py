@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-import tempfile
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -25,21 +24,29 @@ from .oscillator import fit_two_state, synthesize_phase
 from .spectral import psd_estimate
 
 
+def _write_atomic(path: str, write) -> None:
+    """Call write(fh) on a new text file beside `path`, then rename it over
+    `path`; the file gets open()'s mode, 0666 less the umask (mkstemp's: 0600)."""
+    tmp_path = f"{path}.{os.getpid()}.tmp"
+    fh = open(tmp_path, "x", encoding="utf-8", newline="\n")
+    try:
+        with fh:
+            write(fh)
+        os.replace(tmp_path, path)
+    except BaseException:
+        os.unlink(tmp_path)
+        raise
+
+
 def _write_csv(path: str, comment: str, header: list[str], rows) -> None:
     """Write `rows` of built-in str, int and float values with str(), which
     for a float is its shortest round-trip repr; a bool must come as 1/0."""
-    tmp_fd, tmp_path = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
-    try:
-        with os.fdopen(tmp_fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(f"# {comment}\n")
-            fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(map(str, row)) + "\n")
-        os.replace(tmp_path, path)
-    except BaseException:
-        if os.path.exists(tmp_path):
-            os.unlink(tmp_path)
-        raise
+    def write(fh):
+        fh.write(f"# {comment}\n")
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(map(str, row)) + "\n")
+    _write_atomic(path, write)
 
 
 def _stamp(cfg: ScenarioConfig) -> str:
@@ -112,20 +119,33 @@ def _timeseries_rows(result):
         yield from zip(range(start, stop), *(c[start:stop].tolist() for c in cols))
 
 
+# the verification PSDs that the noise_fit kind writes beside noise_fit.csv, by node
+NOISE_FIT_PSDS = {"master": "psd_master.csv", "follower": "psd_follower.csv"}
+# natural frequencies of delay_margin.csv, log-spaced over 10 Hz..1 MHz
+MARGIN_GRID_POINTS = 25
+
+
 def _emit(cfg: ScenarioConfig, timeseries=None, psd=None, jumps=None, window_response=None,
-          windows=None):
-    """Write the artifacts given a path, running the ring at most once (not
-    for a clock PSD or window response alone); returns its result or None.
+          bode=None, delay_margin=None, noise_fit=None, windows=None):
+    """Write the artifacts given a path, running the ring at most once, and
+    only for a time series, jumps or a ring PSD.
 
     Only timeseries.csv reads the ring's discriminator series r1..r4, so
-    the ring records them only when it is written.  `windows` is the
+    the ring records them only when it is written.  noise_fit.csv comes with
+    its verification PSDs beside it (NOISE_FIT_PSDS).  `windows` is the
     command's window store (see _window); a fresh one by default.
     """
     windows = {} if windows is None else windows
-    result = None
-    if timeseries or jumps or (psd and cfg.get("output", "psd_source") not in CLOCK_SOURCES):
-        result = run_scenario(cfg.to_scenario(), cfg.get("run", "seed"),
-                              discriminators=bool(timeseries))
+    scn, result = cfg.to_scenario(), None
+    ring_psd = psd and cfg.get("output", "psd_source") not in CLOCK_SOURCES
+    # what would fail only after files are written or the ring has run
+    if ring_psd:
+        spectral.require_samples(scn.n_ticks, cfg.get("output", "psd_block_len"),
+                                 cfg.get("output", "psd_n_blocks"))
+    if noise_fit and cfg.get("run", "ideal_clocks"):
+        raise ConfigError(["fit-noise requires run.ideal_clocks = off"])
+    if timeseries or jumps or ring_psd:
+        result = run_scenario(scn, cfg.get("run", "seed"), discriminators=bool(timeseries))
     if timeseries:
         _write_csv(timeseries, _stamp(cfg), TIMESERIES_HEADER, _timeseries_rows(result))
     if psd:
@@ -147,92 +167,70 @@ def _emit(cfg: ScenarioConfig, timeseries=None, psd=None, jumps=None, window_res
             level = 20.0 * np.log10(np.abs(resp) / np.abs(resp[0]))
         _write_csv(window_response, _stamp(cfg), ["freq_cycles_per_sample", "level_db"],
                    zip((np.arange(resp.size) / (8.0 * n)).tolist(), level.tolist()))
-    return result
+    if bode:
+        gm = la.closed_tf(scn.loop_config_master())
+        gs = la.closed_tf(scn.loop_config_follower())
+        tfs = la.dual_loop_tfs(gm, gs)
+        grid = la.default_bode_grid()
+        rows = []
+        for tf_id in ("out_from_0", "out_from_x", "bf_from_0", "bf_from_x"):
+            for f, mag, ph in la.bode(tfs[tf_id], grid):
+                rows.append((tf_id, f, mag, ph))
+        _write_csv(bode, _stamp(cfg), ["tf_id", "freq_hz", "mag_db", "phase_deg"], rows)
+    if delay_margin:
+        grid = np.logspace(1, 6, MARGIN_GRID_POINTS)
+        rows = la.delay_margin_grid(grid, scn.zeta_m, scn.zeta_s)
+        _write_csv(delay_margin, _stamp(cfg), ["omega_n_hz", "margin_s"], rows)
+    if noise_fit:
+        n = cfg.get("output", "psd_block_len") * cfg.get("output", "psd_n_blocks")
+        streams = nodes._streams(cfg.get("run", "seed"))
+        rows, window = [], _window(cfg, windows)
+        for (side, name), mask, stream in zip(NOISE_FIT_PSDS.items(),
+                                              (scn.master_mask, scn.follower_mask), streams):
+            params = fit_two_state(mask, scn.baud_hz)
+            rows.append((side, params.sigma0, params.sigma1, params.sigma2,
+                         params.tick_rate_hz))
+            series = synthesize_phase(params.rescaled(scn.decimation), n,
+                                      np.random.default_rng(stream))
+            _write_psd(os.path.join(os.path.dirname(noise_fit), name), cfg, series, window)
+        _write_csv(noise_fit, _stamp(cfg),
+                   ["node", "sigma0_rad", "sigma1_rad", "sigma2_rad_per_tick", "tick_rate_hz"],
+                   rows)
 
 
-def _simulate(cfg: ScenarioConfig, out: str) -> str:
-    """timeseries.csv, plus psd.csv when output.emit_psd is on, in `out`."""
-    ts = os.path.join(out, "timeseries.csv")
-    psd = os.path.join(out, "psd.csv") if cfg.get("output", "emit_psd") else None
-    result = _emit(cfg, timeseries=ts, psd=psd)
-    return f"wrote {ts} ({result.n_ticks} ticks)" + (f" and {psd}" if psd else "")
+def _write_files(cfg: ScenarioConfig, out: str, files: dict, windows=None) -> list[str]:
+    """Write `files`, {artifact kind: file name}, in `out` through _emit, plus
+    psd.csv beside a time series when output.emit_psd is on; returns every path."""
+    if "timeseries" in files and cfg.get("output", "emit_psd"):
+        files = {**files, "psd": "psd.csv"}
+    _emit(cfg, windows=windows, **{kind: os.path.join(out, name) for kind, name in files.items()})
+    beside = NOISE_FIT_PSDS.values() if "noise_fit" in files else ()
+    return [os.path.join(out, name) for name in (*files.values(), *beside)]
 
 
-def cmd_simulate(args) -> int:
+# single-run command -> (help, {artifact kind: file name}), run by cmd_write
+COMMANDS: dict[str, tuple[str, dict]] = {
+    "simulate": ("run one scenario, emit timeseries.csv", {"timeseries": "timeseries.csv"}),
+    "bode": ("closed-loop frequency responses -> bode.csv", {"bode": "bode.csv"}),
+    "delay-margin": ("delay margin over a log grid -> delay_margin.csv",
+                     {"delay_margin": "delay_margin.csv"}),
+    "fit-noise": ("fit oscillator sigmas, emit verification PSDs",
+                  {"noise_fit": "noise_fit.csv"}),
+    "spectrum": ("PSD of a configured series -> psd.csv", {"psd": "psd.csv"}),
+}
+
+
+def cmd_write(args) -> int:
     cfg = _load_config(args)
-    _say(args, _simulate(cfg, _outdir(args, cfg)))
-    return 0
-
-
-def cmd_bode(args) -> int:
-    cfg = _load_config(args)
-    out = _outdir(args, cfg)
-    scn = cfg.to_scenario()
-    gm = la.closed_tf(scn.loop_config_master())
-    gs = la.closed_tf(scn.loop_config_follower())
-    tfs = la.dual_loop_tfs(gm, gs)
-    grid = la.default_bode_grid()
-    rows = []
-    for tf_id in ("out_from_0", "out_from_x", "bf_from_0", "bf_from_x"):
-        for f, mag, ph in la.bode(tfs[tf_id], grid):
-            rows.append((tf_id, f, mag, ph))
-    path = os.path.join(out, "bode.csv")
-    _write_csv(path, _stamp(cfg), ["tf_id", "freq_hz", "mag_db", "phase_deg"], rows)
-    _say(args, f"wrote {path}")
-    return 0
-
-
-# natural frequencies of delay_margin.csv, log-spaced over 10 Hz..1 MHz
-MARGIN_GRID_POINTS = 25
-
-
-def cmd_delay_margin(args) -> int:
-    cfg = _load_config(args)
-    out = _outdir(args, cfg)
-    scn = cfg.to_scenario()
-    grid = np.logspace(1, 6, MARGIN_GRID_POINTS)
-    rows = la.delay_margin_grid(grid, scn.zeta_m, scn.zeta_s)
-    path = os.path.join(out, "delay_margin.csv")
-    _write_csv(path, _stamp(cfg), ["omega_n_hz", "margin_s"], rows)
-    _say(args, f"wrote {path}")
-    return 0
-
-
-def cmd_fit_noise(args) -> int:
-    cfg = _load_config(args)
-    out = _outdir(args, cfg)
-    scn = cfg.to_scenario()
-    n = cfg.get("output", "psd_block_len") * cfg.get("output", "psd_n_blocks")
-    streams = nodes._streams(cfg.get("run", "seed"))
-    rows, window = [], _window(cfg, {})
-    for side, mask, stream in zip(("master", "follower"),
-                                  (scn.master_mask, scn.follower_mask), streams):
-        params = fit_two_state(mask, scn.baud_hz)
-        rows.append((side, params.sigma0, params.sigma1, params.sigma2,
-                     params.tick_rate_hz))
-        series = synthesize_phase(params.rescaled(scn.decimation), n,
-                                  np.random.default_rng(stream))
-        _write_psd(os.path.join(out, f"psd_{side}.csv"), cfg, series, window)
-    path = os.path.join(out, "noise_fit.csv")
-    _write_csv(path, _stamp(cfg),
-               ["node", "sigma0_rad", "sigma1_rad", "sigma2_rad_per_tick", "tick_rate_hz"],
-               rows)
-    _say(args, f"wrote {path} and verification PSDs")
-    return 0
-
-
-def cmd_spectrum(args) -> int:
-    cfg = _load_config(args)
-    path = os.path.join(_outdir(args, cfg), "psd.csv")
-    _emit(cfg, psd=path)
-    _say(args, f"wrote {path}")
+    written = _write_files(cfg, _outdir(args, cfg), COMMANDS[args.command][1])
+    _say(args, "wrote " + ", ".join(written))
     return 0
 
 
 def _sweep_point(cfg: ScenarioConfig, directory: str) -> DivergenceError | None:
     os.makedirs(directory, exist_ok=True)
     try:
-        _simulate(cfg, directory)
+        _write_files(cfg, directory, COMMANDS["simulate"][1])
     except DivergenceError as exc:
         return exc
 
@@ -347,14 +345,11 @@ def cmd_reproduce(args) -> int:
     written, configs, windows = [], [], {}
     for files, overrides in RECIPES[fig]:
         cfg = base.with_values(overrides)
-        paths = {kind: os.path.join(out, name) for kind, name in files.items()}
-        _emit(cfg, windows=windows, **paths)
-        written += paths.values()
+        written += _write_files(cfg, out, files, windows)
         configs.append(f"# {next(iter(files.values()))} (sha256 {cfg.sha256()})\n"
                        f"{cfg.canonical_text()}\n")
     path = os.path.join(out, "configs.txt")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("".join(configs))
+    _write_atomic(path, lambda fh: fh.writelines(configs))
     _say(args, "wrote " + ", ".join(written + [path]))
     return 0
 
@@ -367,39 +362,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", help="path to a sectioned key=value config file")
-        p.add_argument("--out", help="output directory (default from config)")
-        p.add_argument("--seed", type=int, help="override run.seed")
-        p.add_argument("--quiet", action="store_true", help="suppress progress output")
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="path to a sectioned key=value config file")
+    common.add_argument("--out", help="output directory (default from config)")
+    common.add_argument("--seed", type=int, help="override run.seed")
+    common.add_argument("--quiet", action="store_true", help="suppress progress output")
 
-    p = sub.add_parser("simulate", help="run one scenario, emit timeseries.csv")
-    common(p)
-    p.set_defaults(func=cmd_simulate)
+    for name, (text, _) in COMMANDS.items():
+        p = sub.add_parser(name, help=text, parents=[common])
+        p.set_defaults(func=cmd_write)
 
-    p = sub.add_parser("bode", help="closed-loop frequency responses -> bode.csv")
-    common(p)
-    p.set_defaults(func=cmd_bode)
-
-    p = sub.add_parser("delay-margin", help="delay margin over a log grid -> delay_margin.csv")
-    common(p)
-    p.set_defaults(func=cmd_delay_margin)
-
-    p = sub.add_parser("fit-noise", help="fit oscillator sigmas, emit verification PSDs")
-    common(p)
-    p.set_defaults(func=cmd_fit_noise)
-
-    p = sub.add_parser("spectrum", help="PSD of a configured series -> psd.csv")
-    common(p)
-    p.set_defaults(func=cmd_spectrum)
-
-    p = sub.add_parser("sweep", help="run a config grid defined by the [sweep] section")
-    common(p)
+    p = sub.add_parser("sweep", help="run a config grid defined by the [sweep] section",
+                       parents=[common])
     p.add_argument("--workers", type=int, default=1, help="parallel scenario workers")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("reproduce", help="run a built-in demonstration recipe (fig13..fig22)")
-    common(p)
+    p = sub.add_parser("reproduce", help="run a built-in demonstration recipe (fig13..fig22)",
+                       parents=[common])
     p.add_argument("figure", help="recipe id, e.g. fig17")
     p.set_defaults(func=cmd_reproduce)
     return parser
@@ -410,17 +389,14 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except ConfigError as exc:
-        json.dump({"error": "config", "detail": exc.errors}, sys.stderr)
-        sys.stderr.write("\n")
-        return 2
+        error, code = {"error": "config", "detail": exc.errors}, 2
     except DivergenceError as exc:
-        json.dump({"error": "divergence", "detail": str(exc), "tick": exc.tick}, sys.stderr)
-        sys.stderr.write("\n")
-        return 3
+        error, code = {"error": "divergence", "detail": str(exc), "tick": exc.tick}, 3
     except (OSError, ValueError) as exc:
-        json.dump({"error": type(exc).__name__, "detail": str(exc)}, sys.stderr)
-        sys.stderr.write("\n")
-        return 2
+        error, code = {"error": type(exc).__name__, "detail": str(exc)}, 2
+    json.dump(error, sys.stderr)
+    sys.stderr.write("\n")
+    return code
 
 
 if __name__ == "__main__":

@@ -83,6 +83,13 @@ class PsdEstimate:
     levels_dbc_hz: np.ndarray
 
 
+def require_samples(n: int, block_len: int, n_blocks: int) -> None:
+    """Raise ValueError unless n samples fill n_blocks blocks of block_len."""
+    if n < block_len * n_blocks:
+        raise ValueError(f"need at least {block_len * n_blocks} samples "
+                         f"({n_blocks} blocks of {block_len}), got {n}")
+
+
 def psd_estimate(
     phase_rad,
     fs_hz: float,
@@ -98,11 +105,7 @@ def psd_estimate(
     reported as L(f) = S_phi/2 in dBc/Hz.
     """
     x = np.asarray(phase_rad, dtype=float)
-    needed = block_len * n_blocks
-    if x.size < needed:
-        raise ValueError(
-            f"need at least {needed} samples ({n_blocks} blocks of {block_len}), got {x.size}"
-        )
+    require_samples(x.size, block_len, n_blocks)
     if window is None:
         window = cheb_window(block_len, window_atten_db)
     elif len(window) != block_len:

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 
@@ -296,6 +297,24 @@ class TestAnalysisCommands:
         assert os.path.exists(os.path.join(out, "psd.csv"))
 
 
+# files a command writes beyond its COMMANDS row: psd.csv beside the time
+# series with output.emit_psd on, the verification PSDs beside noise_fit.csv
+BESIDE_ROW = {"simulate": ["psd.csv"], "fit-noise": ["psd_master.csv", "psd_follower.csv"]}
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_command_writes_its_row_and_names_every_file(command, tmp_path, capsys):
+    cfg = write_config(tmp_path, "[run]\nduration_s = 0.2\n[output]\nemit_psd = on\n"
+                                 "psd_block_len = 32\npsd_n_blocks = 8\n")
+    out = tmp_path / "out"
+    assert run_cli(command, "--config", cfg, "--out", str(out)) == 0
+    names = [*cli.COMMANDS[command][1].values(), *BESIDE_ROW.get(command, [])]
+    assert sorted(os.listdir(out)) == sorted(names)
+    line = capsys.readouterr().out
+    assert line.startswith("wrote ") and line.endswith("\n")
+    assert sorted(line[len("wrote "):-1].split(", ")) == sorted(str(out / n) for n in names)
+
+
 class TestSweep:
     def test_sweep_grid_and_manifest(self, tmp_path):
         cfg = write_config(
@@ -540,6 +559,18 @@ class TestReproduce:
         assert hashlib.sha256(body).hexdigest() == FIG14_BODY_SHA256
         assert (tmp_path / "out" / "configs.txt").exists()
 
+    def test_files_get_the_mode_the_umask_gives(self, tmp_path, monkeypatch):
+        # the 2^17-sample window is not what this checks; a cheaper one stands in
+        monkeypatch.setattr(cli.spectral, "cheb_window", lambda n, atten_db: np.hanning(n))
+        umask = os.umask(0o027)
+        try:
+            assert run_cli("reproduce", "fig14", "--out", str(tmp_path), "--quiet") == 0
+        finally:
+            os.umask(umask)
+        for name in ("window_response.csv", "configs.txt"):
+            assert stat.S_IMODE(os.stat(tmp_path / name).st_mode) == 0o666 & ~0o027, name
+        assert sorted(os.listdir(tmp_path)) == ["configs.txt", "window_response.csv"]
+
     def test_config_keys_other_than_seed_and_directory_rejected(self, tmp_path, capsys):
         # the recipes set their own scenario; a key they would ignore is an error
         cfg = write_config(tmp_path, "[master]\nomega_m_hz = 10\n[output]\n"
@@ -636,6 +667,33 @@ class TestErrors:
             prefix + "output.psd_source master_clock or follower_clock "
                      "requires run.ideal_clocks = off"]}
         assert not (out / "psd.csv").exists() and not (out / "sweep_000").exists()
+
+    def test_fit_noise_of_ideal_clocks_exits_2(self, tmp_path, capsys):
+        # fit-noise's PSDs are of noisy clocks whatever the flag says
+        cfg = write_config(tmp_path, "[run]\nideal_clocks = on\n")
+        out = tmp_path / "o"
+        assert run_cli("fit-noise", "--config", cfg, "--out", str(out), "--quiet") == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "config",
+                       "detail": ["fit-noise requires run.ideal_clocks = off"]}
+        assert list(out.iterdir()) == []
+
+    # a 0.5 s ring has 4,184 ticks; the default PSD reads 16 blocks of 4096
+    @pytest.mark.parametrize("command, text", [
+        ("simulate", "[output]\nemit_psd = on\n"),
+        ("spectrum", ""),
+        ("sweep", "[output]\nemit_psd = on\n[sweep]\nkey = run.seed\nvalues = 1, 2\n"),
+    ])
+    def test_ring_psd_longer_than_the_ring_exits_2_before_the_ring_runs(
+            self, command, text, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "run_scenario", lambda *a, **k: pytest.fail("the ring ran"))
+        cfg = write_config(tmp_path, "[run]\nduration_s = 0.5\n" + text)
+        out = tmp_path / "o"
+        assert run_cli(command, "--config", cfg, "--out", str(out), "--quiet") == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "ValueError",
+                       "detail": "need at least 65536 samples (16 blocks of 4096), got 4184"}
+        assert [p for p in out.rglob("*") if p.is_file()] == []
 
     @pytest.mark.parametrize("command", ["simulate", "bode"])
     def test_negative_seed_exits_2(self, command, tmp_path, capsys):

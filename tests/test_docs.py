@@ -1,15 +1,15 @@
 """README.md stays true to the code: its example config parses, its
 configuration notes name every retired key, its CLI table lists the
-subcommands the parser has, its CSV schemas name every header the CLI
-writes, its recipe table lists the recipes the CLI has and its library
-layout lists the package's modules."""
+subcommands the parser has and the files of each `cli.COMMANDS` row, its
+CSV schemas name every header the CLI writes, its recipe table lists the
+recipes the CLI has and its library layout lists the package's modules."""
 
 import argparse
 import re
 from pathlib import Path
 
 from dualsync import cli
-from dualsync.cli import RECIPES, build_parser
+from dualsync.cli import COMMANDS, RECIPES, build_parser
 from dualsync.config import RETIRED_KEYS, parse_config
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -38,6 +38,13 @@ def test_cli_table_lists_every_subcommand():
                      if isinstance(a, argparse._SubParsersAction)]
     assert len(listed) == len(set(listed))
     assert set(listed) == set(subparsers.choices)
+    # a COMMANDS row names its files, psd.csv beside simulate's time series
+    # and fit-noise's verification PSDs
+    rows = dict(re.findall(r"^\| `([\w-]+)` +\|(.*)$", section, re.M))
+    beside = {"simulate": {"psd.csv"}, "fit-noise": {"psd_master.csv", "psd_follower.csv"}}
+    for command, (_, files) in COMMANDS.items():
+        named = set(re.findall(r"`(\w+\.csv)`", rows[command]))
+        assert named == set(files.values()) | beside.get(command, set()), command
 
 
 def test_recipe_table_lists_every_recipe():
