@@ -21,9 +21,7 @@ from .nodes import (
 from .oscillator import (
     MaskFitError,
     NoiseMask,
-    TwoStateClock,
     TwoStateParams,
-    clock_step,
     fit_two_state,
     synthesize_phase,
 )

@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -27,8 +26,15 @@ from .spectral import psd_estimate
 def _write_atomic(path: str, write) -> None:
     """Call write(fh) on a new text file beside `path`, then rename it over
     `path`; the file gets open()'s mode, 0666 less the umask (mkstemp's: 0600)."""
-    tmp_path = f"{path}.{os.getpid()}.tmp"
-    fh = open(tmp_path, "x", encoding="utf-8", newline="\n")
+    tmp_path, n = f"{path}.{os.getpid()}.tmp", 0
+    while True:
+        try:
+            fh = open(tmp_path, "x", encoding="utf-8", newline="\n")
+            break
+        except FileExistsError:
+            # left by a killed run that had this pid; not this process's to delete
+            n += 1
+            tmp_path = f"{path}.{os.getpid()}.{n}.tmp"
     try:
         with fh:
             write(fh)
@@ -259,6 +265,9 @@ def cmd_sweep(args) -> int:
     # every point runs, whatever the worker count; the first divergence is raised after
     workers = min(args.workers, len(points))
     if workers > 1:
+        # imported here: it loads multiprocessing, which no other command needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             diverged = list(pool.map(_sweep_point, points, dirs))
     else:

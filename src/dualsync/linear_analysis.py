@@ -12,6 +12,10 @@ for the negative-feedback form ``-G_c*G_s``).  The delay margin computed
 here reproduces the 0.23 us round-trip budget at a 1 MHz natural
 frequency, which also pins the Hz -> rad/s convention used across the
 package (omega = 2*pi*f).
+
+Each function reaches numpy's polynomial module as np.polynomial.polynomial
+when it runs: numpy loads that subpackage on first attribute access, so
+importing this module (and with it the CLI) does not load it.
 """
 
 from __future__ import annotations
@@ -20,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .pll import LoopConfig
 
@@ -50,6 +53,7 @@ class RationalDelayTF:
     den: tuple = (1.0,)
 
     def __post_init__(self):
+        npoly = np.polynomial.polynomial
         num = tuple(npoly.polytrim(np.atleast_1d(self.num)).tolist())
         den = tuple(npoly.polytrim(np.atleast_1d(self.den)).tolist())
         if not any(den):
@@ -60,6 +64,7 @@ class RationalDelayTF:
     def evaluate(self, s):
         """Evaluate at complex s (scalar or array). Poles map to inf."""
         s = np.asarray(s, dtype=complex)
+        npoly = np.polynomial.polynomial
         n = npoly.polyval(s, self.num)
         d = npoly.polyval(s, self.den)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -83,6 +88,7 @@ def closed_tf(cfg: LoopConfig) -> RationalDelayTF:
 
 def gc_tf(gm: RationalDelayTF) -> RationalDelayTF:
     """Compensation-block transfer function -0.5*G_m / (1 - 0.5*G_m)."""
+    npoly = np.polynomial.polynomial
     half = npoly.polymul(gm.num, 0.5)
     return RationalDelayTF(num=-half, den=npoly.polysub(gm.den, half))
 
@@ -96,6 +102,7 @@ def dual_loop_tfs(gm: RationalDelayTF, gs: RationalDelayTF) -> dict:
     object as ``out_from_0``; ``bf_from_x`` equals ``out_from_x + 1`` and
     reduces to ``(1 - G_s)/(1 - G_c*G_s)``.
     """
+    npoly = np.polynomial.polynomial
     gc = gc_tf(gm)
     nc, dc = gc.num, gc.den
     ns, ds = gs.num, gs.den

@@ -26,7 +26,7 @@ periodogram of the spectral module (see the test suite).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -99,15 +99,6 @@ class TwoStateParams:
         )
 
 
-@dataclass(frozen=True)
-class TwoStateClock:
-    """Oscillator state: accumulated phase and frequency plus noise params."""
-
-    params: TwoStateParams
-    phase: float = 0.0
-    freq_state: float = 0.0
-
-
 def fit_two_state(mask: NoiseMask, tick_rate_hz: float) -> TwoStateParams:
     """Fit per-tick sigmas so the synthesized PSD passes through the mask.
 
@@ -161,25 +152,13 @@ def model_psd_dbc_hz(params: TwoStateParams, freqs_hz) -> np.ndarray:
     return 10.0 * np.log10(a0 + a2 / f**2 + a4 / f**4)
 
 
-def clock_step(clock: TwoStateClock, gaussians) -> tuple[TwoStateClock, float]:
-    """Advance the clock one tick using three unit-normal draws."""
-    g0, g1, g2 = (float(g) for g in gaussians)
-    p = clock.params
-    freq_state = clock.freq_state + p.sigma2 * g2
-    phase = clock.phase + (freq_state + p.sigma1 * g1)
-    if not math.isfinite(phase):
-        raise ValueError("clock phase diverged")
-    sample = phase + p.sigma0 * g0
-    return replace(clock, phase=phase, freq_state=freq_state), sample
-
-
 def synthesize_phase(params: TwoStateParams, n: int,
                      rng: np.random.Generator) -> np.ndarray:
     """Vectorized synthesis of n emitted phase samples from a zeroed clock.
 
-    Identical sample-for-sample to iterating clock_step with the three
-    gaussian streams drawn as rng.standard_normal((3, n)), and byte for
-    byte to the one-shot formula
+    Identical sample-for-sample to running the per-tick recursion of the
+    module docstring on the columns of rng.standard_normal((3, n)), and
+    byte for byte to the one-shot formula
 
         g = rng.standard_normal((3, n))
         freq = np.cumsum(sigma2 * g[2])

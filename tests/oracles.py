@@ -1,20 +1,29 @@
-"""Walsh-Hadamard pilot multiplexing and pilot correlation.
+"""Oracles that only the tests run: symbol-level pilot reception and the
+one-tick clock model.
 
-Only the pilot machinery needed by the synchronization loop is modeled:
-orthogonal +-1 code sequences and matched correlation whose coherent gain
-links the raw per-symbol SNR to the decimated-tick noise level used by the
-channel module.  Pilot placement, payload symbols, FEC and frame headers
-are out of scope.
+The simulator never runs either.  Its AWGN is drawn per decimated tick at
+``channel.sigma_from_snr(snr, compression_gain_db(pilot_len))``, and its
+clocks come from ``oscillator.synthesize_phase``.  The pilot oracle
+(Walsh-Hadamard codes, matched correlation, symbol-level reception)
+checks that shortcut in criterion 5c and tests/test_framing.py; the clock
+oracle (``TwoStateClock``, ``clock_step``) checks the vectorised synthesis
+in tests/test_oscillator.py.
+
+Pilot machinery: orthogonal +-1 code sequences and matched correlation
+whose coherent gain links the raw per-symbol SNR to the decimated-tick
+noise level used by the channel module.  Pilot placement, payload
+symbols, FEC and frame headers are out of scope.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import compression_gain_db, sigma_from_snr
+from dualsync.channel import compression_gain_db, sigma_from_snr
+from dualsync.oscillator import TwoStateParams
 
 
 @dataclass(frozen=True)
@@ -83,3 +92,25 @@ def decimated_phase_error_model(symbol_snr_db: float, pilot_len: int,
     sigma = sigma_from_snr(symbol_snr_db, compression_gain_db(pilot_len))
     noise = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * (sigma / math.sqrt(2.0))
     return np.angle(1.0 + noise)
+
+
+# the one-tick clock model that oscillator.synthesize_phase vectorises
+@dataclass(frozen=True)
+class TwoStateClock:
+    """Oscillator state: accumulated phase and frequency plus noise params."""
+
+    params: TwoStateParams
+    phase: float = 0.0
+    freq_state: float = 0.0
+
+
+def clock_step(clock: TwoStateClock, gaussians) -> tuple[TwoStateClock, float]:
+    """Advance the clock one tick using three unit-normal draws."""
+    g0, g1, g2 = (float(g) for g in gaussians)
+    p = clock.params
+    freq_state = clock.freq_state + p.sigma2 * g2
+    phase = clock.phase + (freq_state + p.sigma1 * g1)
+    if not math.isfinite(phase):
+        raise ValueError("clock phase diverged")
+    sample = phase + p.sigma0 * g0
+    return replace(clock, phase=phase, freq_state=freq_state), sample

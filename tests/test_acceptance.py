@@ -250,7 +250,7 @@ def test_criterion_5b_dual_carrier_floor_benefit():
 def test_criterion_5c_compression_gain():
     import cmath
 
-    from dualsync.framing import simulate_pilot_rx, wh_sequence
+    from oracles import simulate_pilot_rx, wh_sequence
 
     seq = wh_sequence(1, 32)
     rng = np.random.default_rng(31)

@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import json
 import math
@@ -236,13 +237,19 @@ def test_analysis_bytes_are_pinned(tmp_path, argv, digests):
             for name in digests} == digests
 
 
-def test_import_leaves_scipy_optimize_unloaded():
-    # scipy.optimize is most of the import time; only mask fits need it
+# modules that only some commands need, each imported where it runs: the
+# process pool by sweep --workers > 1, scipy.optimize by mask fits and
+# numpy's polynomial module by bode and delay-margin
+DEFERRED_MODULES = ("multiprocessing", "concurrent.futures.process", "numpy.polynomial", "scipy")
+
+
+def test_import_loads_only_what_every_command_runs():
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    probe = "import sys, dualsync.cli; print('scipy.optimize' in sys.modules)"
+    probe = ("import sys, dualsync.cli\n"
+             f"print([m for m in {DEFERRED_MODULES!r} if m in sys.modules])")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=src), check=True, timeout=120)
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
 
 
 class TestAnalysisCommands:
@@ -462,7 +469,8 @@ class TestSweep:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+        # cmd_sweep imports the pool class from concurrent.futures when it runs
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
         for n_points, workers, size in [(3, 8, 3), (3, 2, 2), (1, 4, None), (3, 1, None)]:
             values = ", ".join(str(seed) for seed in range(1, n_points + 1))
             cfg = write_config(tmp_path, "[run]\nduration_s = 0.01\n"
@@ -599,6 +607,24 @@ class TestReproduce:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "config"
         assert not out.exists()
+
+
+class TestWriteAtomic:
+    def test_stale_temp_files_of_this_pid_are_left_alone(self, tmp_path):
+        # killed runs that had this pid left <path>.<pid>.tmp and the next name behind
+        path = tmp_path / "out.csv"
+        stale = [tmp_path / f"out.csv.{os.getpid()}{n}.tmp" for n in ("", ".1")]
+        for p in stale:
+            p.write_bytes(b"stale")
+        umask = os.umask(0o027)
+        try:
+            cli._write_csv(str(path), "c", ["a", "b"], [(1, 0.5), (2, 1.5)])
+        finally:
+            os.umask(umask)
+        assert path.read_bytes() == b"# c\na,b\n1,0.5\n2,1.5\n"
+        assert stat.S_IMODE(os.stat(path).st_mode) == 0o666 & ~0o027
+        assert [p.read_bytes() for p in stale] == [b"stale", b"stale"]
+        assert sorted(os.listdir(tmp_path)) == sorted(["out.csv", *(p.name for p in stale)])
 
 
 class TestTimeseriesRows:

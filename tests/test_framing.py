@@ -6,7 +6,7 @@ import pytest
 from scipy.stats import ks_2samp
 
 from dualsync.channel import sigma_from_snr
-from dualsync.framing import (
+from oracles import (
     PilotSequence,
     decimated_phase_error_model,
     pilot_correlate,

@@ -12,14 +12,13 @@ from dualsync.oscillator import (
     SYNTH_CHUNK,
     MaskFitError,
     NoiseMask,
-    TwoStateClock,
     TwoStateParams,
-    clock_step,
     fit_two_state,
     model_psd_dbc_hz,
     synthesize_phase,
 )
 from dualsync.spectral import psd_estimate, psd_level_at
+from oracles import TwoStateClock, clock_step
 
 
 def mask_of(points, ref=10e6):
