@@ -25,7 +25,7 @@ from .oscillator import (
     fit_two_state,
     synthesize_phase,
 )
-from .pll import LoopConfig, LoopUnit, controller_step, discriminate, wrap_phase
+from .pll import LoopConfig, wrap_phase
 from .spectral import PsdEstimate, cheb_window, psd_estimate
 
 __version__ = "0.1.0"

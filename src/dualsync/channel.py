@@ -76,7 +76,7 @@ def sigma_from_snr(snr_db: float, compression_gain_db: float) -> float:
     return 10.0 ** (-(snr_db + compression_gain_db) / 20.0)
 
 
-def compression_gain_db(pilot_len: int = 32) -> float:
+def compression_gain_db(pilot_len: int) -> float:
     """Coherent gain of correlating over one pilot field: 10*log10(len)."""
     if pilot_len < 1:
         raise ValueError("pilot_len must be positive")

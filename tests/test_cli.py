@@ -352,6 +352,46 @@ class TestSweep:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "config"
 
+    # each point writes to its own sweep_NNN, and psd.csv only with emit_psd:
+    # these keys would write the same ring at every point
+    @pytest.mark.parametrize("key, values, emit_psd", [
+        pytest.param(key, values, emit_psd, id=key) for key, values, emit_psd in [
+            ("output.directory", "a, b", "on"),
+            ("sweep.key", "run.seed, channel.snr_db", "on"),
+            ("sweep.values", "1, 2", "on"),
+            ("output.psd_block_len", "32, 64", "off"),
+            ("output.psd_n_blocks", "8, 16", "off"),
+            ("output.psd_source", "alpha, theta_out", "off"),
+            ("output.psd_window_atten_db", "80, 120", "off"),
+        ]
+    ])
+    def test_key_that_changes_no_grid_point_exits_2(self, key, values, emit_psd, tmp_path,
+                                                    capsys):
+        reason = " while output.emit_psd = off" if emit_psd == "off" else ""
+        cfg = write_config(
+            tmp_path,
+            f"[run]\nduration_s = 0.2\n[output]\nemit_psd = {emit_psd}\npsd_block_len = 32\n"
+            f"psd_n_blocks = 8\n[sweep]\nkey = {key}\nvalues = {values}\n",
+        )
+        out = tmp_path / "o"
+        assert run_cli("sweep", "--config", cfg, "--out", str(out), "--quiet") == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "config",
+                       "detail": [f"sweep.key {key} changes no grid point{reason}"]}
+        assert not (out / "sweep_000").exists()
+
+    def test_psd_key_sweeps_with_emit_psd_on(self, tmp_path):
+        cfg = write_config(
+            tmp_path,
+            "[run]\nduration_s = 0.2\n[output]\nemit_psd = on\npsd_n_blocks = 8\n"
+            "[sweep]\nkey = output.psd_block_len\nvalues = 32, 64\n",
+        )
+        out = tmp_path / "o"
+        assert run_cli("sweep", "--config", cfg, "--out", str(out), "--quiet") == 0
+        for i, block in enumerate((32, 64)):
+            _, _, rows = read_csv(out / f"sweep_{i:03d}" / "psd.csv")
+            assert len(rows) == block // 2
+
     def test_sweep_points_are_validated(self, tmp_path, capsys):
         # a grid point must pass the same checks as a config file
         cfg = write_config(

@@ -2,12 +2,15 @@
 configuration notes name every retired key, its CLI table lists the
 subcommands the parser has and the files of each `cli.COMMANDS` row, its
 CSV schemas name every header the CLI writes, its recipe table lists the
-recipes the CLI has and its library layout lists the package's modules."""
+recipes the CLI has, its library layout lists the package's modules and
+its oracle notes name every public oracle of tests/oracles.py."""
 
 import argparse
+import inspect
 import re
 from pathlib import Path
 
+import oracles
 from dualsync import cli
 from dualsync.cli import COMMANDS, RECIPES, build_parser
 from dualsync.config import RETIRED_KEYS, parse_config
@@ -60,6 +63,16 @@ def test_library_layout_lists_every_module():
     modules = {p.stem for p in (ROOT / "src" / "dualsync").glob("*.py")} - {"__init__"}
     assert len(listed) == len(set(listed))
     assert set(listed) == modules
+
+
+def test_oracle_notes_name_every_public_oracle():
+    section = README.split("## Library layout", 1)[1].split("\n## ", 1)[0]
+    notes = section.split("oracles run only in the tests", 1)[1]
+    public = [name for name, obj in vars(oracles).items()
+              if not name.startswith("_") and (inspect.isfunction(obj) or inspect.isclass(obj))
+              and obj.__module__ == oracles.__name__]
+    assert "reference_loop" in public
+    assert [name for name in public if f"`{name}`" not in notes] == []
 
 
 def test_csv_schemas_name_every_header(tmp_path, monkeypatch):

@@ -7,18 +7,20 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from dualsync import nodes
 from dualsync.channel import CarrierPlan, prop_phase, sigma_from_snr
 from dualsync.config import _PSD_SOURCES, CLOCK_SOURCES
 from dualsync.nodes import (
     DivergenceError,
     Scenario,
-    _reference_loop,
     _tick_loop,
     detect_ambiguity_jumps,
     run_scenario,
 )
 from dualsync.pll import LoopConfig, wrap_phase
+from dualsync.spectral import cheb_window, psd_estimate
+from oracles import reference_loop, run_reference
 
 TWO_PI = 2.0 * math.pi
 TICK = 956 / 8e6
@@ -90,7 +92,7 @@ class TestScenarioEquilibria:
 
 
 class TestScenarioEquilibriaReference(TestScenarioEquilibria):
-    loop = staticmethod(_reference_loop)
+    loop = staticmethod(reference_loop)
 
 
 # 0.1 s rings over the space the engines are compared in
@@ -124,7 +126,7 @@ class TestKernelMatchesReference:
                        snr_db=10.0, doppler_hz=0.5, dual_carrier=dual,
                        wrap_compensation=wrap_comp)
         fast = run_scenario(scn, seed=5)
-        slow = run_scenario(scn, seed=5, engine="reference")
+        slow = run_reference(scn, seed=5)
         for name in ("theta_bf_minus_theta0", "theta_out", "alpha", "r1", "r3"):
             np.testing.assert_allclose(
                 getattr(fast, name), getattr(slow, name), atol=1e-10
@@ -134,30 +136,61 @@ class TestKernelMatchesReference:
     @given(scn=SCENARIOS, seed=st.integers(0, 2**16))
     def test_engines_agree_on_every_series(self, scn, seed):
         fast = run_scenario(scn, seed=seed)
-        slow = run_scenario(scn, seed=seed, engine="reference")
+        slow = run_reference(scn, seed=seed)
         for name in SERIES:
             np.testing.assert_allclose(
                 getattr(fast, name), getattr(slow, name), atol=1e-10, err_msg=name
             )
 
 
-def outcome(scn, seed, engine, discriminators):
+# run_scenario runs the kernel, run_reference the oracle in its place
+RUNS = pytest.mark.parametrize("run", [pytest.param(run_scenario, id="kernel"),
+                                       pytest.param(run_reference, id="reference")])
+
+
+def outcome(run, scn, seed, discriminators):
     """The run's result, or the tick it diverged at."""
     try:
-        return run_scenario(scn, seed, engine, discriminators=discriminators)
+        return run(scn, seed, discriminators=discriminators)
     except DivergenceError as exc:
         return exc.tick
 
 
-@pytest.mark.parametrize("engine", ["kernel", "reference"])
+class TestRunReference:
+    # run_reference fails unless run_scenario ran the oracle exactly once,
+    # so that an agreement test cannot compare the kernel with itself
+    @pytest.mark.filterwarnings("ignore:omega_n")
+    @pytest.mark.parametrize("scn", [
+        pytest.param(Scenario(duration_s=0.01), id="locks"),
+        pytest.param(Scenario(duration_s=0.01, ideal_clocks=True, omega_m_hz=1e300),
+                     id="diverges"),
+    ])
+    @pytest.mark.parametrize("oracle_runs", [0, 2])
+    def test_fails_unless_the_oracle_ran_once(self, monkeypatch, scn, oracle_runs):
+        real = nodes.run_scenario
+
+        def run_scenario(scn, seed, **kw):
+            # the oracle oracle_runs times, then the kernel in its place
+            for _ in range(oracle_runs):
+                outcome(real, scn, seed, kw["discriminators"])
+            with monkeypatch.context() as m:
+                m.setattr(nodes, "_tick_loop_fast", _tick_loop)
+                return real(scn, seed, **kw)
+
+        monkeypatch.setattr(nodes, "run_scenario", run_scenario)
+        with pytest.raises(AssertionError, match=f"ran the oracle {oracle_runs} times"):
+            run_reference(scn, seed=1)
+
+
+@RUNS
 class TestLeanRing:
     # without discriminators a ring records the other three series bit for
     # bit, and diverges at the same tick
     @RING_PROPERTY
     @given(scn=SCENARIOS, seed=st.integers(0, 2**16))
-    def test_lean_ring_matches_full_ring(self, engine, scn, seed):
-        full = outcome(scn, seed, engine, True)
-        lean = outcome(scn, seed, engine, False)
+    def test_lean_ring_matches_full_ring(self, run, scn, seed):
+        full = outcome(run, scn, seed, True)
+        lean = outcome(run, scn, seed, False)
         assert type(lean) is type(full)
         if isinstance(full, int):
             assert lean == full
@@ -172,16 +205,15 @@ class TestLeanRing:
         dict(omega_m_hz=4000.0, omega_s_hz=4000.0, initial_follower_phase_rad=1.0),
         dict(omega_m_hz=1e300),
     ])
-    def test_lean_ring_diverges_at_the_full_rings_tick(self, engine, loop):
+    def test_lean_ring_diverges_at_the_full_rings_tick(self, run, loop):
         scn = Scenario(duration_s=1.0, ideal_clocks=True, **loop)
-        full = outcome(scn, 1, engine, True)
+        full = outcome(run, scn, 1, True)
         assert isinstance(full, int)
-        assert outcome(scn, 1, engine, False) == full
+        assert outcome(run, scn, 1, False) == full
 
-    def test_ring_psd_sources_are_recorded(self, engine):
+    def test_ring_psd_sources_are_recorded(self, run):
         # output.psd_source reads its ring series from a lean ring
-        lean = run_scenario(Scenario(duration_s=0.01), seed=1, engine=engine,
-                            discriminators=False)
+        lean = run(Scenario(duration_s=0.01), seed=1, discriminators=False)
         ring = [s for s in _PSD_SOURCES if s not in CLOCK_SOURCES]
         assert ring
         for name in ring:
@@ -189,9 +221,10 @@ class TestLeanRing:
 
 
 class TestKernelInputType:
-    # the loop run_scenario calls for an engine, and the module name it
-    # calls it through; the subclass below checks the oracle
-    engine, name, loop = "kernel", "_tick_loop_fast", staticmethod(_tick_loop)
+    # the run, the loop it calls and the module name it calls the loop
+    # through; the subclass below checks the oracle
+    run, module, name = staticmethod(run_scenario), nodes, "_tick_loop_fast"
+    loop = staticmethod(_tick_loop)
 
     @pytest.mark.parametrize("kw", [
         dict(snr_db=10.0, tau_s=3.3e-7, doppler_hz=1.5),
@@ -211,8 +244,8 @@ class TestKernelInputType:
             calls.append(args)
             return self.loop(*args)
 
-        monkeypatch.setattr(nodes, self.name, capture)
-        r = run_scenario(Scenario(duration_s=0.5, **kw), seed=11, engine=self.engine)
+        monkeypatch.setattr(self.module, self.name, capture)
+        r = self.run(Scenario(duration_s=0.5, **kw), seed=11)
         (args,) = calls
         inputs = args[:-7]
         assert all(isinstance(inputs[k], memoryview) for k in (3, 4))  # th0, thx
@@ -231,7 +264,8 @@ class TestKernelInputType:
 
 
 class TestReferenceInputType(TestKernelInputType):
-    engine, name, loop = "reference", "_reference_loop", staticmethod(_reference_loop)
+    run, module, name = staticmethod(run_reference), oracles, "reference_loop"
+    loop = staticmethod(reference_loop)
 
 
 class TestReferenceBytes:
@@ -251,7 +285,7 @@ class TestReferenceBytes:
                      id="follower-offsets-setpoint"),
     ])
     def test_reference_series_bytes_are_pinned(self, kw, digest):
-        r = run_scenario(Scenario(duration_s=0.3, **kw), seed=21, engine="reference")
+        r = run_reference(Scenario(duration_s=0.3, **kw), seed=21)
         data = b"".join(getattr(r, name).tobytes() for name in SERIES)
         assert hashlib.sha256(data).hexdigest() == digest
 
@@ -273,35 +307,34 @@ class TestKernelBytes:
         assert hashlib.sha256(data).hexdigest() == digest
 
 
-@pytest.mark.parametrize("engine", ["kernel", "reference"])
+@RUNS
 class TestRingChannel:
-    def test_pure_rotation(self, engine):
+    def test_pure_rotation(self, run):
         # ideal clocks and both nodes' initial transmissions at phase zero:
         # the first tick's raw angles are the carriers' propagation phases
         plan = CarrierPlan()
         tau = 0.25 / plan.return_hz[0]
-        r = run_scenario(Scenario(duration_s=0.01, ideal_clocks=True, tau_s=tau),
-                         seed=1, engine=engine)
+        r = run(Scenario(duration_s=0.01, ideal_clocks=True, tau_s=tau), seed=1)
         assert r.r3[0] == pytest.approx(-math.pi / 2, abs=1e-9)
         first = (r.r1[0], r.r2[0], r.r3[0], r.r4[0])
         expected = [prop_phase(f, tau) for f in plan.carriers_hz]
         assert first == pytest.approx(expected, abs=1e-12)
 
-    def test_doppler_per_tick_rotation(self, engine):
+    def test_doppler_per_tick_rotation(self, run):
         # once the loops have pulled in, the master's raw return angle
         # turns by the one-way Doppler phase per tick
         scn = Scenario(duration_s=1.0, ideal_clocks=True, doppler_hz=1.0)
-        r = run_scenario(scn, seed=1, engine=engine)
+        r = run(scn, seed=1)
         steps = np.diff(np.unwrap(r.r3))[r.n_ticks // 2:]
         per_tick = TWO_PI * 1.0 * TICK  # 7.5084e-4 rad
         np.testing.assert_allclose(steps, per_tick, rtol=0, atol=1e-12)
 
-    def test_noise_variance_calibration(self, engine):
+    def test_noise_variance_calibration(self, run):
         # same propagation phase on every carrier: the difference of a
         # pair's raw angles is pure noise, two independent phase noises of
         # variance sigma**2/2 each
         scn = Scenario(duration_s=5.0, ideal_clocks=True, snr_db=10.0)
-        r = run_scenario(scn, seed=3, engine=engine)
+        r = run(scn, seed=3)
         sigma = sigma_from_snr(10.0, 10 * math.log10(32))
         for a, b in ((r.r1, r.r2), (r.r3, r.r4)):
             d = np.array([wrap_phase(v) for v in a - b])
@@ -363,11 +396,11 @@ class TestRunScenario:
         # Only the NaN case below, at tick 0, gives both the same tick.
         scn = Scenario(duration_s=1.0, ideal_clocks=True, omega_m_hz=4000.0,
                        omega_s_hz=4000.0, initial_follower_phase_rad=1.0)
-        for engine in ("kernel", "reference"):
+        for run in (run_scenario, run_reference):
             with pytest.warns(UserWarning):
                 with pytest.raises(DivergenceError) as info:
-                    run_scenario(scn, seed=1, engine=engine)
-            assert 0 <= info.value.tick < scn.n_ticks, engine
+                    run(scn, seed=1)
+            assert 0 <= info.value.tick < scn.n_ticks, run.__name__
 
     def test_divergence_error_survives_pickle(self):
         # a sweep worker sends the error back to its parent by pickle
@@ -376,23 +409,15 @@ class TestRunScenario:
         assert err.tick == 5069
         assert str(err) == str(DivergenceError(5069))
 
-    def test_unknown_engine_rejected_before_any_work(self, monkeypatch):
-        def no_clocks(*args):
-            raise AssertionError("clock synthesis ran before the engine check")
-
-        monkeypatch.setattr(nodes, "_clock_series", no_clocks)
-        with pytest.raises(ValueError, match="unknown engine 'numba'"):
-            run_scenario(Scenario(duration_s=0.1), seed=1, engine="numba")
-
-    @pytest.mark.parametrize("engine", ["kernel", "reference"])
+    @RUNS
     @pytest.mark.parametrize("loop", [dict(omega_m_hz=1e300),
                                       dict(zeta_s=1e300, omega_s_hz=1e200)])
-    def test_nan_loop_state_raises_divergence_on_both_engines(self, engine, loop):
+    def test_nan_loop_state_raises_divergence_on_both_engines(self, run, loop):
         # omega**2 overflows to inf and inf*0 is NaN at the first tick
         scn = Scenario(duration_s=0.01, ideal_clocks=True, **loop)
         with pytest.warns(UserWarning):
             with pytest.raises(DivergenceError) as info:
-                run_scenario(scn, seed=1, engine=engine)
+                run(scn, seed=1)
         assert info.value.tick == 0
 
     def test_ring_clocks_are_the_clock_series(self, monkeypatch):
@@ -429,16 +454,14 @@ class TestNoiseFloorMatchesAnalysis:
         # equals noise_factor*S_disc*|out_from_0|^2*(1+|G_c|^2); this ties
         # the simulator wiring to the analysis module quantitatively, and
         # shows dual_loop_tfs also describes single-carrier runs
-        from dualsync.channel import sigma_from_snr
         from dualsync.linear_analysis import closed_tf, dual_loop_tfs, gc_tf
-        from dualsync.spectral import psd_estimate
 
         fs = 8e6 / 956
         scn = Scenario(duration_s=40.0, ideal_clocks=True, snr_db=10.0,
                        dual_carrier=dual_carrier)
         r = run_scenario(scn, seed=1)
-        est = psd_estimate(r.theta_bf_minus_theta0, fs, block_len=2**13,
-                           n_blocks=16, window_atten_db=120.0)
+        est = psd_estimate(r.theta_bf_minus_theta0, fs, block_len=2**13, n_blocks=16,
+                           window=cheb_window(2**13, 120.0))
         band = (est.freqs_hz >= 3.0) & (est.freqs_hz <= 30.0)
         gm = closed_tf(scn.loop_config_master())
         tfs = dual_loop_tfs(gm, closed_tf(scn.loop_config_follower()))

@@ -17,8 +17,8 @@ from dualsync.oscillator import (
     model_psd_dbc_hz,
     synthesize_phase,
 )
-from dualsync.spectral import psd_estimate, psd_level_at
-from oracles import TwoStateClock, clock_step
+from dualsync.spectral import cheb_window, psd_estimate
+from oracles import TwoStateClock, clock_step, psd_level_at
 
 
 def mask_of(points, ref=10e6):
@@ -208,7 +208,7 @@ class TestPsdSlopes:
         fs = 8368.2
         params = TwoStateParams(*sigmas, tick_rate_hz=fs)
         x = synthesize_phase(params, 2**18, np.random.default_rng(9))
-        est = psd_estimate(x, fs, block_len=2**14, n_blocks=16, window_atten_db=300)
+        est = psd_estimate(x, fs, block_len=2**14, n_blocks=16, window=cheb_window(2**14, 300))
         band = (est.freqs_hz >= 10.0) & (est.freqs_hz <= 300.0)
         slope = np.polyfit(np.log10(est.freqs_hz[band]), est.levels_dbc_hz[band], 1)[0]
         assert slope == pytest.approx(expected, abs=tol)
@@ -222,9 +222,9 @@ class TestScaleToRf:
         fs = 8368.2
         rng = np.random.default_rng(3)
         x = rng.standard_normal(2**16) * 1e-4
-        lo = psd_estimate(x, fs, block_len=2**12, n_blocks=16, window_atten_db=100)
+        lo = psd_estimate(x, fs, block_len=2**12, n_blocks=16, window=cheb_window(2**12, 100))
         hi = psd_estimate(x * 220.0, fs, block_len=2**12, n_blocks=16,
-                          window_atten_db=100)
+                          window=cheb_window(2**12, 100))
         shift = hi.levels_dbc_hz[5:] - lo.levels_dbc_hz[5:]
         assert np.allclose(shift, 46.848, atol=1e-9)
 
@@ -241,6 +241,6 @@ class TestMaskRoundTrip:
         mask = mask_of([(4.0, -70.0), (40.0, -100.0), (800.0, -126.4)])
         params = fit_two_state(mask, fs)
         x = synthesize_phase(params, 2**15 * 16, np.random.default_rng(21))
-        est = psd_estimate(x, fs, block_len=2**15, n_blocks=16, window_atten_db=200)
+        est = psd_estimate(x, fs, block_len=2**15, n_blocks=16, window=cheb_window(2**15, 200))
         for f0, level in mask.points:
             assert psd_level_at(est, f0) == pytest.approx(level, abs=3.0)

@@ -11,13 +11,8 @@ import scipy.signal
 import dualsync
 from dualsync.channel import prop_phase
 from dualsync.linear_analysis import closed_tf
-from dualsync.pll import (
-    LoopConfig,
-    LoopUnit,
-    controller_step,
-    discriminate,
-    wrap_phase,
-)
+from dualsync.pll import LoopConfig, wrap_phase
+from oracles import LoopUnit, controller_step, discriminate
 
 TWO_PI = 2.0 * math.pi
 
@@ -27,8 +22,10 @@ def make_cfg(zeta=1.0, f_hz=10.0, t=1e-4):
 
 
 def test_import_leaves_linear_analysis_unloaded():
-    # the loop controller depends on no transfer-function code; the package
-    # module is created unexecuted, because its __init__ imports everything
+    # the loop configuration and phase wrap that the kernel reads depend on
+    # no transfer-function code (the stepwise controller the oracle is built
+    # from lives in tests/oracles.py); the package module is created
+    # unexecuted, because its __init__ imports everything
     src = os.path.dirname(os.path.dirname(os.path.abspath(dualsync.__file__)))
     probe = ("import importlib.util, sys\n"
              "spec = importlib.util.find_spec('dualsync')\n"

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from dualsync.spectral import cheb_window, psd_estimate, psd_level_at
+from dualsync.spectral import cheb_window, psd_estimate
+from oracles import psd_level_at
 
 
 class TestChebWindow:
@@ -93,7 +94,7 @@ class TestPsdEstimate:
         sigma = 0.01
         rng = np.random.default_rng(1)
         x = rng.standard_normal(2**13 * 32) * sigma
-        est = psd_estimate(x, fs, block_len=2**13, n_blocks=32, window_atten_db=120)
+        est = psd_estimate(x, fs, block_len=2**13, n_blocks=32, window=cheb_window(2**13, 120))
         expected = 10 * math.log10(sigma**2 / fs)
         assert np.mean(est.levels_dbc_hz[4:]) == pytest.approx(expected, abs=0.5)
 
@@ -104,7 +105,7 @@ class TestPsdEstimate:
         n = 2**12 * 8
         t = np.arange(n) / fs
         x = amp * np.sin(2 * math.pi * f0 * t)
-        est = psd_estimate(x, fs, block_len=2**12, n_blocks=8, window_atten_db=100)
+        est = psd_estimate(x, fs, block_len=2**12, n_blocks=8, window=cheb_window(2**12, 100))
         # integrate L(f) around the tone: expect amp**2/4
         band = np.abs(est.freqs_hz - f0) < 40.0
         df = fs / 2**12
@@ -113,18 +114,19 @@ class TestPsdEstimate:
 
     def test_zero_input_floor(self):
         est = psd_estimate(np.zeros(2**10 * 4), 1e3, block_len=2**10, n_blocks=4,
-                           window_atten_db=100)
+                           window=cheb_window(2**10, 100))
         assert np.all(est.levels_dbc_hz < -250)
 
     def test_insufficient_samples_error_names_requirement(self):
         with pytest.raises(ValueError, match=str(2**13 * 32)):
-            psd_estimate(np.zeros(100), 1e3, block_len=2**13, n_blocks=32)
+            psd_estimate(np.zeros(100), 1e3, block_len=2**13, n_blocks=32,
+                         window=cheb_window(2**13, 120))
 
     def test_parseval_consistency(self):
         fs = 1e4
         rng = np.random.default_rng(8)
         x = rng.standard_normal(2**12 * 16) * 0.3
-        est = psd_estimate(x, fs, block_len=2**12, n_blocks=16, window_atten_db=80)
+        est = psd_estimate(x, fs, block_len=2**12, n_blocks=16, window=cheb_window(2**12, 80))
         s_phi = 2.0 * 10 ** (est.levels_dbc_hz / 10.0)
         total = np.sum(s_phi) * (fs / 2**12)
         assert total == pytest.approx(np.mean(x**2), rel=0.01)
@@ -134,9 +136,9 @@ class TestPsdEstimate:
         rng = np.random.default_rng(12)
         x = rng.standard_normal(2**10 * 96)
         few = psd_estimate(x[: 2**10 * 16], fs, block_len=2**10, n_blocks=16,
-                           window_atten_db=80)
+                           window=cheb_window(2**10, 80))
         many = psd_estimate(x[: 2**10 * 32], fs, block_len=2**10, n_blocks=32,
-                            window_atten_db=80)
+                            window=cheb_window(2**10, 80))
         ratio = np.std(few.levels_dbc_hz[4:]) / np.std(many.levels_dbc_hz[4:])
         assert ratio == pytest.approx(math.sqrt(2), rel=0.20)
 
@@ -144,6 +146,6 @@ class TestPsdEstimate:
         fs = 1e3
         rng = np.random.default_rng(5)
         x = rng.standard_normal(2**10 * 8) * 0.1
-        est = psd_estimate(x, fs, block_len=2**10, n_blocks=8, window_atten_db=80)
+        est = psd_estimate(x, fs, block_len=2**10, n_blocks=8, window=cheb_window(2**10, 80))
         level = psd_level_at(est, 100.0)
         assert level == pytest.approx(10 * math.log10(0.01 / fs), abs=1.0)
