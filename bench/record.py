@@ -10,7 +10,9 @@ default the one this script sits in) declares, at its ``run_seconds``,
 seed 1 and ``--trace 0``, ``--runs`` times for each workload, cycling
 through the workloads so that slow drift of a shared host spreads over all
 of them.  ``--trace 1`` runs perfbench's traced mode instead, whose result
-lines add the per-layer metrics; measure end-to-end metrics untraced.  The JSON file keeps, per workload, every run's ``facts`` line and
+lines add the per-layer metrics; measure end-to-end metrics untraced.  The
+JSON file names each checkout's commit and the compiler and flags of its C
+tick kernel, and keeps, per workload, every run's ``facts`` line and
 result line as perfbench printed them, and per metric the median and
 quartiles over the runs that produced a result.  It is written to the root
 of the checkout this script sits in, so a baseline measured on another
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -43,6 +46,21 @@ def _git(checkout: Path, *args: str) -> str | None:
     except (OSError, subprocess.CalledProcessError):
         return None
     return proc.stdout.strip()
+
+
+def _kernel_build(checkout: Path) -> dict | None:
+    """The compiler (the first line of ``gcc --version``) and the flags the
+    checkout builds its C tick kernel with; None for a checkout without one."""
+    code = "from dualsync.nodes import KERNEL_FLAGS\nprint(' '.join(KERNEL_FLAGS))"
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    try:
+        flags = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                               text=True, check=True).stdout.strip()
+        version = subprocess.run(["gcc", "--version"], capture_output=True, text=True,
+                                 check=True).stdout
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    return {"compiler": version.splitlines()[0], "flags": flags}
 
 
 def run_once(checkout: Path, command: list[str]) -> dict:
@@ -137,7 +155,8 @@ def main(argv=None) -> int:
 
     def describe(path: Path) -> dict:
         return {"commit": _git(path, "rev-parse", "HEAD"),
-                "uncommitted_changes": bool(_git(path, "status", "--porcelain", "--", "src"))}
+                "uncommitted_changes": bool(_git(path, "status", "--porcelain", "--", "src")),
+                "kernel_build": _kernel_build(path)}
 
     record = {"label": args.label, **describe(checkout), "command": " ".join(command)}
     if args.baseline:

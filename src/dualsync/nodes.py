@@ -1,4 +1,4 @@
-"""The ring's clocks, tick loops, scenario runner and jump detector.
+"""The ring's clocks, tick kernel, scenario runner and jump detector.
 
 Stream layout (``_streams``): child 0 of ``SeedSequence(seed)`` draws the
 master clock, child 1 the follower clock, children 2-5 the four legs' noise.
@@ -17,9 +17,15 @@ Ring topology per decimated tick (latency >= 1 tick on every leg):
   ``channel.prop_phase(f_j, tau_s)`` plus the Doppler phase common to
   all four carriers, with independent complex AWGN added per carrier.
 
-``_tick_loop`` is the package's only tick kernel; the tests check it
-against ``tests/oracles.reference_loop``, which takes the same arguments
-and computes the same tick in phasor form.  The kernel records
+The tick kernel is C: ``_tick.c`` is the package's one tick path.  The
+first ring of a process compiles it with gcc into ``__pycache__`` beside
+the source, or loads the library an earlier process built there
+(``_build_kernel``), and ``_tick_loop_fast`` calls it through ctypes.
+Importing the package builds and loads nothing.  The tests check the
+kernel bit for bit against ``tests/oracles.tick_loop``, the pure-Python
+kernel it was transcribed from, and to 1e-10 rad against
+``tests/oracles.reference_loop``, which computes the same tick in phasor
+form; both take the kernel's arguments.  The kernel records
 ``theta_bf - theta_0``, ``theta_out`` and ``alpha`` on every tick.  The
 four per-carrier discriminator series ``r1..r4`` are recorded only when
 their buffers are given: a run called with ``discriminators=False``
@@ -43,8 +49,12 @@ for.
 
 from __future__ import annotations
 
+import functools
 import math
+import os
+import stat
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -173,156 +183,130 @@ def _clock_series(scn: Scenario, seed: int, side: str, n: int) -> np.ndarray:
     return phase
 
 
-def _tick_loop(n, cfg_m, cfg_s, th0, thx, phi1, phi2, phi3, phi4, dopp_per_tick,
-               noise, theta_offset, latency, dual, wrap_comp,
-               bf0, out_arr, al, r1a, r2a, r3a, r4a):
-    """Sequential tick kernel in pure Python.
+KERNEL_SOURCE = Path(__file__).with_name("_tick.c")
+# never -ffast-math or -march=native; without -ffp-contract=off gcc fuses
+# a*b + c into one FMA where the target has it (aarch64), which changes bits
+KERNEL_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 
-    Identical math to ``tests/oracles.reference_loop``; returns the first
-    diverged tick or -1.  ``cfg_m`` and ``cfg_s`` are the master's and the
-    follower's ``pll.LoopConfig``, read once before the loop.  The series
-    arguments may be ndarrays or memoryviews of them, and ``noise`` None
-    for a noiseless ring or anything that unpacks to its eight 1-D rows (a
-    2-D ndarray or a list of row memoryviews); ``run_scenario`` passes
-    memoryviews, whose elements are plain floats, which keeps numpy scalar
-    arithmetic out of the loop without changing a bit.
 
-    ``r1a..r4a`` are either all buffers or all None.  With None the loop
-    skips the follower's ``r1``/``r2`` (a cosine, a sine and two
-    ``atan2`` per tick) and every ``r`` store; ``bf0``, ``out_arr``,
-    ``al`` and the diverged tick come out bit for bit the same.
+def _build_kernel(source: Path, cache: Path) -> Path:
+    """The shared library compiled from ``source``, built into ``cache`` on
+    the first call and loaded from there afterwards.
+
+    The file name carries the sha256 of the source and ``KERNEL_FLAGS``, so
+    an edited source or changed flags build a new library.  gcc writes into
+    a temporary directory inside ``cache`` and the library is renamed into
+    place, so processes building at once each install a whole file.  Raises
+    FileNotFoundError naming gcc if it is not on PATH, OSError naming
+    ``cache`` if it cannot be written, and PermissionError if every user
+    can write it, since a library there could be anyone's.
     """
-    has_noise = noise is not None
+    import hashlib
+    import shutil
+    import subprocess
+    import tempfile
+
+    text = source.read_bytes()
+    key = hashlib.sha256(text + " ".join(KERNEL_FLAGS).encode()).hexdigest()[:16]
+    lib = cache / f"{source.stem}-{key}.so"
+    try:
+        cache.mkdir(mode=0o755, exist_ok=True)
+    except OSError as exc:
+        raise OSError(f"cannot write the tick kernel's cache directory {cache}: {exc}") from exc
+    if cache.stat().st_mode & stat.S_IWOTH:
+        raise PermissionError(f"refusing to build or load the tick kernel in {cache}, "
+                              f"which every user can write")
+    if lib.exists():
+        return lib
+    gcc = shutil.which("gcc")
+    if gcc is None:
+        raise FileNotFoundError(f"the C compiler gcc is not on PATH; "
+                                f"it is needed to build the tick kernel {source}")
+    try:
+        tmp = tempfile.mkdtemp(dir=cache)
+    except OSError as exc:
+        raise OSError(f"cannot write the tick kernel's cache directory {cache}: {exc}") from exc
+    try:
+        built = os.path.join(tmp, lib.name)
+        # compile the bytes that were hashed, not a file that may change
+        proc = subprocess.run([gcc, *KERNEL_FLAGS, "-x", "c", "-o", built, "-", "-lm"],
+                              input=text, capture_output=True)
+        if proc.returncode:
+            raise OSError(f"gcc could not build {source}:\n"
+                          f"{proc.stderr.decode(errors='replace')}")
+        os.replace(built, lib)
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+    return lib
+
+
+@functools.cache
+def _kernel():
+    """The C function ``tick_loop``, loaded on the first ring of the process."""
+    import ctypes
+
+    lib = ctypes.CDLL(str(_build_kernel(KERNEL_SOURCE, KERNEL_SOURCE.parent / "__pycache__")))
+    i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
+    lib.tick_loop.argtypes = [i64, *[f64] * 6, ptr, ptr, *[f64] * 5, ptr, f64, i64,
+                              ctypes.c_int, ctypes.c_int, f64, *[ptr] * 8]
+    lib.tick_loop.restype = i64
+    return lib.tick_loop
+
+
+def _address(buf, n: int) -> int:
+    """Address of the first of at least ``n`` contiguous float64 elements."""
+    import ctypes
+
+    view = memoryview(buf)
+    if view.format != "d" or view.ndim != 1 or not view.c_contiguous or len(view) < n:
+        raise ValueError(f"expected a contiguous 1-D float64 buffer of at least {n} "
+                         f"elements, got format {view.format!r}, shape {view.shape}")
+    return ctypes.addressof(ctypes.c_double.from_buffer(view))
+
+
+def _gains(cfg: LoopConfig) -> tuple[float, float, float]:
+    """Integral gain, proportional gain and half tick of one loop's
+    trapezoid updates, multiplied left to right as in the byte oracle
+    ``tests/oracles.tick_loop``, so the kernel gets the same bits."""
+    om = cfg.omega_rad_s
+    half_t = 0.5 * cfg.tick_period_s
+    return half_t * om * om, 2.0 * cfg.zeta * om, half_t
+
+
+def _tick_loop_fast(n, cfg_m, cfg_s, th0, thx, phi1, phi2, phi3, phi4, dopp_per_tick,
+                    noise, theta_offset, latency, dual, wrap_comp,
+                    bf0, out_arr, al, r1a, r2a, r3a, r4a):
+    """Run ``n`` ticks of the ring in the C kernel ``_tick.c``; return the
+    first diverged tick or -1.
+
+    ``run_scenario`` calls the kernel through this name, so that tracing can
+    wrap it and the tests can put an oracle in its place; the oracles take
+    the same arguments.  ``cfg_m`` and ``cfg_s`` are the master's and the
+    follower's ``pll.LoopConfig``.  The series are 1-D float64 buffers of at
+    least ``n`` elements (ndarrays or memoryviews of them), ``noise`` is None
+    for a noiseless ring or eight such rows, and ``r1a..r4a`` are either
+    all buffers or all None, which skips the work only those series need.
+    A tick whose clock or noise sample is NaN or inf diverges there.
+    """
+    import ctypes
+
+    if n < 1 or latency < 1:
+        raise ValueError(f"need n >= 1 and latency >= 1, got {n} and {latency}")
     record = r1a is not None
-    n0, n1, n2, n3, n4, n5, n6, n7 = noise if has_noise else (None,) * 8
-    cos = math.cos
-    sin = math.sin
-    atan2 = math.atan2
-    floor = math.floor
-    pi = math.pi
-    two_pi = TWO_PI
-    limit = DIVERGENCE_LIMIT_RAD
-    # loop-invariant leading products of the trapezoid updates: Python
-    # multiplies left to right, so hoisting them keeps every bit
-    om_m = cfg_m.omega_rad_s
-    half_tm = 0.5 * cfg_m.tick_period_s
-    ki_m = half_tm * om_m * om_m
-    kp_m = 2.0 * cfg_m.zeta * om_m
-    om_s = cfg_s.omega_rad_s
-    half_ts = 0.5 * cfg_s.tick_period_s
-    ki_s = half_ts * om_s * om_s
-    kp_s = 2.0 * cfg_s.zeta * om_s
-    txf = [th0[0]] * latency
-    txr = [thx[0]] * latency
-    alpha = 0.0
-    theta_out = 0.0
-    vm = 0.0
-    em_prev = 0.0
-    wm_prev = 0.0
-    vs = 0.0
-    es_prev = 0.0
-    ws_prev = 0.0
-    tr3 = 0.0
-    tr4 = 0.0
-    started = False
-    thx_prev = thx[0]
-    for i in range(n):
-        t0 = th0[i]
-        tx = thx[i]
-        dop = dopp_per_tick * i
-        slot = i % latency
-        # master: receive the return pair, update the compensation loop
-        p3 = txr[slot] + phi3 + dop
-        re3 = cos(p3)
-        im3 = sin(p3)
-        p4 = txr[slot] + phi4 + dop
-        re4 = cos(p4)
-        im4 = sin(p4)
-        if has_noise:
-            re3 += n4[i]
-            im3 += n5[i]
-            re4 += n6[i]
-            im4 += n7[i]
-        c0 = cos(t0)
-        s0 = sin(t0)
-        r3 = atan2(im3 * c0 - re3 * s0, re3 * c0 + im3 * s0)
-        r4 = atan2(im4 * c0 - re4 * s0, re4 * c0 + im4 * s0)
-        if wrap_comp:
-            if not started:
-                tr3 = r3
-                tr4 = r4
-                started = True
-            else:
-                d3 = r3 - tr3
-                tr3 = tr3 + (d3 + two_pi * floor((pi - d3) / two_pi))
-                d4 = r4 - tr4
-                tr4 = tr4 + (d4 + two_pi * floor((pi - d4) / two_pi))
-            m3 = tr3
-            m4 = tr4
-        else:
-            m3 = r3
-            m4 = r4
-        mean_r = 0.5 * (m3 + m4) if dual else m3
-        em = theta_offset - mean_r - 0.5 * alpha
-        em = em + two_pi * floor((pi - em) / two_pi)
-        vm = vm + ki_m * (em + em_prev)
-        wm = kp_m * em + vm
-        alpha = alpha + half_tm * (wm + wm_prev)
-        em_prev = em
-        wm_prev = wm
-        txf_new = t0 + 0.5 * alpha
-        # follower: receive the forward pair, update the tracking loop
-        p1 = txf[slot] + phi1 + dop
-        re1 = cos(p1)
-        im1 = sin(p1)
-        if has_noise:
-            re1 += n0[i]
-            im1 += n1[i]
-        # reference = composite carrier (NCO x LO) from the previous epoch
-        ref = theta_out + thx_prev
-        cr = cos(ref)
-        sr = sin(ref)
-        e1 = atan2(im1 * cr - re1 * sr, re1 * cr + im1 * sr)
-        if dual:
-            p2 = txf[slot] + phi2 + dop
-            re2 = cos(p2)
-            im2 = sin(p2)
-            if has_noise:
-                re2 += n2[i]
-                im2 += n3[i]
-            e2 = atan2(im2 * cr - re2 * sr, re2 * cr + im2 * sr)
-            es = 0.5 * (e1 + e2)
-            es = es + two_pi * floor((pi - es) / two_pi)
-        else:
-            es = e1
-        vs = vs + ki_s * (es + es_prev)
-        ws = kp_s * es + vs
-        theta_out = theta_out + half_ts * (ws + ws_prev)
-        es_prev = es
-        ws_prev = ws
-        theta_bf = theta_out + tx
-        thx_prev = tx
-        txf[slot] = txf_new
-        txr[slot] = theta_bf
-        bf0[i] = theta_bf - t0
-        out_arr[i] = theta_out
-        al[i] = alpha
-        if record:
-            ct = cos(tx)
-            st = sin(tx)
-            r1a[i] = atan2(im1 * ct - re1 * st, re1 * ct + im1 * st)
-            r2a[i] = atan2(im2 * ct - re2 * st, re2 * ct + im2 * st) if dual else 0.0
-            r3a[i] = r3
-            r4a[i] = r4 if dual else 0.0
-        # false for NaN as for a phase beyond the limit
-        if not (abs(alpha) <= limit and abs(theta_out) <= limit):
-            return i
-    return -1
-
-
-# run_scenario calls the kernel through this name, so that tracing can wrap
-# it and the tests can put their oracle in its place
-_tick_loop_fast = _tick_loop
+    rows = None
+    if noise is not None:
+        rows = [_address(row, n) for row in noise]
+        if len(rows) != 8:
+            raise ValueError(f"expected eight noise rows, got {len(rows)}")
+        rows = (ctypes.c_void_p * 8)(*rows)
+    lines = (ctypes.c_double * (2 * latency))()
+    return _kernel()(
+        n, *_gains(cfg_m), *_gains(cfg_s), _address(th0, n), _address(thx, n),
+        phi1, phi2, phi3, phi4, dopp_per_tick, rows, theta_offset, latency, dual,
+        wrap_comp, DIVERGENCE_LIMIT_RAD, lines,
+        _address(bf0, n), _address(out_arr, n), _address(al, n),
+        *[_address(a, n) if record else None for a in (r1a, r2a, r3a, r4a)],
+    )
 
 
 def run_scenario(scn: Scenario, seed: int, *, discriminators: bool = True) -> ScenarioResult:
@@ -360,7 +344,8 @@ def run_scenario(scn: Scenario, seed: int, *, discriminators: bool = True) -> Sc
     # the result's seven series in field order; None for r1..r4 when lean
     recorded = 7 if discriminators else 3
     out = [np.empty(n) for _ in range(recorded)] + [None] * (7 - recorded)
-    # memoryviews share the arrays' memory and index to plain floats
+    # memoryviews share the arrays' memory; an oracle in the kernel's place
+    # indexes them to plain floats
     bad = _tick_loop_fast(
         n, scn.loop_config_master(), scn.loop_config_follower(),
         memoryview(th0), memoryview(thx), phi[0], phi[1], phi[2], phi[3],

@@ -1,6 +1,6 @@
 """Second-order tracking loop: phase wrap and loop configuration.
 
-The loop controller, which ``nodes._tick_loop`` runs inline, is
+The loop controller, which the tick kernel ``_tick.c`` runs inline, is
 ``Y(s) = (2*zeta*omega + omega**2/s)/s``; both integrators are
 discretized with the trapezoidal rule ``1/s -> (T/2)*(z+1)/(z-1)``.  The
 controller emits the per-tick phase increment; the output-phase

@@ -1,17 +1,20 @@
 """Oracles that only the tests run: symbol-level pilot reception, the
-one-tick clock model and the ring's tick in phasor form.
+one-tick clock model, and the ring's tick in pure Python and in phasor
+form.
 
 The simulator never runs any of them.  Its AWGN is drawn per decimated
 tick at ``channel.sigma_from_snr(snr, compression_gain_db(pilot_len))``,
 its clocks come from ``oscillator.synthesize_phase``, and its ticks from
-the kernel ``nodes._tick_loop``.  The pilot oracle (Walsh-Hadamard codes,
-matched correlation, symbol-level reception) checks that shortcut in
-criterion 5c and tests/test_framing.py; the clock oracle
-(``TwoStateClock``, ``clock_step``) checks the vectorised synthesis in
-tests/test_oscillator.py; the tick oracle (``reference_loop``, built from
-``discriminate`` and ``controller_step``, and run by ``run_reference``)
-checks the kernel in tests/test_nodes.py.  ``psd_level_at`` reads a mask
-anchor off a PSD estimate.
+the C kernel behind ``nodes._tick_loop_fast``.  The pilot oracle
+(Walsh-Hadamard codes, matched correlation, symbol-level reception)
+checks that shortcut in criterion 5c and tests/test_framing.py; the
+clock oracle (``TwoStateClock``, ``clock_step``) checks the vectorised
+synthesis in tests/test_oscillator.py; the two tick oracles check the
+kernel in tests/test_nodes.py: ``tick_loop``, the pure-Python kernel the
+C source was transcribed from, bit for bit, and ``reference_loop``, built
+from ``discriminate`` and ``controller_step``, to 1e-10 rad.
+``run_reference`` runs either in the kernel's place.  ``psd_level_at``
+reads a mask anchor off a PSD estimate.
 
 Pilot machinery: orthogonal +-1 code sequences and matched correlation
 whose coherent gain links the raw per-symbol SNR to the decimated-tick
@@ -22,6 +25,7 @@ symbols, FEC and frame headers are out of scope.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, replace
 from unittest import mock
@@ -30,7 +34,7 @@ import numpy as np
 
 from dualsync import nodes
 from dualsync.channel import compression_gain_db, sigma_from_snr
-from dualsync.nodes import DIVERGENCE_LIMIT_RAD, Scenario, ScenarioResult
+from dualsync.nodes import DIVERGENCE_LIMIT_RAD, TWO_PI, Scenario, ScenarioResult
 from dualsync.oscillator import TwoStateParams
 from dualsync.pll import LoopConfig, wrap_phase
 from dualsync.spectral import PsdEstimate
@@ -126,7 +130,183 @@ def clock_step(clock: TwoStateClock, gaussians) -> tuple[TwoStateClock, float]:
     return replace(clock, phase=phase, freq_state=freq_state), sample
 
 
-# the ring's tick in phasor form, the oracle of the kernel nodes._tick_loop
+# the kernel's input guard, which both tick oracles run behind
+def _finite_ticks(n, th0, thx, noise) -> int:
+    """Number of leading ticks whose clock and noise samples are all finite."""
+    rows = [th0, thx] + ([] if noise is None else list(noise))
+    finite = np.isfinite([np.asarray(row)[:n] for row in rows]).all(axis=0)
+    return n if finite.all() else int(np.argmin(finite))
+
+
+def _input_guard(loop):
+    """``loop`` run only up to the first tick whose clock or noise sample is
+    NaN or inf, which then counts as diverged, as in the C kernel.
+
+    A ring with finite inputs runs exactly as ``loop`` alone.  Without the
+    guard a NaN would make ``math.floor`` raise ValueError, a follower
+    clock NaN would reach the loop states a tick late, and an inf noise
+    sample can give a finite ``atan2`` and no divergence at all.
+    """
+    @functools.wraps(loop)
+    def guarded(n, cfg_m, cfg_s, th0, thx, phi1, phi2, phi3, phi4, dopp_per_tick, noise,
+                *rest):
+        ticks = _finite_ticks(n, th0, thx, noise)
+        bad = loop(ticks, cfg_m, cfg_s, th0, thx, phi1, phi2, phi3, phi4, dopp_per_tick,
+                   noise, *rest)
+        return ticks if bad < 0 and ticks < n else bad
+
+    return guarded
+
+
+# the package's former kernel, the byte oracle of nodes._tick_loop_fast
+@_input_guard
+def tick_loop(n, cfg_m, cfg_s, th0, thx, phi1, phi2, phi3, phi4, dopp_per_tick,
+              noise, theta_offset, latency, dual, wrap_comp,
+              bf0, out_arr, al, r1a, r2a, r3a, r4a):
+    """The byte oracle: the package's former pure-Python kernel, verbatim.
+
+    ``nodes._tick_loop_fast`` runs the C transcription of this function and
+    must give the same bits.  ``cfg_m`` and ``cfg_s`` are the master's and
+    the follower's ``pll.LoopConfig``, read once before the loop.  The
+    series arguments may be ndarrays or memoryviews of them, and ``noise``
+    None for a noiseless ring or anything that unpacks to its eight 1-D
+    rows; ``run_scenario`` passes memoryviews, whose elements are plain
+    floats, which keeps numpy scalar arithmetic out of the loop without
+    changing a bit.  ``r1a..r4a`` are either all buffers or all None, which
+    skips the follower's ``r1``/``r2`` and every ``r`` store.  Unlike the
+    C kernel, a single-carrier tick still computes the second return
+    carrier, whose results nothing reads.  Returns the first diverged tick
+    or -1.
+    """
+    has_noise = noise is not None
+    record = r1a is not None
+    n0, n1, n2, n3, n4, n5, n6, n7 = noise if has_noise else (None,) * 8
+    cos = math.cos
+    sin = math.sin
+    atan2 = math.atan2
+    floor = math.floor
+    pi = math.pi
+    two_pi = TWO_PI
+    limit = DIVERGENCE_LIMIT_RAD
+    # loop-invariant leading products of the trapezoid updates: Python
+    # multiplies left to right, so hoisting them keeps every bit
+    om_m = cfg_m.omega_rad_s
+    half_tm = 0.5 * cfg_m.tick_period_s
+    ki_m = half_tm * om_m * om_m
+    kp_m = 2.0 * cfg_m.zeta * om_m
+    om_s = cfg_s.omega_rad_s
+    half_ts = 0.5 * cfg_s.tick_period_s
+    ki_s = half_ts * om_s * om_s
+    kp_s = 2.0 * cfg_s.zeta * om_s
+    txf = [th0[0]] * latency
+    txr = [thx[0]] * latency
+    alpha = 0.0
+    theta_out = 0.0
+    vm = 0.0
+    em_prev = 0.0
+    wm_prev = 0.0
+    vs = 0.0
+    es_prev = 0.0
+    ws_prev = 0.0
+    tr3 = 0.0
+    tr4 = 0.0
+    started = False
+    thx_prev = thx[0]
+    for i in range(n):
+        t0 = th0[i]
+        tx = thx[i]
+        dop = dopp_per_tick * i
+        slot = i % latency
+        # master: receive the return pair, update the compensation loop
+        p3 = txr[slot] + phi3 + dop
+        re3 = cos(p3)
+        im3 = sin(p3)
+        p4 = txr[slot] + phi4 + dop
+        re4 = cos(p4)
+        im4 = sin(p4)
+        if has_noise:
+            re3 += n4[i]
+            im3 += n5[i]
+            re4 += n6[i]
+            im4 += n7[i]
+        c0 = cos(t0)
+        s0 = sin(t0)
+        r3 = atan2(im3 * c0 - re3 * s0, re3 * c0 + im3 * s0)
+        r4 = atan2(im4 * c0 - re4 * s0, re4 * c0 + im4 * s0)
+        if wrap_comp:
+            if not started:
+                tr3 = r3
+                tr4 = r4
+                started = True
+            else:
+                d3 = r3 - tr3
+                tr3 = tr3 + (d3 + two_pi * floor((pi - d3) / two_pi))
+                d4 = r4 - tr4
+                tr4 = tr4 + (d4 + two_pi * floor((pi - d4) / two_pi))
+            m3 = tr3
+            m4 = tr4
+        else:
+            m3 = r3
+            m4 = r4
+        mean_r = 0.5 * (m3 + m4) if dual else m3
+        em = theta_offset - mean_r - 0.5 * alpha
+        em = em + two_pi * floor((pi - em) / two_pi)
+        vm = vm + ki_m * (em + em_prev)
+        wm = kp_m * em + vm
+        alpha = alpha + half_tm * (wm + wm_prev)
+        em_prev = em
+        wm_prev = wm
+        txf_new = t0 + 0.5 * alpha
+        # follower: receive the forward pair, update the tracking loop
+        p1 = txf[slot] + phi1 + dop
+        re1 = cos(p1)
+        im1 = sin(p1)
+        if has_noise:
+            re1 += n0[i]
+            im1 += n1[i]
+        # reference = composite carrier (NCO x LO) from the previous epoch
+        ref = theta_out + thx_prev
+        cr = cos(ref)
+        sr = sin(ref)
+        e1 = atan2(im1 * cr - re1 * sr, re1 * cr + im1 * sr)
+        if dual:
+            p2 = txf[slot] + phi2 + dop
+            re2 = cos(p2)
+            im2 = sin(p2)
+            if has_noise:
+                re2 += n2[i]
+                im2 += n3[i]
+            e2 = atan2(im2 * cr - re2 * sr, re2 * cr + im2 * sr)
+            es = 0.5 * (e1 + e2)
+            es = es + two_pi * floor((pi - es) / two_pi)
+        else:
+            es = e1
+        vs = vs + ki_s * (es + es_prev)
+        ws = kp_s * es + vs
+        theta_out = theta_out + half_ts * (ws + ws_prev)
+        es_prev = es
+        ws_prev = ws
+        theta_bf = theta_out + tx
+        thx_prev = tx
+        txf[slot] = txf_new
+        txr[slot] = theta_bf
+        bf0[i] = theta_bf - t0
+        out_arr[i] = theta_out
+        al[i] = alpha
+        if record:
+            ct = cos(tx)
+            st = sin(tx)
+            r1a[i] = atan2(im1 * ct - re1 * st, re1 * ct + im1 * st)
+            r2a[i] = atan2(im2 * ct - re2 * st, re2 * ct + im2 * st) if dual else 0.0
+            r3a[i] = r3
+            r4a[i] = r4 if dual else 0.0
+        # false for NaN as for a phase beyond the limit
+        if not (abs(alpha) <= limit and abs(theta_out) <= limit):
+            return i
+    return -1
+
+
+# the ring's tick in phasor form, the oracle of the kernel to 1e-10 rad
 def discriminate(received: complex, reference: complex) -> float:
     """Phase of ``received`` relative to ``reference``, wrapped by
     ``wrap_phase``.
@@ -181,6 +361,7 @@ def controller_step(unit: LoopUnit, error: float, cfg: LoopConfig) -> tuple[Loop
     return new, control
 
 
+@_input_guard
 def reference_loop(n, cfg_m, cfg_s, th0, thx, phi1, phi2, phi3, phi4, dopp_per_tick,
                    noise, theta_offset, latency, dual, wrap_comp,
                    bf0, out_arr, al, r1a, r2a, r3a, r4a):
@@ -250,8 +431,10 @@ def reference_loop(n, cfg_m, cfg_s, th0, thx, phi1, phi2, phi3, phi4, dopp_per_t
     return -1
 
 
-def run_reference(scn: Scenario, seed: int, *, discriminators: bool = True) -> ScenarioResult:
-    """``nodes.run_scenario`` with ``reference_loop`` in the kernel's place.
+def run_reference(scn: Scenario, seed: int, *, discriminators: bool = True,
+                  loop=None) -> ScenarioResult:
+    """``nodes.run_scenario`` with the oracle ``loop``, ``reference_loop``
+    unless given, in the kernel's place.
 
     The oracle gets the kernel's clock series, noise memoryviews, phases
     and DivergenceError handling.  Raises AssertionError unless
@@ -262,7 +445,7 @@ def run_reference(scn: Scenario, seed: int, *, discriminators: bool = True) -> S
 
     def oracle(*args):
         calls.append(None)
-        return reference_loop(*args)
+        return (loop or reference_loop)(*args)
 
     try:
         with mock.patch.object(nodes, "_tick_loop_fast", oracle):

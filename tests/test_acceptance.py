@@ -186,12 +186,12 @@ def test_criterion_4_loop_convergence():
     details.append(f"50 Hz offset tail {offset_tail:.2e} rad")
     details.append(f"wall per 120 s run max {max(walls):.1f} s")
     ok = (static_tail < 1e-3 and abs(ratio - 10.0) <= 3.0 and offset_tail < 1e-3
-          and max(walls) <= 30.0)
+          and max(walls) <= 5.0)
     report("4 (loop convergence)", ok, "; ".join(details))
     assert static_tail < 1e-3
     assert abs(ratio - 10.0) <= 3.0
     assert offset_tail < 1e-3
-    assert max(walls) <= 30.0
+    assert max(walls) <= 5.0
 
 
 def _error_floor_db(snr_db, dual_carrier=True, seed=1):

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import shutil
 import stat
 import subprocess
 import sys
@@ -448,6 +449,28 @@ class TestSweep:
             a = open(os.path.join(seq_out, f"sweep_{i:03d}", "timeseries.csv"), "rb").read()
             b = open(os.path.join(par_out, f"sweep_{i:03d}", "timeseries.csv"), "rb").read()
             assert a == b
+
+    def test_parallel_sweep_from_an_empty_kernel_cache(self, tmp_path):
+        # a copy of the package has no compiled kernel yet, so both workers
+        # build it at once; each installs a whole library by rename
+        package = tmp_path / "src" / "dualsync"
+        shutil.copytree(os.path.dirname(cli.__file__), package,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        cfg = write_config(tmp_path, "[run]\nduration_s = 0.1\n[sweep]\n"
+                           "key = follower.omega_s_hz\nvalues = 50, 120\n")
+        env = dict(os.environ, PYTHONPATH=str(package.parent))
+        for workers in ("2", "1"):
+            subprocess.run([sys.executable, "-m", "dualsync.cli", "sweep", "--config", cfg,
+                            "--out", str(tmp_path / workers), "--quiet", "--workers", workers],
+                           env=env, check=True)
+        libraries = [p.name for p in (package / "__pycache__").iterdir()
+                     if not p.name.endswith(".pyc")]
+        assert len(libraries) == 1 and libraries[0].endswith(".so"), libraries
+        for i in range(2):
+            point = f"sweep_{i:03d}"
+            assert sorted(os.listdir(tmp_path / "2" / point)) == ["timeseries.csv"]
+            assert ((tmp_path / "2" / point / "timeseries.csv").read_bytes()
+                    == (tmp_path / "1" / point / "timeseries.csv").read_bytes())
 
     @pytest.mark.filterwarnings("ignore:.*:UserWarning")
     def test_parallel_sweep_reports_divergence_as_sequential(self, tmp_path, capsys):

@@ -1,6 +1,11 @@
+import ctypes
+import functools
 import hashlib
 import math
+import os
 import pickle
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -14,20 +19,20 @@ from dualsync.config import _PSD_SOURCES, CLOCK_SOURCES
 from dualsync.nodes import (
     DivergenceError,
     Scenario,
-    _tick_loop,
+    _tick_loop_fast,
     detect_ambiguity_jumps,
     run_scenario,
 )
 from dualsync.pll import LoopConfig, wrap_phase
 from dualsync.spectral import cheb_window, psd_estimate
-from oracles import reference_loop, run_reference
+from oracles import reference_loop, run_reference, tick_loop
 
 TWO_PI = 2.0 * math.pi
 TICK = 956 / 8e6
 SERIES = ("theta_bf_minus_theta0", "theta_out", "alpha", "r1", "r2", "r3", "r4")
 
 
-def run_kernel(n, phi, loop=_tick_loop, theta_offset=0.0, dual=True):
+def run_kernel(n, phi, loop=_tick_loop_fast, theta_offset=0.0, dual=True):
     """Noiseless, ideal-clock ring of n ticks at latency 1 with 100 Hz loops,
     run by ``loop`` (the kernel or its phasor-form oracle)."""
     out = [np.empty(n) for _ in range(7)]
@@ -41,7 +46,7 @@ def run_kernel(n, phi, loop=_tick_loop, theta_offset=0.0, dual=True):
 class TestScenarioEquilibria:
     # the ring's fixed points, on the kernel here and on its phasor-form
     # oracle in the subclass below
-    loop = staticmethod(_tick_loop)
+    loop = staticmethod(_tick_loop_fast)
 
     def test_static_channel_zero_error(self):
         phi = Scenario(tau_s=1.7e-10).prop_phases()
@@ -95,10 +100,8 @@ class TestScenarioEquilibriaReference(TestScenarioEquilibria):
     loop = staticmethod(reference_loop)
 
 
-# 0.1 s rings over the space the engines are compared in
-SCENARIOS = st.builds(
-    Scenario,
-    duration_s=st.just(0.1),
+# the ring's settings the engines are compared over
+RING_FIELDS = dict(
     loop_latency_ticks=st.integers(1, 3),
     dual_carrier=st.booleans(),
     wrap_compensation=st.booleans(),
@@ -110,6 +113,8 @@ SCENARIOS = st.builds(
     initial_follower_phase_rad=st.floats(-math.pi, math.pi),
     follower_freq_offset_hz=st.floats(-50.0, 50.0),
 )
+# 0.1 s rings
+SCENARIOS = st.builds(Scenario, duration_s=st.just(0.1), **RING_FIELDS)
 
 
 # each example runs whole rings, so shrinking a failure would take minutes:
@@ -143,6 +148,86 @@ class TestKernelMatchesReference:
             )
 
 
+class TestKernelArguments:
+    # the C kernel reads n float64 elements through every pointer it gets,
+    # so the wrapper refuses any buffer that does not hold them
+    @pytest.mark.parametrize("bad, match", [
+        (dict(th0=np.zeros(10, np.float32)), "float64"),
+        (dict(thx=np.zeros(9)), "at least 10"),
+        (dict(th0=np.zeros(20)[::2]), "contiguous"),
+        (dict(noise=np.zeros((7, 10))), "eight noise rows"),
+        (dict(noise=np.zeros((8, 9))), "at least 10"),
+        (dict(latency=0), "latency >= 1"),
+    ])
+    def test_rejects_what_it_cannot_read(self, bad, match):
+        args = dict(th0=np.zeros(10), thx=np.zeros(10), noise=None, latency=1)
+        args.update(bad)
+        cfg = LoopConfig(1.0, 100.0, TICK)
+        with pytest.raises(ValueError, match=match):
+            _tick_loop_fast(10, cfg, cfg, args["th0"], args["thx"], 0.0, 0.0, 0.0, 0.0, 0.0,
+                            args["noise"], 0.0, args["latency"], True, True,
+                            *[np.empty(10) for _ in range(3)], None, None, None, None)
+
+
+class TestKernelBuild:
+    # nodes._build_kernel on a copy of the source and a fresh cache directory
+
+    @pytest.fixture
+    def source(self, tmp_path):
+        path = tmp_path / "_tick.c"
+        path.write_bytes(nodes.KERNEL_SOURCE.read_bytes())
+        return path
+
+    def test_builds_once_per_source(self, source, tmp_path, monkeypatch):
+        calls = []
+        real_run = subprocess.run
+
+        def run(*args, **kwargs):
+            calls.append(args[0])
+            return real_run(*args, **kwargs)
+
+        monkeypatch.setattr(subprocess, "run", run)
+        cache = tmp_path / "cache"
+        lib = nodes._build_kernel(source, cache)
+        assert len(calls) == 1
+        assert list(cache.iterdir()) == [lib]  # no temporary left behind
+        assert nodes._build_kernel(source, cache) == lib
+        assert len(calls) == 1
+        source.write_bytes(source.read_bytes() + b"/* edited */\n")
+        edited = nodes._build_kernel(source, cache)
+        assert edited != lib
+        assert len(calls) == 2
+        assert ctypes.CDLL(str(edited)).tick_loop
+
+    def test_missing_compiler_is_named(self, source, tmp_path, monkeypatch):
+        monkeypatch.setenv("PATH", str(tmp_path))
+        with pytest.raises(FileNotFoundError, match="C compiler gcc is not on PATH"):
+            nodes._build_kernel(source, tmp_path / "cache")
+
+    def test_unwritable_cache_is_named(self, source, tmp_path):
+        cache = tmp_path / "not-a-directory" / "cache"
+        cache.parent.write_text("")
+        with pytest.raises(OSError, match=f"cache directory {cache}"):
+            nodes._build_kernel(source, cache)
+
+    def test_world_writable_cache_is_refused(self, source, tmp_path):
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        cache.chmod(0o777)
+        with pytest.raises(PermissionError, match="every user can write"):
+            nodes._build_kernel(source, cache)
+        assert list(cache.iterdir()) == []
+
+    def test_import_builds_and_loads_nothing(self):
+        # the first ring pays for the library, not every command's import
+        code = ("import dualsync.cli\nfrom dualsync import nodes\n"
+                "print(nodes._kernel.cache_info().currsize)")
+        env = dict(os.environ, PYTHONPATH=str(nodes.KERNEL_SOURCE.parents[1]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True)
+        assert proc.stdout == "0\n"
+
+
 # run_scenario runs the kernel, run_reference the oracle in its place
 RUNS = pytest.mark.parametrize("run", [pytest.param(run_scenario, id="kernel"),
                                        pytest.param(run_reference, id="reference")])
@@ -154,6 +239,60 @@ def outcome(run, scn, seed, discriminators):
         return run(scn, seed, discriminators=discriminators)
     except DivergenceError as exc:
         return exc.tick
+
+
+def ring(loop, scn, seed, discriminators=True, inject=None):
+    """The result of ``run_scenario`` with ``loop`` as its kernel, or the
+    tick it diverged at.  ``inject`` = (input, tick, value) first writes
+    value into an input series: 0 the master clock, 1 the follower clock,
+    2-9 the noise rows, taken modulo the series there are."""
+    def run(*args):
+        if inject is not None:
+            series, tick, value = inject
+            inputs = [args[3], args[4], *(args[10] or ())]
+            inputs[series % len(inputs)][tick % args[0]] = value
+        return loop(*args)
+
+    return outcome(functools.partial(run_reference, loop=run), scn, seed, discriminators)
+
+
+# rings up to 0.3 s whose loops reach 4 kHz, where noisy rings diverge after
+# about 0.15 s
+KERNEL_SCENARIOS = st.builds(
+    Scenario, duration_s=st.sampled_from([0.1, 0.3]),
+    omega_m_hz=st.sampled_from([10.0, 100.0, 4000.0]),
+    omega_s_hz=st.sampled_from([10.0, 100.0, 4000.0]), **RING_FIELDS)
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.filterwarnings("ignore:omega_n")
+class TestKernelMatchesByteOracle:
+    # the C kernel is a transcription of the byte oracle: the same bits on
+    # every series, the same divergence tick
+    @settings(RING_PROPERTY, max_examples=40)
+    @given(scn=KERNEL_SCENARIOS, seed=st.integers(0, 2**16), discriminators=st.booleans(),
+           inject=st.none() | st.tuples(st.integers(0, 9), st.integers(0, 10**4),
+                                        st.sampled_from(NON_FINITE)))
+    def test_same_bytes_and_divergence_tick(self, scn, seed, discriminators, inject):
+        kernel = ring(_tick_loop_fast, scn, seed, discriminators, inject)
+        oracle = ring(tick_loop, scn, seed, discriminators, inject)
+        assert type(kernel) is type(oracle)
+        if isinstance(kernel, int):
+            assert kernel == oracle
+            return
+        for name in SERIES:
+            a, b = getattr(kernel, name), getattr(oracle, name)
+            assert (a is None and b is None) or a.tobytes() == b.tobytes(), name
+
+    @pytest.mark.parametrize("loop", [
+        pytest.param(_tick_loop_fast, id="kernel"), pytest.param(tick_loop, id="byte-oracle"),
+        pytest.param(reference_loop, id="reference")])
+    @pytest.mark.parametrize("value", NON_FINITE[:2], ids=["nan", "inf"])
+    @pytest.mark.parametrize("series", range(10))
+    def test_non_finite_input_diverges_at_its_tick(self, loop, value, series):
+        # without the guard a NaN reached math.floor and raised ValueError
+        scn = Scenario(duration_s=0.2, snr_db=10.0)
+        assert ring(loop, scn, 1, inject=(series, 500, value)) == 500
 
 
 class TestRunReference:
@@ -174,7 +313,7 @@ class TestRunReference:
             for _ in range(oracle_runs):
                 outcome(real, scn, seed, kw["discriminators"])
             with monkeypatch.context() as m:
-                m.setattr(nodes, "_tick_loop_fast", _tick_loop)
+                m.setattr(nodes, "_tick_loop_fast", _tick_loop_fast)
                 return real(scn, seed, **kw)
 
         monkeypatch.setattr(nodes, "run_scenario", run_scenario)
@@ -224,7 +363,7 @@ class TestKernelInputType:
     # the run, the loop it calls and the module name it calls the loop
     # through; the subclass below checks the oracle
     run, module, name = staticmethod(run_scenario), nodes, "_tick_loop_fast"
-    loop = staticmethod(_tick_loop)
+    loop = staticmethod(_tick_loop_fast)
 
     @pytest.mark.parametrize("kw", [
         dict(snr_db=10.0, tau_s=3.3e-7, doppler_hz=1.5),
