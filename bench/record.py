@@ -12,11 +12,11 @@ through the workloads so that slow drift of a shared host spreads over all
 of them.  ``--trace 1`` runs perfbench's traced mode instead, whose result
 lines add the per-layer metrics; measure end-to-end metrics untraced.  The
 JSON file names each checkout's commit and the compiler and flags of its C
-tick kernel, and keeps, per workload, every run's ``facts`` line and
-result line as perfbench printed them, and per metric the median and
-quartiles over the runs that produced a result.  It is written to the root
-of the checkout this script sits in, so a baseline measured on another
-checkout lands beside the others.
+libraries (the tick kernel and the CSV writer), and keeps, per workload,
+every run's ``facts`` line and result line as perfbench printed them, and
+per metric the median and quartiles over the runs that produced a result.
+It is written to the root of the checkout this script sits in, so a
+baseline measured on another checkout lands beside the others.
 
 With ``--baseline DIR`` the runs come in pairs: for each workload a run of
 the baseline checkout and one of the measured checkout back to back, the
@@ -49,13 +49,19 @@ def _git(checkout: Path, *args: str) -> str | None:
 
 
 def _kernel_build(checkout: Path) -> dict | None:
-    """The compiler (the first line of ``gcc --version``) and the flags the
-    checkout builds its C tick kernel with; None for a checkout without one."""
-    code = "from dualsync.nodes import KERNEL_FLAGS\nprint(' '.join(KERNEL_FLAGS))"
+    """The compiler (the first line of ``gcc --version``) and, by source
+    file, the flags the checkout builds its C libraries with: the tick
+    kernel's and, where the checkout has one, the CSV writer's; None for a
+    checkout without a C kernel."""
+    code = ("import json\nfrom dualsync import cli, nodes\n"
+            "flags = {nodes.KERNEL_SOURCE.name: nodes.KERNEL_FLAGS}\n"
+            "if hasattr(cli, 'CSV_SOURCE'):\n"
+            "    flags[cli.CSV_SOURCE.name] = cli._csv_flags()\n"
+            "print(json.dumps({name: ' '.join(f) for name, f in flags.items()}))")
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     try:
-        flags = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                               text=True, check=True).stdout.strip()
+        flags = json.loads(subprocess.run([sys.executable, "-c", code], env=env,
+                                          capture_output=True, text=True, check=True).stdout)
         version = subprocess.run(["gcc", "--version"], capture_output=True, text=True,
                                  check=True).stdout
     except (OSError, subprocess.CalledProcessError):

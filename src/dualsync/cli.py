@@ -9,9 +9,12 @@ seed reproduces each file byte for byte.
 from __future__ import annotations
 
 import argparse
+import functools
+import itertools
 import json
 import os
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -44,14 +47,55 @@ def _write_atomic(path: str, write) -> None:
         raise
 
 
+CSV_SOURCE = Path(__file__).with_name("_csv.c")
+# rows per call of the C writer, to bound the rows and text held at once
+CSV_BATCH = 1024
+
+
+def _csv_flags() -> tuple[str, ...]:
+    """gcc's flags for ``_csv.c``, which includes the interpreter's headers;
+    raises FileNotFoundError if Python.h is not where they should be."""
+    import sysconfig
+
+    include = sysconfig.get_paths()["include"]
+    if not os.path.isfile(os.path.join(include, "Python.h")):
+        raise FileNotFoundError(f"the interpreter's C headers (Python.h) are not in "
+                                f"{include}; they are needed to build {CSV_SOURCE}")
+    return ("-O2", "-fPIC", "-shared", f"-I{include}")
+
+
+@functools.cache
+def _csv_text():
+    """The C function ``csv_text``, built into ``__pycache__`` beside
+    ``_csv.c`` by ``nodes._build_kernel`` and loaded on the first write of
+    the process, not at import."""
+    import ctypes
+
+    lib = nodes._build_kernel(CSV_SOURCE, CSV_SOURCE.parent / "__pycache__", _csv_flags())
+    # PyDLL: the function calls the C API, so it must hold the interpreter lock
+    fn = ctypes.PyDLL(str(lib)).csv_text
+    fn.argtypes = [ctypes.py_object, ctypes.c_ssize_t, ctypes.py_object]
+    fn.restype = ctypes.py_object
+    return fn
+
+
 def _write_csv(path: str, comment: str, header: list[str], rows) -> None:
     """Write `rows` of built-in str, int and float values with str(), which
-    for a float is its shortest round-trip repr; a bool must come as 1/0."""
+    for a float is its shortest round-trip repr; a bool must come as 1/0,
+    and raises TypeError naming its row (from 0, after the header) and
+    column, with `path` untouched.
+
+    The rows stream CSV_BATCH at a time through the C writer ``_csv.c``,
+    which gives the bytes of ",".join(map(str, row)) + "\n" per row."""
+    text = _csv_text()
+
     def write(fh):
         fh.write(f"# {comment}\n")
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(map(str, row)) + "\n")
+        rows_left, first, names = iter(rows), 0, tuple(header)
+        while batch := list(itertools.islice(rows_left, CSV_BATCH)):
+            fh.write(text(batch, first, names))
+            first += len(batch)
     _write_atomic(path, write)
 
 

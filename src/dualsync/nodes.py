@@ -189,47 +189,52 @@ KERNEL_SOURCE = Path(__file__).with_name("_tick.c")
 KERNEL_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 
 
-def _build_kernel(source: Path, cache: Path) -> Path:
-    """The shared library compiled from ``source``, built into ``cache`` on
-    the first call and loaded from there afterwards.
+def _build_kernel(source: Path, cache: Path, flags: tuple[str, ...]) -> Path:
+    """The shared library gcc compiles from ``source`` with ``flags``, built
+    into ``cache`` on the first call and loaded from there afterwards.
 
-    The file name carries the sha256 of the source and ``KERNEL_FLAGS``, so
-    an edited source or changed flags build a new library.  gcc writes into
-    a temporary directory inside ``cache`` and the library is renamed into
-    place, so processes building at once each install a whole file.  Raises
-    FileNotFoundError naming gcc if it is not on PATH, OSError naming
-    ``cache`` if it cannot be written, and PermissionError if every user
-    can write it, since a library there could be anyone's.
+    The file name carries the sha256 of the source, the flags and the
+    interpreter's ``SOABI``, so an edited source, changed flags or another
+    interpreter build a new library.  gcc writes into a temporary directory
+    inside ``cache`` and the library is renamed into place, so processes
+    building at once each install a whole file.  Raises FileNotFoundError
+    naming gcc if it is not on PATH, OSError naming ``cache`` if it cannot
+    be written, and PermissionError if every user can write it, since a
+    library there could be anyone's.
     """
     import hashlib
     import shutil
     import subprocess
+    import sysconfig
     import tempfile
 
     text = source.read_bytes()
-    key = hashlib.sha256(text + " ".join(KERNEL_FLAGS).encode()).hexdigest()[:16]
+    abi = sysconfig.get_config_var("SOABI") or ""
+    key = hashlib.sha256(text + "\0".join((*flags, abi)).encode()).hexdigest()[:16]
     lib = cache / f"{source.stem}-{key}.so"
     try:
         cache.mkdir(mode=0o755, exist_ok=True)
     except OSError as exc:
-        raise OSError(f"cannot write the tick kernel's cache directory {cache}: {exc}") from exc
+        raise OSError(f"cannot write the cache directory {cache} for {source.name}: "
+                      f"{exc}") from exc
     if cache.stat().st_mode & stat.S_IWOTH:
-        raise PermissionError(f"refusing to build or load the tick kernel in {cache}, "
+        raise PermissionError(f"refusing to build or load {source.name} in {cache}, "
                               f"which every user can write")
     if lib.exists():
         return lib
     gcc = shutil.which("gcc")
     if gcc is None:
         raise FileNotFoundError(f"the C compiler gcc is not on PATH; "
-                                f"it is needed to build the tick kernel {source}")
+                                f"it is needed to build {source}")
     try:
         tmp = tempfile.mkdtemp(dir=cache)
     except OSError as exc:
-        raise OSError(f"cannot write the tick kernel's cache directory {cache}: {exc}") from exc
+        raise OSError(f"cannot write the cache directory {cache} for {source.name}: "
+                      f"{exc}") from exc
     try:
         built = os.path.join(tmp, lib.name)
         # compile the bytes that were hashed, not a file that may change
-        proc = subprocess.run([gcc, *KERNEL_FLAGS, "-x", "c", "-o", built, "-", "-lm"],
+        proc = subprocess.run([gcc, *flags, "-x", "c", "-o", built, "-", "-lm"],
                               input=text, capture_output=True)
         if proc.returncode:
             raise OSError(f"gcc could not build {source}:\n"
@@ -245,7 +250,8 @@ def _kernel():
     """The C function ``tick_loop``, loaded on the first ring of the process."""
     import ctypes
 
-    lib = ctypes.CDLL(str(_build_kernel(KERNEL_SOURCE, KERNEL_SOURCE.parent / "__pycache__")))
+    lib = ctypes.CDLL(str(_build_kernel(KERNEL_SOURCE, KERNEL_SOURCE.parent / "__pycache__",
+                                        KERNEL_FLAGS)))
     i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
     lib.tick_loop.argtypes = [i64, *[f64] * 6, ptr, ptr, *[f64] * 5, ptr, f64, i64,
                               ctypes.c_int, ctypes.c_int, f64, *[ptr] * 8]

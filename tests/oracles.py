@@ -13,8 +13,9 @@ synthesis in tests/test_oscillator.py; the two tick oracles check the
 kernel in tests/test_nodes.py: ``tick_loop``, the pure-Python kernel the
 C source was transcribed from, bit for bit, and ``reference_loop``, built
 from ``discriminate`` and ``controller_step``, to 1e-10 rad.
-``run_reference`` runs either in the kernel's place.  ``psd_level_at``
-reads a mask anchor off a PSD estimate.
+``run_reference`` runs either in the kernel's place.  ``write_rows`` is
+the CSV row writer the C writer ``_csv.c`` replaced, its byte oracle.
+``psd_level_at`` reads a mask anchor off a PSD estimate.
 
 Pilot machinery: orthogonal +-1 code sequences and matched correlation
 whose coherent gain links the raw per-symbol SNR to the decimated-tick
@@ -469,3 +470,10 @@ def psd_level_at(est: PsdEstimate, f_hz: float) -> float:
             raise ValueError(f"offset {f_hz} Hz not resolvable on this grid")
         return float(est.levels_dbc_hz[idx])
     return float(np.mean(est.levels_dbc_hz[band]))
+
+
+def write_rows(fh, rows) -> None:
+    """Write each row as its cells' str() joined by commas: the loop
+    ``cli._write_csv`` ran before the C writer, verbatim."""
+    for row in rows:
+        fh.write(",".join(map(str, row)) + "\n")

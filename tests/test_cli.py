@@ -451,8 +451,9 @@ class TestSweep:
             assert a == b
 
     def test_parallel_sweep_from_an_empty_kernel_cache(self, tmp_path):
-        # a copy of the package has no compiled kernel yet, so both workers
-        # build it at once; each installs a whole library by rename
+        # a copy of the package has no compiled kernel or CSV writer yet, so
+        # both workers build them at once; each installs a whole library by
+        # rename, and the parent, writing manifest.csv, loads the workers' writer
         package = tmp_path / "src" / "dualsync"
         shutil.copytree(os.path.dirname(cli.__file__), package,
                         ignore=shutil.ignore_patterns("__pycache__"))
@@ -465,7 +466,8 @@ class TestSweep:
                            env=env, check=True)
         libraries = [p.name for p in (package / "__pycache__").iterdir()
                      if not p.name.endswith(".pyc")]
-        assert len(libraries) == 1 and libraries[0].endswith(".so"), libraries
+        assert sorted(name.split("-")[0] for name in libraries) == ["_csv", "_tick"], libraries
+        assert all(name.endswith(".so") for name in libraries), libraries
         for i in range(2):
             point = f"sweep_{i:03d}"
             assert sorted(os.listdir(tmp_path / "2" / point)) == ["timeseries.csv"]

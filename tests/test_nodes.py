@@ -6,6 +6,7 @@ import os
 import pickle
 import subprocess
 import sys
+import sysconfig
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from dualsync import nodes
+from dualsync import cli, nodes
 from dualsync.channel import CarrierPlan, prop_phase, sigma_from_snr
 from dualsync.config import _PSD_SOURCES, CLOCK_SOURCES
 from dualsync.nodes import (
@@ -169,16 +170,26 @@ class TestKernelArguments:
                             *[np.empty(10) for _ in range(3)], None, None, None, None)
 
 
+# the libraries nodes._build_kernel makes: source, gcc's flags, the loader
+# and the function it looks up
+LIBRARIES = {
+    "tick": lambda: (nodes.KERNEL_SOURCE, nodes.KERNEL_FLAGS, ctypes.CDLL, "tick_loop"),
+    "csv": lambda: (cli.CSV_SOURCE, cli._csv_flags(), ctypes.PyDLL, "csv_text"),
+}
+
+
 class TestKernelBuild:
-    # nodes._build_kernel on a copy of the source and a fresh cache directory
+    # nodes._build_kernel on a copy of each source and a fresh cache directory
 
-    @pytest.fixture
-    def source(self, tmp_path):
-        path = tmp_path / "_tick.c"
-        path.write_bytes(nodes.KERNEL_SOURCE.read_bytes())
-        return path
+    @pytest.fixture(params=LIBRARIES)
+    def library(self, request, tmp_path):
+        source, flags, loader, name = LIBRARIES[request.param]()
+        path = tmp_path / source.name
+        path.write_bytes(source.read_bytes())
+        return path, flags, loader, name
 
-    def test_builds_once_per_source(self, source, tmp_path, monkeypatch):
+    def test_builds_once_per_source_flags_and_abi(self, library, tmp_path, monkeypatch):
+        source, flags, loader, name = library
         calls = []
         real_run = subprocess.run
 
@@ -188,44 +199,70 @@ class TestKernelBuild:
 
         monkeypatch.setattr(subprocess, "run", run)
         cache = tmp_path / "cache"
-        lib = nodes._build_kernel(source, cache)
+        lib = nodes._build_kernel(source, cache, flags)
         assert len(calls) == 1
         assert list(cache.iterdir()) == [lib]  # no temporary left behind
-        assert nodes._build_kernel(source, cache) == lib
+        assert nodes._build_kernel(source, cache, flags) == lib
         assert len(calls) == 1
         source.write_bytes(source.read_bytes() + b"/* edited */\n")
-        edited = nodes._build_kernel(source, cache)
-        assert edited != lib
-        assert len(calls) == 2
-        assert ctypes.CDLL(str(edited)).tick_loop
+        edited = nodes._build_kernel(source, cache, flags)
+        other_flags = nodes._build_kernel(source, cache, (*flags, "-DNDEBUG"))
+        real_var = sysconfig.get_config_var
+        monkeypatch.setattr(sysconfig, "get_config_var",
+                            lambda var: "other-abi" if var == "SOABI" else real_var(var))
+        other_abi = nodes._build_kernel(source, cache, flags)
+        assert len({lib, edited, other_flags, other_abi}) == 4
+        assert len(calls) == 4
+        assert getattr(loader(str(other_abi)), name)
 
-    def test_missing_compiler_is_named(self, source, tmp_path, monkeypatch):
+    def test_missing_compiler_is_named(self, library, tmp_path, monkeypatch):
+        source, flags, _, _ = library
         monkeypatch.setenv("PATH", str(tmp_path))
         with pytest.raises(FileNotFoundError, match="C compiler gcc is not on PATH"):
-            nodes._build_kernel(source, tmp_path / "cache")
+            nodes._build_kernel(source, tmp_path / "cache", flags)
 
-    def test_unwritable_cache_is_named(self, source, tmp_path):
+    def test_unwritable_cache_is_named(self, library, tmp_path):
+        source, flags, _, _ = library
         cache = tmp_path / "not-a-directory" / "cache"
         cache.parent.write_text("")
         with pytest.raises(OSError, match=f"cache directory {cache}"):
-            nodes._build_kernel(source, cache)
+            nodes._build_kernel(source, cache, flags)
 
-    def test_world_writable_cache_is_refused(self, source, tmp_path):
+    def test_world_writable_cache_is_refused(self, library, tmp_path):
+        source, flags, _, _ = library
         cache = tmp_path / "cache"
         cache.mkdir()
         cache.chmod(0o777)
         with pytest.raises(PermissionError, match="every user can write"):
-            nodes._build_kernel(source, cache)
+            nodes._build_kernel(source, cache, flags)
         assert list(cache.iterdir()) == []
 
+    def test_missing_python_headers_are_named(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(sysconfig, "get_paths", lambda: {"include": str(tmp_path)})
+        cli._csv_text.cache_clear()
+        with pytest.raises(FileNotFoundError, match=rf"Python.h\) are not in {tmp_path}"):
+            cli._csv_text()
+
+    @pytest.mark.parametrize("load", [nodes._kernel, cli._csv_text], ids=["tick", "csv"])
+    def test_second_load_runs_no_subprocess(self, load, monkeypatch):
+        load()  # built by now, in this process or an earlier one
+
+        def run(*args, **kwargs):
+            raise AssertionError(f"ran {args[0]}")
+
+        load.cache_clear()
+        monkeypatch.setattr(subprocess, "run", run)
+        assert load()
+
     def test_import_builds_and_loads_nothing(self):
-        # the first ring pays for the library, not every command's import
-        code = ("import dualsync.cli\nfrom dualsync import nodes\n"
-                "print(nodes._kernel.cache_info().currsize)")
+        # the first ring and the first write pay for their libraries, not
+        # every command's import
+        code = ("import dualsync.cli\nfrom dualsync import cli, nodes\n"
+                "print(nodes._kernel.cache_info().currsize, cli._csv_text.cache_info().currsize)")
         env = dict(os.environ, PYTHONPATH=str(nodes.KERNEL_SOURCE.parents[1]))
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                               text=True, check=True)
-        assert proc.stdout == "0\n"
+        assert proc.stdout == "0 0\n"
 
 
 # run_scenario runs the kernel, run_reference the oracle in its place
