@@ -12,9 +12,10 @@ through the workloads so that slow drift of a shared host spreads over all
 of them.  ``--trace 1`` runs perfbench's traced mode instead, whose result
 lines add the per-layer metrics; measure end-to-end metrics untraced.  The
 JSON file names each checkout's commit and the compiler and flags of its C
-libraries (the tick kernel and the CSV writer), and keeps, per workload,
-every run's ``facts`` line and result line as perfbench printed them, and
-per metric the median and quartiles over the runs that produced a result.
+libraries (the tick kernel, the CSV writer and the normal draw), and keeps,
+per workload, every run's ``facts`` line and result line as perfbench
+printed them, and per metric the median and quartiles over the runs that
+produced a result.
 It is written to the root of the checkout this script sits in, so a
 baseline measured on another checkout lands beside the others.
 
@@ -51,12 +52,14 @@ def _git(checkout: Path, *args: str) -> str | None:
 def _kernel_build(checkout: Path) -> dict | None:
     """The compiler (the first line of ``gcc --version``) and, by source
     file, the flags the checkout builds its C libraries with: the tick
-    kernel's and, where the checkout has one, the CSV writer's; None for a
-    checkout without a C kernel."""
-    code = ("import json\nfrom dualsync import cli, nodes\n"
+    kernel's and, where the checkout has them, the CSV writer's and the
+    normal draw's; None for a checkout without a C kernel."""
+    code = ("import json\nfrom dualsync import cli, nodes, oscillator\n"
             "flags = {nodes.KERNEL_SOURCE.name: nodes.KERNEL_FLAGS}\n"
             "if hasattr(cli, 'CSV_SOURCE'):\n"
             "    flags[cli.CSV_SOURCE.name] = cli._csv_flags()\n"
+            "if hasattr(oscillator, 'NORMAL_SOURCE'):\n"
+            "    flags[oscillator.NORMAL_SOURCE.name] = nodes.KERNEL_FLAGS\n"
             "print(json.dumps({name: ' '.join(f) for name, f in flags.items()}))")
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     try:

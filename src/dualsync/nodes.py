@@ -2,6 +2,9 @@
 
 Stream layout (``_streams``): child 0 of ``SeedSequence(seed)`` draws the
 master clock, child 1 the follower clock, children 2-5 the four legs' noise.
+Each child seeds a PCG64 ``np.random.default_rng``, whose normal draws
+``oscillator.standard_normal`` makes in C (``_normal.c``), byte for byte
+those of the Generator's own ``standard_normal``.
 
 Ring topology per decimated tick (latency >= 1 tick on every leg):
 
@@ -64,6 +67,7 @@ from .oscillator import (
     DEFAULT_MASTER_MASK,
     NoiseMask,
     fit_two_state,
+    standard_normal,
     synthesize_phase,
 )
 from .pll import LoopConfig
@@ -193,11 +197,15 @@ def _build_kernel(source: Path, cache: Path, flags: tuple[str, ...]) -> Path:
     """The shared library gcc compiles from ``source`` with ``flags``, built
     into ``cache`` on the first call and loaded from there afterwards.
 
-    The file name carries the sha256 of the source, the flags and the
-    interpreter's ``SOABI``, so an edited source, changed flags or another
-    interpreter build a new library.  gcc writes into a temporary directory
-    inside ``cache`` and the library is renamed into place, so processes
-    building at once each install a whole file.  Raises FileNotFoundError
+    The file name ``<stem>-<SOABI>-<key>.so`` carries the interpreter's
+    ``SOABI`` and a sha256 of the source, the flags and the ``SOABI``, so an
+    edited source, changed flags or another interpreter build a new library.
+    gcc writes into a temporary directory inside ``cache`` and the library
+    is renamed into place, so processes building at once each install a
+    whole file.  Installing a library unlinks the others of its stem and
+    ``SOABI``, which nothing loads again; another interpreter's are kept,
+    and one that a concurrent build unlinked first is skipped.  A process
+    that has loaded a library keeps it mapped.  Raises FileNotFoundError
     naming gcc if it is not on PATH, OSError naming ``cache`` if it cannot
     be written, and PermissionError if every user can write it, since a
     library there could be anyone's.
@@ -211,7 +219,7 @@ def _build_kernel(source: Path, cache: Path, flags: tuple[str, ...]) -> Path:
     text = source.read_bytes()
     abi = sysconfig.get_config_var("SOABI") or ""
     key = hashlib.sha256(text + "\0".join((*flags, abi)).encode()).hexdigest()[:16]
-    lib = cache / f"{source.stem}-{key}.so"
+    lib = cache / f"{source.stem}-{abi}-{key}.so"
     try:
         cache.mkdir(mode=0o755, exist_ok=True)
     except OSError as exc:
@@ -242,6 +250,10 @@ def _build_kernel(source: Path, cache: Path, flags: tuple[str, ...]) -> Path:
         os.replace(built, lib)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
+    # the same length as lib's name: not a longer SOABI that begins with this one
+    for old in cache.glob(f"{source.stem}-{abi}-*.so"):
+        if old != lib and len(old.name) == len(lib.name):
+            old.unlink(missing_ok=True)
     return lib
 
 
@@ -341,7 +353,7 @@ def run_scenario(scn: Scenario, seed: int, *, discriminators: bool = True) -> Sc
         # each leg's (2, n) draw lands in its own rows, then one scaling
         draws = np.empty((8, n))
         for leg, stream in enumerate(_streams(seed)[2:]):
-            np.random.default_rng(stream).standard_normal(out=draws[2 * leg:2 * leg + 2])
+            standard_normal(np.random.default_rng(stream), draws[2 * leg:2 * leg + 2])
         draws *= sigma / math.sqrt(2.0)
         noise = [memoryview(row) for row in draws]
     phi = scn.prop_phases()

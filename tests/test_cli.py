@@ -451,9 +451,10 @@ class TestSweep:
             assert a == b
 
     def test_parallel_sweep_from_an_empty_kernel_cache(self, tmp_path):
-        # a copy of the package has no compiled kernel or CSV writer yet, so
-        # both workers build them at once; each installs a whole library by
-        # rename, and the parent, writing manifest.csv, loads the workers' writer
+        # a copy of the package has no compiled kernel, CSV writer or normal
+        # draw yet, so both workers build them at once; each installs a whole
+        # library by rename, and the parent, writing manifest.csv, loads the
+        # workers' writer
         package = tmp_path / "src" / "dualsync"
         shutil.copytree(os.path.dirname(cli.__file__), package,
                         ignore=shutil.ignore_patterns("__pycache__"))
@@ -466,7 +467,8 @@ class TestSweep:
                            env=env, check=True)
         libraries = [p.name for p in (package / "__pycache__").iterdir()
                      if not p.name.endswith(".pyc")]
-        assert sorted(name.split("-")[0] for name in libraries) == ["_csv", "_tick"], libraries
+        assert sorted(name.split("-")[0] for name in libraries) == ["_csv", "_normal", "_tick"], \
+            libraries
         assert all(name.endswith(".so") for name in libraries), libraries
         for i in range(2):
             point = f"sweep_{i:03d}"
@@ -604,10 +606,14 @@ class TestReproduce:
     def test_fig17_emits_both_bandwidths(self, tmp_path):
         out = str(tmp_path / "out")
         assert run_cli("reproduce", "fig17", "--out", out, "--quiet") == 0
+        header = (",".join(cli.TIMESERIES_HEADER) + "\n").encode()
         for omega in (10, 100):
-            path = os.path.join(out, f"timeseries_snr10_w{omega}.csv")
-            _, _, rows = read_csv(path)
-            assert len(rows) == int(round(120 * 8e6 / 956))
+            # each file is 1,004,184 rows: count them instead of splitting them
+            with open(os.path.join(out, f"timeseries_snr10_w{omega}.csv"), "rb") as fh:
+                assert fh.readline().startswith(b"# config_sha256=")
+                assert fh.readline() == header
+                rows = sum(block.count(b"\n") for block in iter(lambda: fh.read(1 << 20), b""))
+            assert rows == int(round(120 * 8e6 / 956))
 
     def test_fig22_detects_quarter_turn_jumps(self, tmp_path):
         out = str(tmp_path / "out")

@@ -3,6 +3,7 @@ import functools
 import hashlib
 import math
 import os
+import pathlib
 import pickle
 import subprocess
 import sys
@@ -14,7 +15,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from dualsync import cli, nodes
+from dualsync import cli, nodes, oscillator
 from dualsync.channel import CarrierPlan, prop_phase, sigma_from_snr
 from dualsync.config import _PSD_SOURCES, CLOCK_SOURCES
 from dualsync.nodes import (
@@ -175,6 +176,8 @@ class TestKernelArguments:
 LIBRARIES = {
     "tick": lambda: (nodes.KERNEL_SOURCE, nodes.KERNEL_FLAGS, ctypes.CDLL, "tick_loop"),
     "csv": lambda: (cli.CSV_SOURCE, cli._csv_flags(), ctypes.PyDLL, "csv_text"),
+    "normal": lambda: (oscillator.NORMAL_SOURCE, nodes.KERNEL_FLAGS, ctypes.CDLL,
+                       "normal_fill"),
 }
 
 
@@ -215,6 +218,29 @@ class TestKernelBuild:
         assert len(calls) == 4
         assert getattr(loader(str(other_abi)), name)
 
+    def test_a_new_build_unlinks_the_one_it_supersedes(self, library, tmp_path, monkeypatch):
+        source, flags, _, _ = library
+        cache = tmp_path / "cache"
+        real_var = sysconfig.get_config_var
+        abi = real_var("SOABI")
+        others = []
+        # another interpreter's library, also one whose SOABI begins with this one's
+        for other in ("other-abi", f"{abi}-other"):
+            monkeypatch.setattr(sysconfig, "get_config_var",
+                                lambda var, other=other: other if var == "SOABI" else real_var(var))
+            others.append(nodes._build_kernel(source, cache, flags))
+        monkeypatch.setattr(sysconfig, "get_config_var", real_var)
+        first = nodes._build_kernel(source, cache, flags)
+        second = nodes._build_kernel(source, cache, (*flags, "-DNDEBUG"))
+        assert sorted(cache.iterdir()) == sorted([*others, second])
+        # a library that a concurrent build unlinked between listing and unlinking
+        gone = cache / f"{source.stem}-{abi}-{'0' * 16}.so"
+        real_glob = pathlib.Path.glob
+        monkeypatch.setattr(pathlib.Path, "glob",
+                            lambda self, pattern: [*real_glob(self, pattern), gone])
+        assert nodes._build_kernel(source, cache, flags) == first
+        assert sorted(cache.iterdir()) == sorted([*others, first])
+
     def test_missing_compiler_is_named(self, library, tmp_path, monkeypatch):
         source, flags, _, _ = library
         monkeypatch.setenv("PATH", str(tmp_path))
@@ -243,7 +269,8 @@ class TestKernelBuild:
         with pytest.raises(FileNotFoundError, match=rf"Python.h\) are not in {tmp_path}"):
             cli._csv_text()
 
-    @pytest.mark.parametrize("load", [nodes._kernel, cli._csv_text], ids=["tick", "csv"])
+    @pytest.mark.parametrize("load", [nodes._kernel, cli._csv_text, oscillator._normal_fill],
+                             ids=["tick", "csv", "normal"])
     def test_second_load_runs_no_subprocess(self, load, monkeypatch):
         load()  # built by now, in this process or an earlier one
 
@@ -257,12 +284,13 @@ class TestKernelBuild:
     def test_import_builds_and_loads_nothing(self):
         # the first ring and the first write pay for their libraries, not
         # every command's import
-        code = ("import dualsync.cli\nfrom dualsync import cli, nodes\n"
-                "print(nodes._kernel.cache_info().currsize, cli._csv_text.cache_info().currsize)")
+        code = ("import dualsync.cli\nfrom dualsync import cli, nodes, oscillator\n"
+                "print(*(load.cache_info().currsize for load in "
+                "(nodes._kernel, cli._csv_text, oscillator._normal_fill)))")
         env = dict(os.environ, PYTHONPATH=str(nodes.KERNEL_SOURCE.parents[1]))
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                               text=True, check=True)
-        assert proc.stdout == "0 0\n"
+        assert proc.stdout == "0 0 0\n"
 
 
 # run_scenario runs the kernel, run_reference the oracle in its place
