@@ -51,15 +51,20 @@ def _git(checkout: Path, *args: str) -> str | None:
 
 def _kernel_build(checkout: Path) -> dict | None:
     """The compiler (the first line of ``gcc --version``) and, by source
-    file, the flags the checkout builds its C libraries with: the tick
-    kernel's and, where the checkout has them, the CSV writer's and the
-    normal draw's; None for a checkout without a C kernel."""
-    code = ("import json\nfrom dualsync import cli, nodes, oscillator\n"
-            "flags = {nodes.KERNEL_SOURCE.name: nodes.KERNEL_FLAGS}\n"
-            "if hasattr(cli, 'CSV_SOURCE'):\n"
-            "    flags[cli.CSV_SOURCE.name] = cli._csv_flags()\n"
-            "if hasattr(oscillator, 'NORMAL_SOURCE'):\n"
-            "    flags[oscillator.NORMAL_SOURCE.name] = nodes.KERNEL_FLAGS\n"
+    file, the flags the checkout builds its C sources with: those of its
+    one library ``_native`` or, in a checkout from before it, of its tick
+    kernel and, where it has them, its CSV writer and normal draw; None for
+    a checkout without a C kernel."""
+    code = ("import json\nimport dualsync.cli\nfrom dualsync import cli, nodes, oscillator\n"
+            "if hasattr(dualsync, '_native'):\n"
+            "    native = dualsync._native\n"
+            "    flags = {source.name: native.flags() for source in native.SOURCES}\n"
+            "else:\n"
+            "    flags = {nodes.KERNEL_SOURCE.name: nodes.KERNEL_FLAGS}\n"
+            "    if hasattr(cli, 'CSV_SOURCE'):\n"
+            "        flags[cli.CSV_SOURCE.name] = cli._csv_flags()\n"
+            "    if hasattr(oscillator, 'NORMAL_SOURCE'):\n"
+            "        flags[oscillator.NORMAL_SOURCE.name] = nodes.KERNEL_FLAGS\n"
             "print(json.dumps({name: ' '.join(f) for name, f in flags.items()}))")
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     try:

@@ -14,8 +14,8 @@
    a bool raises TypeError naming its row (first plus its index in the
    batch) and column, and any other cell is written as str(cell).
 
-   cli loads this library with ctypes.PyDLL: it calls the C API, so it runs
-   holding the interpreter lock. */
+   _native.library binds this function as a ctypes.PYFUNCTYPE: it calls the
+   C API, so it runs holding the interpreter lock. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>

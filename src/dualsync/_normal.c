@@ -15,7 +15,7 @@
    Tsang (2000), transcribed operation by operation with numpy's own
    tables: the low 8 bits of an output pick the layer, the next its sign,
    the next 52 the magnitude.  The wedge and tail tests call the libm exp
-   and log1p numpy calls.  nodes._build_kernel compiles this file with
+   and log1p numpy calls.  _native.build compiles this file with
    -ffp-contract=off: fusing the wedge test's (fi[i-1] - fi[i]) * u + fi[i]
    into one FMA would accept other draws and so change the whole stream
    after them.  The draws are numpy's bit for bit on the same libm. */

@@ -1,8 +1,8 @@
 /* The ring's tick kernel, the package's one tick path (see nodes.py).
 
-   nodes._build_kernel compiles this file with -O2 -ffp-contract=off, so no
-   a*b + c is fused into one rounding, and nodes._tick_loop_fast calls it
-   through ctypes.  Every floating-point operation is the one the pure-Python
+   _native.build compiles this file into the package's one C library with
+   -O2 -ffp-contract=off, so no a*b + c is fused into one rounding, and
+   nodes._tick_loop_fast calls it through ctypes.  Every floating-point operation is the one the pure-Python
    byte oracle (tests/oracles.tick_loop) performs, in the same order, and
    cos, sin, atan2 and floor are the libm functions Python's math module
    calls: the series are bit for bit the oracle's on the same libm.  The

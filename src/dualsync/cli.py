@@ -9,17 +9,15 @@ seed reproduces each file byte for byte.
 from __future__ import annotations
 
 import argparse
-import functools
 import itertools
 import json
 import os
 import sys
-from pathlib import Path
 
 import numpy as np
 
 from . import linear_analysis as la
-from . import nodes, spectral
+from . import _native, nodes, spectral
 from .config import CLOCK_SOURCES, ConfigError, ScenarioConfig, parse_config, parse_config_file
 from .nodes import DivergenceError, detect_ambiguity_jumps, run_scenario
 from .oscillator import fit_two_state, synthesize_phase
@@ -47,36 +45,8 @@ def _write_atomic(path: str, write) -> None:
         raise
 
 
-CSV_SOURCE = Path(__file__).with_name("_csv.c")
 # rows per call of the C writer, to bound the rows and text held at once
 CSV_BATCH = 1024
-
-
-def _csv_flags() -> tuple[str, ...]:
-    """gcc's flags for ``_csv.c``, which includes the interpreter's headers;
-    raises FileNotFoundError if Python.h is not where they should be."""
-    import sysconfig
-
-    include = sysconfig.get_paths()["include"]
-    if not os.path.isfile(os.path.join(include, "Python.h")):
-        raise FileNotFoundError(f"the interpreter's C headers (Python.h) are not in "
-                                f"{include}; they are needed to build {CSV_SOURCE}")
-    return ("-O2", "-fPIC", "-shared", f"-I{include}")
-
-
-@functools.cache
-def _csv_text():
-    """The C function ``csv_text``, built into ``__pycache__`` beside
-    ``_csv.c`` by ``nodes._build_kernel`` and loaded on the first write of
-    the process, not at import."""
-    import ctypes
-
-    lib = nodes._build_kernel(CSV_SOURCE, CSV_SOURCE.parent / "__pycache__", _csv_flags())
-    # PyDLL: the function calls the C API, so it must hold the interpreter lock
-    fn = ctypes.PyDLL(str(lib)).csv_text
-    fn.argtypes = [ctypes.py_object, ctypes.c_ssize_t, ctypes.py_object]
-    fn.restype = ctypes.py_object
-    return fn
 
 
 def _write_csv(path: str, comment: str, header: list[str], rows) -> None:
@@ -87,7 +57,7 @@ def _write_csv(path: str, comment: str, header: list[str], rows) -> None:
 
     The rows stream CSV_BATCH at a time through the C writer ``_csv.c``,
     which gives the bytes of ",".join(map(str, row)) + "\n" per row."""
-    text = _csv_text()
+    text = _native.library().csv_text
 
     def write(fh):
         fh.write(f"# {comment}\n")

@@ -20,13 +20,13 @@ Ring topology per decimated tick (latency >= 1 tick on every leg):
   ``channel.prop_phase(f_j, tau_s)`` plus the Doppler phase common to
   all four carriers, with independent complex AWGN added per carrier.
 
-The tick kernel is C: ``_tick.c`` is the package's one tick path.  The
-first ring of a process compiles it with gcc into ``__pycache__`` beside
-the source, or loads the library an earlier process built there
-(``_build_kernel``), and ``_tick_loop_fast`` calls it through ctypes.
-Importing the package builds and loads nothing.  The tests check the
-kernel bit for bit against ``tests/oracles.tick_loop``, the pure-Python
-kernel it was transcribed from, and to 1e-10 rad against
+The tick kernel is C: ``_tick.c`` is the package's one tick path.  It is
+part of the package's one C library, which ``_native.library`` builds or
+loads on the first ring, draw or CSV write of a process, and
+``_tick_loop_fast`` calls it through ctypes.  Importing the package builds
+and loads nothing.  The tests check the kernel bit for bit against
+``tests/oracles.tick_loop``, the pure-Python kernel it was transcribed
+from, and to 1e-10 rad against
 ``tests/oracles.reference_loop``, which computes the same tick in phasor
 form; both take the kernel's arguments.  The kernel records
 ``theta_bf - theta_0``, ``theta_out`` and ``alpha`` on every tick.  The
@@ -52,15 +52,12 @@ for.
 
 from __future__ import annotations
 
-import functools
 import math
-import os
-import stat
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
+from . import _native
 from .channel import CarrierPlan, compression_gain_db, prop_phase, sigma_from_snr
 from .oscillator import (
     DEFAULT_FOLLOWER_MASK,
@@ -187,90 +184,6 @@ def _clock_series(scn: Scenario, seed: int, side: str, n: int) -> np.ndarray:
     return phase
 
 
-KERNEL_SOURCE = Path(__file__).with_name("_tick.c")
-# never -ffast-math or -march=native; without -ffp-contract=off gcc fuses
-# a*b + c into one FMA where the target has it (aarch64), which changes bits
-KERNEL_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
-
-
-def _build_kernel(source: Path, cache: Path, flags: tuple[str, ...]) -> Path:
-    """The shared library gcc compiles from ``source`` with ``flags``, built
-    into ``cache`` on the first call and loaded from there afterwards.
-
-    The file name ``<stem>-<SOABI>-<key>.so`` carries the interpreter's
-    ``SOABI`` and a sha256 of the source, the flags and the ``SOABI``, so an
-    edited source, changed flags or another interpreter build a new library.
-    gcc writes into a temporary directory inside ``cache`` and the library
-    is renamed into place, so processes building at once each install a
-    whole file.  Installing a library unlinks the others of its stem and
-    ``SOABI``, which nothing loads again; another interpreter's are kept,
-    and one that a concurrent build unlinked first is skipped.  A process
-    that has loaded a library keeps it mapped.  Raises FileNotFoundError
-    naming gcc if it is not on PATH, OSError naming ``cache`` if it cannot
-    be written, and PermissionError if every user can write it, since a
-    library there could be anyone's.
-    """
-    import hashlib
-    import shutil
-    import subprocess
-    import sysconfig
-    import tempfile
-
-    text = source.read_bytes()
-    abi = sysconfig.get_config_var("SOABI") or ""
-    key = hashlib.sha256(text + "\0".join((*flags, abi)).encode()).hexdigest()[:16]
-    lib = cache / f"{source.stem}-{abi}-{key}.so"
-    try:
-        cache.mkdir(mode=0o755, exist_ok=True)
-    except OSError as exc:
-        raise OSError(f"cannot write the cache directory {cache} for {source.name}: "
-                      f"{exc}") from exc
-    if cache.stat().st_mode & stat.S_IWOTH:
-        raise PermissionError(f"refusing to build or load {source.name} in {cache}, "
-                              f"which every user can write")
-    if lib.exists():
-        return lib
-    gcc = shutil.which("gcc")
-    if gcc is None:
-        raise FileNotFoundError(f"the C compiler gcc is not on PATH; "
-                                f"it is needed to build {source}")
-    try:
-        tmp = tempfile.mkdtemp(dir=cache)
-    except OSError as exc:
-        raise OSError(f"cannot write the cache directory {cache} for {source.name}: "
-                      f"{exc}") from exc
-    try:
-        built = os.path.join(tmp, lib.name)
-        # compile the bytes that were hashed, not a file that may change
-        proc = subprocess.run([gcc, *flags, "-x", "c", "-o", built, "-", "-lm"],
-                              input=text, capture_output=True)
-        if proc.returncode:
-            raise OSError(f"gcc could not build {source}:\n"
-                          f"{proc.stderr.decode(errors='replace')}")
-        os.replace(built, lib)
-    finally:
-        shutil.rmtree(tmp, ignore_errors=True)
-    # the same length as lib's name: not a longer SOABI that begins with this one
-    for old in cache.glob(f"{source.stem}-{abi}-*.so"):
-        if old != lib and len(old.name) == len(lib.name):
-            old.unlink(missing_ok=True)
-    return lib
-
-
-@functools.cache
-def _kernel():
-    """The C function ``tick_loop``, loaded on the first ring of the process."""
-    import ctypes
-
-    lib = ctypes.CDLL(str(_build_kernel(KERNEL_SOURCE, KERNEL_SOURCE.parent / "__pycache__",
-                                        KERNEL_FLAGS)))
-    i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
-    lib.tick_loop.argtypes = [i64, *[f64] * 6, ptr, ptr, *[f64] * 5, ptr, f64, i64,
-                              ctypes.c_int, ctypes.c_int, f64, *[ptr] * 8]
-    lib.tick_loop.restype = i64
-    return lib.tick_loop
-
-
 def _address(buf, n: int) -> int:
     """Address of the first of at least ``n`` contiguous float64 elements."""
     import ctypes
@@ -318,7 +231,7 @@ def _tick_loop_fast(n, cfg_m, cfg_s, th0, thx, phi1, phi2, phi3, phi4, dopp_per_
             raise ValueError(f"expected eight noise rows, got {len(rows)}")
         rows = (ctypes.c_void_p * 8)(*rows)
     lines = (ctypes.c_double * (2 * latency))()
-    return _kernel()(
+    return _native.library().tick_loop(
         n, *_gains(cfg_m), *_gains(cfg_s), _address(th0, n), _address(thx, n),
         phi1, phi2, phi3, phi4, dopp_per_tick, rows, theta_offset, latency, dual,
         wrap_comp, DIVERGENCE_LIMIT_RAD, lines,

@@ -25,12 +25,12 @@ periodogram of the spectral module (see the test suite).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
+
+from . import _native
 
 # samples of the frequency-walk stream synthesize_phase draws and sums at once
 SYNTH_CHUNK = 1 << 16
@@ -154,26 +154,6 @@ def model_psd_dbc_hz(params: TwoStateParams, freqs_hz) -> np.ndarray:
     return 10.0 * np.log10(a0 + a2 / f**2 + a4 / f**4)
 
 
-NORMAL_SOURCE = Path(__file__).with_name("_normal.c")
-
-
-@functools.cache
-def _normal_fill():
-    """The C function ``normal_fill``, built into ``__pycache__`` beside
-    ``_normal.c`` by ``nodes._build_kernel`` with the tick kernel's flags
-    and loaded on the first draw of the process, not at import."""
-    import ctypes
-
-    # nodes imports this module, so it is imported here, at the first draw
-    from .nodes import KERNEL_FLAGS, _build_kernel
-
-    lib = ctypes.CDLL(str(_build_kernel(NORMAL_SOURCE, NORMAL_SOURCE.parent / "__pycache__",
-                                        KERNEL_FLAGS)))
-    lib.normal_fill.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p]
-    lib.normal_fill.restype = None
-    return lib.normal_fill
-
-
 def standard_normal(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
     """Fill ``out`` with the draws of ``rng.standard_normal(out=out)`` and
     advance ``rng`` past them, as that call does; return ``out``.
@@ -195,7 +175,7 @@ def standard_normal(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
     if not (isinstance(out, np.ndarray) and out.dtype == np.float64
             and out.flags.c_contiguous and out.flags.writeable):
         raise ValueError("out must be a writeable C-contiguous float64 array")
-    fill = _normal_fill()
+    fill = _native.library().normal_fill
     mask = (1 << 64) - 1
     with bits.lock:
         state = bits.state

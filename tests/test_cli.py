@@ -451,10 +451,9 @@ class TestSweep:
             assert a == b
 
     def test_parallel_sweep_from_an_empty_kernel_cache(self, tmp_path):
-        # a copy of the package has no compiled kernel, CSV writer or normal
-        # draw yet, so both workers build them at once; each installs a whole
-        # library by rename, and the parent, writing manifest.csv, loads the
-        # workers' writer
+        # a copy of the package has no compiled library yet, so both workers
+        # build it at once; each installs a whole library by rename, and the
+        # parent, writing manifest.csv, loads the workers' library
         package = tmp_path / "src" / "dualsync"
         shutil.copytree(os.path.dirname(cli.__file__), package,
                         ignore=shutil.ignore_patterns("__pycache__"))
@@ -467,8 +466,7 @@ class TestSweep:
                            env=env, check=True)
         libraries = [p.name for p in (package / "__pycache__").iterdir()
                      if not p.name.endswith(".pyc")]
-        assert sorted(name.split("-")[0] for name in libraries) == ["_csv", "_normal", "_tick"], \
-            libraries
+        assert [name.split("-")[0] for name in libraries] == ["_native"], libraries
         assert all(name.endswith(".so") for name in libraries), libraries
         for i in range(2):
             point = f"sweep_{i:03d}"

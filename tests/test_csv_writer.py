@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from dualsync import cli
+from dualsync import _native, cli
 from dualsync.nodes import Scenario
 
 HEADER = ["a", "b"]
@@ -103,7 +103,7 @@ def test_batch_boundaries(tmp_path, n_rows):
 def test_cached_powers_are_exact():
     # entry i of the fast path's table is 10^(8i - 348) as a 64-bit
     # significand f and exponent e, 2^63 <= f < 2^64, rounded to nearest
-    source = cli.CSV_SOURCE.read_text()
+    source = next(s for s in _native.SOURCES if s.name == "_csv.c").read_text()
 
     def table(name):
         body = re.search(name + r"\[CACHED_POWERS_N\] = \{(.*?)\};", source, re.S).group(1)

@@ -15,7 +15,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from dualsync import cli, nodes, oscillator
+from dualsync import _native, nodes
 from dualsync.channel import CarrierPlan, prop_phase, sigma_from_snr
 from dualsync.config import _PSD_SOURCES, CLOCK_SOURCES
 from dualsync.nodes import (
@@ -171,28 +171,23 @@ class TestKernelArguments:
                             *[np.empty(10) for _ in range(3)], None, None, None, None)
 
 
-# the libraries nodes._build_kernel makes: source, gcc's flags, the loader
-# and the function it looks up
-LIBRARIES = {
-    "tick": lambda: (nodes.KERNEL_SOURCE, nodes.KERNEL_FLAGS, ctypes.CDLL, "tick_loop"),
-    "csv": lambda: (cli.CSV_SOURCE, cli._csv_flags(), ctypes.PyDLL, "csv_text"),
-    "normal": lambda: (oscillator.NORMAL_SOURCE, nodes.KERNEL_FLAGS, ctypes.CDLL,
-                       "normal_fill"),
-}
+# the functions the package's one C library exports
+FUNCTIONS = ("tick_loop", "normal_fill", "csv_text")
 
 
 class TestKernelBuild:
-    # nodes._build_kernel on a copy of each source and a fresh cache directory
+    # _native.build on copies of the three sources and a fresh cache directory
 
-    @pytest.fixture(params=LIBRARIES)
-    def library(self, request, tmp_path):
-        source, flags, loader, name = LIBRARIES[request.param]()
-        path = tmp_path / source.name
-        path.write_bytes(source.read_bytes())
-        return path, flags, loader, name
+    @pytest.fixture
+    def sources(self, tmp_path):
+        (tmp_path / "src").mkdir()
+        copies = [tmp_path / "src" / source.name for source in _native.SOURCES]
+        for copy, source in zip(copies, _native.SOURCES):
+            copy.write_bytes(source.read_bytes())
+        return copies
 
-    def test_builds_once_per_source_flags_and_abi(self, library, tmp_path, monkeypatch):
-        source, flags, loader, name = library
+    def test_builds_once_per_source_flags_and_abi(self, sources, tmp_path, monkeypatch):
+        flags = _native.flags()
         calls = []
         real_run = subprocess.run
 
@@ -202,24 +197,25 @@ class TestKernelBuild:
 
         monkeypatch.setattr(subprocess, "run", run)
         cache = tmp_path / "cache"
-        lib = nodes._build_kernel(source, cache, flags)
+        lib = _native.build(sources, cache, flags)
         assert len(calls) == 1
         assert list(cache.iterdir()) == [lib]  # no temporary left behind
-        assert nodes._build_kernel(source, cache, flags) == lib
+        assert all(getattr(ctypes.CDLL(str(lib)), name) for name in FUNCTIONS)
+        assert _native.build(sources, cache, flags) == lib
         assert len(calls) == 1
-        source.write_bytes(source.read_bytes() + b"/* edited */\n")
-        edited = nodes._build_kernel(source, cache, flags)
-        other_flags = nodes._build_kernel(source, cache, (*flags, "-DNDEBUG"))
+        sources[1].write_bytes(sources[1].read_bytes() + b"/* edited */\n")
+        edited = _native.build(sources, cache, flags)
+        other_flags = _native.build(sources, cache, (*flags, "-DNDEBUG"))
         real_var = sysconfig.get_config_var
         monkeypatch.setattr(sysconfig, "get_config_var",
                             lambda var: "other-abi" if var == "SOABI" else real_var(var))
-        other_abi = nodes._build_kernel(source, cache, flags)
+        other_abi = _native.build(sources, cache, flags)
         assert len({lib, edited, other_flags, other_abi}) == 4
         assert len(calls) == 4
-        assert getattr(loader(str(other_abi)), name)
+        assert all(getattr(ctypes.CDLL(str(other_abi)), name) for name in FUNCTIONS)
 
-    def test_a_new_build_unlinks_the_one_it_supersedes(self, library, tmp_path, monkeypatch):
-        source, flags, _, _ = library
+    def test_a_new_build_unlinks_the_one_it_supersedes(self, sources, tmp_path, monkeypatch):
+        flags = _native.flags()
         cache = tmp_path / "cache"
         real_var = sysconfig.get_config_var
         abi = real_var("SOABI")
@@ -228,69 +224,78 @@ class TestKernelBuild:
         for other in ("other-abi", f"{abi}-other"):
             monkeypatch.setattr(sysconfig, "get_config_var",
                                 lambda var, other=other: other if var == "SOABI" else real_var(var))
-            others.append(nodes._build_kernel(source, cache, flags))
+            others.append(_native.build(sources, cache, flags))
         monkeypatch.setattr(sysconfig, "get_config_var", real_var)
-        first = nodes._build_kernel(source, cache, flags)
-        second = nodes._build_kernel(source, cache, (*flags, "-DNDEBUG"))
+        first = _native.build(sources, cache, flags)
+        second = _native.build(sources, cache, (*flags, "-DNDEBUG"))
         assert sorted(cache.iterdir()) == sorted([*others, second])
         # a library that a concurrent build unlinked between listing and unlinking
-        gone = cache / f"{source.stem}-{abi}-{'0' * 16}.so"
+        gone = cache / f"_native-{abi}-{'0' * 16}.so"
         real_glob = pathlib.Path.glob
         monkeypatch.setattr(pathlib.Path, "glob",
                             lambda self, pattern: [*real_glob(self, pattern), gone])
-        assert nodes._build_kernel(source, cache, flags) == first
+        assert _native.build(sources, cache, flags) == first
         assert sorted(cache.iterdir()) == sorted([*others, first])
 
-    def test_missing_compiler_is_named(self, library, tmp_path, monkeypatch):
-        source, flags, _, _ = library
+    def test_a_new_build_unlinks_retired_libraries(self, sources, tmp_path):
+        # the three libraries each source once had, named with and without
+        # the SOABI, are loaded by nothing; another interpreter's is kept
+        abi = sysconfig.get_config_var("SOABI")
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        key = "0123456789abcdef"
+        retired = [cache / f"_tick-{abi}-{key}.so", cache / f"_normal-other-abi-{key}.so",
+                   cache / f"_csv-{key}.so"]
+        other = cache / f"_native-other-abi-{key}.so"
+        for path in (*retired, other):
+            path.write_bytes(b"")
+        lib = _native.build(sources, cache, _native.flags())
+        assert sorted(cache.iterdir()) == sorted([other, lib])
+
+    def test_missing_compiler_is_named(self, sources, tmp_path, monkeypatch):
+        flags = _native.flags()
         monkeypatch.setenv("PATH", str(tmp_path))
         with pytest.raises(FileNotFoundError, match="C compiler gcc is not on PATH"):
-            nodes._build_kernel(source, tmp_path / "cache", flags)
+            _native.build(sources, tmp_path / "cache", flags)
 
-    def test_unwritable_cache_is_named(self, library, tmp_path):
-        source, flags, _, _ = library
+    def test_unwritable_cache_is_named(self, sources, tmp_path):
         cache = tmp_path / "not-a-directory" / "cache"
         cache.parent.write_text("")
         with pytest.raises(OSError, match=f"cache directory {cache}"):
-            nodes._build_kernel(source, cache, flags)
+            _native.build(sources, cache, _native.flags())
 
-    def test_world_writable_cache_is_refused(self, library, tmp_path):
-        source, flags, _, _ = library
+    def test_world_writable_cache_is_refused(self, sources, tmp_path):
         cache = tmp_path / "cache"
         cache.mkdir()
         cache.chmod(0o777)
         with pytest.raises(PermissionError, match="every user can write"):
-            nodes._build_kernel(source, cache, flags)
+            _native.build(sources, cache, _native.flags())
         assert list(cache.iterdir()) == []
 
     def test_missing_python_headers_are_named(self, tmp_path, monkeypatch):
         monkeypatch.setattr(sysconfig, "get_paths", lambda: {"include": str(tmp_path)})
-        cli._csv_text.cache_clear()
         with pytest.raises(FileNotFoundError, match=rf"Python.h\) are not in {tmp_path}"):
-            cli._csv_text()
+            _native.flags()
 
-    @pytest.mark.parametrize("load", [nodes._kernel, cli._csv_text, oscillator._normal_fill],
-                             ids=["tick", "csv", "normal"])
-    def test_second_load_runs_no_subprocess(self, load, monkeypatch):
-        load()  # built by now, in this process or an earlier one
+    def test_second_load_runs_no_subprocess(self, monkeypatch):
+        _native.library()  # built by now, in this process or an earlier one
 
         def run(*args, **kwargs):
             raise AssertionError(f"ran {args[0]}")
 
-        load.cache_clear()
+        _native.library.cache_clear()
         monkeypatch.setattr(subprocess, "run", run)
-        assert load()
+        assert all(getattr(_native.library(), name) for name in FUNCTIONS)
 
     def test_import_builds_and_loads_nothing(self):
-        # the first ring and the first write pay for their libraries, not
-        # every command's import
-        code = ("import dualsync.cli\nfrom dualsync import cli, nodes, oscillator\n"
-                "print(*(load.cache_info().currsize for load in "
-                "(nodes._kernel, cli._csv_text, oscillator._normal_fill)))")
-        env = dict(os.environ, PYTHONPATH=str(nodes.KERNEL_SOURCE.parents[1]))
+        # the first ring, draw and write pay for the library, not every
+        # command's import
+        code = ("import dualsync.cli\nfrom dualsync import _native\n"
+                "print(_native.library.cache_info().currsize)")
+        env = dict(os.environ, PYTHONPATH=str(_native.SOURCES[0].parents[1]))
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                               text=True, check=True)
-        assert proc.stdout == "0 0 0\n"
+        assert proc.stdout == "0\n"
 
 
 # run_scenario runs the kernel, run_reference the oracle in its place

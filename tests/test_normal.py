@@ -3,12 +3,16 @@ _normal.c, gives numpy's bytes: numpy's own Generator.standard_normal is
 the oracle, on the package's streams and on plain seeds, for the buffer and
 for the draws the generator makes after it."""
 
+import re
+import struct
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dualsync import nodes
+from dualsync import _native, nodes
 from dualsync.oscillator import SYNTH_CHUNK, standard_normal
 
 # numpy's ziggurat_nor_r: a draw beyond it came from the tail of layer 0
@@ -83,3 +87,72 @@ def test_other_buffers_are_refused(out):
     with pytest.raises(ValueError, match="C-contiguous float64"):
         standard_normal(rng, out)
     assert rng.bit_generator.state == before
+
+
+def ar_member(archive: bytes, wanted: str) -> bytes:
+    """The bytes of the member ``wanted`` of a System V (GNU) ar archive."""
+    assert archive.startswith(b"!<arch>\n")
+    pos, long_names = 8, b""
+    while pos < len(archive):
+        header = archive[pos:pos + 60]
+        name, size = header[:16].decode().rstrip(), int(header[48:58])
+        data = archive[pos + 60:pos + 60 + size]
+        if name == "//":
+            long_names = data
+        elif name.startswith("/") and name[1:].isdigit():
+            start = int(name[1:])
+            name = long_names[start:long_names.index(b"/\n", start)].decode() + "/"
+        if name == wanted + "/":
+            return data
+        pos += 60 + size + size % 2
+    raise KeyError(wanted)
+
+
+def elf_symbols(obj: bytes, names) -> tuple[str, dict]:
+    """The byte order ("<" or ">") of an ELF64 object and the bytes of each
+    named symbol, read from its section through the symbol table."""
+    assert obj[:5] == b"\x7fELF\x02", "not an ELF64 object"
+    order = "<>"[obj[5] - 1]
+
+    def section(i):
+        return struct.unpack_from(f"{order}IIQQQQII", obj, shoff + i * shentsize)
+
+    shoff, = struct.unpack_from(f"{order}Q", obj, 0x28)
+    shentsize, shnum = struct.unpack_from(f"{order}HH", obj, 0x3A)
+    found = {}
+    for i in range(shnum):
+        _, kind, _, _, offset, size, link, _ = section(i)
+        if kind != 2:  # SHT_SYMTAB
+            continue
+        strtab = section(link)[4]
+        for entry in range(offset, offset + size, 24):
+            name_at, _, _, shndx, value, length = struct.unpack_from(f"{order}IBBHQQ", obj,
+                                                                     entry)
+            name = obj[strtab + name_at:obj.index(b"\0", strtab + name_at)].decode()
+            if name in names:
+                data_at = section(shndx)[4] + value
+                found[name] = obj[data_at:data_at + length]
+    return order, found
+
+
+def test_tables_are_numpys():
+    # the three ziggurat tables of _normal.c, byte for byte those of numpy's
+    # own distributions.c as compiled into its libnpyrandom.a: a low-bit
+    # error changes an accept decision only about once in 2^52 draws, which
+    # the draw tests above cannot see
+    archive = Path(np.__file__).parent / "random" / "lib" / "libnpyrandom.a"
+    if not archive.is_file():
+        pytest.skip(f"numpy ships no {archive}")
+    tables = ("ki_double", "wi_double", "fi_double")
+    obj = ar_member(archive.read_bytes(), "src_distributions_distributions.c.o")
+    order, numpys = elf_symbols(obj, tables)
+    source = next(s for s in _native.SOURCES if s.name == "_normal.c").read_text()
+    for name in tables:
+        body = re.search(rf"\b{name}\[256\] = \{{(.*?)\}};", source, re.S).group(1)
+        values = body.replace(",", " ").split()
+        assert len(values) == 256, name
+        if name == "ki_double":
+            ours = struct.pack(f"{order}256Q", *(int(v.removesuffix("ULL"), 16) for v in values))
+        else:
+            ours = struct.pack(f"{order}256d", *map(float.fromhex, values))
+        assert ours == numpys[name], name
