@@ -173,6 +173,11 @@ class TestKernelArguments:
 
 # the functions the package's one C library exports
 FUNCTIONS = ("tick_loop", "normal_fill", "csv_text")
+# one case for each of the library's sources and the function it defines:
+# tick, normal, csv
+SOURCE_IDS = [source.stem.lstrip("_") for source in _native.SOURCES]
+PER_SOURCE = pytest.mark.parametrize("source", range(len(_native.SOURCES)), ids=SOURCE_IDS)
+PER_FUNCTION = pytest.mark.parametrize("name", FUNCTIONS, ids=SOURCE_IDS)
 
 
 class TestKernelBuild:
@@ -186,7 +191,9 @@ class TestKernelBuild:
             copy.write_bytes(source.read_bytes())
         return copies
 
-    def test_builds_once_per_source_flags_and_abi(self, sources, tmp_path, monkeypatch):
+    @PER_SOURCE
+    def test_builds_once_per_source_flags_and_abi(self, sources, source, tmp_path,
+                                                  monkeypatch):
         flags = _native.flags()
         calls = []
         real_run = subprocess.run
@@ -203,7 +210,7 @@ class TestKernelBuild:
         assert all(getattr(ctypes.CDLL(str(lib)), name) for name in FUNCTIONS)
         assert _native.build(sources, cache, flags) == lib
         assert len(calls) == 1
-        sources[1].write_bytes(sources[1].read_bytes() + b"/* edited */\n")
+        sources[source].write_bytes(sources[source].read_bytes() + b"/* edited */\n")
         edited = _native.build(sources, cache, flags)
         other_flags = _native.build(sources, cache, (*flags, "-DNDEBUG"))
         real_var = sysconfig.get_config_var
@@ -237,20 +244,39 @@ class TestKernelBuild:
         assert _native.build(sources, cache, flags) == first
         assert sorted(cache.iterdir()) == sorted([*others, first])
 
-    def test_a_new_build_unlinks_retired_libraries(self, sources, tmp_path):
-        # the three libraries each source once had, named with and without
-        # the SOABI, are loaded by nothing; another interpreter's is kept
+    @PER_SOURCE
+    def test_a_new_build_unlinks_retired_libraries(self, sources, source, tmp_path):
+        # the library each source once had, named with this interpreter's
+        # SOABI, another's or none, is loaded by nothing; another
+        # interpreter's _native library is kept
+        stem = sources[source].stem
         abi = sysconfig.get_config_var("SOABI")
         cache = tmp_path / "cache"
         cache.mkdir()
         key = "0123456789abcdef"
-        retired = [cache / f"_tick-{abi}-{key}.so", cache / f"_normal-other-abi-{key}.so",
-                   cache / f"_csv-{key}.so"]
+        retired = [cache / f"{stem}-{abi}-{key}.so", cache / f"{stem}-other-abi-{key}.so",
+                   cache / f"{stem}-{key}.so"]
         other = cache / f"_native-other-abi-{key}.so"
         for path in (*retired, other):
             path.write_bytes(b"")
         lib = _native.build(sources, cache, _native.flags())
         assert sorted(cache.iterdir()) == sorted([other, lib])
+
+    def test_the_key_hashes_the_sources_names(self, sources, tmp_path):
+        flags = _native.flags()
+        cache = tmp_path / "cache"
+        lib = _native.build(sources, cache, flags)
+        renamed = sources[1].with_name("_renamed.c")
+        sources[1].rename(renamed)
+        sources[1] = renamed
+        assert _native.build(sources, cache, flags) != lib
+
+    def test_sources_are_separate_translation_units(self, sources, tmp_path):
+        # a static name in every source is each source's own
+        for source in sources:
+            source.write_bytes(source.read_bytes() + b"static int clash(void) { return 0; }\n")
+        lib = _native.build(sources, tmp_path / "cache", _native.flags())
+        assert all(getattr(ctypes.CDLL(str(lib)), name) for name in FUNCTIONS)
 
     def test_missing_compiler_is_named(self, sources, tmp_path, monkeypatch):
         flags = _native.flags()
@@ -277,7 +303,8 @@ class TestKernelBuild:
         with pytest.raises(FileNotFoundError, match=rf"Python.h\) are not in {tmp_path}"):
             _native.flags()
 
-    def test_second_load_runs_no_subprocess(self, monkeypatch):
+    @PER_FUNCTION
+    def test_second_load_runs_no_subprocess(self, name, monkeypatch):
         _native.library()  # built by now, in this process or an earlier one
 
         def run(*args, **kwargs):
@@ -285,7 +312,14 @@ class TestKernelBuild:
 
         _native.library.cache_clear()
         monkeypatch.setattr(subprocess, "run", run)
-        assert all(getattr(_native.library(), name) for name in FUNCTIONS)
+        assert all(getattr(_native.library(), function) for function in FUNCTIONS)
+        assert getattr(_native.library(), name).argtypes  # declared again
+
+    @PER_FUNCTION
+    def test_only_csv_text_holds_the_interpreter_lock(self, name):
+        # csv_text builds Python objects; the loops release the lock
+        holds = type(getattr(_native.library(), name))._flags_ & ctypes._FUNCFLAG_PYTHONAPI
+        assert bool(holds) == (name == "csv_text")
 
     def test_import_builds_and_loads_nothing(self):
         # the first ring, draw and write pay for the library, not every
