@@ -1,12 +1,14 @@
 """The package's one C library: the tick kernel ``_tick.c``, the normal
-draw ``_normal.c`` and the CSV row writer ``_csv.c``.
+draw and clock synthesis ``_normal.c``, the Chebyshev window's main-lobe
+sum ``_window.c`` and the CSV row writer ``_csv.c``.
 
-The first call of ``library()`` in a process compiles the three sources with
+The first call of ``library()`` in a process compiles the four sources with
 one gcc call into ``__pycache__`` beside them, or loads the library an
-earlier process built there, and declares its three functions; importing
+earlier process built there, and declares its five functions; importing
 the package builds and loads nothing.  ``nodes._tick_loop_fast`` calls
-``tick_loop``, ``oscillator.standard_normal`` ``normal_fill`` and
-``cli._write_csv`` ``csv_text``.
+``tick_loop``, ``oscillator.standard_normal`` ``normal_fill``,
+``oscillator.synthesize_phase`` ``synth_phase``, ``spectral.cheb_window``
+``cheb_main_lobe`` and ``cli._write_csv`` ``csv_text``.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ import os
 import stat
 from pathlib import Path
 
-SOURCES = tuple(Path(__file__).with_name(name) for name in ("_tick.c", "_normal.c", "_csv.c"))
+SOURCES = tuple(Path(__file__).with_name(name)
+                for name in ("_tick.c", "_normal.c", "_window.c", "_csv.c"))
 
 
 def flags() -> tuple[str, ...]:
@@ -110,10 +113,11 @@ def build(sources, cache: Path, flags: tuple[str, ...]) -> Path:
 @functools.cache
 def library() -> ctypes.CDLL:
     """The library, loaded on the first call of the process, with its
-    functions ``tick_loop``, ``normal_fill`` and ``csv_text`` declared.
+    functions ``tick_loop``, ``normal_fill``, ``synth_phase``,
+    ``cheb_main_lobe`` and ``csv_text`` declared.
 
     ``csv_text`` calls the C API, so it is bound as a ``PYFUNCTYPE`` and
-    runs holding the interpreter lock; the other two release it."""
+    runs holding the interpreter lock; the other four release it."""
     lib = ctypes.CDLL(str(build(SOURCES, SOURCES[0].parent / "__pycache__", flags())))
     i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
     lib.tick_loop.argtypes = [i64, *[f64] * 6, ptr, ptr, *[f64] * 5, ptr, f64, i64,
@@ -121,6 +125,10 @@ def library() -> ctypes.CDLL:
     lib.tick_loop.restype = i64
     lib.normal_fill.argtypes = [ptr, i64, ptr]
     lib.normal_fill.restype = None
+    lib.synth_phase.argtypes = [ptr, i64, f64, f64, f64, ptr, ptr]
+    lib.synth_phase.restype = None
+    lib.cheb_main_lobe.argtypes = [i64, i64, *[ptr] * 4]
+    lib.cheb_main_lobe.restype = None
     lib.csv_text = ctypes.PYFUNCTYPE(ctypes.py_object, ctypes.py_object, ctypes.c_ssize_t,
                                      ctypes.py_object)(("csv_text", lib))
     return lib

@@ -18,7 +18,11 @@
    and log1p numpy calls.  _native.build compiles this file with
    -ffp-contract=off: fusing the wedge test's (fi[i-1] - fi[i]) * u + fi[i]
    into one FMA would accept other draws and so change the whole stream
-   after them.  The draws are numpy's bit for bit on the same libm. */
+   after them.  The draws are numpy's bit for bit on the same libm.
+
+   synth_phase(s, n, sigma0, sigma1, sigma2, out, phase) synthesizes an
+   n-sample clock from the same stream in one pass (see
+   oscillator.synthesize_phase). */
 
 #include <math.h>
 #include <stdint.h>
@@ -291,23 +295,57 @@ static __attribute__((noinline)) double rejected(u128 *state, u128 inc, int idx,
     }
 }
 
+/* One draw of numpy's loop from the state in *state. */
+static inline double normal(u128 *state, u128 inc)
+{
+    uint64_t r = next64(state, inc);
+    int idx = r & 0xff;
+    uint64_t rabs;
+    double x = box(r, idx, &rabs);
+    if (rabs < ki_double[idx])
+        return x;  /* 99.3% of draws */
+    /* a copy, so that no pointer to the caller's state escapes its loop */
+    u128 rest = *state;
+    x = rejected(&rest, inc, idx, rabs, x);
+    *state = rest;
+    return x;
+}
+
 void normal_fill(uint64_t *s, int64_t n, double *out)
 {
     u128 state = (u128)s[0] << 64 | s[1];
     u128 inc = (u128)s[2] << 64 | s[3];
+    for (int64_t i = 0; i < n; i++)
+        out[i] = normal(&state, inc);
+    s[0] = (uint64_t)(state >> 64);
+    s[1] = (uint64_t)state;
+}
+
+/* The two-state clock of oscillator.synthesize_phase: g0 into out, g1 into
+   phase, then per sample one g2 draw and both running sums, each IEEE
+   operation numpy's, in numpy's order:
+
+       freq = cumsum(g2 * sigma2)
+       ph   = cumsum(g1 * sigma1 + freq)
+       out  = g0 * sigma0 + ph
+
+   np.cumsum copies its first element rather than adding it to 0.0, and
+   0.0 + -0.0 is +0.0, so each sum starts from its first term.  phase is
+   scratch: it holds g1 on return. */
+void synth_phase(uint64_t *s, int64_t n, double sigma0, double sigma1, double sigma2,
+                 double *out, double *phase)
+{
+    normal_fill(s, n, out);
+    normal_fill(s, n, phase);
+    u128 state = (u128)s[0] << 64 | s[1];
+    u128 inc = (u128)s[2] << 64 | s[3];
+    double freq = 0.0, ph = 0.0;
     for (int64_t i = 0; i < n; i++) {
-        uint64_t r = next64(&state, inc);
-        int idx = r & 0xff;
-        uint64_t rabs;
-        double x = box(r, idx, &rabs);
-        if (rabs < ki_double[idx]) {
-            out[i] = x;  /* 99.3% of draws */
-            continue;
-        }
-        /* a copy, so that no pointer to state escapes the loop */
-        u128 rest = state;
-        out[i] = rejected(&rest, inc, idx, rabs, x);
-        state = rest;
+        double df = normal(&state, inc) * sigma2;
+        freq = i ? freq + df : df;
+        double dp = phase[i] * sigma1 + freq;
+        ph = i ? ph + dp : dp;
+        out[i] = out[i] * sigma0 + ph;
     }
     s[0] = (uint64_t)(state >> 64);
     s[1] = (uint64_t)state;

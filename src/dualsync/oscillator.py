@@ -32,8 +32,6 @@ import numpy as np
 
 from . import _native
 
-# samples of the frequency-walk stream synthesize_phase draws and sums at once
-SYNTH_CHUNK = 1 << 16
 # largest miss, in dB, that fit_two_state allows at any mask point
 MASK_FIT_TOL_DB = 3.0
 
@@ -154,43 +152,54 @@ def model_psd_dbc_hz(params: TwoStateParams, freqs_hz) -> np.ndarray:
     return 10.0 * np.log10(a0 + a2 / f**2 + a4 / f**4)
 
 
-def standard_normal(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
-    """Fill ``out`` with the draws of ``rng.standard_normal(out=out)`` and
-    advance ``rng`` past them, as that call does; return ``out``.
+def _advance(rng: np.random.Generator, caller: str, function: str, *args) -> None:
+    """Call the C function ``function`` of ``_native`` on the PCG64 state of
+    ``rng`` and ``args``, and write the state it advanced back into ``rng``.
 
-    The draws are made by the C transcription ``_normal.c`` of numpy's
-    ziggurat for a PCG64 bit generator, byte for byte numpy's, about three
-    times as fast.  The state goes in and comes back through the bit
-    generator's public ``state`` dict, under its lock.  Raises TypeError if
-    ``rng`` is not a Generator on a PCG64 bit generator (there is no
-    fallback to numpy) and ValueError unless ``out`` is a writeable
-    C-contiguous float64 array.
+    The state goes in as four 64-bit words, {state_hi, state_lo, inc_hi,
+    inc_lo}, and comes back through the bit generator's public ``state``
+    dict, under its lock.  Raises TypeError, naming ``caller``, if ``rng``
+    is not a Generator on a PCG64 bit generator (there is no fallback to
+    numpy); ``rng`` is then left as it was.
     """
     import ctypes
 
     bits = rng.bit_generator if isinstance(rng, np.random.Generator) else None
     if type(bits) is not np.random.PCG64:
-        raise TypeError(f"standard_normal draws from a Generator on a PCG64 bit "
+        raise TypeError(f"{caller} draws from a Generator on a PCG64 bit "
                         f"generator, got {rng!r}")
-    if not (isinstance(out, np.ndarray) and out.dtype == np.float64
-            and out.flags.c_contiguous and out.flags.writeable):
-        raise ValueError("out must be a writeable C-contiguous float64 array")
-    fill = _native.library().normal_fill
+    call = getattr(_native.library(), function)
     mask = (1 << 64) - 1
     with bits.lock:
         state = bits.state
         pcg = state["state"]
         words = (ctypes.c_uint64 * 4)(pcg["state"] >> 64, pcg["state"] & mask,
                                       pcg["inc"] >> 64, pcg["inc"] & mask)
-        fill(words, out.size, out.ctypes.data)
+        call(words, *args)
         pcg["state"] = words[0] << 64 | words[1]
         bits.state = state
+
+
+def standard_normal(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` with the draws of ``rng.standard_normal(out=out)`` and
+    advance ``rng`` past them, as that call does; return ``out``.
+
+    The draws are made by the C transcription ``_normal.c`` of numpy's
+    ziggurat for a PCG64 bit generator, byte for byte numpy's, about three
+    times as fast.  Raises ValueError unless ``out`` is a writeable
+    C-contiguous float64 array and TypeError if ``rng`` is not a Generator
+    on a PCG64 bit generator (see ``_advance``).
+    """
+    if not (isinstance(out, np.ndarray) and out.dtype == np.float64
+            and out.flags.c_contiguous and out.flags.writeable):
+        raise ValueError("out must be a writeable C-contiguous float64 array")
+    _advance(rng, "standard_normal", "normal_fill", out.size, out.ctypes.data)
     return out
 
 
 def synthesize_phase(params: TwoStateParams, n: int,
                      rng: np.random.Generator) -> np.ndarray:
-    """Vectorized synthesis of n emitted phase samples from a zeroed clock.
+    """Synthesis of n emitted phase samples from a zeroed clock.
 
     Identical sample-for-sample to running the per-tick recursion of the
     module docstring on the columns of rng.standard_normal((3, n)), and
@@ -201,39 +210,19 @@ def synthesize_phase(params: TwoStateParams, n: int,
         phase = np.cumsum(freq + sigma1 * g[1])
         return phase + sigma0 * g[0]
 
-    while holding 2n floats plus one chunk of SYNTH_CHUNK instead of six
-    full-length arrays.  Drawing g0, g1 and g2 one after the other fills
-    the same stream as the (3, n) draw, so g0 goes straight into the
-    output and g1 into the phase buffer.  np.cumsum adds strictly in
-    sequence, so g2 is drawn and both sums are run a chunk at a time, the
-    chunk's first element adding in the previous chunk's total; a*b, a+b
-    and their in-place forms are the same IEEE operation.  The draws are
-    made by ``standard_normal``, numpy's bytes from C, so ``rng`` must be a
-    Generator on a PCG64 bit generator (TypeError otherwise).
+    while holding 2n floats instead of six full-length arrays.  One C pass,
+    ``synth_phase`` in ``_normal.c``, draws g0 into the output and g1 into
+    a scratch buffer, as the (3, n) draw fills them from the stream, then
+    draws g2 one value at a time and runs both sums with it, each IEEE
+    operation the formula's in its order.  ``rng`` must be a Generator on a
+    PCG64 bit generator (TypeError otherwise, see ``_advance``); a negative
+    n raises ValueError.
     """
-    out = standard_normal(rng, np.empty(n))
-    phase = standard_normal(rng, np.empty(n))
-    phase *= params.sigma1
-    buf = np.empty(min(n, SYNTH_CHUNK))
-    for start in range(0, n, SYNTH_CHUNK):
-        stop = min(start + SYNTH_CHUNK, n)
-        freq = buf[:stop - start]
-        standard_normal(rng, freq)
-        freq *= params.sigma2
-        if start:
-            # each running total is added where one cumsum would add it
-            freq[0] += freq_total
-        np.cumsum(freq, out=freq)
-        freq_total = freq[-1]
-        p = phase[start:stop]
-        p += freq
-        if start:
-            p[0] += phase_total
-        np.cumsum(p, out=p)
-        phase_total = p[-1]
-        o = out[start:stop]
-        o *= params.sigma0
-        o += p
+    if n < 0:
+        raise ValueError(f"cannot synthesize {n} samples")
+    out, phase = np.empty(n), np.empty(n)
+    _advance(rng, "synthesize_phase", "synth_phase", out.size, params.sigma0,
+             params.sigma1, params.sigma2, out.ctypes.data, phase.ctypes.data)
     return out
 
 

@@ -8,14 +8,16 @@ its clocks come from ``oscillator.synthesize_phase``, and its ticks from
 the C kernel behind ``nodes._tick_loop_fast``.  The pilot oracle
 (Walsh-Hadamard codes, matched correlation, symbol-level reception)
 checks that shortcut in criterion 5c and tests/test_framing.py; the
-clock oracle (``TwoStateClock``, ``clock_step``) checks the vectorised
-synthesis in tests/test_oscillator.py; the two tick oracles check the
-kernel in tests/test_nodes.py: ``tick_loop``, the pure-Python kernel the
-C source was transcribed from, bit for bit, and ``reference_loop``, built
-from ``discriminate`` and ``controller_step``, to 1e-10 rad.
-``run_reference`` runs either in the kernel's place.  ``write_rows`` is
-the CSV row writer the C writer ``_csv.c`` replaced, its byte oracle.
-``psd_level_at`` reads a mask anchor off a PSD estimate.
+clock oracle (``TwoStateClock``, ``clock_step``) checks the synthesis
+sample for sample in tests/test_oscillator.py, and ``one_shot_synthesis``,
+the numpy formula the C synthesis replaced, checks it byte for byte; the
+two tick oracles check the kernel in tests/test_nodes.py: ``tick_loop``,
+the pure-Python kernel the C source was transcribed from, bit for bit,
+and ``reference_loop``, built from ``discriminate`` and
+``controller_step``, to 1e-10 rad.  ``run_reference`` runs either in the
+kernel's place.  ``write_rows`` is the CSV row writer the C writer
+``_csv.c`` replaced, its byte oracle.  ``psd_level_at`` reads a mask
+anchor off a PSD estimate.
 
 Pilot machinery: orthogonal +-1 code sequences and matched correlation
 whose coherent gain links the raw per-symbol SNR to the decimated-tick
@@ -129,6 +131,15 @@ def clock_step(clock: TwoStateClock, gaussians) -> tuple[TwoStateClock, float]:
         raise ValueError("clock phase diverged")
     sample = phase + p.sigma0 * g0
     return replace(clock, phase=phase, freq_state=freq_state), sample
+
+
+# the synthesis formula, the byte oracle of oscillator.synthesize_phase
+def one_shot_synthesis(params, n, rng):
+    """The synthesis formula with all three streams drawn at once."""
+    g = rng.standard_normal((3, n))
+    freq = np.cumsum(params.sigma2 * g[2])
+    phase = np.cumsum(freq + params.sigma1 * g[1])
+    return phase + params.sigma0 * g[0]
 
 
 # the kernel's input guard, which both tick oracles run behind

@@ -107,8 +107,9 @@ def test_timeseries_bytes_are_pinned(tmp_path, text, digest):
 
 
 # sha256 of the clock PSDs at seed 1 as the one-shot (3, n) synthesis wrote
-# them: fit-noise's defaults synthesize 65,536 samples (exactly one
-# SYNTH_CHUNK), the spectrum config 163,840 (two full chunks and a partial one)
+# them, which the chunked numpy synthesis and then the one-pass C synthesis
+# kept: fit-noise's defaults synthesize 65,536 samples, the spectrum config
+# 163,840
 CLOCK_PSD_SHA256 = [
     ("fit-noise", "", {
         "psd_master.csv": "bbf5549abe652c73f0f631fbe6b1c7a896203dd0c7c793e29eaf69c04fbe6501",

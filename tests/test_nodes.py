@@ -171,17 +171,17 @@ class TestKernelArguments:
                             *[np.empty(10) for _ in range(3)], None, None, None, None)
 
 
-# the functions the package's one C library exports
-FUNCTIONS = ("tick_loop", "normal_fill", "csv_text")
-# one case for each of the library's sources and the function it defines:
-# tick, normal, csv
+# the functions the package's one C library exports, each with its case id
+FUNCTIONS = {"tick_loop": "tick", "normal_fill": "normal", "synth_phase": "synth",
+             "cheb_main_lobe": "window", "csv_text": "csv"}
+# one case for each of the library's sources: tick, normal, window, csv
 SOURCE_IDS = [source.stem.lstrip("_") for source in _native.SOURCES]
 PER_SOURCE = pytest.mark.parametrize("source", range(len(_native.SOURCES)), ids=SOURCE_IDS)
-PER_FUNCTION = pytest.mark.parametrize("name", FUNCTIONS, ids=SOURCE_IDS)
+PER_FUNCTION = pytest.mark.parametrize("name", FUNCTIONS, ids=list(FUNCTIONS.values()))
 
 
 class TestKernelBuild:
-    # _native.build on copies of the three sources and a fresh cache directory
+    # _native.build on copies of the four sources and a fresh cache directory
 
     @pytest.fixture
     def sources(self, tmp_path):

@@ -13,11 +13,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dualsync import _native, nodes
-from dualsync.oscillator import SYNTH_CHUNK, standard_normal
+from dualsync.oscillator import standard_normal
 
 # numpy's ziggurat_nor_r: a draw beyond it came from the tail of layer 0
 ZIGGURAT_NOR_R = 3.6541528853610088
 AFTER = 7
+# three 2^16-sample blocks and one more draw
+LONGEST = 3 * 2**16 + 1
 
 
 def same_as_numpy(seed, n):
@@ -34,9 +36,9 @@ SEEDS = st.integers(0, 2**64 - 1) | st.builds(
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(seed=SEEDS, n=st.integers(0, 3 * SYNTH_CHUNK + 1))
+@given(seed=SEEDS, n=st.integers(0, LONGEST))
 @example(seed=0, n=0)
-@example(seed=nodes._streams(1)[5], n=3 * SYNTH_CHUNK + 1)
+@example(seed=nodes._streams(1)[5], n=LONGEST)
 def test_same_bytes_as_numpy(seed, n):
     same_as_numpy(seed, n)
 

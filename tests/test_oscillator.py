@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from dualsync.oscillator import (
     DEFAULT_FOLLOWER_MASK,
     DEFAULT_MASTER_MASK,
-    SYNTH_CHUNK,
     MaskFitError,
     NoiseMask,
     TwoStateParams,
@@ -18,7 +17,8 @@ from dualsync.oscillator import (
     synthesize_phase,
 )
 from dualsync.spectral import cheb_window, psd_estimate
-from oracles import TwoStateClock, clock_step, psd_level_at
+from dualsync import oscillator
+from oracles import TwoStateClock, clock_step, one_shot_synthesis, psd_level_at
 
 
 def mask_of(points, ref=10e6):
@@ -132,39 +132,68 @@ class TestClockStep:
         assert np.allclose(run(g * c), c * run(g), rtol=1e-12)
 
 
-def one_shot_synthesis(params, n, rng):
-    """The synthesis formula with all three streams drawn at once."""
-    g = rng.standard_normal((3, n))
-    freq = np.cumsum(params.sigma2 * g[2])
-    phase = np.cumsum(freq + params.sigma1 * g[1])
-    return phase + params.sigma0 * g[0]
+# the frequency-walk chunk of the former synthesis, whose edges the examples keep
+CHUNK = 2**16
+AFTER = 7
 
 
 class TestSynthesisBytes:
     PARAMS = TwoStateParams(2e-3, 5e-4, 1e-6, 1e3)
+    # each sigma its PARAMS value or 0.0, as fit_two_state snaps a small one
+    SIGMAS = st.tuples(*(st.sampled_from([s, 0.0]) for s in (2e-3, 5e-4, 1e-6)))
+    ZERO = (0.0, 0.0, 0.0)
 
-    @settings(max_examples=25, deadline=None, derandomize=True)
-    @given(n=st.integers(1, 3 * SYNTH_CHUNK + 1), seed=st.integers(0, 2**32 - 1))
-    @example(n=1, seed=0)
-    @example(n=SYNTH_CHUNK - 1, seed=1)
-    @example(n=SYNTH_CHUNK, seed=2)
-    @example(n=SYNTH_CHUNK + 1, seed=3)
-    def test_chunked_synthesis_matches_one_shot_formula(self, n, seed):
-        got = synthesize_phase(self.PARAMS, n, np.random.default_rng(seed))
-        want = one_shot_synthesis(self.PARAMS, n, np.random.default_rng(seed))
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(n=st.integers(0, 3 * CHUNK + 1), seed=st.integers(0, 2**32 - 1), sigmas=SIGMAS)
+    @example(n=0, seed=0, sigmas=ZERO)
+    @example(n=1, seed=0, sigmas=(2e-3, 5e-4, 1e-6))
+    @example(n=CHUNK - 1, seed=1, sigmas=(2e-3, 5e-4, 1e-6))
+    @example(n=CHUNK, seed=2, sigmas=(2e-3, 5e-4, 1e-6))
+    @example(n=CHUNK + 1, seed=3, sigmas=(2e-3, 5e-4, 1e-6))
+    # the first g0, g1 and g2 of each are negative, so every sum of the
+    # zero clock begins at -0.0: copied, it stays -0.0, where 0.0 + -0.0
+    # would be +0.0
+    @example(n=2, seed=8, sigmas=ZERO)
+    @example(n=3 * CHUNK + 1, seed=5, sigmas=ZERO)
+    def test_synthesis_matches_one_shot_formula(self, n, seed, sigmas):
+        params = TwoStateParams(*sigmas, 1e3)
+        ours, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = synthesize_phase(params, n, ours)
+        want = one_shot_synthesis(params, n, numpys)
         assert got.tobytes() == want.tobytes()
+        assert ours.standard_normal(AFTER).tobytes() == numpys.standard_normal(AFTER).tobytes()
 
-    def test_peak_memory_is_two_series_plus_a_chunk(self):
+    def test_peak_memory_is_two_series(self):
         n = 2**20
+        synthesize_phase(self.PARAMS, 1, np.random.default_rng(1))  # loads the library
         tracemalloc.start()
         try:
             synthesize_phase(self.PARAMS, n, np.random.default_rng(1))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # 2n output and phase floats plus one chunk read 2.06 x 8n bytes;
-        # drawing all three streams at once held 6 x 8n
-        assert peak <= 2.25 * 8 * n
+        # the output and the g1 scratch, 2n floats; drawing all three
+        # streams at once held 6 x 8n
+        assert peak <= 2.02 * 8 * n
+
+    def test_negative_length_is_refused_before_any_draw(self, monkeypatch):
+        def library():
+            raise AssertionError("called the C library")
+
+        monkeypatch.setattr(oscillator._native, "library", library)
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match="-1 samples"):
+            synthesize_phase(self.PARAMS, -1, rng)
+        assert rng.bit_generator.state == before
+
+    def test_other_generators_are_refused(self):
+        rng = np.random.Generator(np.random.MT19937(0))
+        with pytest.raises(TypeError, match="synthesize_phase draws from a Generator on a "
+                                            "PCG64 bit generator"):
+            synthesize_phase(self.PARAMS, 8, rng)
+        untouched = np.random.Generator(np.random.MT19937(0))
+        assert rng.random(AFTER).tobytes() == untouched.random(AFTER).tobytes()
 
 
 def ensemble_phases(params, n, trials, seed):

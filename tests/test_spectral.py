@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dualsync.spectral import cheb_window, psd_estimate
 from oracles import psd_level_at
@@ -86,6 +88,17 @@ def per_sample_cos_window(n, atten_db):
 @pytest.mark.parametrize("n", [4097, 4096])
 def test_cosine_table_keeps_window_bytes(n):
     assert cheb_window(n, 300.0).tobytes() == per_sample_cos_window(n, 300.0).tobytes()
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(n=st.integers(16, 2**17 + 1), atten_db=st.floats(40.0, 320.0))
+@example(n=16, atten_db=40.0)
+@example(n=17, atten_db=320.0)
+@example(n=2**17, atten_db=300.0)
+@example(n=2**17 + 1, atten_db=300.0)
+def test_main_lobe_sum_keeps_window_bytes(n, atten_db):
+    # the C main-lobe sum against numpy's per-sample cosines, odd and even n
+    assert cheb_window(n, atten_db).tobytes() == per_sample_cos_window(n, atten_db).tobytes()
 
 
 class TestPsdEstimate:
