@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dualsync import oscillator
 from dualsync.oscillator import (
     DEFAULT_FOLLOWER_MASK,
     DEFAULT_MASTER_MASK,
@@ -17,7 +18,6 @@ from dualsync.oscillator import (
     synthesize_phase,
 )
 from dualsync.spectral import cheb_window, psd_estimate
-from dualsync import oscillator
 from oracles import TwoStateClock, clock_step, one_shot_synthesis, psd_level_at
 
 
