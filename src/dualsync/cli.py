@@ -199,8 +199,9 @@ def _emit(cfg: ScenarioConfig, timeseries=None, psd=None, jumps=None, window_res
         _write_csv(bode, _stamp(cfg), ["tf_id", "freq_hz", "mag_db", "phase_deg"], rows)
     if delay_margin:
         grid = np.logspace(1, 6, MARGIN_GRID_POINTS)
-        rows = la.delay_margin_grid(grid, scn.zeta_m, scn.zeta_s)
-        _write_csv(delay_margin, _stamp(cfg), ["omega_n_hz", "margin_s"], rows)
+        margins = la.delay_margin(scn.zeta_m, grid, scn.zeta_s, grid)
+        _write_csv(delay_margin, _stamp(cfg), ["omega_n_hz", "margin_s"],
+                   zip(grid.tolist(), margins.tolist()))
     if noise_fit:
         n = cfg.get("output", "psd_block_len") * cfg.get("output", "psd_n_blocks")
         streams = nodes._streams(cfg.get("run", "seed"))

@@ -35,9 +35,19 @@ __all__ = [
     "bode",
     "default_bode_grid",
     "delay_margin",
-    "delay_margin_grid",
     "asym_error",
 ]
+
+
+def _ratio(num, den, s, tensor=True):
+    """``polyval(s, num) / polyval(s, den)`` with poles mapped to inf; with
+    ``tensor=False``, column j of the coefficient arrays is evaluated at s[j]."""
+    npoly = np.polynomial.polynomial
+    n = npoly.polyval(s, num, tensor=tensor)
+    d = npoly.polyval(s, den, tensor=tensor)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = n / d
+    return np.where(d == 0, np.inf + 0j, out)
 
 
 @dataclass(frozen=True)
@@ -63,13 +73,7 @@ class RationalDelayTF:
 
     def evaluate(self, s):
         """Evaluate at complex s (scalar or array). Poles map to inf."""
-        s = np.asarray(s, dtype=complex)
-        npoly = np.polynomial.polynomial
-        n = npoly.polyval(s, self.num)
-        d = npoly.polyval(s, self.den)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = n / d
-        out = np.where(d == 0, np.inf + 0j, out)
+        out = _ratio(self.num, self.den, np.asarray(s, dtype=complex))
         return out if out.shape else complex(out)
 
     def at_freq_hz(self, f_hz):
@@ -138,7 +142,7 @@ def bode(tf: RationalDelayTF, freqs_hz) -> list[tuple[float, float, float]]:
     return list(zip(f.tolist(), mag_db.tolist(), np.degrees(phase).tolist()))
 
 
-def delay_margin(zeta_m: float, omega_m_hz: float, zeta_s: float, omega_s_hz: float) -> float:
+def delay_margin(zeta_m, omega_m_hz, zeta_s, omega_s_hz):
     """Round-trip transport-delay budget of the ring, in seconds.
 
     The open loop is ``L = G_c*G_s`` and the ring denominator
@@ -148,58 +152,76 @@ def delay_margin(zeta_m: float, omega_m_hz: float, zeta_s: float, omega_s_hz: fl
     crossing frequency.  The returned value is the minimum over crossings
     and budgets the full round trip (the delay lives in H**2).
 
-    Crossings are searched on 4000 log-spaced points over
-    ``[1e-2*min(omega_m, omega_s), 1e4*max(omega_m_hz, omega_s_hz)]``
+    The arguments are scalars or arrays that broadcast together, one point
+    per element; a scalar call returns a float, an array call an array of
+    the broadcast shape.  Crossings are searched on 4000 log-spaced points
+    over ``[1e-2*min(omega_m, omega_s), 1e4*max(omega_m_hz, omega_s_hz)]``
     rad/s, a band that holds both loops' crossings (its upper end, about
     1.6e3 times the faster omega, is the grid ``delay_margin.csv`` is
-    pinned on), and each bracket is refined by 60 bisection steps.
+    pinned on), every point's grid in one (points, 4000) evaluation.  Each
+    bracket is then refined by 60 bisection steps, all crossings of all
+    points in lockstep on arrays.  In the bisection ``L`` is written out
+    as Python's complex product, ``(ar*br - ai*bi) + (ar*bi + ai*br)j``,
+    and ``|L|`` as ``hypot``: the scalar bisection this replaced multiplied
+    two Python complex numbers, which numpy's complex ``a*b`` often rounds
+    differently, and the margins keep its bytes.
 
-    Returns ``math.inf`` when ``|L|`` never reaches unity.
+    A point's margin is ``math.inf`` when its ``|L|`` never reaches unity.
     """
-    # tick period is irrelevant for the continuous TF; pick one small
-    # enough to stay clear of the discretization warning
-    t = 1e-3 / max(omega_m_hz, omega_s_hz)
-    cfg_m = LoopConfig(zeta_m, omega_m_hz, t)
-    cfg_s = LoopConfig(zeta_s, omega_s_hz, t)
-    gc = gc_tf(closed_tf(cfg_m))
-    gs = closed_tf(cfg_s)
+    args = np.broadcast_arrays(*(np.asarray(a, dtype=float)
+                                 for a in (zeta_m, omega_m_hz, zeta_s, omega_s_hz)))
+    points = list(zip(*(a.ravel().tolist() for a in args)))
+    if not points:
+        return np.empty(args[0].shape)
+    grid = np.empty((len(points), 4000))
+    loops = []
+    for row, (zm, fm, zs, fs) in enumerate(points):
+        # tick period is irrelevant for the continuous TF; pick one small
+        # enough to stay clear of the discretization warning
+        t = 1e-3 / max(fm, fs)
+        cfg_m = LoopConfig(zm, fm, t)
+        cfg_s = LoopConfig(zs, fs, t)
+        loops.append((gc_tf(closed_tf(cfg_m)), closed_tf(cfg_s)))
+        w_lo = 1e-2 * min(cfg_m.omega_rad_s, cfg_s.omega_rad_s)
+        w_hi = 1e4 * max(fm, fs)
+        grid[row] = np.logspace(math.log10(w_lo), math.log10(w_hi), 4000)
+    # each polynomial's coefficients as the columns of one (deg+1, points)
+    # array, a shorter one padded with zeros
+    coefs = []
+    for tfs in zip(*loops):
+        for polys in ([tf.num for tf in tfs], [tf.den for tf in tfs]):
+            k = max(map(len, polys))
+            coefs.append(np.array([p + (0.0,) * (k - len(p)) for p in polys]).T)
 
-    def L(w):
-        s = 1j * np.asarray(w, dtype=float)
-        return gc.evaluate(s) * gs.evaluate(s)
+    def factors(w, cn, cd, sn, sd):
+        """G_c and G_s at s = j*w, each element of w on its column's loops."""
+        s = 1j * w
+        return _ratio(cn, cd, s, tensor=False), _ratio(sn, sd, s, tensor=False)
 
-    w_lo = 1e-2 * min(cfg_m.omega_rad_s, cfg_s.omega_rad_s)
-    w_hi = 1e4 * max(omega_m_hz, omega_s_hz)
-    grid = np.logspace(math.log10(w_lo), math.log10(w_hi), 4000)
-    mag = np.abs(L(grid))
-    sign = np.sign(mag - 1.0)
-    crossings = np.nonzero(np.diff(sign))[0]
-    if len(crossings) == 0:
-        return math.inf
-    best = math.inf
-    for i in crossings:
-        lo, hi = grid[i], grid[i + 1]
-        flo = abs(L(lo)) - 1.0
-        for _ in range(60):
-            mid = math.sqrt(lo * hi)
-            fm = abs(L(mid)) - 1.0
-            if (fm > 0) == (flo > 0):
-                lo, flo = mid, fm
-            else:
-                hi = mid
-        wc = math.sqrt(lo * hi)
-        ang = math.atan2(L(wc).imag, L(wc).real)
-        dist = ang % (2.0 * math.pi)  # phase distance down to 0 deg, mod 360
-        best = min(best, dist / wc)
-    return best
+    gc, gs = factors(grid, *(c[:, :, None] for c in coefs))
+    sign = np.sign(np.abs(gc * gs) - 1.0)
+    rows, cols = np.nonzero(np.diff(sign, axis=1))
+    at_crossings = [c[:, rows] for c in coefs]
 
+    def open_loop(w):
+        """Real and imaginary parts of L, one element per crossing."""
+        a, b = factors(w, *at_crossings)
+        return a.real * b.real - a.imag * b.imag, a.real * b.imag + a.imag * b.real
 
-def delay_margin_grid(omega_hz_values, zeta_m: float,
-                      zeta_s: float) -> list[tuple[float, float]]:
-    """Delay margin over a grid of natural frequencies (omega_m = omega_s)
-    at master damping ``zeta_m`` and follower damping ``zeta_s``."""
-    return [(float(f), delay_margin(zeta_m, float(f), zeta_s, float(f)))
-            for f in omega_hz_values]
+    lo, hi = grid[rows, cols], grid[rows, cols + 1]
+    flo = np.hypot(*open_loop(lo)) - 1.0
+    for _ in range(60):
+        mid = np.sqrt(lo * hi)
+        fmid = np.hypot(*open_loop(mid)) - 1.0
+        keep = (fmid > 0) == (flo > 0)
+        lo, flo, hi = np.where(keep, mid, lo), np.where(keep, fmid, flo), np.where(keep, hi, mid)
+    wc = np.sqrt(lo * hi)
+    re, im = open_loop(wc)
+    best = [math.inf] * len(points)
+    for row, w, x, y in zip(rows.tolist(), wc.tolist(), re.tolist(), im.tolist()):
+        dist = math.atan2(y, x) % (2.0 * math.pi)  # phase distance down to 0 deg, mod 360
+        best[row] = min(best[row], dist / w)
+    return best[0] if args[0].ndim == 0 else np.array(best).reshape(args[0].shape)
 
 
 def asym_error(theta_x_minus_theta_0: float, f_mo_hz: float, f_m_hz: float,

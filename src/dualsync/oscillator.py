@@ -76,10 +76,12 @@ class TwoStateParams:
     tick_rate_hz: float
 
     def __post_init__(self):
-        if min(self.sigma0, self.sigma1, self.sigma2) < 0:
-            raise ValueError("sigmas must be nonnegative")
-        if self.tick_rate_hz <= 0:
-            raise ValueError("tick_rate_hz must be positive")
+        for name in ("sigma0", "sigma1", "sigma2"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be nonnegative and finite")
+        if not (math.isfinite(self.tick_rate_hz) and self.tick_rate_hz > 0):
+            raise ValueError("tick_rate_hz must be positive and finite")
 
     def rescaled(self, decimation: int) -> "TwoStateParams":
         """Equivalent parameters at the rate tick_rate/decimation.

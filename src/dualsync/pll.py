@@ -50,12 +50,10 @@ class LoopConfig:
     tick_period_s: float
 
     def __post_init__(self):
-        if self.zeta <= 0:
-            raise ValueError("zeta must be positive")
-        if self.omega_n_hz <= 0:
-            raise ValueError("omega_n_hz must be positive")
-        if self.tick_period_s <= 0:
-            raise ValueError("tick_period_s must be positive")
+        for name in ("zeta", "omega_n_hz", "tick_period_s"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite")
         if self.omega_rad_s * self.tick_period_s > 0.1:
             warnings.warn(
                 "omega_n * tick_period > 0.1; the discrete loop will deviate "

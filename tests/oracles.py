@@ -16,8 +16,10 @@ the pure-Python kernel the C source was transcribed from, bit for bit,
 and ``reference_loop``, built from ``discriminate`` and
 ``controller_step``, to 1e-10 rad.  ``run_reference`` runs either in the
 kernel's place.  ``write_rows`` is the CSV row writer the C writer
-``_csv.c`` replaced, its byte oracle.  ``psd_level_at`` reads a mask
-anchor off a PSD estimate.
+``_csv.c`` replaced, its byte oracle.  ``bisect_delay_margin`` is the
+scalar bisection ``linear_analysis.delay_margin`` ran before it bisected
+every crossing of every point in lockstep on arrays, its byte oracle.
+``psd_level_at`` reads a mask anchor off a PSD estimate.
 
 Pilot machinery: orthogonal +-1 code sequences and matched correlation
 whose coherent gain links the raw per-symbol SNR to the decimated-tick
@@ -37,6 +39,7 @@ import numpy as np
 
 from dualsync import nodes
 from dualsync.channel import compression_gain_db, sigma_from_snr
+from dualsync.linear_analysis import closed_tf, gc_tf
 from dualsync.nodes import DIVERGENCE_LIMIT_RAD, TWO_PI, Scenario, ScenarioResult
 from dualsync.oscillator import TwoStateParams
 from dualsync.pll import LoopConfig, wrap_phase
@@ -488,3 +491,46 @@ def write_rows(fh, rows) -> None:
     ``cli._write_csv`` ran before the C writer, verbatim."""
     for row in rows:
         fh.write(",".join(map(str, row)) + "\n")
+
+
+def bisect_delay_margin(zeta_m: float, omega_m_hz: float, zeta_s: float,
+                        omega_s_hz: float) -> float:
+    """One point's delay margin by scalar bisection, each crossing refined
+    with 60 calls of ``L`` on 0-d arrays: ``linear_analysis.delay_margin``
+    as it was before it bisected all crossings in lockstep, verbatim."""
+    # tick period is irrelevant for the continuous TF; pick one small
+    # enough to stay clear of the discretization warning
+    t = 1e-3 / max(omega_m_hz, omega_s_hz)
+    cfg_m = LoopConfig(zeta_m, omega_m_hz, t)
+    cfg_s = LoopConfig(zeta_s, omega_s_hz, t)
+    gc = gc_tf(closed_tf(cfg_m))
+    gs = closed_tf(cfg_s)
+
+    def L(w):
+        s = 1j * np.asarray(w, dtype=float)
+        return gc.evaluate(s) * gs.evaluate(s)
+
+    w_lo = 1e-2 * min(cfg_m.omega_rad_s, cfg_s.omega_rad_s)
+    w_hi = 1e4 * max(omega_m_hz, omega_s_hz)
+    grid = np.logspace(math.log10(w_lo), math.log10(w_hi), 4000)
+    mag = np.abs(L(grid))
+    sign = np.sign(mag - 1.0)
+    crossings = np.nonzero(np.diff(sign))[0]
+    if len(crossings) == 0:
+        return math.inf
+    best = math.inf
+    for i in crossings:
+        lo, hi = grid[i], grid[i + 1]
+        flo = abs(L(lo)) - 1.0
+        for _ in range(60):
+            mid = math.sqrt(lo * hi)
+            fm = abs(L(mid)) - 1.0
+            if (fm > 0) == (flo > 0):
+                lo, flo = mid, fm
+            else:
+                hi = mid
+        wc = math.sqrt(lo * hi)
+        ang = math.atan2(L(wc).imag, L(wc).real)
+        dist = ang % (2.0 * math.pi)  # phase distance down to 0 deg, mod 360
+        best = min(best, dist / wc)
+    return best

@@ -34,7 +34,6 @@ from dualsync.cli import main as cli_main
 from dualsync.linear_analysis import (
     closed_tf,
     delay_margin,
-    delay_margin_grid,
     dual_loop_tfs,
     gc_tf,
 )
@@ -98,7 +97,7 @@ def test_criterion_2_delay_margin():
     t0 = time.perf_counter()
     margin = delay_margin(1.0, 1e6, 1.0, 1e6)
     grid = np.logspace(1, 6, 13)
-    margins = [m for _, m in delay_margin_grid(grid, 1.0, 1.0)]
+    margins = delay_margin(1.0, grid, 1.0, grid).tolist()
     elapsed = time.perf_counter() - t0
     anchor_ok = abs(margin - 0.23e-6) / 0.23e-6 <= 0.25
     monotone_ok = all(b <= a * (1 + 1e-9) for a, b in zip(margins, margins[1:]))

@@ -281,8 +281,8 @@ class TestAnalysisCommands:
         assert run_cli("delay-margin", "--config", cfg, "--out", out, "--quiet") == 0
         _, _, rows = read_csv(os.path.join(out, "delay_margin.csv"))
         assert len(rows) == 25
-        for f, margin in rows:
-            assert float(margin) == delay_margin(0.8, float(f), 0.5, float(f))
+        grid = np.array([float(f) for f, _ in rows])
+        assert [float(m) for _, m in rows] == delay_margin(0.8, grid, 0.5, grid).tolist()
 
     def test_fit_noise_artifacts(self, tmp_path):
         cfg = write_config(

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dualsync.linear_analysis import (
@@ -12,11 +12,11 @@ from dualsync.linear_analysis import (
     closed_tf,
     default_bode_grid,
     delay_margin,
-    delay_margin_grid,
     dual_loop_tfs,
     gc_tf,
 )
 from dualsync.pll import LoopConfig
+from oracles import bisect_delay_margin
 
 ONE = RationalDelayTF()
 
@@ -157,8 +157,7 @@ class TestDelayMargin:
 
     def test_monotone_nonincreasing_over_grid(self):
         grid = np.logspace(1, 6, 11)
-        rows = delay_margin_grid(grid, 1.0, 1.0)
-        margins = [m for _, m in rows]
+        margins = delay_margin(1.0, grid, 1.0, grid).tolist()
         assert all(b <= a * (1 + 1e-9) for a, b in zip(margins, margins[1:]))
 
     def test_symmetric_parameters_consistent(self):
@@ -176,6 +175,40 @@ class TestDelayMargin:
         # omega (628 rad/s): the search band must start from the slower loop
         assert delay_margin(1.0, 1e4, 1.0, 10.0) == pytest.approx(0.027706, rel=1e-4)
         assert delay_margin(1.0, 10.0, 1.0, 1e4) == pytest.approx(0.0352416, rel=1e-5)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        zm=st.floats(0.05, 5.0), zs=st.floats(0.05, 5.0),
+        loops=st.lists(st.tuples(st.floats(0.1, 1e7), st.floats(1e-3, 1e3)),
+                       min_size=1, max_size=30),
+    )
+    # the two points of test_slow_follower_has_a_finite_margin, in one call
+    @example(zm=1.0, zs=1.0, loops=[(1e4, 1e-3), (10.0, 1e3)])
+    def test_keeps_the_bytes_of_the_scalar_bisection(self, zm, zs, loops):
+        fm = [f for f, _ in loops]
+        fs = [f * ratio for f, ratio in loops]
+        want = [repr(bisect_delay_margin(zm, m, zs, s)) for m, s in zip(fm, fs)]
+        margins = delay_margin(zm, np.array(fm), zs, np.array(fs))
+        assert margins.shape == (len(loops),)
+        assert [repr(m) for m in margins.tolist()] == want
+        assert [repr(delay_margin(zm, m, zs, s)) for m, s in zip(fm, fs)] == want
+
+    def test_array_call_returns_the_broadcast_shape(self):
+        column, row = np.array([[1e3], [1e4]]), np.array([1e3, 2e3])
+        margins = delay_margin(1.0, column, 1.0, row)
+        assert margins.shape == (2, 2)
+        assert margins[1, 0] == delay_margin(1.0, 1e4, 1.0, 1e3)
+        assert delay_margin(1.0, np.array([]), 1.0, 1e3).shape == (0,)
+        assert type(delay_margin(1.0, np.float64(1e3), 1.0, 1e3)) is float
+
+    def test_refuses_a_nonfinite_natural_frequency(self):
+        # without the check a NaN omega reads as an infinite margin
+        with pytest.raises(ValueError, match="omega_n_hz"):
+            delay_margin(1.0, math.nan, 1.0, math.nan)
+        with pytest.raises(ValueError, match="omega_n_hz"):
+            delay_margin(1.0, np.array([1e3, math.nan]), 1.0, np.array([1e3, 1e3]))
+        with pytest.raises(ValueError, match="omega_n_hz"):
+            delay_margin(1.0, np.array([1e3, 1e3]), 1.0, np.array([1e3, math.nan]))
 
     @settings(max_examples=20, deadline=None, derandomize=True)
     @given(

@@ -180,6 +180,16 @@ PER_SOURCE = pytest.mark.parametrize("source", range(len(_native.SOURCES)), ids=
 PER_FUNCTION = pytest.mark.parametrize("name", FUNCTIONS, ids=list(FUNCTIONS.values()))
 
 
+def test_package_data_ships_every_source():
+    # an installed package builds its library from the sources it ships
+    import tomllib
+
+    pyproject = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
+    package_data = tomllib.loads(pyproject.read_text(encoding="utf-8"))[
+        "tool"]["setuptools"]["package-data"]["dualsync"]
+    assert sorted(package_data) == sorted(source.name for source in _native.SOURCES)
+
+
 class TestKernelBuild:
     # _native.build on copies of the four sources and a fresh cache directory
 

@@ -39,6 +39,27 @@ class TestNoiseMask:
             mask_of([(1.0, math.inf)])
 
 
+class TestTwoStateParams:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        sigmas=st.tuples(*[st.one_of(st.floats(0.0, 1.0),
+                                     st.sampled_from([-1.0, math.nan, math.inf, -math.inf]))] * 3),
+        rate=st.one_of(st.floats(1.0, 1e9),
+                       st.sampled_from([0.0, -1.0, math.nan, math.inf, -math.inf])),
+    )
+    def test_refuses_the_first_negative_or_nonfinite_field(self, sigmas, rate):
+        names = ("sigma0", "sigma1", "sigma2")
+        bad = [f"{name} must be nonnegative" for name, s in zip(names, sigmas)
+               if not (math.isfinite(s) and s >= 0)]
+        if not (math.isfinite(rate) and rate > 0):
+            bad.append("tick_rate_hz must be positive")
+        if not bad:
+            assert TwoStateParams(*sigmas, rate).sigma0 == sigmas[0]
+            return
+        with pytest.raises(ValueError, match=f"^{bad[0]} and finite$"):
+            TwoStateParams(*sigmas, rate)
+
+
 class TestFit:
     def test_flat_mask_is_pure_white(self):
         params = fit_two_state(mask_of([(1, -160), (10, -160), (10e3, -160)]), 8e6)

@@ -3,10 +3,13 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 import scipy.signal
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dualsync
 from dualsync.channel import prop_phase
@@ -207,6 +210,20 @@ class TestLoopConfig:
             LoopConfig(zeta=0.0, omega_n_hz=10.0, tick_period_s=1e-4)
         with pytest.raises(ValueError):
             LoopConfig(zeta=1.0, omega_n_hz=-1.0, tick_period_s=1e-4)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.tuples(*[st.one_of(st.floats(1e-3, 1e3),
+                                 st.sampled_from([0.0, -1.0, math.nan, math.inf, -math.inf]))] * 3))
+    def test_refuses_the_first_nonpositive_or_nonfinite_field(self, values):
+        names = ("zeta", "omega_n_hz", "tick_period_s")
+        bad = [name for name, v in zip(names, values) if not (math.isfinite(v) and v > 0)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the discretization warning
+            if not bad:
+                assert LoopConfig(*values).omega_n_hz == values[1]
+                return
+            with pytest.raises(ValueError, match=f"^{bad[0]} must be positive and finite$"):
+                LoopConfig(*values)
 
     def test_omega_unit_conventions(self):
         # the one Hz -> rad/s reading, pinned by the delay-margin anchor
