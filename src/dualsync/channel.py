@@ -37,8 +37,11 @@ class CarrierPlan:
     fs_hz: float = 40e6
 
     def __post_init__(self):
+        for name in ("fc_hz", "fm_hz", "fs_hz"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"carrier plan requires a finite {name}")
         if not (0 < self.fs_hz < self.fm_hz < self.fc_hz):
-            raise ValueError("carrier plan requires 0 < fs < fm < fc")
+            raise ValueError("carrier plan requires 0 < fs_hz < fm_hz < fc_hz")
 
     @property
     def forward_hz(self) -> tuple[float, float]:

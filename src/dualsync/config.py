@@ -16,7 +16,9 @@ Empty input yields the defaults: 8 MHz baud, decimation 956, 32-symbol
 pilots, carriers at 2200 -+ 50 MHz forward and 2200 -+ 40 MHz return.
 Parsing validates everything up front and reports every problem at once
 (syntax errors with line numbers, duplicate keys with both occurrences,
-unknown keys, and per-key semantic violations).
+unknown keys, and per-key semantic violations).  The checks of the
+scenario are those of ``Scenario.problems``, ``NoiseMask`` and
+``CarrierPlan``, reported under the config keys that set each field.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from __future__ import annotations
 import ast
 import hashlib
 import math
+import re
 from dataclasses import dataclass
 
 from .channel import CarrierPlan
@@ -38,13 +41,6 @@ def _parse_float(text: str) -> float:
     v = float(text)
     if not math.isfinite(v):
         raise ValueError(f"expected a finite number, got {text!r}")
-    return v
-
-
-def _parse_snr_db(text: str) -> float:
-    v = float(text)
-    if math.isnan(v) or v == -math.inf:
-        raise ValueError(f"expected a finite number or +inf, got {text!r}")
     return v
 
 
@@ -102,7 +98,8 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "freq_offset_hz": (_parse_float, _SCN.follower_freq_offset_hz),
     },
     "channel": {
-        "snr_db": (_parse_snr_db, _SCN.snr_db),
+        # +inf is a noiseless ring; Scenario refuses NaN and -inf
+        "snr_db": (float, _SCN.snr_db),
         "doppler_hz": (_parse_float, _SCN.doppler_hz),
         "tau_s": (_parse_float, _SCN.tau_s),
         "loop_latency_ticks": (_parse_int, _SCN.loop_latency_ticks),
@@ -146,6 +143,29 @@ RETIRED_KEYS = {
     "framing.inter_pilot": lambda values: values["run.decimation"],
     "run.omega_units": lambda values: "hz_times_2pi",
 }
+
+# Scenario field -> the config key that sets it
+_KEYS = {
+    "zeta_m": "master.zeta_m", "omega_m_hz": "master.omega_m_hz",
+    "theta_offset": "master.theta_offset",
+    "zeta_s": "follower.zeta_s", "omega_s_hz": "follower.omega_s_hz",
+    "follower_freq_offset_hz": "follower.freq_offset_hz",
+    # set in degrees, see _scenario_fields
+    "initial_follower_phase_rad": "follower.initial_phase_deg",
+    "snr_db": "channel.snr_db", "doppler_hz": "channel.doppler_hz", "tau_s": "channel.tau_s",
+    "loop_latency_ticks": "channel.loop_latency_ticks", "dual_carrier": "channel.dual_carrier",
+    "duration_s": "run.duration_s", "baud_hz": "run.baud_hz", "decimation": "run.decimation",
+    "wrap_compensation": "run.wrap_compensation", "ideal_clocks": "run.ideal_clocks",
+    "pilot_len": "framing.pilot_len",
+}
+# Scenario fields built from several keys: the type, its keys in argument
+# order and the prefix of the type's ValueError among the config's errors
+_BUILT = {
+    "master_mask": (NoiseMask, ("master.mask_ref_hz", "master.mask"), "master.mask: "),
+    "follower_mask": (NoiseMask, ("follower.mask_ref_hz", "follower.mask"), "follower.mask: "),
+    "plan": (CarrierPlan, ("channel.fc_hz", "channel.fm_hz", "channel.fs_hz"), "channel "),
+}
+_FIELD_NAMES = re.compile(r"\b(" + "|".join(_KEYS) + r")\b")
 
 CLOCK_SOURCES = ("master_clock", "follower_clock")
 _PSD_SOURCES = ("theta_bf_minus_theta0", "theta_out", "alpha", *CLOCK_SOURCES)
@@ -201,65 +221,42 @@ class ScenarioConfig:
                 errors.append(f"{full}: {exc}")
         if not errors:
             _semantic_checks(values, errors)
+            _scenario_fields(values, errors)
         if errors:
             raise ConfigError(errors)
         return ScenarioConfig(values=values)
 
     def to_scenario(self) -> Scenario:
-        g = self.get
-        return Scenario(
-            duration_s=g("run", "duration_s"),
-            baud_hz=g("run", "baud_hz"),
-            decimation=g("run", "decimation"),
-            zeta_m=g("master", "zeta_m"),
-            omega_m_hz=g("master", "omega_m_hz"),
-            zeta_s=g("follower", "zeta_s"),
-            omega_s_hz=g("follower", "omega_s_hz"),
-            theta_offset=g("master", "theta_offset"),
-            master_mask=NoiseMask(g("master", "mask_ref_hz"), g("master", "mask")),
-            follower_mask=NoiseMask(g("follower", "mask_ref_hz"), g("follower", "mask")),
-            ideal_clocks=g("run", "ideal_clocks"),
-            initial_follower_phase_rad=math.radians(g("follower", "initial_phase_deg")),
-            follower_freq_offset_hz=g("follower", "freq_offset_hz"),
-            plan=CarrierPlan(g("channel", "fc_hz"), g("channel", "fm_hz"),
-                             g("channel", "fs_hz")),
-            tau_s=g("channel", "tau_s"),
-            doppler_hz=g("channel", "doppler_hz"),
-            snr_db=g("channel", "snr_db"),
-            pilot_len=g("framing", "pilot_len"),
-            loop_latency_ticks=g("channel", "loop_latency_ticks"),
-            dual_carrier=g("channel", "dual_carrier"),
-            wrap_compensation=g("run", "wrap_compensation"),
-        )
+        errors: list[str] = []
+        fields = _scenario_fields(self.values, errors)
+        if errors:
+            raise ConfigError(errors)
+        return Scenario(**fields)
+
+
+def _scenario_fields(values: dict, errors: list[str]) -> dict:
+    """The Scenario's keyword arguments read from config values; appends
+    the masks' and the plan's ValueErrors and ``Scenario.problems``, each
+    field named by its config key, to ``errors``."""
+    fields = {name: values[key] for name, key in _KEYS.items()}
+    fields["initial_follower_phase_rad"] = math.radians(fields["initial_follower_phase_rad"])
+    for name, (build, keys, prefix) in _BUILT.items():
+        try:
+            fields[name] = build(*(values[key] for key in keys))
+        except ValueError as exc:
+            errors.append(f"{prefix}{exc}")
+    errors += [_FIELD_NAMES.sub(lambda m: _KEYS[m[0]], problem)
+               for problem in Scenario.problems(fields)]
+    return fields
 
 
 def _semantic_checks(values: dict, errors: list[str]) -> None:
+    """The checks of what only the config holds: the seed and the outputs."""
     def check(cond: bool, message: str):
         if not cond:
             errors.append(message)
 
-    check(values["master.zeta_m"] > 0, "master.zeta_m must be positive")
-    check(values["follower.zeta_s"] > 0, "follower.zeta_s must be positive")
-    check(values["master.omega_m_hz"] > 0, "master.omega_m_hz must be positive")
-    check(values["follower.omega_s_hz"] > 0, "follower.omega_s_hz must be positive")
-    for side in ("master", "follower"):
-        try:
-            NoiseMask(values[f"{side}.mask_ref_hz"], values[f"{side}.mask"])
-        except ValueError as exc:
-            errors.append(f"{side}.mask: {exc}")
-    fc, fm, fs = (values["channel.fc_hz"], values["channel.fm_hz"], values["channel.fs_hz"])
-    check(0 < fs < fm < fc, "channel carrier plan requires 0 < fs_hz < fm_hz < fc_hz")
-    check(values["channel.tau_s"] >= 0, "channel.tau_s must be nonnegative")
-    check(values["channel.loop_latency_ticks"] >= 1,
-          "channel.loop_latency_ticks must be >= 1")
-    check(values["run.duration_s"] > 0, "run.duration_s must be positive")
     check(values["run.seed"] >= 0, "run.seed must be nonnegative")
-    check(values["run.baud_hz"] > 0, "run.baud_hz must be positive")
-    pl = values["framing.pilot_len"]
-    check(1 <= pl <= 36 and (pl & (pl - 1)) == 0,
-          "framing.pilot_len must be a power of two in 1..36")
-    # one pilot per tick, and it must fit in the tick
-    check(values["run.decimation"] > pl, "run.decimation must exceed framing.pilot_len")
     check(values["output.psd_source"] in _PSD_SOURCES,
           f"output.psd_source must be one of {', '.join(_PSD_SOURCES)}")
     # an ideal clock has no phase noise to estimate
@@ -320,6 +317,7 @@ def parse_config(text: str) -> ScenarioConfig:
             values.setdefault(f"{section}.{key}", default)
     if not errors:
         _semantic_checks(values, errors)
+        _scenario_fields(values, errors)
     if errors:
         raise ConfigError(errors)
     return ScenarioConfig(values=values)

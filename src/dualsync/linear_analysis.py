@@ -167,6 +167,8 @@ def delay_margin(zeta_m, omega_m_hz, zeta_s, omega_s_hz):
     differently, and the margins keep its bytes.
 
     A point's margin is ``math.inf`` when its ``|L|`` never reaches unity.
+    A natural frequency that is not positive and finite raises ValueError
+    naming ``omega_n_hz``.
     """
     args = np.broadcast_arrays(*(np.asarray(a, dtype=float)
                                  for a in (zeta_m, omega_m_hz, zeta_s, omega_s_hz)))
@@ -176,6 +178,9 @@ def delay_margin(zeta_m, omega_m_hz, zeta_s, omega_s_hz):
     grid = np.empty((len(points), 4000))
     loops = []
     for row, (zm, fm, zs, fs) in enumerate(points):
+        # checked here, before the tick period below divides by them
+        if not (0 < fm < math.inf and 0 < fs < math.inf):
+            raise ValueError("omega_n_hz must be positive and finite")
         # tick period is irrelevant for the continuous TF; pick one small
         # enough to stay clear of the discretization warning
         t = 1e-3 / max(fm, fs)

@@ -88,7 +88,11 @@ class DivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class Scenario:
-    """Physical description of one simulation run (rates, loops, channel)."""
+    """Physical description of one simulation run (rates, loops, channel).
+
+    Construction refuses a scenario that no run can use: a ValueError
+    joins every message of ``problems``.
+    """
 
     duration_s: float = 10.0
     baud_hz: float = 8e6
@@ -111,6 +115,44 @@ class Scenario:
     loop_latency_ticks: int = 1
     dual_carrier: bool = True
     wrap_compensation: bool = True
+
+    def __post_init__(self):
+        problems = Scenario.problems(vars(self))
+        if problems:
+            raise ValueError("; ".join(problems))
+
+    @staticmethod
+    def problems(fields) -> list[str]:
+        """Every problem of a scenario with these field values (a mapping
+        such as ``vars(scenario)``), each message starting with its field;
+        empty for a runnable scenario.  The masks and the carrier plan check
+        themselves, and ``config`` reports these messages under its keys.
+        """
+        out: list[str] = []
+
+        def check(ok: bool, name: str, message: str):
+            if not ok:
+                out.append(f"{name} {message}")
+
+        for name in ("zeta_m", "zeta_s", "omega_m_hz", "omega_s_hz", "duration_s", "baud_hz"):
+            check(math.isfinite(fields[name]) and fields[name] > 0, name,
+                  "must be positive and finite")
+        for name in ("theta_offset", "initial_follower_phase_rad",
+                     "follower_freq_offset_hz", "doppler_hz"):
+            check(math.isfinite(fields[name]), name, "must be finite")
+        tau, snr = fields["tau_s"], fields["snr_db"]
+        check(math.isfinite(tau) and tau >= 0, "tau_s", "must be nonnegative and finite")
+        check(math.isfinite(snr) or snr == math.inf, "snr_db", "must be finite or +inf")
+        check(fields["loop_latency_ticks"] >= 1, "loop_latency_ticks", "must be >= 1")
+        check(fields["pilot_len"] in (1, 2, 4, 8, 16, 32), "pilot_len",
+              "must be a power of two in 1..32")
+        # one pilot per tick, and it must fit in the tick
+        check(fields["decimation"] > fields["pilot_len"], "decimation", "must exceed pilot_len")
+        if not {"duration_s", "baud_hz", "pilot_len", "decimation"} & {p.split()[0] for p in out}:
+            ticks = fields["duration_s"] * (fields["baud_hz"] / fields["decimation"])
+            check(math.isfinite(ticks) and round(ticks) >= 1, "duration_s",
+                  "must span at least one tick (decimation/baud_hz) and finitely many")
+        return out
 
     @property
     def tick_rate_hz(self) -> float:
@@ -250,10 +292,6 @@ def run_scenario(scn: Scenario, seed: int, *, discriminators: bool = True) -> Sc
     keep their bits.
     """
     n = scn.n_ticks
-    if n < 1:
-        raise ValueError("scenario duration shorter than one tick")
-    if scn.loop_latency_ticks < 1:
-        raise ValueError("loop_latency_ticks must be >= 1 for causality")
     th0 = _clock_series(scn, seed, "master", n)
     thx = _clock_series(scn, seed, "follower", n)
     if scn.initial_follower_phase_rad:

@@ -55,14 +55,15 @@ class NoiseMask:
     def __post_init__(self):
         pts = tuple((float(f), float(lv)) for f, lv in self.points)
         if not pts:
-            raise ValueError("mask needs at least one point")
+            raise ValueError("points must hold at least one (offset_hz, level_dbc) pair")
         offs = [p[0] for p in pts]
-        if any(f <= 0 for f in offs) or any(b <= a for a, b in zip(offs, offs[1:])):
-            raise ValueError("mask offsets must be positive and strictly increasing")
+        if not (all(math.isfinite(f) and f > 0 for f in offs)
+                and all(b > a for a, b in zip(offs, offs[1:]))):
+            raise ValueError("points' offsets must be positive, finite and strictly increasing")
         if not all(math.isfinite(p[1]) for p in pts):
-            raise ValueError("mask levels must be finite")
-        if self.reference_freq_hz <= 0:
-            raise ValueError("reference frequency must be positive")
+            raise ValueError("points' levels must be finite")
+        if not (math.isfinite(self.reference_freq_hz) and self.reference_freq_hz > 0):
+            raise ValueError("reference_freq_hz must be positive and finite")
         object.__setattr__(self, "points", pts)
 
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualsync.channel import (
     CarrierPlan,
@@ -28,6 +30,23 @@ class TestCarrierPlan:
     def test_rejects_bad_ordering(self):
         with pytest.raises(ValueError):
             CarrierPlan(fc_hz=2200e6, fm_hz=40e6, fs_hz=50e6)
+
+    @pytest.mark.parametrize("name, value", [
+        *[(name, value) for name in ("fs_hz", "fm_hz", "fc_hz")
+          for value in (0.0, -1.0, math.nan, math.inf, -math.inf)],
+        (None, None),
+    ])
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(freqs=st.lists(st.floats(1e3, 1e10), min_size=3, max_size=3, unique=True).map(sorted))
+    def test_refuses_a_bad_field_by_name(self, name, value, freqs):
+        fields = dict(zip(("fs_hz", "fm_hz", "fc_hz"), freqs))
+        if name is None:
+            assert CarrierPlan(**fields).return_hz[0] == fields["fc_hz"] - fields["fs_hz"]
+            return
+        fields[name] = value
+        # an out-of-order plan names all three fields
+        with pytest.raises(ValueError, match=f"^carrier plan requires .*{name}"):
+            CarrierPlan(**fields)
 
 
 class TestPropPhase:

@@ -799,6 +799,16 @@ class TestErrors:
         assert err == {"error": "config", "detail": ["run.seed must be nonnegative"]}
         assert not out.exists()
 
+    def test_duration_below_one_tick_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "[run]\nduration_s = 1e-9\n")
+        out = tmp_path / "o"
+        assert run_cli("simulate", "--config", cfg, "--out", str(out), "--quiet") == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "config", "detail": [
+            "run.duration_s must span at least one tick (run.decimation/run.baud_hz) "
+            "and finitely many"]}
+        assert not out.exists()
+
     def test_divergent_scenario_exits_3(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path,

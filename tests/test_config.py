@@ -103,6 +103,28 @@ class TestValidation:
         with pytest.raises(ConfigError, match="follower.mask"):
             parse_config("[follower]\nmask = [(10, -80), (1, -120)]\n")
 
+    def test_non_finite_mask_offset_rejected(self):
+        # 1e999 reads as inf
+        with pytest.raises(ConfigError) as info:
+            parse_config("[master]\nmask = [(1, -85), (10, -125), (1e999, -160)]\n")
+        assert info.value.errors == [
+            "master.mask: points' offsets must be positive, finite and strictly increasing"]
+
+    def test_scenario_problems_are_reported_under_config_keys(self):
+        text = ("[channel]\ntau_s = -1e-9\nloop_latency_ticks = 0\n"
+                "[framing]\npilot_len = 64\n[run]\nduration_s = 1e-9\n")
+        with pytest.raises(ConfigError) as info:
+            parse_config(text)
+        assert info.value.errors == [
+            "channel.tau_s must be nonnegative and finite",
+            "channel.loop_latency_ticks must be >= 1",
+            "framing.pilot_len must be a power of two in 1..32",
+        ]
+        with pytest.raises(ConfigError) as info:
+            parse_config("[run]\nduration_s = 1e-9\n")
+        assert info.value.errors == ["run.duration_s must span at least one tick "
+                                     "(run.decimation/run.baud_hz) and finitely many"]
+
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
     @pytest.mark.parametrize("section,key", FLOAT_KEYS)
     def test_non_finite_float_rejected(self, section, key, value):

@@ -202,9 +202,18 @@ class TestDelayMargin:
         assert type(delay_margin(1.0, np.float64(1e3), 1.0, 1e3)) is float
 
     def test_refuses_a_nonfinite_natural_frequency(self):
-        # without the check a NaN omega reads as an infinite margin
+        # without the check a NaN omega reads as an infinite margin, a zero
+        # one divides by zero and an infinite one makes a zero tick period
         with pytest.raises(ValueError, match="omega_n_hz"):
             delay_margin(1.0, math.nan, 1.0, math.nan)
+        with pytest.raises(ValueError, match="omega_n_hz"):
+            delay_margin(1.0, 0.0, 1.0, 0.0)
+        with pytest.raises(ValueError, match="omega_n_hz"):
+            delay_margin(1.0, 1e3, 1.0, math.inf)
+        with pytest.raises(ValueError, match="omega_n_hz"):
+            delay_margin(1.0, np.array([1e3, 0.0]), 1.0, np.array([1e3, 1e3]))
+        with pytest.raises(ValueError, match="omega_n_hz"):
+            delay_margin(1.0, np.array([1e3, 1e3]), 1.0, np.array([1e3, math.inf]))
         with pytest.raises(ValueError, match="omega_n_hz"):
             delay_margin(1.0, np.array([1e3, math.nan]), 1.0, np.array([1e3, 1e3]))
         with pytest.raises(ValueError, match="omega_n_hz"):

@@ -594,6 +594,54 @@ class TestRingChannel:
             assert np.var(d) == pytest.approx(sigma**2, rel=0.03)
 
 
+# a runnable value of each checked Scenario field (at least 50 ticks), and
+# values no run can use, among them decimation 0, a NaN delay, Doppler or
+# offset, an infinite baud and a 1e-9 s duration, which used to construct
+VALID_FIELDS = dict(
+    duration_s=st.floats(1.0, 100.0), baud_hz=st.floats(1e5, 1e9),
+    decimation=st.integers(33, 2000), zeta_m=st.floats(0.1, 5.0),
+    omega_m_hz=st.floats(0.1, 1e4), zeta_s=st.floats(0.1, 5.0),
+    omega_s_hz=st.floats(0.1, 1e4), theta_offset=st.floats(-10.0, 10.0),
+    initial_follower_phase_rad=st.floats(-10.0, 10.0),
+    follower_freq_offset_hz=st.floats(-1e3, 1e3), tau_s=st.floats(0.0, 1e-6),
+    doppler_hz=st.floats(-1e3, 1e3), snr_db=st.just(math.inf) | st.floats(-20.0, 60.0),
+    pilot_len=st.sampled_from([1, 2, 4, 8, 16, 32]), loop_latency_ticks=st.integers(1, 10),
+)
+NONPOSITIVE = [0.0, -1.0, math.nan, math.inf, -math.inf]
+NONFINITE = [math.nan, math.inf, -math.inf]
+BAD_FIELDS = dict(
+    duration_s=[*NONPOSITIVE, 1e-9, 1e308], baud_hz=NONPOSITIVE, decimation=[0, -1, 1, math.nan],
+    zeta_m=NONPOSITIVE, omega_m_hz=NONPOSITIVE, zeta_s=NONPOSITIVE, omega_s_hz=NONPOSITIVE,
+    theta_offset=NONFINITE, initial_follower_phase_rad=NONFINITE,
+    follower_freq_offset_hz=NONFINITE, tau_s=[-1e-9, *NONFINITE],
+    doppler_hz=NONFINITE, snr_db=[math.nan, -math.inf],
+    pilot_len=[0, 3, 64, -2], loop_latency_ticks=[0, -1],
+)
+
+
+class TestScenarioChecks:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(fields=st.fixed_dictionaries(VALID_FIELDS))
+    def test_constructs_a_valid_draw(self, fields):
+        assert Scenario(**fields).n_ticks >= 1
+
+    @pytest.mark.parametrize("name, value", [(name, value) for name, values in BAD_FIELDS.items()
+                                             for value in values])
+    @settings(max_examples=5, deadline=None, derandomize=True)
+    @given(fields=st.fixed_dictionaries(VALID_FIELDS))
+    def test_refuses_a_bad_field_by_name(self, name, value, fields):
+        # each message starts with the field it is about
+        with pytest.raises(ValueError, match=f"(^|; ){name} "):
+            Scenario(**{**fields, name: value})
+
+    def test_reports_every_problem(self):
+        fields = {**vars(Scenario()), "zeta_m": 0.0, "tau_s": -1.0, "pilot_len": 64}
+        assert Scenario.problems(fields) == [
+            "zeta_m must be positive and finite", "tau_s must be nonnegative and finite",
+            "pilot_len must be a power of two in 1..32"]
+        assert Scenario.problems(vars(Scenario())) == []
+
+
 class TestRunScenario:
     def test_noiseless_static_converges(self):
         scn = Scenario(duration_s=3.0, ideal_clocks=True)

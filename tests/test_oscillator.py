@@ -38,6 +38,37 @@ class TestNoiseMask:
         with pytest.raises(ValueError):
             mask_of([(1.0, math.inf)])
 
+    @pytest.mark.parametrize("bad, value", [
+        *[("reference_freq_hz", v) for v in (0.0, -1.0, math.nan, math.inf, -math.inf)],
+        *[("offset", v) for v in (0.0, -1.0, math.nan, math.inf, -math.inf)],
+        *[("level", v) for v in (math.nan, math.inf, -math.inf)],
+        ("points", "empty"), ("points", "repeated"), (None, None),
+    ])
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(
+        ref=st.floats(1.0, 1e10),
+        offsets=st.lists(st.floats(1e-3, 1e7), min_size=1, max_size=5, unique=True).map(sorted),
+        level=st.floats(-200.0, 0.0),
+    )
+    def test_refuses_a_bad_field_by_name(self, bad, value, ref, offsets, level):
+        points = [(f, level) for f in offsets]
+        if bad == "reference_freq_hz":
+            ref = value
+        elif bad == "offset":
+            points[-1] = (value, level)
+        elif bad == "level":
+            points[0] = (offsets[0], value)
+        elif value == "empty":
+            points = []
+        elif value == "repeated":
+            points.append(points[-1])
+        if bad is None:
+            assert NoiseMask(ref, points).points == tuple(points)
+            return
+        field = "reference_freq_hz" if bad == "reference_freq_hz" else "points"
+        with pytest.raises(ValueError, match=f"^{field}"):
+            NoiseMask(ref, points)
+
 
 class TestTwoStateParams:
     @settings(max_examples=60, deadline=None, derandomize=True)
