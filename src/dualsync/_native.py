@@ -1,11 +1,12 @@
 """The package's one C library: the tick kernel ``_tick.c``, the normal
 draw and clock synthesis ``_normal.c``, the Chebyshev window's main-lobe
-sum ``_window.c`` and the CSV row writer ``_csv.c``.
+sum ``_window.c`` and the CSV writer ``_csv.c``.
 
 The first call of ``library()`` in a process compiles the four sources with
 one gcc call into ``__pycache__`` beside them, or loads the library an
-earlier process built there, and declares its five functions; importing
-the package builds and loads nothing.  ``nodes._tick_loop_fast`` calls
+earlier process built there, declares its five functions and fills the
+CSV writer's table of powers of ten, ``g_table()``; importing the package
+builds and loads nothing.  ``nodes._tick_loop_fast`` calls
 ``tick_loop``, ``oscillator.standard_normal`` ``normal_fill``,
 ``oscillator.synthesize_phase`` ``synth_phase``, ``spectral.cheb_window``
 ``cheb_main_lobe`` and ``cli._write_csv`` ``csv_text``.
@@ -110,11 +111,30 @@ def build(sources, cache: Path, flags: tuple[str, ...]) -> Path:
     return lib
 
 
+# the powers 10^k of the CSV writer's float formatter, k in [G_K_MIN, G_K_MAX]
+G_K_MIN, G_K_MAX = -292, 324
+
+
+def g_table() -> list[int]:
+    """Schubfach's g(k) = floor(10^k * 2^(127 - floor(log2 10^k))) + 1, for
+    k from G_K_MIN to G_K_MAX, as the high and low 64 bits of each: the
+    ``g_table`` array of ``_csv.c``."""
+    out = []
+    for k in range(G_K_MIN, G_K_MAX + 1):
+        num, den = 10 ** max(k, 0), 10 ** max(-k, 0)
+        # floor(log2 10^k), where 10^-k for k < 0 is no power of two
+        r = num.bit_length() - 1 if k >= 0 else -den.bit_length()
+        g = (num << max(127 - r, 0)) // (den << max(r - 127, 0)) + 1
+        out += (g >> 64, g & (2**64 - 1))
+    return out
+
+
 @functools.cache
 def library() -> ctypes.CDLL:
     """The library, loaded on the first call of the process, with its
     functions ``tick_loop``, ``normal_fill``, ``synth_phase``,
-    ``cheb_main_lobe`` and ``csv_text`` declared.
+    ``cheb_main_lobe`` and ``csv_text`` declared and its ``g_table``
+    filled from ``g_table()``.
 
     ``csv_text`` calls the C API, so it is bound as a ``PYFUNCTYPE`` and
     runs holding the interpreter lock; the other four release it."""
@@ -130,5 +150,7 @@ def library() -> ctypes.CDLL:
     lib.cheb_main_lobe.argtypes = [i64, i64, *[ptr] * 4]
     lib.cheb_main_lobe.restype = None
     lib.csv_text = ctypes.PYFUNCTYPE(ctypes.py_object, ctypes.py_object, ctypes.c_ssize_t,
-                                     ctypes.py_object)(("csv_text", lib))
+                                     ctypes.c_ssize_t, ctypes.py_object)(("csv_text", lib))
+    table = g_table()
+    (ctypes.c_uint64 * len(table)).in_dll(lib, "g_table")[:] = table
     return lib

@@ -9,7 +9,6 @@ seed reproduces each file byte for byte.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
 import sys
@@ -45,27 +44,35 @@ def _write_atomic(path: str, write) -> None:
         raise
 
 
-# rows per call of the C writer, to bound the rows and text held at once
+# rows per call of the C writer, to bound the text held at once
 CSV_BATCH = 1024
 
 
-def _write_csv(path: str, comment: str, header: list[str], rows) -> None:
-    """Write `rows` of built-in str, int and float values with str(), which
-    for a float is its shortest round-trip repr; a bool must come as 1/0,
-    and raises TypeError naming its row (from 0, after the header) and
-    column, with `path` untouched.
+def _write_csv(path: str, comment: str, header: list[str], columns) -> None:
+    """Write equal-length `columns`, one per `header` name, as rows of str()
+    of their cells, which for a float is its shortest round-trip repr.
 
-    The rows stream CSV_BATCH at a time through the C writer ``_csv.c``,
-    which gives the bytes of ",".join(map(str, row)) + "\n" per row."""
-    text = _native.library().csv_text
+    A column is a 1-D C-contiguous float64 or int64 array, or a list (or
+    tuple) of built-in str, int and float values.  Columns of unequal
+    length raise ValueError naming the column; a bool must come as 1/0,
+    and a bool array or cell raises TypeError naming its column (and row);
+    either way `path` is untouched.  The C writer ``_csv.c`` gives the
+    bytes of ",".join(map(str, row)) + "\n" per row, CSV_BATCH rows a call."""
+    columns = list(columns)
+    if len(columns) != len(header):
+        raise ValueError(f"{len(columns)} columns for the {len(header)} names {header}")
+    n = len(columns[0]) if columns else 0
+    for name, column in zip(header, columns):
+        if len(column) != n:
+            raise ValueError(f"column {name!r} has {len(column)} rows, "
+                             f"column {header[0]!r} {n}")
+    text, names = _native.library().csv_text, tuple(header)
 
     def write(fh):
         fh.write(f"# {comment}\n")
         fh.write(",".join(header) + "\n")
-        rows_left, first, names = iter(rows), 0, tuple(header)
-        while batch := list(itertools.islice(rows_left, CSV_BATCH)):
-            fh.write(text(batch, first, names))
-            first += len(batch)
+        for first in range(0, n, CSV_BATCH):
+            fh.write(text(columns, first, min(CSV_BATCH, n - first), names))
     _write_atomic(path, write)
 
 
@@ -120,25 +127,12 @@ def _write_psd(path: str, cfg: ScenarioConfig, series, window: np.ndarray) -> No
         window=window,
     )
     _write_csv(path, _stamp(cfg), ["offset_hz", "level_dbc_hz"],
-               zip(est.freqs_hz.tolist(), est.levels_dbc_hz.tolist()))
+               (est.freqs_hz, est.levels_dbc_hz))
 
 
 # timeseries.csv: tick, t_s, then each of these ScenarioResult series in rad
 TIMESERIES_SERIES = ("theta_bf_minus_theta0", "theta_out", "alpha", "r1", "r2", "r3", "r4")
 TIMESERIES_HEADER = ["tick", "t_s", *(f"{name}_rad" for name in TIMESERIES_SERIES)]
-# ticks per block that _timeseries_rows converts to Python floats
-ROW_CHUNK = 8192
-
-
-def _timeseries_rows(result):
-    """Yield timeseries.csv rows of built-in ints and floats, converted
-    ROW_CHUNK ticks at a time to bound memory."""
-    cols = (result.t_s, *(getattr(result, name) for name in TIMESERIES_SERIES))
-    for start in range(0, result.n_ticks, ROW_CHUNK):
-        stop = min(start + ROW_CHUNK, result.n_ticks)
-        yield from zip(range(start, stop), *(c[start:stop].tolist() for c in cols))
-
-
 # the verification PSDs that the noise_fit kind writes beside noise_fit.csv, by node
 NOISE_FIT_PSDS = {"master": "psd_master.csv", "follower": "psd_follower.csv"}
 # natural frequencies of delay_margin.csv, log-spaced over 10 Hz..1 MHz
@@ -167,7 +161,9 @@ def _emit(cfg: ScenarioConfig, timeseries=None, psd=None, jumps=None, window_res
     if timeseries or jumps or ring_psd:
         result = run_scenario(scn, cfg.get("run", "seed"), discriminators=bool(timeseries))
     if timeseries:
-        _write_csv(timeseries, _stamp(cfg), TIMESERIES_HEADER, _timeseries_rows(result))
+        _write_csv(timeseries, _stamp(cfg), TIMESERIES_HEADER,
+                   (np.arange(result.n_ticks), result.t_s,
+                    *(getattr(result, name) for name in TIMESERIES_SERIES)))
     if psd:
         # the window before the series: built after it, the window kept for
         # the command's next PSD splits the heap the next series reuses, and
@@ -177,7 +173,8 @@ def _emit(cfg: ScenarioConfig, timeseries=None, psd=None, jumps=None, window_res
     if jumps:
         found = detect_ambiguity_jumps(result.theta_bf_minus_theta0, result.tick_rate_hz)
         _write_csv(jumps, _stamp(cfg), ["tick", "t_s", "magnitude_rad"],
-                   ((i, i / result.tick_rate_hz, m) for i, m in found))
+                   ([i for i, _ in found], [i / result.tick_rate_hz for i, _ in found],
+                    [m for _, m in found]))
     if window_response:
         # power response of the psd_block_len-sample Dolph-Chebyshev window,
         # 8x zero-padded, relative to DC
@@ -186,22 +183,20 @@ def _emit(cfg: ScenarioConfig, timeseries=None, psd=None, jumps=None, window_res
         with np.errstate(divide="ignore"):
             level = 20.0 * np.log10(np.abs(resp) / np.abs(resp[0]))
         _write_csv(window_response, _stamp(cfg), ["freq_cycles_per_sample", "level_db"],
-                   zip((np.arange(resp.size) / (8.0 * n)).tolist(), level.tolist()))
+                   (np.arange(resp.size) / (8.0 * n), level))
     if bode:
         gm = la.closed_tf(scn.loop_config_master())
         gs = la.closed_tf(scn.loop_config_follower())
         tfs = la.dual_loop_tfs(gm, gs)
         grid = la.default_bode_grid()
-        rows = []
-        for tf_id in ("out_from_0", "out_from_x", "bf_from_0", "bf_from_x"):
-            for f, mag, ph in la.bode(tfs[tf_id], grid):
-                rows.append((tf_id, f, mag, ph))
-        _write_csv(bode, _stamp(cfg), ["tf_id", "freq_hz", "mag_db", "phase_deg"], rows)
+        rows = [(tf_id, *point)
+                for tf_id in ("out_from_0", "out_from_x", "bf_from_0", "bf_from_x")
+                for point in la.bode(tfs[tf_id], grid)]
+        _write_csv(bode, _stamp(cfg), ["tf_id", "freq_hz", "mag_db", "phase_deg"], zip(*rows))
     if delay_margin:
         grid = np.logspace(1, 6, MARGIN_GRID_POINTS)
         margins = la.delay_margin(scn.zeta_m, grid, scn.zeta_s, grid)
-        _write_csv(delay_margin, _stamp(cfg), ["omega_n_hz", "margin_s"],
-                   zip(grid.tolist(), margins.tolist()))
+        _write_csv(delay_margin, _stamp(cfg), ["omega_n_hz", "margin_s"], (grid, margins))
     if noise_fit:
         n = cfg.get("output", "psd_block_len") * cfg.get("output", "psd_n_blocks")
         streams = nodes._streams(cfg.get("run", "seed"))
@@ -216,7 +211,7 @@ def _emit(cfg: ScenarioConfig, timeseries=None, psd=None, jumps=None, window_res
             _write_psd(os.path.join(os.path.dirname(noise_fit), name), cfg, series, window)
         _write_csv(noise_fit, _stamp(cfg),
                    ["node", "sigma0_rad", "sigma1_rad", "sigma2_rad_per_tick", "tick_rate_hz"],
-                   rows)
+                   zip(*rows))
 
 
 def _write_files(cfg: ScenarioConfig, out: str, files: dict, windows=None) -> list[str]:
@@ -300,8 +295,8 @@ def cmd_sweep(args) -> int:
     values = [int(v) if isinstance(v, bool) else v for v in values]
     path = os.path.join(out, "manifest.csv")
     _write_csv(path, _stamp(cfg), ["index", "key", "value", "directory", "seed"],
-               [(i, key, v, d, p.get("run", "seed"))
-                for i, (v, p, d) in enumerate(zip(values, points, dirs))])
+               (list(range(len(points))), [key] * len(points), values, dirs,
+                [p.get("run", "seed") for p in points]))
     _say(args, f"wrote {path} ({len(points)} grid points)")
     return 0
 

@@ -66,8 +66,9 @@ def test_positional_counts_match_the_run(tmp_path):
         tracer.uninstall()
     totals = tracer.totals()
     assert totals["nodes.kernel"]["ticks"] == n_ticks
-    # timeseries.csv, then psd.csv with one row per bin below Nyquist
-    assert [s.counts["rows"] for s in tracer.spans if s.name == "cli.emit"] == [n_ticks, 32]
+    # the tracer counts the items of _write_csv's fourth argument, which are
+    # columns: timeseries.csv's, then psd.csv's frequency and level
+    assert [s.counts["rows"] for s in tracer.spans if s.name == "cli.emit"] == [9, 2]
     assert totals["spectral.psd"]["samples"] == 64 * 8
     # both ring clocks, then the master clock for its PSD
     assert totals["oscillator.synth"]["samples"] == 2 * n_ticks + 64 * 8

@@ -1,5 +1,6 @@
 import concurrent.futures
 import hashlib
+import io
 import json
 import math
 import os
@@ -11,10 +12,11 @@ import sys
 import numpy as np
 import pytest
 
+import oracles
 from dualsync import cli
 from dualsync.cli import main
 from dualsync.config import RETIRED_KEYS, ConfigError, parse_config
-from dualsync.nodes import Scenario, run_scenario
+from dualsync.nodes import run_scenario
 
 
 def run_cli(*argv):
@@ -688,7 +690,7 @@ class TestWriteAtomic:
             p.write_bytes(b"stale")
         umask = os.umask(0o027)
         try:
-            cli._write_csv(str(path), "c", ["a", "b"], [(1, 0.5), (2, 1.5)])
+            cli._write_csv(str(path), "c", ["a", "b"], [[1, 2], np.array([0.5, 1.5])])
         finally:
             os.umask(umask)
         assert path.read_bytes() == b"# c\na,b\n1,0.5\n2,1.5\n"
@@ -697,22 +699,20 @@ class TestWriteAtomic:
         assert sorted(os.listdir(tmp_path)) == sorted(["out.csv", *(p.name for p in stale)])
 
 
-class TestTimeseriesRows:
-    def test_rows_are_builtin_and_match_the_series(self):
-        # longer than one ROW_CHUNK, so a chunk boundary is crossed
-        r = run_scenario(Scenario(duration_s=1.2, snr_db=10.0), seed=4)
-        assert r.n_ticks > cli.ROW_CHUNK
-        rows = list(cli._timeseries_rows(r))
-        assert len(rows) == r.n_ticks
-        assert all(len(row) == len(cli.TIMESERIES_HEADER) for row in rows)
-        for row in rows:
-            assert type(row[0]) is int
-            assert all(type(v) is float for v in row[1:])
-        cols = np.array([row[1:] for row in rows]).T
-        assert [row[0] for row in rows] == list(range(r.n_ticks))
-        assert np.array_equal(cols[0], r.t_s)
-        for name, col in zip(cli.TIMESERIES_SERIES, cols[1:]):
-            assert np.array_equal(col, getattr(r, name)), name
+class TestTimeseriesColumns:
+    def test_a_ring_longer_than_a_batch_has_the_oracle_bytes(self, tmp_path):
+        # the arrays go to the C writer as columns; the oracle writes the
+        # rows they make as Python values with str()
+        cfg = parse_config("[run]\nduration_s = 0.2\n[channel]\nsnr_db = 10\n")
+        path = tmp_path / "timeseries.csv"
+        cli._emit(cfg, timeseries=str(path))
+        r = run_scenario(cfg.to_scenario(), cfg.get("run", "seed"))
+        assert r.n_ticks > cli.CSV_BATCH
+        fh = io.StringIO()
+        fh.write(f"# {cli._stamp(cfg)}\n" + ",".join(cli.TIMESERIES_HEADER) + "\n")
+        oracles.write_rows(fh, zip(range(r.n_ticks), r.t_s.tolist(),
+                                   *(getattr(r, name).tolist() for name in cli.TIMESERIES_SERIES)))
+        assert path.read_bytes() == fh.getvalue().encode()
 
 
 class TestErrors:

@@ -1,12 +1,13 @@
-"""cli._write_csv, whose rows go through the C writer _csv.c, gives the bytes
-of the row writer it replaced, tests/oracles.write_rows, on every kind of
-cell the C writer treats apart: floats on its Grisu3 fast path and on the
-fallback it declines to, ints within and beyond int64, str and anything
-else."""
+"""cli._write_csv, whose columns go through the C writer _csv.c, gives the
+bytes of the row writer it replaced, tests/oracles.write_rows, on every kind
+of column and cell the C writer treats apart: float64 and int64 arrays read
+in place, and lists of floats, ints within and beyond int64, str and
+anything else; its floats, by Schubfach, are those of repr."""
 
+import ctypes
 import io
 import math
-import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,67 +18,64 @@ import oracles
 from dualsync import _native, cli
 from dualsync.nodes import Scenario
 
-HEADER = ["a", "b"]
+B = cli.CSV_BATCH
 
 
-def check_same_bytes(path, rows):
-    """Write `rows` with _write_csv and with the oracle; on a difference,
-    fail on the first line that differs rather than on the whole file."""
-    rows = list(rows)
-    cli._write_csv(str(path), "c", HEADER, iter(rows))
+def names(columns):
+    return [f"c{j}" for j in range(len(columns))]
+
+
+def oracle_bytes(comment, header, columns):
+    """The oracle's file: its rows are zip(*columns), arrays as Python values."""
     fh = io.StringIO()
-    fh.write("# c\n" + ",".join(HEADER) + "\n")
-    oracles.write_rows(fh, rows)
-    expected, got = fh.getvalue().encode(), path.read_bytes()
+    fh.write(f"# {comment}\n" + ",".join(header) + "\n")
+    oracles.write_rows(fh, zip(*(c.tolist() if isinstance(c, np.ndarray) else c
+                                 for c in columns)))
+    return fh.getvalue().encode()
+
+
+def check_same_bytes(path, columns):
+    """Write `columns` with _write_csv (given as a generator, as a tracer
+    passes them) and with the oracle; on a difference, fail on the first
+    line that differs rather than on the whole file."""
+    header = names(columns)
+    cli._write_csv(str(path), "c", header, (c for c in columns))
+    expected, got = oracle_bytes("c", header, columns), path.read_bytes()
     if got != expected:
         lines = zip(got.split(b"\n"), expected.split(b"\n"))
         pytest.fail(f"first differing line (got, oracle): "
                     f"{next(((g, e) for g, e in lines if g != e), 'a longer file')}")
 
 
-def float_rows(values, width=8):
-    values = list(values)
-    return [values[i:i + width] for i in range(0, len(values), width)]
+def neighbours(values):
+    """Each value with the doubles just below and just above it."""
+    return [y for x in values
+            for y in (math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf))]
 
 
-INT64 = [2**63 - 1, -2**63, 2**63, -2**63 - 1, 2**64, -2**64, 10**30, -10**30]
-CELLS = st.one_of(
-    st.floats(), st.floats(width=32), st.integers(), st.sampled_from(INT64),
-    st.integers(-2**80, 2**80), st.text(), st.builds(np.float64, st.floats()),
-)
+def edge_values():
+    # 2^-1074..2^1023 have the closer lower boundary (but 2^-1074 and
+    # 2^-1022); 1e-5/1e-4 and 1e16/1e17 sit where repr switches between
+    # fixed and exponent form; below 2^53 an integer is its own digits
+    values = [math.ldexp(1.0, k) for k in range(-1074, 1024)]
+    values += [float(f"1e{k}") for k in range(-323, 309)]
+    values += [float(2**k + d) for k in range(54) for d in (-1, 1)]
+    values = neighbours(values)
+    values += [math.ldexp(float(m), -1074) for m in (3, 7, 2**51 + 1, 2**52 - 1)]
+    values += [5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 0.0]
+    values = values + [-v for v in values]
+    return np.array(values + [math.inf, -math.inf, math.nan])
 
 
-@settings(max_examples=300, deadline=None, derandomize=True,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(rows=st.lists(st.lists(CELLS, max_size=6) | st.tuples(CELLS, CELLS), max_size=8))
-def test_mixed_cells_have_the_oracle_bytes(tmp_path, rows):
-    check_same_bytes(tmp_path / "out.csv", rows)
+def test_edge_values_as_an_array_and_as_a_list(tmp_path):
+    values = edge_values()
+    check_same_bytes(tmp_path / "out.csv", [values, values.tolist()])
 
 
 def test_random_bit_patterns(tmp_path):
     bits = np.random.default_rng(22).integers(0, 2**64, size=10**6, dtype=np.uint64,
                                               endpoint=False)
-    check_same_bytes(tmp_path / "out.csv", float_rows(bits.view(np.float64).tolist()))
-
-
-def neighbours(x, steps=3):
-    below, above, out = x, x, [x]
-    for _ in range(steps):
-        below, above = math.nextafter(below, -math.inf), math.nextafter(above, math.inf)
-        out += [below, above]
-    return out
-
-
-def test_powers_of_two_extremes_and_format_switches(tmp_path):
-    # 2^-1074..2^1023 have the closer lower boundary (but 2^-1074 and
-    # 2^-1022), and 1e-4/1e-5 and 1e16/1e17 sit where repr switches between
-    # fixed and exponent form
-    values = [math.ldexp(1.0, k) for k in range(-1074, 1024)]
-    values += [5e-324, math.ulp(0.0), 2.2250738585072014e-308, 1.7976931348623157e308]
-    for x in (1e-4, 1e-5, 1e16, 1e17, 1e15, 1e-3, 1.0, 0.1, 9007199254740993.0):
-        values += neighbours(x)
-    values += [0.0, math.inf, math.nan]
-    check_same_bytes(tmp_path / "out.csv", float_rows(values + [-v for v in values]))
+    check_same_bytes(tmp_path / "out.csv", list(bits.view(np.float64).reshape(8, -1)))
 
 
 TICK_RATE_HZ = Scenario().tick_rate_hz
@@ -91,46 +89,115 @@ TICK_RATE_HZ = Scenario().tick_rate_hz
     pytest.param(lambda rng: np.arange(300_000) / TICK_RATE_HZ, id="t_s-grid"),
 ])
 def test_value_sets(tmp_path, values):
-    check_same_bytes(tmp_path / "out.csv", float_rows(values(np.random.default_rng(7)).tolist()))
+    check_same_bytes(tmp_path / "out.csv",
+                     list(values(np.random.default_rng(7)).reshape(4, -1)))
 
 
-@pytest.mark.parametrize("n_rows", [0, 1, cli.CSV_BATCH - 1, cli.CSV_BATCH, cli.CSV_BATCH + 1])
+INT64 = [2**63 - 1, -2**63, 2**63, -2**63 - 1, 2**64, -2**64, 10**30, -10**30]
+CELLS = st.one_of(
+    st.floats(), st.floats(width=32), st.integers(), st.sampled_from(INT64),
+    st.integers(-2**80, 2**80), st.text(), st.builds(np.float64, st.floats()),
+)
+COLUMN_KINDS = st.lists(st.sampled_from(["float64", "int64", "objects"]), min_size=1,
+                        max_size=5)
+
+
+def column(kind, n, rng, cells):
+    if kind == "float64":
+        return rng.integers(0, 2**64, size=n, dtype=np.uint64, endpoint=False).view(np.float64)
+    if kind == "int64":
+        return rng.integers(-2**63, 2**63, size=n, dtype=np.int64, endpoint=False)
+    return [cells[i % len(cells)] for i in range(n)]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(kinds=COLUMN_KINDS, cells=st.lists(CELLS, min_size=1, max_size=12),
+       n=st.sampled_from([0, 1, 2, B - 1, B, B + 1, 2 * B + 1]) | st.integers(0, 40),
+       seed=st.integers(0, 2**32 - 1))
+def test_mixed_columns_have_the_oracle_bytes(tmp_path, kinds, cells, n, seed):
+    rng = np.random.default_rng(seed)
+    check_same_bytes(tmp_path / "out.csv", [column(k, n, rng, cells) for k in kinds])
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, B - 1, B, B + 1])
 def test_batch_boundaries(tmp_path, n_rows):
-    rows = ((i, i / TICK_RATE_HZ, "é" * (i % 3), -i * 0.1) for i in range(n_rows))
-    check_same_bytes(tmp_path / "out.csv", rows)
+    i = np.arange(n_rows)
+    check_same_bytes(tmp_path / "out.csv", [i, i / TICK_RATE_HZ, ["é" * (k % 3) for k in i],
+                                            (-i * 0.1).tolist()])
 
 
-def test_cached_powers_are_exact():
-    # entry i of the fast path's table is 10^(8i - 348) as a 64-bit
-    # significand f and exponent e, 2^63 <= f < 2^64, rounded to nearest
-    source = next(s for s in _native.SOURCES if s.name == "_csv.c").read_text()
-
-    def table(name):
-        body = re.search(name + r"\[CACHED_POWERS_N\] = \{(.*?)\};", source, re.S).group(1)
-        return [int(v, 0) for v in body.replace(",", " ").split()]
-
-    fs, es = table("cached_powers_f"), table("cached_powers_e")
-    ks = range(-348, 341, 8)
-    assert len(fs) == len(es) == len(ks)
-    for f, e, k in zip(fs, es, ks):
-        num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
-        num, den = (num, den << e) if e >= 0 else (num << -e, den)
-        q, r = divmod(num, den)
-        assert 2**63 <= q < 2**64 and 2 * r != den, k
-        assert f == q + (2 * r > den), k
+def test_int64_extremes(tmp_path):
+    ints = np.array([0, 1, -1, 2**63 - 1, -2**63, 10**18, -10**18], dtype=np.int64)
+    check_same_bytes(tmp_path / "out.csv", [ints, ints.tolist()])
 
 
-class TestBoolCells:
+def g_by_fractions(k):
+    """g(k) = floor(10^k * 2^(127 - floor(log2 10^k))) + 1, from exact rationals."""
+    x = Fraction(10) ** k
+    r = math.floor(k * math.log2(10))
+    while Fraction(2) ** r > x:
+        r -= 1
+    while Fraction(2) ** (r + 1) <= x:
+        r += 1
+    return math.floor(x * Fraction(2) ** (127 - r)) + 1
+
+
+def test_loaded_g_table_is_the_formula():
+    ks = range(_native.G_K_MIN, _native.G_K_MAX + 1)
+    loaded = (ctypes.c_uint64 * (2 * len(ks))).in_dll(_native.library(), "g_table")
+    for i, k in enumerate(ks):
+        g = g_by_fractions(k)
+        assert 2**127 < g <= 2**128 - 1, k
+        assert (loaded[2 * i], loaded[2 * i + 1]) == (g >> 64, g % 2**64), k
+
+
+def leaves_the_target(tmp_path, existing, write):
+    path = tmp_path / "out.csv"
+    if existing:
+        path.write_bytes(b"before")
+    write(str(path))
+    assert [p.name for p in tmp_path.iterdir()] == (["out.csv"] if existing else [])
+    if existing:
+        assert path.read_bytes() == b"before"
+
+
+@pytest.mark.parametrize("existing", [False, True])
+class TestRefusedColumns:
+    def test_unequal_lengths_name_the_column(self, tmp_path, existing):
+        def write(path):
+            with pytest.raises(ValueError, match=r"column 'b' has 2 rows, column 'a' 3"):
+                cli._write_csv(path, "c", ["a", "b", "c"],
+                               [np.zeros(3), [1, 2], np.arange(3)])
+        leaves_the_target(tmp_path, existing, write)
+
+    def test_a_column_per_name(self, tmp_path, existing):
+        def write(path):
+            with pytest.raises(ValueError, match=r"1 columns for the 2 names"):
+                cli._write_csv(path, "c", ["a", "b"], [np.zeros(3)])
+        leaves_the_target(tmp_path, existing, write)
+
     # the documented precondition: a bool must come as 1/0; str(True) wrote True
-    @pytest.mark.parametrize("existing", [False, True])
-    def test_a_bool_raises_naming_row_and_column_and_leaves_the_target(self, tmp_path, existing):
-        path = tmp_path / "out.csv"
-        if existing:
-            path.write_bytes(b"before")
-        rows = [(i, 0.5) for i in range(cli.CSV_BATCH + 3)]
-        rows[cli.CSV_BATCH + 2] = (7, True)
-        with pytest.raises(TypeError, match=rf"row {cli.CSV_BATCH + 2}, column 1 \('b'\)"):
-            cli._write_csv(str(path), "c", HEADER, rows)
-        assert [p.name for p in tmp_path.iterdir()] == (["out.csv"] if existing else [])
-        if existing:
-            assert path.read_bytes() == b"before"
+    def test_a_bool_cell_raises_naming_row_and_column(self, tmp_path, existing):
+        cells = [0.5] * (B + 3)
+        cells[B + 2] = True
+
+        def write(path):
+            with pytest.raises(TypeError, match=rf"row {B + 2}, column 1 \('b'\)"):
+                cli._write_csv(path, "c", ["a", "b"], [np.arange(B + 3), cells])
+        leaves_the_target(tmp_path, existing, write)
+
+    @pytest.mark.parametrize("array", [np.ones(3, dtype=bool), np.ones(3, dtype=np.int32),
+                                       np.ones((3, 1)), np.ones(6)[::2]])
+    def test_an_array_of_another_kind_raises(self, tmp_path, existing, array):
+        def write(path):
+            with pytest.raises(TypeError, match=r"column 1 \('b'\) is not a C-contiguous"):
+                cli._write_csv(path, "c", ["a", "b"], [np.arange(3), array])
+        leaves_the_target(tmp_path, existing, write)
+
+    def test_a_bool_array_names_its_column(self, tmp_path, existing):
+        def write(path):
+            with pytest.raises(TypeError, match=r"column 1 \('b'\) is not a C-contiguous 1-D "
+                                                r"float64 or int64 array \(format '\?', 1-D\)"):
+                cli._write_csv(path, "c", ["a", "b"], [np.arange(3), np.ones(3, dtype=bool)])
+        leaves_the_target(tmp_path, existing, write)

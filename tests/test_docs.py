@@ -78,7 +78,7 @@ def test_oracle_notes_name_every_public_oracle():
 def test_csv_schemas_name_every_header(tmp_path, monkeypatch):
     headers = set()
     monkeypatch.setattr(cli, "_write_csv",
-                        lambda path, comment, header, rows: headers.add(", ".join(header)))
+                        lambda path, comment, header, columns: headers.add(", ".join(header)))
     short = "[run]\nduration_s = 0.2\n[output]\npsd_block_len = 32\npsd_n_blocks = 8\n"
     configs = {
         "simulate": short + "emit_psd = on\n",

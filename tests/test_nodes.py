@@ -596,7 +596,8 @@ class TestRingChannel:
 
 # a runnable value of each checked Scenario field (at least 50 ticks), and
 # values no run can use, among them decimation 0, a NaN delay, Doppler or
-# offset, an infinite baud and a 1e-9 s duration, which used to construct
+# offset, an infinite baud, a 1e-9 s duration and a latency of 1.5 or True
+# ticks, which used to construct
 VALID_FIELDS = dict(
     duration_s=st.floats(1.0, 100.0), baud_hz=st.floats(1e5, 1e9),
     decimation=st.integers(33, 2000), zeta_m=st.floats(0.1, 5.0),
@@ -615,7 +616,7 @@ BAD_FIELDS = dict(
     theta_offset=NONFINITE, initial_follower_phase_rad=NONFINITE,
     follower_freq_offset_hz=NONFINITE, tau_s=[-1e-9, *NONFINITE],
     doppler_hz=NONFINITE, snr_db=[math.nan, -math.inf],
-    pilot_len=[0, 3, 64, -2], loop_latency_ticks=[0, -1],
+    pilot_len=[0, 3, 64, -2], loop_latency_ticks=[0, -1, 1.5, 2.0, math.nan, True, "2"],
 )
 
 
@@ -633,6 +634,13 @@ class TestScenarioChecks:
         # each message starts with the field it is about
         with pytest.raises(ValueError, match=f"(^|; ){name} "):
             Scenario(**{**fields, name: value})
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(fields=st.fixed_dictionaries(VALID_FIELDS), latency=st.floats() | st.booleans())
+    def test_refuses_a_latency_that_is_no_integer(self, fields, latency):
+        # the delay line holds a whole number of ticks
+        with pytest.raises(ValueError, match="(^|; )loop_latency_ticks must be an integer"):
+            Scenario(**{**fields, "loop_latency_ticks": latency})
 
     def test_reports_every_problem(self):
         fields = {**vars(Scenario()), "zeta_m": 0.0, "tau_s": -1.0, "pilot_len": 64}
