@@ -277,7 +277,7 @@ static int open_column(column *c, PyObject *col, Py_ssize_t rows, Py_ssize_t j,
     if (PyObject_CheckBuffer(col)) {
         if (PyObject_GetBuffer(col, &c->view, PyBUF_RECORDS_RO))
             return -1;
-        const char *f = c->view.format;
+        const char *f = c->view.format ? c->view.format : "B";
         c->kind = !strcmp(f, "d") ? FLOATS : !strcmp(f, "l") || !strcmp(f, "q") ? INTS : -1;
         if (c->kind < 0 || c->view.ndim != 1 || c->view.itemsize != 8
             || !PyBuffer_IsContiguous(&c->view, 'C')) {

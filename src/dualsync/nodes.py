@@ -53,7 +53,6 @@ for.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -145,7 +144,7 @@ class Scenario:
         check(math.isfinite(tau) and tau >= 0, "tau_s", "must be nonnegative and finite")
         check(math.isfinite(snr) or snr == math.inf, "snr_db", "must be finite or +inf")
         latency = fields["loop_latency_ticks"]
-        integer = isinstance(latency, numbers.Integral) and not isinstance(latency, bool)
+        integer = isinstance(latency, (int, np.integer)) and not isinstance(latency, bool)
         check(integer, "loop_latency_ticks", f"must be an integer, not {latency!r}")
         check(not integer or latency >= 1, "loop_latency_ticks", "must be >= 1")
         check(fields["pilot_len"] in (1, 2, 4, 8, 16, 32), "pilot_len",
