@@ -199,13 +199,13 @@ def _emit(cfg: ScenarioConfig, timeseries=None, psd=None, jumps=None, window_res
         _write_csv(delay_margin, _stamp(cfg), ["omega_n_hz", "margin_s"], (grid, margins))
     if noise_fit:
         n = cfg.get("output", "psd_block_len") * cfg.get("output", "psd_n_blocks")
-        streams = nodes._streams(cfg.get("run", "seed"))
         rows, window = [], _window(cfg, windows)
-        for (side, name), mask, stream in zip(NOISE_FIT_PSDS.items(),
-                                              (scn.master_mask, scn.follower_mask), streams):
-            params = fit_two_state(mask, scn.baud_hz)
+        # the master's and the follower's clock streams, children 0 and 1
+        for child, (side, name) in enumerate(NOISE_FIT_PSDS.items()):
+            params = fit_two_state(getattr(scn, f"{side}_mask"), scn.baud_hz)
             rows.append((side, params.sigma0, params.sigma1, params.sigma2,
                          params.tick_rate_hz))
+            stream = nodes._stream(cfg.get("run", "seed"), child)
             series = synthesize_phase(params.rescaled(scn.decimation), n,
                                       np.random.default_rng(stream))
             _write_psd(os.path.join(os.path.dirname(noise_fit), name), cfg, series, window)

@@ -144,6 +144,15 @@ RETIRED_KEYS = {
     "run.omega_units": lambda values: "hz_times_2pi",
 }
 
+# canonical_text's layout, fixed at import: the sections sorted, each with
+# the sorted (full key, key) pairs of its SCHEMA and retired keys
+_FULL_KEYS = sorted([f"{section}.{key}" for section, keys in SCHEMA.items() for key in keys]
+                    + list(RETIRED_KEYS))
+_CANONICAL_ORDER = tuple(
+    (section, tuple((full, full.split(".")[1]) for full in _FULL_KEYS
+                    if full.startswith(f"{section}.")))
+    for section in sorted(SCHEMA))
+
 # Scenario field -> the config key that sets it
 _KEYS = {
     "zeta_m": "master.zeta_m", "omega_m_hz": "master.omega_m_hz",
@@ -189,13 +198,13 @@ class ScenarioConfig:
         return self.values[f"{section}.{key}"]
 
     def canonical_text(self) -> str:
-        """Deterministic serialization used for hashing and reproduction."""
+        """Deterministic serialization used for hashing and reproduction:
+        each section of _CANONICAL_ORDER, then `key = repr(value)` per key."""
         values = {**self.values, **{k: fixed(self.values) for k, fixed in RETIRED_KEYS.items()}}
         lines = []
-        for section in sorted(SCHEMA):
+        for section, keys in _CANONICAL_ORDER:
             lines.append(f"[{section}]")
-            for full in sorted(k for k in values if k.startswith(f"{section}.")):
-                lines.append(f"{full.split('.')[1]} = {values[full]!r}")
+            lines += [f"{key} = {values[full]!r}" for full, key in keys]
         return "\n".join(lines) + "\n"
 
     def sha256(self) -> str:

@@ -1,10 +1,16 @@
 """The ring's clocks, tick kernel, scenario runner and jump detector.
 
-Stream layout (``_streams``): child 0 of ``SeedSequence(seed)`` draws the
-master clock, child 1 the follower clock, children 2-5 the four legs' noise.
-Each child seeds a PCG64 ``np.random.default_rng``, whose normal draws
+Stream layout: child 0 of ``SeedSequence(seed)`` draws the master clock,
+child 1 the follower clock, children 2-5 the four legs' noise.  A ring
+derives each child it draws from directly, ``_stream(seed, child)``, as
+``SeedSequence(seed, spawn_key=(child,))``: the entropy and spawn key of
+``SeedSequence(seed).spawn(6)[child]``, so the same bits, at the cost of
+one child instead of a parent and all six.  Each child seeds a PCG64
+``np.random.default_rng``, whose normal draws
 ``oscillator.standard_normal`` makes in C (``_normal.c``), byte for byte
-those of the Generator's own ``standard_normal``.
+those of the Generator's own ``standard_normal``.  The clocks' mask fits
+are memoised per process (``oscillator.fit_two_state``), so what a ring
+pays for its clocks is its seeds and its draws.
 
 Ring topology per decimated tick (latency >= 1 tick on every leg):
 
@@ -143,14 +149,24 @@ class Scenario:
         tau, snr = fields["tau_s"], fields["snr_db"]
         check(math.isfinite(tau) and tau >= 0, "tau_s", "must be nonnegative and finite")
         check(math.isfinite(snr) or snr == math.inf, "snr_db", "must be finite or +inf")
-        latency = fields["loop_latency_ticks"]
-        integer = isinstance(latency, (int, np.integer)) and not isinstance(latency, bool)
-        check(integer, "loop_latency_ticks", f"must be an integer, not {latency!r}")
-        check(not integer or latency >= 1, "loop_latency_ticks", "must be >= 1")
-        check(fields["pilot_len"] in (1, 2, 4, 8, 16, 32), "pilot_len",
-              "must be a power of two in 1..32")
+
+        def integer(name: str) -> bool:
+            # Python or numpy integers; a bool is no count
+            value = fields[name]
+            ok = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            check(ok, name, f"must be an integer, not {value!r}")
+            return ok
+
+        if integer("loop_latency_ticks"):
+            check(fields["loop_latency_ticks"] >= 1, "loop_latency_ticks", "must be >= 1")
+        pilots = integer("pilot_len")
+        if pilots:
+            check(fields["pilot_len"] in (1, 2, 4, 8, 16, 32), "pilot_len",
+                  "must be a power of two in 1..32")
         # one pilot per tick, and it must fit in the tick
-        check(fields["decimation"] > fields["pilot_len"], "decimation", "must exceed pilot_len")
+        if integer("decimation") and pilots:
+            check(fields["decimation"] > fields["pilot_len"], "decimation",
+                  "must exceed pilot_len")
         if not {"duration_s", "baud_hz", "pilot_len", "decimation"} & {p.split()[0] for p in out}:
             ticks = fields["duration_s"] * (fields["baud_hz"] / fields["decimation"])
             check(math.isfinite(ticks) and round(ticks) >= 1, "duration_s",
@@ -208,9 +224,11 @@ class ScenarioResult:
         return np.arange(self.n_ticks) / self.tick_rate_hz
 
 
-def _streams(seed: int) -> list[np.random.SeedSequence]:
-    """The seed's child streams in the module docstring's layout."""
-    return np.random.SeedSequence(seed).spawn(6)
+def _stream(seed: int, child: int) -> np.random.SeedSequence:
+    """Child ``child`` of the seed in the module docstring's layout: the
+    entropy and spawn key of ``SeedSequence(seed).spawn(6)[child]``, so the
+    same bits, without building the parent or the other five children."""
+    return np.random.SeedSequence(seed, spawn_key=(child,))
 
 
 def _clock_series(scn: Scenario, seed: int, side: str, n: int) -> np.ndarray:
@@ -224,7 +242,8 @@ def _clock_series(scn: Scenario, seed: int, side: str, n: int) -> np.ndarray:
         return np.zeros(n)
     mask = getattr(scn, f"{side}_mask")
     params = fit_two_state(mask, scn.baud_hz).rescaled(scn.decimation)
-    phase = synthesize_phase(params, n, np.random.default_rng(_streams(seed)[side == "follower"]))
+    phase = synthesize_phase(params, n,
+                             np.random.default_rng(_stream(seed, int(side == "follower"))))
     phase *= scn.plan.fc_hz / mask.reference_freq_hz
     return phase
 
@@ -289,7 +308,7 @@ def run_scenario(scn: Scenario, seed: int, *, discriminators: bool = True) -> Sc
     """Simulate the ring for scn.duration_s and record the decimated series.
 
     Fully deterministic per (scenario, seed): each clock and each leg's
-    noise draws from its own stream of ``_streams(seed)``.  With
+    noise draws from its own child stream of the seed (``_stream``).  With
     ``discriminators=False`` the per-carrier series are neither computed
     nor allocated and ``r1..r4`` of the result are None; the other series
     keep their bits.
@@ -306,8 +325,9 @@ def run_scenario(scn: Scenario, seed: int, *, discriminators: bool = True) -> Sc
     if sigma > 0.0:
         # each leg's (2, n) draw lands in its own rows, then one scaling
         draws = np.empty((8, n))
-        for leg, stream in enumerate(_streams(seed)[2:]):
-            standard_normal(np.random.default_rng(stream), draws[2 * leg:2 * leg + 2])
+        for leg in range(4):
+            standard_normal(np.random.default_rng(_stream(seed, 2 + leg)),
+                            draws[2 * leg:2 * leg + 2])
         draws *= sigma / math.sqrt(2.0)
         noise = [memoryview(row) for row in draws]
     phi = scn.prop_phases()

@@ -25,6 +25,7 @@ periodogram of the spectral module (see the test suite).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -34,6 +35,8 @@ from . import _native
 
 # largest miss, in dB, that fit_two_state allows at any mask point
 MASK_FIT_TOL_DB = 3.0
+# (mask, tick rate) fits that fit_two_state keeps per process
+FIT_MEMO_SIZE = 64
 
 
 class MaskFitError(ValueError):
@@ -109,14 +112,22 @@ def fit_two_state(mask: NoiseMask, tick_rate_hz: float) -> TwoStateParams:
     row-weighted by each point's power; coefficients whose contribution is
     below 1e-6 of the model everywhere are snapped to zero.  Raises
     MaskFitError when the best fit misses any point by more than
-    MASK_FIT_TOL_DB.
+    MASK_FIT_TOL_DB, and ValueError for a tick rate that is not positive
+    and finite.  The fit is memoised per process on (mask, tick rate), up
+    to FIT_MEMO_SIZE of them, so a sweep fits each mask once; the result is
+    frozen, and a MaskFitError is raised again on every call.
     """
+    if not (math.isfinite(tick_rate_hz) and tick_rate_hz > 0):
+        raise ValueError("tick_rate_hz must be positive and finite")
+    return _fit(mask, float(tick_rate_hz))
+
+
+@functools.lru_cache(maxsize=FIT_MEMO_SIZE)
+def _fit(mask: NoiseMask, fs: float) -> TwoStateParams:
     # imported here: scipy.optimize is most of the package's import time,
     # and bode, delay-margin and ideal-clock runs never fit a mask
     from scipy.optimize import nnls
 
-    if tick_rate_hz <= 0:
-        raise ValueError("tick_rate_hz must be positive")
     f = np.array([p[0] for p in mask.points], dtype=float)
     power = 10.0 ** (np.array([p[1] for p in mask.points], dtype=float) / 10.0)
     basis = np.column_stack([np.ones_like(f), f**-2.0, f**-4.0])
@@ -136,7 +147,6 @@ def fit_two_state(mask: NoiseMask, tick_rate_hz: float) -> TwoStateParams:
             worst_offset_hz=float(f[worst]),
             worst_error_db=float(err_db[worst]),
         )
-    fs = float(tick_rate_hz)
     return TwoStateParams(
         sigma0=math.sqrt(a[0] * fs),
         sigma1=math.sqrt(4.0 * math.pi**2 * a[1] / fs),

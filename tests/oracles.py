@@ -19,7 +19,9 @@ kernel's place.  ``write_rows`` is the CSV row writer the C writer
 ``_csv.c`` replaced, its byte oracle.  ``bisect_delay_margin`` is the
 scalar bisection ``linear_analysis.delay_margin`` ran before it bisected
 every crossing of every point in lockstep on arrays, its byte oracle.
-``psd_level_at`` reads a mask anchor off a PSD estimate.
+``canonical_text`` is the config serialization that sorted and scanned
+the keys on every call, the byte oracle of the one whose key order is
+fixed at import.  ``psd_level_at`` reads a mask anchor off a PSD estimate.
 
 Pilot machinery: orthogonal +-1 code sequences and matched correlation
 whose coherent gain links the raw per-symbol SNR to the decimated-tick
@@ -39,6 +41,7 @@ import numpy as np
 
 from dualsync import nodes
 from dualsync.channel import compression_gain_db, sigma_from_snr
+from dualsync.config import RETIRED_KEYS, SCHEMA
 from dualsync.linear_analysis import closed_tf, gc_tf
 from dualsync.nodes import DIVERGENCE_LIMIT_RAD, TWO_PI, Scenario, ScenarioResult
 from dualsync.oscillator import TwoStateParams
@@ -534,3 +537,16 @@ def bisect_delay_margin(zeta_m: float, omega_m_hz: float, zeta_s: float,
         dist = ang % (2.0 * math.pi)  # phase distance down to 0 deg, mod 360
         best = min(best, dist / wc)
     return best
+
+
+def canonical_text(cfg) -> str:
+    """``cfg.canonical_text()`` as it was before the key order was fixed at
+    import: the sections sorted, then the keys of each section found by a
+    scan of the values and sorted, on every call; verbatim."""
+    values = {**cfg.values, **{k: fixed(cfg.values) for k, fixed in RETIRED_KEYS.items()}}
+    lines = []
+    for section in sorted(SCHEMA):
+        lines.append(f"[{section}]")
+        for full in sorted(k for k in values if k.startswith(f"{section}.")):
+            lines.append(f"{full.split('.')[1]} = {values[full]!r}")
+    return "\n".join(lines) + "\n"

@@ -11,7 +11,7 @@ from dualsync.channel import (
     prop_phase,
     sigma_from_snr,
 )
-from dualsync.nodes import _streams
+from dualsync.nodes import _stream
 from dualsync.pll import wrap_phase
 
 TWO_PI = 2.0 * math.pi
@@ -99,11 +99,10 @@ class TestLegSets:
         assert wrap_phase(fwd - ret) == pytest.approx(0.0, abs=1e-6)
 
     def test_noise_streams_independent(self):
-        # the runner draws each leg's noise from its own stream of
-        # nodes._streams; verify the scheme yields uncorrelated streams
-        seeds = _streams(123)
+        # the runner draws each leg's noise from its own child stream,
+        # nodes._stream; verify the scheme yields uncorrelated streams
         n = 1_000_000
-        a = np.random.default_rng(seeds[2]).standard_normal(n)
-        b = np.random.default_rng(seeds[3]).standard_normal(n)
+        a = np.random.default_rng(_stream(123, 2)).standard_normal(n)
+        b = np.random.default_rng(_stream(123, 3)).standard_normal(n)
         corr = np.dot(a, b) / n
         assert abs(corr) < 3.0 / math.sqrt(n)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import oracles
-from dualsync import cli
+from dualsync import cli, oscillator
 from dualsync.cli import main
 from dualsync.config import RETIRED_KEYS, ConfigError, parse_config
 from dualsync.nodes import run_scenario
@@ -339,6 +339,28 @@ class TestSweep:
         assert len(rows) == 3
         for row in rows:
             assert os.path.exists(os.path.join(row[3], "timeseries.csv"))
+
+    def test_sweep_fits_each_mask_once(self, tmp_path, monkeypatch):
+        # masks no other test fits, so the per-process memo starts without them
+        import scipy.optimize
+
+        nnls, calls = scipy.optimize.nnls, []
+
+        def counted(*args):
+            calls.append(args)
+            return nnls(*args)
+        monkeypatch.setattr(scipy.optimize, "nnls", counted)
+        cfg = write_config(
+            tmp_path,
+            "[master]\nmask = [(1, -86.5), (10, -126.5), (10000, -161.5)]\n"
+            "[follower]\nmask = [(1, -71.5), (10, -101.5), (10000, -141.5)]\n"
+            "[run]\nduration_s = 0.05\n[sweep]\nkey = run.seed\nvalues = 1, 2, 3, 4\n",
+        )
+        out = str(tmp_path / "out")
+        assert run_cli("sweep", "--config", cfg, "--out", out, "--quiet") == 0
+        assert len(calls) == 2
+        # the ring, the CLI and the library share the one memoised fit
+        assert cli.fit_two_state is cli.nodes.fit_two_state is oscillator.fit_two_state
 
     def test_bool_grid_manifest_writes_1_and_0(self, tmp_path):
         cfg = write_config(

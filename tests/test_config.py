@@ -1,7 +1,10 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from dualsync.config import SCHEMA, ConfigError, parse_config
 from dualsync.nodes import Scenario
 
@@ -173,7 +176,33 @@ class TestValidation:
         assert parse_config("[run]\nideal_clocks = on\n").get("run", "ideal_clocks")
 
 
+# valid values for keys of every value type: int, float, +inf, bool, str
+# and mask tuple; run.decimation also sets a retired key's value
+UPDATES = {
+    "run.seed": st.integers(0, 2**63),
+    "run.decimation": st.integers(33, 5000),
+    "run.duration_s": st.floats(0.5, 1e3),
+    "run.wrap_compensation": st.booleans(),
+    "channel.snr_db": st.just(math.inf) | st.floats(-20.0, 60.0),
+    "channel.doppler_hz": st.floats(-1e3, 1e3),
+    "channel.loop_latency_ticks": st.integers(1, 10),
+    "master.mask": st.sampled_from([((1.0, -85.0), (10.0, -125.0), (1e4, -160.0)),
+                                    ((2.5, -90.0), (1e3, -150.0))]),
+    "follower.initial_phase_deg": st.floats(-360.0, 360.0),
+    "framing.pilot_len": st.sampled_from([1, 2, 4, 8, 16, 32]),
+    "output.directory": st.text("abz_-/.0", max_size=8),
+    "output.emit_psd": st.booleans(),
+    "sweep.values": st.text("0123456789, .", max_size=10),
+}
+
+
 class TestCanonicalForm:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(updates=st.fixed_dictionaries({}, optional=UPDATES))
+    def test_text_matches_the_sort_and_scan_oracle(self, updates):
+        cfg = parse_config("").with_values(updates)
+        assert cfg.canonical_text() == oracles.canonical_text(cfg)
+
     def test_hash_stable_under_formatting(self):
         a = parse_config("[run]\nseed = 3\n[master]\nomega_m_hz = 50\n")
         b = parse_config("# order and spacing differ\n[master]\nomega_m_hz=50\n[run]\nseed=3\n")

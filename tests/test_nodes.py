@@ -611,12 +611,12 @@ VALID_FIELDS = dict(
 NONPOSITIVE = [0.0, -1.0, math.nan, math.inf, -math.inf]
 NONFINITE = [math.nan, math.inf, -math.inf]
 BAD_FIELDS = dict(
-    duration_s=[*NONPOSITIVE, 1e-9, 1e308], baud_hz=NONPOSITIVE, decimation=[0, -1, 1, math.nan],
+    duration_s=[*NONPOSITIVE, 1e-9, 1e308], baud_hz=NONPOSITIVE, decimation=[0, -1, 1, math.nan, 100.5, True],
     zeta_m=NONPOSITIVE, omega_m_hz=NONPOSITIVE, zeta_s=NONPOSITIVE, omega_s_hz=NONPOSITIVE,
     theta_offset=NONFINITE, initial_follower_phase_rad=NONFINITE,
     follower_freq_offset_hz=NONFINITE, tau_s=[-1e-9, *NONFINITE],
     doppler_hz=NONFINITE, snr_db=[math.nan, -math.inf],
-    pilot_len=[0, 3, 64, -2], loop_latency_ticks=[0, -1, 1.5, 2.0, math.nan, True, "2"],
+    pilot_len=[0, 3, 64, -2, 2.0, True], loop_latency_ticks=[0, -1, 1.5, 2.0, math.nan, True, "2"],
 )
 
 
@@ -648,6 +648,16 @@ class TestScenarioChecks:
             "zeta_m must be positive and finite", "tau_s must be nonnegative and finite",
             "pilot_len must be a power of two in 1..32"]
         assert Scenario.problems(vars(Scenario())) == []
+
+
+class TestStreams:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**63), child=st.integers(0, 5))
+    def test_each_stream_is_its_spawned_child(self, seed, child):
+        # the one-stream helper keeps the bits of the six-way spawn it replaced
+        spawned = np.random.SeedSequence(seed).spawn(6)[child]
+        assert np.array_equal(nodes._stream(seed, child).generate_state(4),
+                              spawned.generate_state(4))
 
 
 class TestRunScenario:

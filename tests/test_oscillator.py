@@ -113,6 +113,40 @@ class TestFit:
         assert info.value.worst_offset_hz in (1.0, 10.0)
         assert abs(info.value.worst_error_db) > 3.0
 
+    def test_mask_fit_error_is_raised_again(self, monkeypatch):
+        # a failed fit is not memoised: the second call fits and fails again
+        import scipy.optimize
+
+        nnls, calls = scipy.optimize.nnls, []
+
+        def counted(*args):
+            calls.append(args)
+            return nnls(*args)
+        monkeypatch.setattr(scipy.optimize, "nnls", counted)
+        mask = mask_of([(1, -161), (10, -84)])
+        for tries in (1, 2):
+            with pytest.raises(MaskFitError, match="worst point"):
+                fit_two_state(mask, 8e6)
+            assert len(calls) == tries
+
+    def test_memoises_each_mask_and_rate(self):
+        mask = mask_of([(1, -87.25), (10, -127.25), (10e3, -162.25)])
+        first = fit_two_state(mask, 8e6)
+        assert fit_two_state(mask_of(mask.points), 8e6) is first
+        # the same rate as an int and as a numpy float is the same key
+        assert fit_two_state(mask, 8_000_000) is first
+        assert fit_two_state(mask, np.float64(8e6)) is first
+        other = fit_two_state(mask, 4e6)
+        assert other is not first and other.tick_rate_hz == 4e6
+
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_refuses_a_bad_tick_rate_by_name(self, rate):
+        lookups = oscillator._fit.cache_info()[:2]
+        with pytest.raises(ValueError, match="^tick_rate_hz must be positive and finite$"):
+            fit_two_state(DEFAULT_MASTER_MASK, rate)
+        # checked before the memo, which is not even looked up
+        assert oscillator._fit.cache_info()[:2] == lookups
+
     def test_rescaled_preserves_accumulator_psd(self):
         params = fit_two_state(DEFAULT_FOLLOWER_MASK, 8e6)
         dec = params.rescaled(956)
