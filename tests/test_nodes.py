@@ -611,7 +611,8 @@ VALID_FIELDS = dict(
 NONPOSITIVE = [0.0, -1.0, math.nan, math.inf, -math.inf]
 NONFINITE = [math.nan, math.inf, -math.inf]
 BAD_FIELDS = dict(
-    duration_s=[*NONPOSITIVE, 1e-9, 1e308], baud_hz=NONPOSITIVE, decimation=[0, -1, 1, math.nan, 100.5, True],
+    duration_s=[*NONPOSITIVE, 1e-9, 1e308], baud_hz=NONPOSITIVE,
+    decimation=[0, -1, 1, math.nan, 100.5, True],
     zeta_m=NONPOSITIVE, omega_m_hz=NONPOSITIVE, zeta_s=NONPOSITIVE, omega_s_hz=NONPOSITIVE,
     theta_offset=NONFINITE, initial_follower_phase_rad=NONFINITE,
     follower_freq_offset_hz=NONFINITE, tau_s=[-1e-9, *NONFINITE],
