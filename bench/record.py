@@ -12,10 +12,11 @@ through the workloads so that slow drift of a shared host spreads over all
 of them.  ``--trace 1`` runs perfbench's traced mode instead, whose result
 lines add the per-layer metrics; measure end-to-end metrics untraced.  The
 JSON file names each checkout's commit and the compiler and flags of its C
-libraries (the tick kernel, the normal draw, the window sum and the CSV
-writer), and keeps, per workload, every run's ``facts`` line and result
-line as perfbench printed them, and per metric the median and quartiles
-over the runs that produced a result.
+library (the tick kernel, the normal draw, the window sum and the CSV
+writer), and keeps, per workload, every run's ``facts`` line, result line
+and, traced, ``trace`` line (with its list of ``absent`` boundaries) as
+perfbench printed them, and per metric the median and quartiles over the
+runs that produced a result.
 It is written to the root of the checkout this script sits in, so a
 baseline measured on another checkout lands beside the others.
 
@@ -51,21 +52,11 @@ def _git(checkout: Path, *args: str) -> str | None:
 
 def _kernel_build(checkout: Path) -> dict | None:
     """The compiler (the first line of ``gcc --version``) and, by source
-    file, the flags the checkout builds its C sources with: those of its
-    one library ``_native`` or, in a checkout from before it, of its tick
-    kernel and, where it has them, its CSV writer and normal draw; None for
-    a checkout without a C kernel."""
-    code = ("import json\nimport dualsync.cli\nfrom dualsync import cli, nodes, oscillator\n"
-            "if hasattr(dualsync, '_native'):\n"
-            "    native = dualsync._native\n"
-            "    flags = {source.name: native.flags() for source in native.SOURCES}\n"
-            "else:\n"
-            "    flags = {nodes.KERNEL_SOURCE.name: nodes.KERNEL_FLAGS}\n"
-            "    if hasattr(cli, 'CSV_SOURCE'):\n"
-            "        flags[cli.CSV_SOURCE.name] = cli._csv_flags()\n"
-            "    if hasattr(oscillator, 'NORMAL_SOURCE'):\n"
-            "        flags[oscillator.NORMAL_SOURCE.name] = nodes.KERNEL_FLAGS\n"
-            "print(json.dumps({name: ' '.join(f) for name, f in flags.items()}))")
+    file, the flags the checkout builds its one C library ``_native`` with;
+    None where they cannot be read."""
+    code = ("import json\nfrom dualsync import _native\n"
+            "print(json.dumps({source.name: ' '.join(_native.flags())\n"
+            "                  for source in _native.SOURCES}))")
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     try:
         flags = json.loads(subprocess.run([sys.executable, "-c", code], env=env,
@@ -78,7 +69,8 @@ def _kernel_build(checkout: Path) -> dict | None:
 
 
 def run_once(checkout: Path, command: list[str]) -> dict:
-    """One benchmark run: its facts and result lines, or why there are none."""
+    """One benchmark run: its facts, trace and result lines, or why there
+    is no result."""
     proc = subprocess.run(command, cwd=checkout, capture_output=True, text=True)
     run = {}
     for line in proc.stdout.splitlines():
@@ -88,6 +80,8 @@ def run_once(checkout: Path, command: list[str]) -> dict:
             continue
         if "facts" in obj:
             run["facts"] = obj["facts"]
+        elif "trace" in obj:
+            run["trace"] = obj["trace"]
         elif "metrics" in obj:
             run["result"] = obj
     if proc.returncode != 0 or "result" not in run:

@@ -4,9 +4,9 @@
    as the bytes of ",".join(map(str, row)) + "\n" each, the tests' byte
    oracle (tests/oracles.write_rows).  A column is a 1-D C-contiguous
    float64 or int64 array, read through the buffer protocol, or a sequence
-   of cells: an exact float, int (str() beyond int64) or str, or anything
-   else, written as str(cell); a bool cell (naming its row too) or an
-   array of another type raises TypeError naming its column.  A finite nonzero float is written
+   of exact str cells.  An array of another type raises TypeError naming
+   its column, and any other cell, a bool or a number included, one naming
+   its row and column too.  A finite nonzero float is written
    by Schubfach (Giulietti 2020, "The Schubfach way to render doubles"):
    the shortest, then closest, decimal that reads back to it, as repr
    lays it out.  Its powers g(k) are filled in g_table by _native.library,
@@ -211,11 +211,24 @@ static int reserve(text *t, Py_ssize_t n)
     return 0;
 }
 
-/* the UTF-8 of a str object */
-static int put_str(text *t, PyObject *s)
+static PyObject *column_name(PyObject *header, Py_ssize_t col)
 {
+    return PyTuple_Check(header) && col < PyTuple_GET_SIZE(header)
+               ? PyTuple_GET_ITEM(header, col) : Py_None;
+}
+
+/* the UTF-8 of a str cell; any other cell raises TypeError naming it */
+static int put_cell(text *t, PyObject *cell, Py_ssize_t row, Py_ssize_t col,
+                    PyObject *header)
+{
+    if (!PyUnicode_CheckExact(cell)) {
+        PyErr_Format(PyExc_TypeError, "row %zd, column %zd (%R) holds a %s, not a str; "
+                     "write numbers as a float64 or int64 array", row, col,
+                     column_name(header, col), Py_TYPE(cell)->tp_name);
+        return -1;
+    }
     Py_ssize_t n;
-    const char *u = PyUnicode_AsUTF8AndSize(s, &n);
+    const char *u = PyUnicode_AsUTF8AndSize(cell, &n);
     if (u == NULL || reserve(t, n))
         return -1;
     memcpy(t->p + t->len, u, n);
@@ -223,50 +236,12 @@ static int put_str(text *t, PyObject *s)
     return 0;
 }
 
-static PyObject *column_name(PyObject *header, Py_ssize_t col)
-{
-    return PyTuple_Check(header) && col < PyTuple_GET_SIZE(header)
-               ? PyTuple_GET_ITEM(header, col) : Py_None;
-}
-
-static int put_cell(text *t, PyObject *cell, Py_ssize_t row, Py_ssize_t col,
-                    PyObject *header)
-{
-    if (PyFloat_CheckExact(cell)) {
-        t->len = put_float(t->p + t->len, PyFloat_AS_DOUBLE(cell)) - t->p;
-        return 0;
-    }
-    if (PyLong_CheckExact(cell)) {
-        int overflow;
-        long long v = PyLong_AsLongLongAndOverflow(cell, &overflow);
-        if (v == -1 && PyErr_Occurred())
-            return -1;
-        if (!overflow) {
-            t->len = put_int(t->p + t->len, v) - t->p;
-            return 0;
-        }
-    }
-    else if (PyUnicode_CheckExact(cell))
-        return put_str(t, cell);
-    else if (PyBool_Check(cell)) {
-        PyErr_Format(PyExc_TypeError, "row %zd, column %zd (%R) holds a bool; "
-                     "write it as 1/0", row, col, column_name(header, col));
-        return -1;
-    }
-    PyObject *s = PyObject_Str(cell);
-    if (s == NULL)
-        return -1;
-    int err = put_str(t, s);
-    Py_DECREF(s);
-    return err;
-}
-
-enum { FLOATS, INTS, OBJECTS };
+enum { FLOATS, INTS, STRS };
 
 typedef struct {
     int kind;
     Py_buffer view; /* FLOATS, INTS */
-    PyObject *seq;  /* OBJECTS */
+    PyObject *seq;  /* STRS */
 } column;
 
 /* col as one of the three kinds, holding at least `rows` rows */
@@ -290,8 +265,8 @@ static int open_column(column *c, PyObject *col, Py_ssize_t rows, Py_ssize_t j,
         len = c->view.shape[0];
     }
     else {
-        c->kind = OBJECTS;
-        c->seq = PySequence_Fast(col, "a CSV column must be an array or a sequence");
+        c->kind = STRS;
+        c->seq = PySequence_Fast(col, "a CSV column must be an array or a sequence of str");
         if (c->seq == NULL)
             return -1;
         len = PySequence_Fast_GET_SIZE(c->seq);
@@ -300,7 +275,7 @@ static int open_column(column *c, PyObject *col, Py_ssize_t rows, Py_ssize_t j,
         return 0;
     PyErr_Format(PyExc_ValueError, "column %zd (%R) has %zd rows, fewer than %zd", j,
                  column_name(header, j), len, rows);
-    if (c->kind == OBJECTS)
+    if (c->kind == STRS)
         Py_DECREF(c->seq);
     else
         PyBuffer_Release(&c->view);
@@ -345,7 +320,7 @@ PyObject *csv_text(PyObject *columns, Py_ssize_t first, Py_ssize_t n, PyObject *
     result = PyUnicode_DecodeUTF8(t.p, t.len, "strict");
 done:
     for (Py_ssize_t j = 0; j < opened; j++) {
-        if (cols[j].kind == OBJECTS)
+        if (cols[j].kind == STRS)
             Py_DECREF(cols[j].seq);
         else
             PyBuffer_Release(&cols[j].view);

@@ -52,12 +52,13 @@ def _write_csv(path: str, comment: str, header: list[str], columns) -> None:
     """Write equal-length `columns`, one per `header` name, as rows of str()
     of their cells, which for a float is its shortest round-trip repr.
 
-    A column is a 1-D C-contiguous float64 or int64 array, or a list (or
-    tuple) of built-in str, int and float values.  Columns of unequal
-    length raise ValueError naming the column; a bool must come as 1/0,
-    and a bool array or cell raises TypeError naming its column (and row);
-    either way `path` is untouched.  The C writer ``_csv.c`` gives the
-    bytes of ",".join(map(str, row)) + "\n" per row, CSV_BATCH rows a call."""
+    A number column is a 1-D C-contiguous float64 or int64 array, and any
+    other column a list (or tuple) of str.  Columns of unequal length raise
+    ValueError naming the column; an array of another type, a bool array
+    included, raises TypeError naming its column, and a cell that is not a
+    str one naming its row and column; either way `path` is untouched.  The
+    C writer ``_csv.c`` gives the bytes of ",".join(map(str, row)) + "\n"
+    per row, CSV_BATCH rows a call."""
     columns = list(columns)
     if len(columns) != len(header):
         raise ValueError(f"{len(columns)} columns for the {len(header)} names {header}")
@@ -172,9 +173,9 @@ def _emit(cfg: ScenarioConfig, timeseries=None, psd=None, jumps=None, window_res
         _write_psd(psd, cfg, _psd_series(cfg, result), window)
     if jumps:
         found = detect_ambiguity_jumps(result.theta_bf_minus_theta0, result.tick_rate_hz)
+        tick = np.array([i for i, _ in found], dtype=np.int64)
         _write_csv(jumps, _stamp(cfg), ["tick", "t_s", "magnitude_rad"],
-                   ([i for i, _ in found], [i / result.tick_rate_hz for i, _ in found],
-                    [m for _, m in found]))
+                   (tick, tick / result.tick_rate_hz, np.array([m for _, m in found], float)))
     if window_response:
         # power response of the psd_block_len-sample Dolph-Chebyshev window,
         # 8x zero-padded, relative to DC
@@ -188,11 +189,10 @@ def _emit(cfg: ScenarioConfig, timeseries=None, psd=None, jumps=None, window_res
         gm = la.closed_tf(scn.loop_config_master())
         gs = la.closed_tf(scn.loop_config_follower())
         tfs = la.dual_loop_tfs(gm, gs)
-        grid = la.default_bode_grid()
-        rows = [(tf_id, *point)
-                for tf_id in ("out_from_0", "out_from_x", "bf_from_0", "bf_from_x")
-                for point in la.bode(tfs[tf_id], grid)]
-        _write_csv(bode, _stamp(cfg), ["tf_id", "freq_hz", "mag_db", "phase_deg"], zip(*rows))
+        grid, ids = la.default_bode_grid(), ("out_from_0", "out_from_x", "bf_from_0", "bf_from_x")
+        curves = zip(*(la.bode(tfs[tf_id], grid) for tf_id in ids))
+        _write_csv(bode, _stamp(cfg), ["tf_id", "freq_hz", "mag_db", "phase_deg"],
+                   ([tf_id for tf_id in ids for _ in grid], *map(np.concatenate, curves)))
     if delay_margin:
         grid = np.logspace(1, 6, MARGIN_GRID_POINTS)
         margins = la.delay_margin(scn.zeta_m, grid, scn.zeta_s, grid)
@@ -200,18 +200,16 @@ def _emit(cfg: ScenarioConfig, timeseries=None, psd=None, jumps=None, window_res
     if noise_fit:
         n = cfg.get("output", "psd_block_len") * cfg.get("output", "psd_n_blocks")
         rows, window = [], _window(cfg, windows)
-        # the master's and the follower's clock streams, children 0 and 1
-        for child, (side, name) in enumerate(NOISE_FIT_PSDS.items()):
+        for side, name in NOISE_FIT_PSDS.items():
             params = fit_two_state(getattr(scn, f"{side}_mask"), scn.baud_hz)
-            rows.append((side, params.sigma0, params.sigma1, params.sigma2,
-                         params.tick_rate_hz))
-            stream = nodes._stream(cfg.get("run", "seed"), child)
+            rows.append((params.sigma0, params.sigma1, params.sigma2, params.tick_rate_hz))
+            stream = nodes._stream(cfg.get("run", "seed"), nodes.CLOCK_STREAM[side])
             series = synthesize_phase(params.rescaled(scn.decimation), n,
                                       np.random.default_rng(stream))
             _write_psd(os.path.join(os.path.dirname(noise_fit), name), cfg, series, window)
         _write_csv(noise_fit, _stamp(cfg),
                    ["node", "sigma0_rad", "sigma1_rad", "sigma2_rad_per_tick", "tick_rate_hz"],
-                   zip(*rows))
+                   (list(NOISE_FIT_PSDS), *map(np.array, zip(*rows))))
 
 
 def _write_files(cfg: ScenarioConfig, out: str, files: dict, windows=None) -> list[str]:
@@ -290,13 +288,14 @@ def cmd_sweep(args) -> int:
         diverged = list(map(_sweep_point, points, dirs))
     for exc in filter(None, diverged):
         raise exc
-    # a bool grid value is written 1/0, which its config parser reads back
+    # a bool grid value is written 1/0, which its config parser reads back;
+    # a seed may pass int64 ("1e19" parses), so seeds are written as text too
     values = [p.values[key] for p in points]
-    values = [int(v) if isinstance(v, bool) else v for v in values]
+    values = [str(int(v) if isinstance(v, bool) else v) for v in values]
     path = os.path.join(out, "manifest.csv")
     _write_csv(path, _stamp(cfg), ["index", "key", "value", "directory", "seed"],
-               (list(range(len(points))), [key] * len(points), values, dirs,
-                [p.get("run", "seed") for p in points]))
+               (np.arange(len(points)), [key] * len(points), values, dirs,
+                [str(p.get("run", "seed")) for p in points]))
     _say(args, f"wrote {path} ({len(points)} grid points)")
     return 0
 

@@ -27,7 +27,7 @@ import ast
 import hashlib
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .channel import CarrierPlan
 from .nodes import Scenario
@@ -193,6 +193,8 @@ class ScenarioConfig:
     """Fully resolved and validated configuration."""
 
     values: dict
+    # the Scenario the values describe, built once by their validation
+    _scenario: Scenario = field(repr=False, compare=False)
 
     def get(self, section: str, key: str):
         return self.values[f"{section}.{key}"]
@@ -228,19 +230,22 @@ class ScenarioConfig:
                 values[full] = SCHEMA[section][key][0](str(value))
             except (ValueError, TypeError) as exc:
                 errors.append(f"{full}: {exc}")
-        if not errors:
-            _semantic_checks(values, errors)
-            _scenario_fields(values, errors)
-        if errors:
-            raise ConfigError(errors)
-        return ScenarioConfig(values=values)
+        return _validated(values, errors)
 
     def to_scenario(self) -> Scenario:
-        errors: list[str] = []
-        fields = _scenario_fields(self.values, errors)
-        if errors:
-            raise ConfigError(errors)
-        return Scenario(**fields)
+        return self._scenario
+
+
+def _validated(values: dict, errors: list[str]) -> ScenarioConfig:
+    """The config of `values`, with the Scenario they describe, once they
+    and the problems found reading them (`errors`) pass every check;
+    raises ConfigError with every problem otherwise."""
+    if not errors:
+        _semantic_checks(values, errors)
+        fields = _scenario_fields(values, errors)
+    if errors:
+        raise ConfigError(errors)
+    return ScenarioConfig(values, Scenario(**fields))
 
 
 def _scenario_fields(values: dict, errors: list[str]) -> dict:
@@ -324,12 +329,7 @@ def parse_config(text: str) -> ScenarioConfig:
     for section, keys in SCHEMA.items():
         for key, (_, default) in keys.items():
             values.setdefault(f"{section}.{key}", default)
-    if not errors:
-        _semantic_checks(values, errors)
-        _scenario_fields(values, errors)
-    if errors:
-        raise ConfigError(errors)
-    return ScenarioConfig(values=values)
+    return _validated(values, errors)
 
 
 def parse_config_file(path) -> ScenarioConfig:

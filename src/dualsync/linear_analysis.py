@@ -130,8 +130,9 @@ def default_bode_grid() -> np.ndarray:
     return np.logspace(0.0, 5.0, 600)
 
 
-def bode(tf: RationalDelayTF, freqs_hz) -> list[tuple[float, float, float]]:
-    """Magnitude (dB) and unwrapped phase (deg) on a frequency grid."""
+def bode(tf: RationalDelayTF, freqs_hz) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Magnitude (dB) and unwrapped phase (deg) on a frequency grid, as the
+    float64 arrays ``(freq_hz, mag_db, phase_deg)``."""
     f = np.asarray(freqs_hz, dtype=float)
     if np.any(f <= 0) or not np.all(np.isfinite(f)):
         raise ValueError("frequencies must be positive and finite")
@@ -139,7 +140,7 @@ def bode(tf: RationalDelayTF, freqs_hz) -> list[tuple[float, float, float]]:
     with np.errstate(divide="ignore"):
         mag_db = 20.0 * np.log10(np.abs(resp))
     phase = np.unwrap(np.angle(resp))
-    return list(zip(f.tolist(), mag_db.tolist(), np.degrees(phase).tolist()))
+    return f, mag_db, np.degrees(phase)
 
 
 def delay_margin(zeta_m, omega_m_hz, zeta_s, omega_s_hz):

@@ -1,7 +1,8 @@
 """The ring's clocks, tick kernel, scenario runner and jump detector.
 
 Stream layout: child 0 of ``SeedSequence(seed)`` draws the master clock,
-child 1 the follower clock, children 2-5 the four legs' noise.  A ring
+child 1 the follower clock (``CLOCK_STREAM``, which ``cli``'s fit-noise
+reads too), children 2-5 the four legs' noise.  A ring
 derives each child it draws from directly, ``_stream(seed, child)``, as
 ``SeedSequence(seed, spawn_key=(child,))``: the entropy and spawn key of
 ``SeedSequence(seed).spawn(6)[child]``, so the same bits, at the cost of
@@ -77,6 +78,8 @@ from .pll import LoopConfig
 
 TWO_PI = 2.0 * math.pi
 DIVERGENCE_LIMIT_RAD = 1e6
+# the child stream of each side's clock, in the module docstring's layout
+CLOCK_STREAM = {"master": 0, "follower": 1}
 
 
 class DivergenceError(RuntimeError):
@@ -242,8 +245,7 @@ def _clock_series(scn: Scenario, seed: int, side: str, n: int) -> np.ndarray:
         return np.zeros(n)
     mask = getattr(scn, f"{side}_mask")
     params = fit_two_state(mask, scn.baud_hz).rescaled(scn.decimation)
-    phase = synthesize_phase(params, n,
-                             np.random.default_rng(_stream(seed, int(side == "follower"))))
+    phase = synthesize_phase(params, n, np.random.default_rng(_stream(seed, CLOCK_STREAM[side])))
     phase *= scn.plan.fc_hz / mask.reference_freq_hz
     return phase
 

@@ -372,6 +372,19 @@ class TestSweep:
         _, _, rows = read_csv(os.path.join(out, "manifest.csv"))
         assert [row[2] for row in rows] == ["1", "0"]
 
+    def test_seed_beyond_int64_is_written_in_full(self, tmp_path):
+        # "1e19" parses to an int past int64; the manifest writes all its digits
+        cfg = write_config(
+            tmp_path,
+            "[run]\nduration_s = 0.05\n[sweep]\nkey = run.seed\n"
+            "values = 1, 10000000000000000000\n",
+        )
+        out = str(tmp_path / "out")
+        assert run_cli("sweep", "--config", cfg, "--out", out, "--quiet") == 0
+        _, _, rows = read_csv(os.path.join(out, "manifest.csv"))
+        assert [(row[2], row[4]) for row in rows] == [("1", "1"),
+                                                      ("10000000000000000000",) * 2]
+
     def test_sweep_requires_key(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "[run]\nduration_s = 0.2\n")
         assert run_cli("sweep", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet") == 2
@@ -712,7 +725,8 @@ class TestWriteAtomic:
             p.write_bytes(b"stale")
         umask = os.umask(0o027)
         try:
-            cli._write_csv(str(path), "c", ["a", "b"], [[1, 2], np.array([0.5, 1.5])])
+            cli._write_csv(str(path), "c", ["a", "b"],
+                           [np.array([1, 2], dtype=np.int64), np.array([0.5, 1.5])])
         finally:
             os.umask(umask)
         assert path.read_bytes() == b"# c\na,b\n1,0.5\n2,1.5\n"

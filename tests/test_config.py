@@ -63,6 +63,14 @@ class TestParsing:
         assert scn.initial_follower_phase_rad == pytest.approx(math.pi)
         assert scn.n_ticks == int(round(2 * 8e6 / 956))
 
+    def test_to_scenario_returns_the_scenario_validation_built(self, monkeypatch):
+        cfg = parse_config("[run]\nduration_s = 2\n")
+        longer = cfg.with_values({"run.duration_s": 3})
+        # a call of to_scenario would fail on any check or build it ran again
+        monkeypatch.setattr(Scenario, "problems", None)
+        assert cfg.to_scenario() is cfg.to_scenario()
+        assert (cfg.to_scenario().duration_s, longer.to_scenario().duration_s) == (2, 3)
+
 
 class TestValidation:
     def test_negative_omega_names_key(self):

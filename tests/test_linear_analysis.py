@@ -131,15 +131,14 @@ class TestDualLoopTfs:
 
 class TestBode:
     def test_constant_tf(self):
-        rows = bode(ONE, default_bode_grid())
-        for _, mag, phase in rows:
-            assert mag == pytest.approx(0.0, abs=1e-12)
-            assert phase == pytest.approx(0.0, abs=1e-9)
+        freqs, mags, phases = bode(ONE, default_bode_grid())
+        assert np.array_equal(freqs, default_bode_grid())
+        np.testing.assert_allclose(mags, 0.0, atol=1e-12)
+        np.testing.assert_allclose(phases, 0.0, atol=1e-9)
 
     def test_bf_from_x_is_high_pass(self):
         tfs = dual_loop_tfs(second_order(1.0, 200.0), second_order(1.0, 200.0))
-        rows = bode(tfs["bf_from_x"], default_bode_grid())
-        mags = np.array([m for _, m, _ in rows])
+        _, mags, _ = bode(tfs["bf_from_x"], default_bode_grid())
         assert mags[0] < -50.0
         assert abs(mags[-1]) < 0.5
 
