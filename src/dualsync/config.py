@@ -237,9 +237,9 @@ class ScenarioConfig:
 
 
 def _validated(values: dict, errors: list[str]) -> ScenarioConfig:
-    """The config of `values`, with the Scenario they describe, once they
-    and the problems found reading them (`errors`) pass every check;
-    raises ConfigError with every problem otherwise."""
+    """The checks parse_config and with_values share: the config of
+    `values` with the Scenario they describe, or a ConfigError with
+    `errors`, the problems found reading them, and every check's."""
     if not errors:
         _semantic_checks(values, errors)
         fields = _scenario_fields(values, errors)
