@@ -145,9 +145,9 @@ def library() -> ctypes.CDLL:
     lib.tick_loop.restype = i64
     lib.normal_fill.argtypes = [ptr, i64, ptr]
     lib.normal_fill.restype = None
-    lib.synth_phase.argtypes = [ptr, i64, f64, f64, f64, ptr, ptr]
+    lib.synth_phase.argtypes = [ptr, i64, *[f64] * 4, ptr, ptr]
     lib.synth_phase.restype = None
-    lib.cheb_main_lobe.argtypes = [i64, i64, *[ptr] * 4]
+    lib.cheb_main_lobe.argtypes = [i64, i64, i64, *[ptr] * 4]
     lib.cheb_main_lobe.restype = None
     lib.csv_text = ctypes.PYFUNCTYPE(ctypes.py_object, ctypes.py_object, ctypes.c_ssize_t,
                                      ctypes.c_ssize_t, ctypes.py_object)(("csv_text", lib))

@@ -20,9 +20,9 @@
    into one FMA would accept other draws and so change the whole stream
    after them.  The draws are numpy's bit for bit on the same libm.
 
-   synth_phase(s, n, sigma0, sigma1, sigma2, out, phase) synthesizes an
-   n-sample clock from the same stream in one pass (see
-   oscillator.synthesize_phase). */
+   synth_phase(s, n, sigma0, sigma1, sigma2, scale, out, phase) synthesizes
+   an n-sample clock from the same stream in one pass, each sample times
+   scale (see oscillator.synthesize_phase). */
 
 #include <math.h>
 #include <stdint.h>
@@ -333,7 +333,7 @@ void normal_fill(uint64_t *s, int64_t n, double *out)
    0.0 + -0.0 is +0.0, so each sum starts from its first term.  phase is
    scratch: it holds g1 on return. */
 void synth_phase(uint64_t *s, int64_t n, double sigma0, double sigma1, double sigma2,
-                 double *out, double *phase)
+                 double scale, double *out, double *phase)
 {
     normal_fill(s, n, out);
     normal_fill(s, n, phase);
@@ -345,7 +345,7 @@ void synth_phase(uint64_t *s, int64_t n, double sigma0, double sigma1, double si
         freq = i ? freq + df : df;
         double dp = phase[i] * sigma1 + freq;
         ph = i ? ph + dp : dp;
-        out[i] = out[i] * sigma0 + ph;
+        out[i] = (out[i] * sigma0 + ph) * scale;
     }
     s[0] = (uint64_t)(state >> 64);
     s[1] = (uint64_t)state;

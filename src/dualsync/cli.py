@@ -109,14 +109,10 @@ def _psd_series(cfg: ScenarioConfig, result) -> np.ndarray:
                                source.removesuffix("_clock"), n)
 
 
-def _window(cfg: ScenarioConfig, windows: dict) -> np.ndarray:
-    """The psd_block_len-sample window at psd_window_atten_db, built once per
-    command: `windows` holds the command's windows by (length, attenuation)."""
-    key = (cfg.get("output", "psd_block_len"), cfg.get("output", "psd_window_atten_db"))
-    if key not in windows:
-        # through the module attribute, which tracing patches
-        windows[key] = spectral.cheb_window(*key)
-    return windows[key]
+def _window(cfg: ScenarioConfig) -> np.ndarray:
+    # the output.psd_* window, through the module attribute, which tracing patches
+    return spectral.cheb_window(cfg.get("output", "psd_block_len"),
+                                cfg.get("output", "psd_window_atten_db"))
 
 
 def _write_psd(path: str, cfg: ScenarioConfig, series, window: np.ndarray) -> None:
@@ -141,16 +137,14 @@ MARGIN_GRID_POINTS = 25
 
 
 def _emit(cfg: ScenarioConfig, timeseries=None, psd=None, jumps=None, window_response=None,
-          bode=None, delay_margin=None, noise_fit=None, windows=None):
+          bode=None, delay_margin=None, noise_fit=None):
     """Write the artifacts given a path, running the ring at most once, and
     only for a time series, jumps or a ring PSD.
 
     Only timeseries.csv reads the ring's discriminator series r1..r4, so
     the ring records them only when it is written.  noise_fit.csv comes with
-    its verification PSDs beside it (NOISE_FIT_PSDS).  `windows` is the
-    command's window store (see _window); a fresh one by default.
+    its verification PSDs beside it (NOISE_FIT_PSDS).
     """
-    windows = {} if windows is None else windows
     scn, result = cfg.to_scenario(), None
     ring_psd = psd and cfg.get("output", "psd_source") not in CLOCK_SOURCES
     # what would fail only after files are written or the ring has run
@@ -166,10 +160,9 @@ def _emit(cfg: ScenarioConfig, timeseries=None, psd=None, jumps=None, window_res
                    (np.arange(result.n_ticks), result.t_s,
                     *(getattr(result, name) for name in TIMESERIES_SERIES)))
     if psd:
-        # the window before the series: built after it, the window kept for
-        # the command's next PSD splits the heap the next series reuses, and
-        # fig13's peak memory rose by 7 MB
-        window = _window(cfg, windows)
+        # the window before the series: built after it, the kept window splits
+        # the heap the next series reuses, and fig13's peak memory rose by 7 MB
+        window = _window(cfg)
         _write_psd(psd, cfg, _psd_series(cfg, result), window)
     if jumps:
         found = detect_ambiguity_jumps(result.theta_bf_minus_theta0, result.tick_rate_hz)
@@ -180,7 +173,7 @@ def _emit(cfg: ScenarioConfig, timeseries=None, psd=None, jumps=None, window_res
         # power response of the psd_block_len-sample Dolph-Chebyshev window,
         # 8x zero-padded, relative to DC
         n = cfg.get("output", "psd_block_len")
-        resp = np.fft.rfft(_window(cfg, windows), n=8 * n)
+        resp = np.fft.rfft(_window(cfg), n=8 * n)
         with np.errstate(divide="ignore"):
             level = 20.0 * np.log10(np.abs(resp) / np.abs(resp[0]))
         _write_csv(window_response, _stamp(cfg), ["freq_cycles_per_sample", "level_db"],
@@ -199,7 +192,7 @@ def _emit(cfg: ScenarioConfig, timeseries=None, psd=None, jumps=None, window_res
         _write_csv(delay_margin, _stamp(cfg), ["omega_n_hz", "margin_s"], (grid, margins))
     if noise_fit:
         n = cfg.get("output", "psd_block_len") * cfg.get("output", "psd_n_blocks")
-        rows, window = [], _window(cfg, windows)
+        rows, window = [], _window(cfg)
         for side, name in NOISE_FIT_PSDS.items():
             params = fit_two_state(getattr(scn, f"{side}_mask"), scn.baud_hz)
             rows.append((params.sigma0, params.sigma1, params.sigma2, params.tick_rate_hz))
@@ -212,12 +205,12 @@ def _emit(cfg: ScenarioConfig, timeseries=None, psd=None, jumps=None, window_res
                    (list(NOISE_FIT_PSDS), *map(np.array, zip(*rows))))
 
 
-def _write_files(cfg: ScenarioConfig, out: str, files: dict, windows=None) -> list[str]:
+def _write_files(cfg: ScenarioConfig, out: str, files: dict) -> list[str]:
     """Write `files`, {artifact kind: file name}, in `out` through _emit, plus
     psd.csv beside a time series when output.emit_psd is on; returns every path."""
     if "timeseries" in files and cfg.get("output", "emit_psd"):
         files = {**files, "psd": "psd.csv"}
-    _emit(cfg, windows=windows, **{kind: os.path.join(out, name) for kind, name in files.items()})
+    _emit(cfg, **{kind: os.path.join(out, name) for kind, name in files.items()})
     beside = NOISE_FIT_PSDS.values() if "noise_fit" in files else ()
     return [os.path.join(out, name) for name in (*files.values(), *beside)]
 
@@ -366,10 +359,10 @@ def cmd_reproduce(args) -> int:
         raise ConfigError([f"unsupported figure {args.figure!r}; supported: fig13..fig22"])
     out = _outdir(args, cfg0)
     base = defaults.with_values({"run.seed": cfg0.get("run", "seed")})
-    written, configs, windows = [], [], {}
+    written, configs = [], []
     for files, overrides in RECIPES[fig]:
         cfg = base.with_values(overrides)
-        written += _write_files(cfg, out, files, windows)
+        written += _write_files(cfg, out, files)
         configs.append(f"# {next(iter(files.values()))} (sha256 {cfg.sha256()})\n"
                        f"{cfg.canonical_text()}\n")
     path = os.path.join(out, "configs.txt")

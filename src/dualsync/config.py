@@ -45,7 +45,10 @@ def _parse_float(text: str) -> float:
 
 
 def _parse_int(text: str) -> int:
-    v = float(text)
+    try:
+        return int(text)  # exact where float() rounds, past 2^53
+    except ValueError:
+        v = float(text)  # "1e19" or "10.0"
     if not v.is_integer():
         raise ValueError(f"expected an integer, got {text!r}")
     return int(v)

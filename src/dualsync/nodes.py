@@ -245,9 +245,8 @@ def _clock_series(scn: Scenario, seed: int, side: str, n: int) -> np.ndarray:
         return np.zeros(n)
     mask = getattr(scn, f"{side}_mask")
     params = fit_two_state(mask, scn.baud_hz).rescaled(scn.decimation)
-    phase = synthesize_phase(params, n, np.random.default_rng(_stream(seed, CLOCK_STREAM[side])))
-    phase *= scn.plan.fc_hz / mask.reference_freq_hz
-    return phase
+    return synthesize_phase(params, n, np.random.default_rng(_stream(seed, CLOCK_STREAM[side])),
+                            scn.plan.fc_hz / mask.reference_freq_hz)
 
 
 def _address(buf, n: int) -> int:

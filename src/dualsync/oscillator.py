@@ -210,9 +210,9 @@ def standard_normal(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def synthesize_phase(params: TwoStateParams, n: int,
-                     rng: np.random.Generator) -> np.ndarray:
-    """Synthesis of n emitted phase samples from a zeroed clock.
+def synthesize_phase(params: TwoStateParams, n: int, rng: np.random.Generator,
+                     scale: float = 1.0) -> np.ndarray:
+    """Synthesis of n emitted phase samples from a zeroed clock, times scale.
 
     Identical sample-for-sample to running the per-tick recursion of the
     module docstring on the columns of rng.standard_normal((3, n)), and
@@ -221,7 +221,7 @@ def synthesize_phase(params: TwoStateParams, n: int,
         g = rng.standard_normal((3, n))
         freq = np.cumsum(sigma2 * g[2])
         phase = np.cumsum(freq + sigma1 * g[1])
-        return phase + sigma0 * g[0]
+        return (phase + sigma0 * g[0]) * scale
 
     while holding 2n floats instead of six full-length arrays.  One C pass,
     ``synth_phase`` in ``_normal.c``, draws g0 into the output and g1 into
@@ -235,7 +235,7 @@ def synthesize_phase(params: TwoStateParams, n: int,
         raise ValueError(f"cannot synthesize {n} samples")
     out, phase = np.empty(n), np.empty(n)
     _advance(rng, "synthesize_phase", "synth_phase", out.size, params.sigma0,
-             params.sigma1, params.sigma2, out.ctypes.data, phase.ctypes.data)
+             params.sigma1, params.sigma2, scale, out.ctypes.data, phase.ctypes.data)
     return out
 
 

@@ -10,6 +10,7 @@ applied.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +19,11 @@ from . import _native
 
 __all__ = ["PsdEstimate", "cheb_window", "psd_estimate"]
 
+# (length, attenuation) windows that cheb_window keeps per process
+WINDOW_MEMO_SIZE = 8
 
+
+@functools.lru_cache(maxsize=WINDOW_MEMO_SIZE)
 def cheb_window(n: int, atten_db: float) -> np.ndarray:
     """Dolph-Chebyshev window with equiripple sidelobes at -atten_db.
 
@@ -31,6 +36,7 @@ def cheb_window(n: int, atten_db: float) -> np.ndarray:
     for attenuations far beyond 120 dB.  The cosine sum runs in C
     (``_window.c``), one main-lobe sample after another over a table of
     cos(pi*r/n), with the bytes of the per-sample numpy loop it replaced.
+    A process keeps its WINDOW_MEMO_SIZE latest windows, shared and read-only.
     """
     if n < 16:
         raise ValueError("window length must be >= 16")
@@ -64,14 +70,16 @@ def cheb_window(n: int, atten_db: float) -> np.ndarray:
         phase = np.exp(1j * np.pi * k / n)
         w = np.fft.fft(np.where(main, 0.0 + 0.0j, p * phase)).real.copy()
         half, first = n // 2 + 1, 1
-    # w[m] += p[i] * cos(pi*r/n) per main-lobe sample i, r the exact phase
-    # index mod 2n: 2*i*m for odd n, i*(2m - 1) for even n
+    # w[m] += p[i] * cos(pi*r/n) per main-lobe sample i and m < half, r the
+    # exact phase index mod 2n: 2*i*m for odd n, i*(2m - 1) for even n
     idx = np.flatnonzero(main).astype(np.int64, copy=False)
     cos_table = np.cos(np.pi * np.arange(2 * n) / n)
-    _native.library().cheb_main_lobe(n, idx.size, idx.ctypes.data, p.ctypes.data,
+    _native.library().cheb_main_lobe(n, half, idx.size, idx.ctypes.data, p.ctypes.data,
                                      cos_table.ctypes.data, w.ctypes.data)
     w = np.concatenate((w[half - 1:0:-1], w[first:half]))
-    return w / np.max(w)
+    w /= np.max(w)
+    w.flags.writeable = False
+    return w
 
 
 @dataclass(frozen=True)

@@ -195,26 +195,22 @@ def test_emit_records_discriminators_only_for_timeseries(tmp_path, monkeypatch, 
     assert all(os.path.exists(tmp_path / f"{kind}.csv") for kind in kinds)
 
 
-@pytest.mark.parametrize("argv, lengths", [
-    (["fit-noise"], [4096]),
-    (["reproduce", "fig13"], [2**17]),
-])
-def test_one_window_per_command(tmp_path, monkeypatch, argv, lengths):
-    # fit-noise's two PSDs and fig13's two share one window
-    built = []
+def test_one_window_per_process(tmp_path, monkeypatch):
+    # each (length, attenuation) window is built once per process: fit-noise
+    # twice builds the 4096-sample 120 dB window once, and fig13's two PSDs
+    # and fig14 after them build the 2^17-sample 300 dB window once
+    # (the window is what this counts; zero clock series stand in)
+    monkeypatch.setattr(cli.nodes, "_clock_series", lambda scn, seed, side, n: np.zeros(n))
     cheb_window = cli.spectral.cheb_window
-
-    def count(n, atten_db):
-        built.append(n)
-        return cheb_window(n, atten_db)
-
-    monkeypatch.setattr(cli.spectral, "cheb_window", count)
-    if argv[0] == "reproduce":
-        # the window is what this counts; two small clock series stand in
-        monkeypatch.setattr(cli.nodes, "_clock_series",
-                            lambda scn, seed, side, n: np.zeros(n))
-    assert run_cli(*argv, "--out", str(tmp_path / "out"), "--quiet") == 0
-    assert built == lengths
+    cheb_window.cache_clear()
+    built = []
+    for i, argv in enumerate([["fit-noise"], ["fit-noise"],
+                              ["reproduce", "fig13"], ["reproduce", "fig14"]]):
+        assert run_cli(*argv, "--out", str(tmp_path / f"out{i}"), "--quiet") == 0
+        built.append(cheb_window.cache_info().misses)
+    assert built == [1, 1, 2, 2]
+    assert cheb_window(2**17, 300.0) is cheb_window(2**17, 300)
+    assert cheb_window.cache_info().misses == 2
 
 
 # sha256 at seed 1 of artifacts whose code moved between modules: the
@@ -384,6 +380,32 @@ class TestSweep:
         _, _, rows = read_csv(os.path.join(out, "manifest.csv"))
         assert [(row[2], row[4]) for row in rows] == [("1", "1"),
                                                       ("10000000000000000000",) * 2]
+
+    # a seed in the file, and one from --seed through with_values: float()
+    # would have run and written ...992 and ...808
+    @pytest.mark.parametrize("in_file, argv, seed", [
+        ("seed = 9007199254740993\n", [], 9007199254740993),
+        ("", ["--seed", "9223372036854775809"], 9223372036854775809),
+    ])
+    def test_seed_past_2_53_is_run_and_written_exactly(self, tmp_path, monkeypatch,
+                                                       in_file, argv, seed):
+        seeds = []
+
+        def run(scn, s, **kw):
+            seeds.append(s)
+            return run_scenario(scn, s, **kw)
+
+        monkeypatch.setattr(cli, "run_scenario", run)
+        cfg = write_config(tmp_path, f"[run]\nduration_s = 0.05\n{in_file}"
+                                     "[sweep]\nkey = channel.snr_db\nvalues = 10, 20\n")
+        out = str(tmp_path / "out")
+        assert run_cli("sweep", "--config", cfg, *argv, "--out", out, "--quiet") == 0
+        assert seeds == [seed, seed]
+        comment, _, rows = read_csv(os.path.join(out, "manifest.csv"))
+        assert comment.endswith(f" seed={seed}\n")
+        assert [row[4] for row in rows] == [str(seed)] * 2
+        comment, _, _ = read_csv(os.path.join(out, "sweep_001", "timeseries.csv"))
+        assert comment.endswith(f" seed={seed}\n")
 
     def test_sweep_requires_key(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "[run]\nduration_s = 0.2\n")
@@ -623,11 +645,9 @@ class TestReproduce:
     @pytest.mark.parametrize("fig", sorted(RECIPE_CONFIGS_SHA256))
     def test_recipe_configs(self, fig, tmp_path, monkeypatch):
         # the runs themselves take up to minutes; record what would be written
-        # (every run of one figure shares the command's window store)
-        requested, stores = [], set()
+        requested = []
 
-        def record(cfg, windows, **paths):
-            stores.add(id(windows))
+        def record(cfg, **paths):
             requested.append(paths)
 
         monkeypatch.setattr(cli, "_emit", record)
@@ -637,7 +657,6 @@ class TestReproduce:
         assert digest == RECIPE_CONFIGS_SHA256[fig]
         assert [p for r in requested for p in r.values()] == [
             str(out / name) for files, _ in cli.RECIPES[fig] for name in files.values()]
-        assert len(stores) == 1
 
     def test_fig17_emits_both_bandwidths(self, tmp_path):
         out = str(tmp_path / "out")

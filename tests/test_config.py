@@ -72,6 +72,26 @@ class TestParsing:
         assert (cfg.to_scenario().duration_s, longer.to_scenario().duration_s) == (2, 3)
 
 
+    # float() would round each of these to its neighbour ...992, ...808 or 10^19
+    @pytest.mark.parametrize("seed", [2**53 + 1, 2**63 + 1, 10**19 + 1])
+    def test_integer_past_2_53_keeps_its_value(self, seed):
+        assert parse_config(f"[run]\nseed = {seed}\n").get("run", "seed") == seed
+        cfg = parse_config("")
+        assert cfg.with_values({"run.seed": seed}).get("run", "seed") == seed
+        assert cfg.with_values({"run.seed": str(seed)}).get("run", "seed") == seed
+
+    @pytest.mark.parametrize("text, value", [("1e19", 10**19), ("10.0", 10), ("+3", 3),
+                                             ("1_000", 1000)])
+    def test_other_integer_forms_are_read(self, text, value):
+        got = parse_config(f"[run]\nseed = {text}\n").get("run", "seed")
+        assert (got, type(got)) == (value, int)
+
+    @pytest.mark.parametrize("text", ["1.5", "inf", "nan", "1e400", "abc"])
+    def test_non_integers_are_refused(self, text):
+        with pytest.raises(ConfigError, match="run.seed|line 2"):
+            parse_config(f"[run]\nseed = {text}\n")
+
+
 class TestValidation:
     def test_negative_omega_names_key(self):
         with pytest.raises(ConfigError, match="omega_m_hz"):

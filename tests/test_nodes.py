@@ -25,6 +25,7 @@ from dualsync.nodes import (
     detect_ambiguity_jumps,
     run_scenario,
 )
+from dualsync.oscillator import NoiseMask, fit_two_state
 from dualsync.pll import LoopConfig, wrap_phase
 from dualsync.spectral import cheb_window, psd_estimate
 from oracles import reference_loop, run_reference, tick_loop
@@ -755,6 +756,20 @@ class TestRunScenario:
         for side, series in seen.items():
             assert np.array_equal(series, nodes._clock_series(scn, 7, side, scn.n_ticks))
         assert not np.array_equal(seen["master"], seen["follower"])
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**63), n=st.integers(0, 4097),
+           side=st.sampled_from(["master", "follower"]),
+           reference_hz=st.sampled_from([10e6, 1e3, 2200e6, 3.3e9, 1e-290, 1e300]))
+    def test_clock_series_is_the_synthesis_times_the_rf_scale(self, seed, n, side,
+                                                               reference_hz):
+        # the RF scale applied in the synthesis pass, as a multiply after it
+        mask = NoiseMask(reference_hz, getattr(Scenario(), f"{side}_mask").points)
+        scn = Scenario(**{f"{side}_mask": mask})
+        params = fit_two_state(mask, scn.baud_hz).rescaled(scn.decimation)
+        rng = np.random.default_rng(nodes._stream(seed, nodes.CLOCK_STREAM[side]))
+        want = oracles.one_shot_synthesis(params, n, rng) * (scn.plan.fc_hz / reference_hz)
+        assert nodes._clock_series(scn, seed, side, n).tobytes() == want.tobytes()
 
     def test_result_time_axis(self):
         scn = Scenario(duration_s=0.1, ideal_clocks=True)

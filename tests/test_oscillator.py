@@ -249,6 +249,31 @@ class TestSynthesisBytes:
         assert got.tobytes() == want.tobytes()
         assert ours.standard_normal(AFTER).tobytes() == numpys.standard_normal(AFTER).tobytes()
 
+    # the scale fused into the pass: negative, signed zeros, one, subnormal,
+    # large enough to overflow, and any other finite float
+    SCALES = st.one_of(st.sampled_from([-220.0, -1.0, -0.0, 0.0, 1.0, 5e-324, 2.2e-308,
+                                        1e300, 220.0]),
+                       st.floats(allow_nan=False, allow_infinity=False))
+    ANY_SIGMA = st.one_of(st.just(0.0), st.floats(1e-12, 1e2))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(n=st.integers(0, 2 * CHUNK + 1), seed=st.integers(0, 2**32 - 1),
+           sigmas=st.tuples(ANY_SIGMA, ANY_SIGMA, ANY_SIGMA), scale=SCALES)
+    @example(n=0, seed=0, sigmas=(2e-3, 5e-4, 1e-6), scale=220.0)
+    @example(n=1, seed=0, sigmas=(2e-3, 5e-4, 1e-6), scale=-1.0)
+    @example(n=4097, seed=1, sigmas=(2e-3, 5e-4, 1e-6), scale=5e-324)
+    @example(n=CHUNK + 1, seed=3, sigmas=(2e-3, 5e-4, 1e-6), scale=1e300)
+    @example(n=2, seed=8, sigmas=ZERO, scale=0.0)
+    @example(n=2, seed=8, sigmas=ZERO, scale=-0.0)
+    def test_scale_is_applied_as_a_multiply_after_synthesis(self, n, seed, sigmas, scale):
+        params = TwoStateParams(*sigmas, 1e3)
+        ours, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
+        with np.errstate(over="ignore", under="ignore"):
+            want = one_shot_synthesis(params, n, numpys) * scale
+        got = synthesize_phase(params, n, ours, scale)
+        assert got.tobytes() == want.tobytes()
+        assert ours.standard_normal(AFTER).tobytes() == numpys.standard_normal(AFTER).tobytes()
+
     def test_peak_memory_is_two_series(self):
         n = 2**20
         synthesize_phase(self.PARAMS, 1, np.random.default_rng(1))  # loads the library

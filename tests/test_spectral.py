@@ -41,6 +41,13 @@ class TestChebWindow:
         edge = int(np.ceil(8 * n * 2 * math.acos(1 / beta) / (2 * math.pi))) + 8
         assert np.max(mag[edge:]) <= -280.0
 
+    def test_memoised_window_is_shared_and_read_only(self):
+        w = cheb_window(64, 100.0)
+        assert cheb_window(64, 100.0) is w
+        with pytest.raises(ValueError):
+            w[0] = 1.0
+        assert w.tobytes() == per_sample_cos_window(64, 100.0).tobytes()
+
     def test_attenuation_range_enforced(self):
         with pytest.raises(ValueError):
             cheb_window(64, 330.0)
