@@ -143,7 +143,7 @@ def library() -> ctypes.CDLL:
     lib.tick_loop.argtypes = [i64, *[f64] * 6, ptr, ptr, *[f64] * 5, ptr, f64, i64,
                               ctypes.c_int, ctypes.c_int, f64, *[ptr] * 8]
     lib.tick_loop.restype = i64
-    lib.normal_fill.argtypes = [ptr, i64, ptr]
+    lib.normal_fill.argtypes = [ptr, i64, f64, ptr]
     lib.normal_fill.restype = None
     lib.synth_phase.argtypes = [ptr, i64, *[f64] * 4, ptr, ptr]
     lib.synth_phase.restype = None

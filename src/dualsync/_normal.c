@@ -1,9 +1,9 @@
 /* Standard normal draws, the package's one normal generator (see
    oscillator.standard_normal).
 
-   normal_fill(s, n, out) writes the n draws that numpy's
-   Generator.standard_normal makes from a PCG64 bit generator and advances
-   its state past them, as numpy does.  s holds the 128-bit state and
+   normal_fill(s, n, scale, out) writes the n draws that numpy's
+   Generator.standard_normal makes from a PCG64 bit generator, each times
+   scale, and advances its state past them, as numpy does.  s holds the 128-bit state and
    increment as four 64-bit words, high word first: {state_hi, state_lo,
    inc_hi, inc_lo}; the state is written back into s[0..1].
 
@@ -311,12 +311,12 @@ static inline double normal(u128 *state, u128 inc)
     return x;
 }
 
-void normal_fill(uint64_t *s, int64_t n, double *out)
+void normal_fill(uint64_t *s, int64_t n, double scale, double *out)
 {
     u128 state = (u128)s[0] << 64 | s[1];
     u128 inc = (u128)s[2] << 64 | s[3];
     for (int64_t i = 0; i < n; i++)
-        out[i] = normal(&state, inc);
+        out[i] = normal(&state, inc) * scale;
     s[0] = (uint64_t)(state >> 64);
     s[1] = (uint64_t)state;
 }
@@ -335,8 +335,8 @@ void normal_fill(uint64_t *s, int64_t n, double *out)
 void synth_phase(uint64_t *s, int64_t n, double sigma0, double sigma1, double sigma2,
                  double scale, double *out, double *phase)
 {
-    normal_fill(s, n, out);
-    normal_fill(s, n, phase);
+    normal_fill(s, n, 1.0, out);
+    normal_fill(s, n, 1.0, phase);
     u128 state = (u128)s[0] << 64 | s[1];
     u128 inc = (u128)s[2] << 64 | s[3];
     double freq = 0.0, ph = 0.0;

@@ -2,12 +2,17 @@
 
    _native.build compiles this file into the package's one C library with
    -O2 -ffp-contract=off, so no a*b + c is fused into one rounding, and
-   nodes._tick_loop_fast calls it through ctypes.  Every floating-point operation is the one the pure-Python
-   byte oracle (tests/oracles.tick_loop) performs, in the same order, and
-   cos, sin, atan2 and floor are the libm functions Python's math module
-   calls: the series are bit for bit the oracle's on the same libm.  The
-   oracle's single-carrier ticks also compute the second return carrier,
-   which nothing reads; this kernel skips it.
+   nodes._tick_loop_fast calls it through ctypes.  Each value is computed
+   once, from the operations the pure-Python byte oracle
+   (tests/oracles.tick_loop) performs, in its order, and cos, sin, atan2
+   and floor are the libm functions Python's math module calls: the series
+   are bit for bit the oracle's on the same libm.  A pair whose two
+   propagation phases have the same bits (phi1 and phi2 forward, phi3 and
+   phi4 back; every carrier at tau_s = 0) has the same phase sum on every
+   tick, so its second carrier starts from the first one's cosine and sine,
+   and in a noiseless ring also takes its discriminators.  The oracle's
+   single-carrier ticks also compute the second return carrier, which
+   nothing reads; this kernel skips it.
 
    Returns the first diverged tick or -1.  A tick diverges when alpha or
    theta_out leaves [-limit, limit] or is NaN, and also, before anything is
@@ -16,6 +21,7 @@
 
 #include <math.h>
 #include <stdint.h>
+#include <string.h>
 
 #define PI 3.14159265358979323846
 #define TWO_PI (2.0 * PI)
@@ -50,6 +56,9 @@ int64_t tick_loop(int64_t n, double ki_m, double kp_m, double half_tm,
     double thx_prev = thx[0];
     /* the forward and the return delay line, latency ticks each */
     double *txf = lines, *txr = lines + latency;
+    /* by bits, not ==: 0.0 == -0.0, but the two zeros can round apart */
+    int fwd_pair = dual && memcmp(&phi1, &phi2, sizeof phi1) == 0;
+    int ret_pair = dual && memcmp(&phi3, &phi4, sizeof phi3) == 0;
     for (int64_t k = 0; k < latency; k++) {
         txf[k] = th0[0];
         txr[k] = thx[0];
@@ -67,8 +76,8 @@ int64_t tick_loop(int64_t n, double ki_m, double kp_m, double half_tm,
         int64_t slot = i % latency;
         /* master: receive the return pair, update the compensation loop */
         double p3 = txr[slot] + phi3 + dop;
-        double re3 = cos(p3);
-        double im3 = sin(p3);
+        double c3 = cos(p3), s3 = sin(p3);
+        double re3 = c3, im3 = s3;
         if (noise) {
             re3 += noise[4][i];
             im3 += noise[5][i];
@@ -78,14 +87,17 @@ int64_t tick_loop(int64_t n, double ki_m, double kp_m, double half_tm,
         double r3 = disc(re3, im3, c0, s0);
         double r4 = 0.0;
         if (dual) {
-            double p4 = txr[slot] + phi4 + dop;
-            double re4 = cos(p4);
-            double im4 = sin(p4);
+            double re4 = c3, im4 = s3;
+            if (!ret_pair) {
+                double p4 = txr[slot] + phi4 + dop;
+                re4 = cos(p4);
+                im4 = sin(p4);
+            }
             if (noise) {
                 re4 += noise[6][i];
                 im4 += noise[7][i];
             }
-            r4 = disc(re4, im4, c0, s0);
+            r4 = ret_pair && !noise ? r3 : disc(re4, im4, c0, s0);
         }
         double m3 = r3, m4 = r4;
         if (wrap_comp) {
@@ -110,8 +122,8 @@ int64_t tick_loop(int64_t n, double ki_m, double kp_m, double half_tm,
         double txf_new = t0 + 0.5 * alpha;
         /* follower: receive the forward pair, update the tracking loop */
         double p1 = txf[slot] + phi1 + dop;
-        double re1 = cos(p1);
-        double im1 = sin(p1);
+        double c1 = cos(p1), s1 = sin(p1);
+        double re1 = c1, im1 = s1;
         if (noise) {
             re1 += noise[0][i];
             im1 += noise[1][i];
@@ -123,14 +135,19 @@ int64_t tick_loop(int64_t n, double ki_m, double kp_m, double half_tm,
         double e1 = disc(re1, im1, cr, sr);
         double re2 = 0.0, im2 = 0.0, es = e1;
         if (dual) {
-            double p2 = txf[slot] + phi2 + dop;
-            re2 = cos(p2);
-            im2 = sin(p2);
+            re2 = c1;
+            im2 = s1;
+            if (!fwd_pair) {
+                double p2 = txf[slot] + phi2 + dop;
+                re2 = cos(p2);
+                im2 = sin(p2);
+            }
             if (noise) {
                 re2 += noise[2][i];
                 im2 += noise[3][i];
             }
-            es = wrap(0.5 * (e1 + disc(re2, im2, cr, sr)));
+            double e2 = fwd_pair && !noise ? e1 : disc(re2, im2, cr, sr);
+            es = wrap(0.5 * (e1 + e2));
         }
         vs = vs + ki_s * (es + es_prev);
         double ws = kp_s * es + vs;
@@ -147,8 +164,9 @@ int64_t tick_loop(int64_t n, double ki_m, double kp_m, double half_tm,
         if (r1a) {
             double ct = cos(tx);
             double st = sin(tx);
-            r1a[i] = disc(re1, im1, ct, st);
-            r2a[i] = dual ? disc(re2, im2, ct, st) : 0.0;
+            double r1 = disc(re1, im1, ct, st);
+            r1a[i] = r1;
+            r2a[i] = !dual ? 0.0 : fwd_pair && !noise ? r1 : disc(re2, im2, ct, st);
             r3a[i] = r3;
             r4a[i] = r4;
         }

@@ -9,6 +9,7 @@ seed reproduces each file byte for byte.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -371,7 +372,10 @@ def cmd_reproduce(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built on the first call of the process
+    and shared by every later one; parsing leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="dualsync",
         description="Dual-carrier remote carrier-phase synchronization loop: "

@@ -40,7 +40,11 @@ form; both take the kernel's arguments.  The kernel records
 four per-carrier discriminator series ``r1..r4`` are recorded only when
 their buffers are given: a run called with ``discriminators=False``
 passes None for all four, and the kernel then skips the work that only
-those series need.  Only ``timeseries.csv`` reads them.
+those series need.  Only ``timeseries.csv`` reads them.  Where a pair's
+two propagation phases have the same bits, as all four carriers' do at
+the default ``tau_s = 0``, the kernel computes the pair's phasor once per
+tick, and in a noiseless ring its discriminators too: the values the
+oracle computes twice, with the same bits.
 
 At a static reciprocal channel the loops lock, but each end averages two
 *wrapped* carrier phases, a mean defined only modulo pi, so after the
@@ -324,12 +328,11 @@ def run_scenario(scn: Scenario, seed: int, *, discriminators: bool = True) -> Sc
     sigma = scn.noise_sigma
     noise = None
     if sigma > 0.0:
-        # each leg's (2, n) draw lands in its own rows, then one scaling
+        # each leg's (2, n) draw lands in its own rows, scaled as it is drawn
         draws = np.empty((8, n))
         for leg in range(4):
             standard_normal(np.random.default_rng(_stream(seed, 2 + leg)),
-                            draws[2 * leg:2 * leg + 2])
-        draws *= sigma / math.sqrt(2.0)
+                            draws[2 * leg:2 * leg + 2], sigma / math.sqrt(2.0))
         noise = [memoryview(row) for row in draws]
     phi = scn.prop_phases()
     dopp_per_tick = TWO_PI * scn.doppler_hz * scn.tick_period_s

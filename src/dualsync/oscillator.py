@@ -193,20 +193,24 @@ def _advance(rng: np.random.Generator, caller: str, function: str, *args) -> Non
         bits.state = state
 
 
-def standard_normal(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
-    """Fill ``out`` with the draws of ``rng.standard_normal(out=out)`` and
-    advance ``rng`` past them, as that call does; return ``out``.
+def standard_normal(rng: np.random.Generator, out: np.ndarray,
+                    scale: float = 1.0) -> np.ndarray:
+    """Fill ``out`` with the draws of ``rng.standard_normal(out=out)``, each
+    times ``scale``, and advance ``rng`` past them, as that call does;
+    return ``out``.
 
     The draws are made by the C transcription ``_normal.c`` of numpy's
     ziggurat for a PCG64 bit generator, byte for byte numpy's, about three
-    times as fast.  Raises ValueError unless ``out`` is a writeable
-    C-contiguous float64 array and TypeError if ``rng`` is not a Generator
-    on a PCG64 bit generator (see ``_advance``).
+    times as fast, and each is multiplied by ``scale`` as it is written:
+    the IEEE multiply of numpy's ``out *= scale``, without a second pass.
+    Raises ValueError unless ``out`` is a writeable C-contiguous float64
+    array and TypeError if ``rng`` is not a Generator on a PCG64 bit
+    generator (see ``_advance``).
     """
     if not (isinstance(out, np.ndarray) and out.dtype == np.float64
             and out.flags.c_contiguous and out.flags.writeable):
         raise ValueError("out must be a writeable C-contiguous float64 array")
-    _advance(rng, "standard_normal", "normal_fill", out.size, out.ctypes.data)
+    _advance(rng, "standard_normal", "normal_fill", out.size, scale, out.ctypes.data)
     return out
 
 

@@ -1,3 +1,4 @@
+import argparse
 import concurrent.futures
 import hashlib
 import io
@@ -250,6 +251,50 @@ def test_import_loads_only_what_every_command_runs():
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=src), check=True, timeout=120)
     assert proc.stdout.strip() == "[]"
+
+
+class TestParser:
+    # main builds the argparse parser on the first call of a process and
+    # parses every later argv with that one
+
+    def test_import_builds_no_parser(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        probe = "import dualsync.cli\nprint(dualsync.cli.build_parser.cache_info().currsize)"
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src), check=True, timeout=120)
+        assert proc.stdout == "0\n"
+
+    def test_main_calls_share_one_parser(self, tmp_path, monkeypatch):
+        parsers = []
+        real = argparse.ArgumentParser.parse_args
+
+        def parse_args(self, *args, **kwargs):
+            parsers.append(self)
+            return real(self, *args, **kwargs)
+
+        cli.build_parser.cache_clear()
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", parse_args)
+        for out in ("a", "b"):
+            assert run_cli("bode", "--out", str(tmp_path / out), "--quiet") == 0
+        assert len(parsers) == 2
+        assert parsers[0] is parsers[1] is cli.build_parser()
+        assert cli.build_parser.cache_info().misses == 1
+
+    @pytest.mark.parametrize("argv, message", [
+        (["bode", "--seed", "x"], "argument --seed: invalid int value: 'x'"),
+        (["no-such-command"], "argument command: invalid choice: 'no-such-command'"),
+        ([], "the following arguments are required: command"),
+    ])
+    def test_bad_argv_after_a_good_one_exits_2(self, argv, message, tmp_path, capsys):
+        assert run_cli("bode", "--out", str(tmp_path / "a"), "--quiet") == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as info:
+            run_cli(*argv)
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: dualsync") and f"error: {message}" in err
+        # and the parser still parses a good argv
+        assert run_cli("bode", "--out", str(tmp_path / "b"), "--quiet") == 0
 
 
 class TestAnalysisCommands:

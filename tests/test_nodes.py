@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import oracles
 from dualsync import _native, nodes
 from dualsync.channel import CarrierPlan, prop_phase, sigma_from_snr
+from dualsync.cli import RECIPES
 from dualsync.config import _PSD_SOURCES, CLOCK_SOURCES
 from dualsync.nodes import (
     DivergenceError,
@@ -109,7 +110,8 @@ RING_FIELDS = dict(
     dual_carrier=st.booleans(),
     wrap_compensation=st.booleans(),
     snr_db=st.one_of(st.just(math.inf), st.floats(0.0, 30.0)),
-    tau_s=st.floats(0.0, 1e-6),
+    # 0.0, the default, is the delay at which both carrier pairs share their phasors
+    tau_s=st.just(0.0) | st.floats(0.0, 1e-6),
     doppler_hz=st.floats(-5.0, 5.0),
     ideal_clocks=st.booleans(),
     theta_offset=st.floats(-math.pi, math.pi),
@@ -175,9 +177,6 @@ class TestKernelArguments:
 # the functions the package's one C library exports, each with its case id
 FUNCTIONS = {"tick_loop": "tick", "normal_fill": "normal", "synth_phase": "synth",
              "cheb_main_lobe": "window", "csv_text": "csv"}
-# one case for each of the library's sources: tick, normal, window, csv
-SOURCE_IDS = [source.stem.lstrip("_") for source in _native.SOURCES]
-PER_SOURCE = pytest.mark.parametrize("source", range(len(_native.SOURCES)), ids=SOURCE_IDS)
 PER_FUNCTION = pytest.mark.parametrize("name", FUNCTIONS, ids=list(FUNCTIONS.values()))
 
 
@@ -202,9 +201,9 @@ class TestKernelBuild:
             copy.write_bytes(source.read_bytes())
         return copies
 
-    @PER_SOURCE
-    def test_builds_once_per_source_flags_and_abi(self, sources, source, tmp_path,
-                                                  monkeypatch):
+    def test_builds_once_per_source_flags_and_abi(self, sources, tmp_path, monkeypatch):
+        # seven builds: the library, one with each source edited in turn,
+        # one with other flags and one for another ABI
         flags = _native.flags()
         calls = []
         real_run = subprocess.run
@@ -221,15 +220,20 @@ class TestKernelBuild:
         assert all(getattr(ctypes.CDLL(str(lib)), name) for name in FUNCTIONS)
         assert _native.build(sources, cache, flags) == lib
         assert len(calls) == 1
-        sources[source].write_bytes(sources[source].read_bytes() + b"/* edited */\n")
-        edited = _native.build(sources, cache, flags)
+        edited = []
+        for source in sources:
+            text = source.read_bytes()
+            source.write_bytes(text + b"/* edited */\n")
+            edited.append(_native.build(sources, cache, flags))
+            source.write_bytes(text)
+        assert len(set(edited)) == len(sources) == 4
         other_flags = _native.build(sources, cache, (*flags, "-DNDEBUG"))
         real_var = sysconfig.get_config_var
         monkeypatch.setattr(sysconfig, "get_config_var",
                             lambda var: "other-abi" if var == "SOABI" else real_var(var))
         other_abi = _native.build(sources, cache, flags)
-        assert len({lib, edited, other_flags, other_abi}) == 4
-        assert len(calls) == 4
+        assert len({lib, *edited, other_flags, other_abi}) == 7
+        assert len(calls) == 7
         assert all(getattr(ctypes.CDLL(str(other_abi)), name) for name in FUNCTIONS)
 
     def test_a_new_build_unlinks_the_one_it_supersedes(self, sources, tmp_path, monkeypatch):
@@ -255,18 +259,18 @@ class TestKernelBuild:
         assert _native.build(sources, cache, flags) == first
         assert sorted(cache.iterdir()) == sorted([*others, first])
 
-    @PER_SOURCE
-    def test_a_new_build_unlinks_retired_libraries(self, sources, source, tmp_path):
+    def test_a_new_build_unlinks_retired_libraries(self, sources, tmp_path):
         # the library each source once had, named with this interpreter's
         # SOABI, another's or none, is loaded by nothing; another
         # interpreter's _native library is kept
-        stem = sources[source].stem
         abi = sysconfig.get_config_var("SOABI")
         cache = tmp_path / "cache"
         cache.mkdir()
         key = "0123456789abcdef"
-        retired = [cache / f"{stem}-{abi}-{key}.so", cache / f"{stem}-other-abi-{key}.so",
-                   cache / f"{stem}-{key}.so"]
+        retired = [cache / name for stem in (source.stem for source in sources)
+                   for name in (f"{stem}-{abi}-{key}.so", f"{stem}-other-abi-{key}.so",
+                                f"{stem}-{key}.so")]
+        assert len(retired) == 12
         other = cache / f"_native-other-abi-{key}.so"
         for path in (*retired, other):
             path.write_bytes(b"")
@@ -408,6 +412,78 @@ class TestKernelMatchesByteOracle:
         # without the guard a NaN reached math.floor and raised ValueError
         scn = Scenario(duration_s=0.2, snr_db=10.0)
         assert ring(loop, scn, 1, inject=(series, 500, value)) == 500
+
+
+# the propagation phase sets of the kernel's sharing branches: a pair whose
+# two phases have the same bits shares its second carrier's phasor
+PHI_SETS = {
+    "all-equal": (0.3, 0.3, 0.3, 0.3),
+    "forward-pair": (0.3, 0.3, -1.1, 2.0),
+    "return-pair": (0.3, -1.1, 2.0, 2.0),
+    "none-equal": (0.3, -1.1, 2.0, -2.9),
+    "signed-zeros": (0.0, -0.0, 0.0, -0.0),
+}
+
+
+def sharing_ring(loop, phi, noisy, dual, wrap_comp, discriminators, n=1000):
+    """The seven series of an n-tick, latency-2 ring with random-walk clocks
+    run by ``loop`` on the phase set ``phi``, and the tick it returned.
+
+    Both clocks start at -0.0 then +0.0, and a phase set of signed zeros
+    runs at a Doppler of -0.0, so that at tick 1 each pair's second carrier
+    (phase -0.0) reaches its far end as a -0.0 angle and its first (+0.0)
+    as +0.0: the oracle's r2 and r4 there are -0.0 and its r1 and r3 +0.0."""
+    rng = np.random.default_rng(32)
+    th0, thx = np.cumsum(rng.standard_normal((2, n)) * 0.01, axis=1)
+    th0[:2] = thx[:2] = -0.0, 0.0
+    noise = list(rng.standard_normal((8, n)) * 0.1) if noisy else None
+    dopp = -0.0 if phi == PHI_SETS["signed-zeros"] else 0.004
+    out = [np.empty(n) for _ in range(7 if discriminators else 3)]
+    cfg = LoopConfig(1.0, 100.0, TICK)
+    views = [memoryview(a) for a in (th0, thx, *out)]
+    bad = loop(n, cfg, cfg, *views[:2], *phi, dopp,
+               None if noise is None else [memoryview(row) for row in noise],
+               0.2, 2, dual, wrap_comp, *views[2:], *[None] * (7 - len(out)))
+    return out, bad
+
+
+class TestSharedPairs:
+    # where a pair's phases have the same bits the kernel computes the
+    # second carrier's phasor (and, noiseless, its discriminators) once;
+    # the byte oracle still computes every carrier
+
+    @pytest.mark.parametrize("discriminators", [True, False], ids=["full", "lean"])
+    @pytest.mark.parametrize("wrap_comp", [True, False], ids=["wrap", "raw"])
+    @pytest.mark.parametrize("dual", [True, False], ids=["dual", "single"])
+    @pytest.mark.parametrize("noisy", [True, False], ids=["noise", "noiseless"])
+    @pytest.mark.parametrize("phi", PHI_SETS.values(), ids=PHI_SETS)
+    def test_same_bytes_as_the_byte_oracle(self, phi, noisy, dual, wrap_comp,
+                                           discriminators):
+        kernel, bad = sharing_ring(_tick_loop_fast, phi, noisy, dual, wrap_comp,
+                                   discriminators)
+        oracle, oracle_bad = sharing_ring(tick_loop, phi, noisy, dual, wrap_comp,
+                                          discriminators)
+        assert bad == oracle_bad == -1
+        for name, a, b in zip(SERIES, kernel, oracle):
+            assert a.tobytes() == b.tobytes(), name
+
+    def test_signed_zero_phases_reach_the_series(self):
+        # the signed-zero set shows a kernel that compares phases with ==
+        out, _ = sharing_ring(tick_loop, PHI_SETS["signed-zeros"], False, True, True, True)
+        r1, r2, r3, r4 = (math.copysign(1.0, series[1]) for series in out[3:])
+        assert (r1, r2, r3, r4) == (1.0, -1.0, 1.0, -1.0)
+        assert out[3][1] == out[4][1] == out[5][1] == out[6][1] == 0.0
+
+    def test_default_delay_shares_both_pairs_and_fig22s_neither(self):
+        # which traffic takes the shared path: every carrier at the default
+        # tau_s = 0, and no two carriers at fig22's delay
+        def bits(scn):
+            return [np.float64(p).tobytes() for p in scn.prop_phases()]
+
+        assert len(set(bits(Scenario()))) == 1
+        (tau,) = {overrides["channel.tau_s"] for _, overrides in RECIPES["fig22"]}
+        assert tau == 1.875e-8
+        assert len(set(bits(Scenario(tau_s=tau)))) == 4
 
 
 class TestRunReference:

@@ -43,6 +43,26 @@ def test_same_bytes_as_numpy(seed, n):
     same_as_numpy(seed, n)
 
 
+# scales: negative, +-0.0, 1.0, subnormal, overflowing and any finite value
+SCALES = st.sampled_from([-1.5, 0.0, -0.0, 1.0, 5e-324, -2.2e-308, 1e308, -1e308]) | st.floats(
+    allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=SEEDS, n=st.sampled_from([0, 1, 7, 4097]) | st.integers(0, 2**12 + 1),
+       scale=SCALES)
+@example(seed=nodes._stream(1, 2), n=2 * 131381, scale=1e308)
+def test_scale_is_numpys_multiply_after_the_draws(seed, n, scale):
+    # nodes.run_scenario scales each leg's rows as they are drawn, where it
+    # multiplied the drawn rows by sigma / sqrt(2) before
+    ours, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = standard_normal(ours, np.empty(n), scale)
+    with np.errstate(over="ignore"):
+        want = numpys.standard_normal(out=np.empty(n)) * scale
+    assert got.tobytes() == want.tobytes()
+    assert ours.bit_generator.state == numpys.bit_generator.state
+
+
 def test_reaches_the_tail():
     # 2^20 draws take layer 0's tail branch (log1p) about 280 times
     draws = same_as_numpy(20, 2**20)
