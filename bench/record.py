@@ -4,10 +4,11 @@
     python3 bench/record.py --label 6 --runs 5 --checkout ../parent-checkout
     python3 bench/record.py --label 9 --runs 10 --baseline ../parent-checkout
     python3 bench/record.py --label 16_trace --runs 1 --trace 1 --baseline ../parent-checkout
+    python3 bench/record.py --label 33_seed2 --runs 5 --seed 2 --baseline ../parent-checkout
 
 Runs the benchmark that ``BENCHMARK.json`` of a source checkout (by
 default the one this script sits in) declares, at its ``run_seconds``,
-seed 1 and ``--trace 0``, ``--runs`` times for each workload, cycling
+seed 1 (or ``--seed``) and ``--trace 0``, ``--runs`` times for each workload, cycling
 through the workloads so that slow drift of a shared host spreads over all
 of them.  ``--trace 1`` runs perfbench's traced mode instead, whose result
 lines add the per-layer metrics; measure end-to-end metrics untraced.  The
@@ -138,13 +139,14 @@ def main(argv=None) -> int:
     parser.add_argument("--baseline", type=Path,
                         help="checkout to alternate with the measured one; --runs "
                              "then counts pairs")
+    parser.add_argument("--seed", type=int, default=1, help="perfbench --seed (default 1)")
     args = parser.parse_args(argv)
     if args.runs < 1:
         parser.error("--runs must be at least 1")
     checkout = args.checkout.resolve()
     with open(checkout / "BENCHMARK.json", encoding="utf-8") as fh:
         bench = json.load(fh)
-    command = [*bench["command"], "--seed", "1", "--seconds", str(bench["run_seconds"]),
+    command = [*bench["command"], "--seed", str(args.seed), "--seconds", str(bench["run_seconds"]),
                "--trace", str(args.trace)]
     workloads = [w["name"] for w in bench["workloads"]]
     sides = {"change": checkout}

@@ -26,7 +26,11 @@ periodogram of the spectral module (see the test suite).
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,16 +126,91 @@ def fit_two_state(mask: NoiseMask, tick_rate_hz: float) -> TwoStateParams:
     return _fit(mask, float(tick_rate_hz))
 
 
+# the lines of scipy.optimize.nnls (scipy/optimize/_nnls.py, as of scipy
+# 1.17) whose preprocessing, call and error _nnls repeats around the compiled
+# solver; a scipy whose wrapper lacks any of them is solved through the wrapper
+_NNLS_WRAPPER_LINES = (
+    "from ._slsqplib import nnls as _nnls",
+    "A = np.asarray_chkfinite(A, dtype=np.float64, order='C')",
+    "b = np.asarray_chkfinite(b, dtype=np.float64)",
+    "maxiter = 3*n",
+    "x, rnorm, info = _nnls(A, b, maxiter)",
+    "if info == 3:",
+)
+_NNLS_MODULE = "scipy.optimize._slsqplib"
+
+
+def _load_nnls(scipy_dir: str):
+    """Return the compiled ``nnls(A, b, maxiter) -> (x, rnorm, info)`` of the
+    scipy package in ``scipy_dir``, loaded from ``optimize/_slsqplib*.so``
+    without importing ``scipy.optimize``, or None when that wrapper does
+    not call it as ``_NNLS_WRAPPER_LINES`` say or it cannot be loaded.
+
+    The module is loaded under its own name, so a later ``import
+    scipy.optimize`` finds it in ``sys.modules`` and uses it as it is.
+    """
+    optimize = os.path.join(scipy_dir, "optimize")
+    try:
+        with open(os.path.join(optimize, "_nnls.py"), encoding="utf-8") as fh:
+            wrapper = {line.strip() for line in fh}
+    except OSError:
+        return None
+    paths = [os.path.join(optimize, "_slsqplib" + suffix)
+             for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+    path = next((path for path in paths if os.path.isfile(path)), None)
+    if path is None or not wrapper.issuperset(_NNLS_WRAPPER_LINES):
+        return None
+    module = sys.modules.get(_NNLS_MODULE)
+    if module is None:
+        loader = importlib.machinery.ExtensionFileLoader(_NNLS_MODULE, path)
+        try:
+            module = importlib.util.module_from_spec(
+                importlib.util.spec_from_file_location(_NNLS_MODULE, path, loader=loader))
+            loader.exec_module(module)
+        except ImportError:
+            return None
+    return getattr(module, "nnls", None)
+
+
+@functools.cache
+def _nnls_extension():
+    """``_load_nnls`` of the installed scipy, once per process; None without
+    a scipy that it can load."""
+    spec = importlib.util.find_spec("scipy")
+    if spec is None or not spec.submodule_search_locations:
+        return None
+    return _load_nnls(spec.submodule_search_locations[0])
+
+
+def _nnls(A, b):
+    """``scipy.optimize.nnls(A, b)``: its ``(x, rnorm)``, bits and errors.
+
+    Where ``_nnls_extension`` loads the compiled solver, the wrapper's own
+    preprocessing, iteration limit and error are repeated around it here, so
+    ``scipy.optimize`` (about 40 MB and 0.3 s of a cold process) is never
+    imported; elsewhere the public function is imported and called.  A
+    non-finite entry raises ValueError before the solver sees it.
+    """
+    solve = _nnls_extension()
+    if solve is None:
+        from scipy.optimize import nnls
+        return nnls(A, b)
+    A = np.asarray_chkfinite(A, dtype=np.float64, order="C")
+    b = np.asarray_chkfinite(b, dtype=np.float64)
+    x, rnorm, info = solve(A, b, 3 * A.shape[1])
+    if info == 3:
+        raise RuntimeError("Maximum number of iterations reached.")
+    return x, rnorm
+
+
 @functools.lru_cache(maxsize=FIT_MEMO_SIZE)
 def _fit(mask: NoiseMask, fs: float) -> TwoStateParams:
-    # imported here: scipy.optimize is most of the package's import time,
-    # and bode, delay-margin and ideal-clock runs never fit a mask
-    from scipy.optimize import nnls
-
+    # _nnls loads scipy's compiled solver on the first fit; bode,
+    # delay-margin and ideal-clock runs never fit a mask, so never load it
     f = np.array([p[0] for p in mask.points], dtype=float)
     power = 10.0 ** (np.array([p[1] for p in mask.points], dtype=float) / 10.0)
     basis = np.column_stack([np.ones_like(f), f**-2.0, f**-4.0])
-    a, _ = nnls(basis / power[:, None], np.ones_like(power))
+    a, _ = _nnls(basis / power[:, None], np.ones_like(power))
     model = basis @ a
     contrib = basis * a
     for j in range(3):

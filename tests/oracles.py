@@ -21,7 +21,10 @@ scalar bisection ``linear_analysis.delay_margin`` ran before it bisected
 every crossing of every point in lockstep on arrays, its byte oracle.
 ``canonical_text`` is the config serialization that sorted and scanned
 the keys on every call, the byte oracle of the one whose key order is
-fixed at import.  ``psd_level_at`` reads a mask anchor off a PSD estimate.
+fixed at import.  ``nnls`` is scipy's public non-negative least-squares
+solver, the oracle of ``oscillator._nnls``, which calls its compiled
+solver without importing ``scipy.optimize``.  ``psd_level_at`` reads a
+mask anchor off a PSD estimate.
 
 Pilot machinery: orthogonal +-1 code sequences and matched correlation
 whose coherent gain links the raw per-symbol SNR to the decimated-tick
@@ -137,6 +140,14 @@ def clock_step(clock: TwoStateClock, gaussians) -> tuple[TwoStateClock, float]:
         raise ValueError("clock phase diverged")
     sample = phase + p.sigma0 * g0
     return replace(clock, phase=phase, freq_state=freq_state), sample
+
+
+# the public solver, the byte oracle of oscillator._nnls
+def nnls(A, b):
+    """``scipy.optimize.nnls(A, b)``: its ``(x, rnorm)``."""
+    from scipy.optimize import nnls as public_nnls
+
+    return public_nnls(A, b)
 
 
 # the synthesis formula, the byte oracle of oscillator.synthesize_phase

@@ -253,6 +253,27 @@ def test_import_loads_only_what_every_command_runs():
     assert proc.stdout.strip() == "[]"
 
 
+# the scipy modules that mask fits loaded with scipy.optimize before they
+# called its compiled solver by file
+SCIPY_SOLVER_MODULES = ("scipy.optimize", "scipy.linalg", "scipy.sparse")
+
+
+def test_clocked_commands_load_no_scipy_solver_module(tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    cfg = write_config(tmp_path, "[run]\nduration_s = 2\n"
+                                 "[output]\npsd_block_len = 2048\npsd_n_blocks = 4\n")
+    out = str(tmp_path / "out")
+    probe = ("import sys\nfrom dualsync.cli import main\n"
+             "for command in ('simulate', 'fit-noise', 'spectrum'):\n"
+             f"    assert main([command, '--config', {cfg!r}, '--out', {out!r} + command,\n"
+             "                 '--quiet']) == 0\n"
+             f"print([m for m in {SCIPY_SOLVER_MODULES!r} if m in sys.modules],\n"
+             f"      {oscillator._NNLS_MODULE!r} in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), check=True, timeout=120)
+    assert proc.stdout == "[] True\n"
+
+
 class TestParser:
     # main builds the argparse parser on the first call of a process and
     # parses every later argv with that one
@@ -383,14 +404,12 @@ class TestSweep:
 
     def test_sweep_fits_each_mask_once(self, tmp_path, monkeypatch):
         # masks no other test fits, so the per-process memo starts without them
-        import scipy.optimize
-
-        nnls, calls = scipy.optimize.nnls, []
+        nnls, calls = oscillator._nnls, []
 
         def counted(*args):
             calls.append(args)
             return nnls(*args)
-        monkeypatch.setattr(scipy.optimize, "nnls", counted)
+        monkeypatch.setattr(oscillator, "_nnls", counted)
         cfg = write_config(
             tmp_path,
             "[master]\nmask = [(1, -86.5), (10, -126.5), (10000, -161.5)]\n"

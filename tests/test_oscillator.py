@@ -1,5 +1,10 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +23,7 @@ from dualsync.oscillator import (
     synthesize_phase,
 )
 from dualsync.spectral import cheb_window, psd_estimate
+import oracles
 from oracles import TwoStateClock, clock_step, one_shot_synthesis, psd_level_at
 
 
@@ -115,14 +121,12 @@ class TestFit:
 
     def test_mask_fit_error_is_raised_again(self, monkeypatch):
         # a failed fit is not memoised: the second call fits and fails again
-        import scipy.optimize
-
-        nnls, calls = scipy.optimize.nnls, []
+        nnls, calls = oscillator._nnls, []
 
         def counted(*args):
             calls.append(args)
             return nnls(*args)
-        monkeypatch.setattr(scipy.optimize, "nnls", counted)
+        monkeypatch.setattr(oscillator, "_nnls", counted)
         mask = mask_of([(1, -161), (10, -84)])
         for tries in (1, 2):
             with pytest.raises(MaskFitError, match="worst point"):
@@ -167,6 +171,133 @@ class TestFit:
         floor_full = 10 * math.log10(params.sigma0**2 / params.tick_rate_hz)
         floor_dec = 10 * math.log10(dec.sigma0**2 / dec.tick_rate_hz)
         assert floor_dec - floor_full == pytest.approx(10 * math.log10(956), abs=1e-9)
+
+
+# masks of 1-12 points between 0.1 Hz and 1 MHz, at -180 to -40 dBc/Hz
+MASKS = st.lists(st.tuples(st.floats(0.1, 1e6), st.floats(-180.0, -40.0)),
+                 min_size=1, max_size=12, unique_by=lambda p: p[0]).map(
+                     lambda points: mask_of(sorted(points)))
+
+
+def weighted_system(mask):
+    """The (A, b) that the fit of ``mask`` solves."""
+    f = np.array([p[0] for p in mask.points])
+    power = 10.0 ** (np.array([p[1] for p in mask.points]) / 10.0)
+    basis = np.column_stack([np.ones_like(f), f**-2.0, f**-4.0])
+    return basis / power[:, None], np.ones_like(power)
+
+
+def fit_outcome(mask):
+    """fit_two_state(mask, 8 MHz) from an empty memo, or what its
+    MaskFitError says."""
+    oscillator._fit.cache_clear()
+    try:
+        return fit_two_state(mask, 8e6)
+    except MaskFitError as exc:
+        return str(exc), exc.worst_offset_hz, exc.worst_error_db
+
+
+class TestNnls:
+    # the fit calls scipy's compiled solver, loaded by file, inside the
+    # public wrapper's preprocessing; the public scipy.optimize.nnls is the
+    # oracle of both
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(mask=MASKS)
+    def test_direct_solver_gives_the_public_bits(self, mask):
+        assert oscillator._nnls_extension() is not None
+        A, b = weighted_system(mask)
+        x, rnorm = oscillator._nnls(A, b)
+        want_x, want_rnorm = oracles.nnls(A, b)
+        assert x.dtype == want_x.dtype and x.tobytes() == want_x.tobytes()
+        assert np.float64(rnorm).tobytes() == np.float64(want_rnorm).tobytes()
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(mask=MASKS)
+    def test_fit_equals_the_fit_through_the_public_solver(self, mask):
+        direct = fit_outcome(mask)
+        with mock.patch.object(oscillator, "_nnls", oracles.nnls):
+            assert fit_outcome(mask) == direct
+
+    def test_a_later_scipy_optimize_import_uses_the_loaded_solver(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(oscillator.__file__)))
+        probe = (
+            "import sys\nimport numpy as np\nfrom dualsync import oscillator\n"
+            "A = np.array([[1.0, 2.0, 0.5], [0.3, 1.0, 4.0], [2.0, 0.1, 1.0], [1.0, 1.0, 1.0]])\n"
+            "x, rnorm = oscillator._nnls(A, np.ones(4))\n"
+            "print('scipy.optimize' in sys.modules, oscillator._NNLS_MODULE in sys.modules)\n"
+            "import scipy.optimize\n"
+            "want_x, want_rnorm = scipy.optimize.nnls(A, np.ones(4))\n"
+            "print(scipy.optimize._nnls._nnls is oscillator._nnls_extension(),\n"
+            "      x.tobytes() == want_x.tobytes() and rnorm == want_rnorm)\n")
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src), check=True, timeout=120)
+        assert proc.stdout == "False True\nTrue True\n"
+
+    @pytest.mark.parametrize("broken", ["missing extension", "other wrapper form"])
+    def test_falls_back_to_the_public_solver(self, broken, tmp_path, monkeypatch):
+        import scipy.optimize
+
+        installed = Path(scipy.optimize.__file__).parent
+        extension = Path(sys.modules[oscillator._NNLS_MODULE].__file__)
+        optimize = tmp_path / "optimize"
+        optimize.mkdir()
+        wrapper = (installed / "_nnls.py").read_text()
+        (optimize / "_nnls.py").write_text(wrapper)
+        (optimize / extension.name).symlink_to(extension)
+        # a copy of the installed scipy loads, so what fails below is the break
+        assert oscillator._load_nnls(str(tmp_path)) is oscillator._nnls_extension()
+        if broken == "missing extension":
+            (optimize / extension.name).unlink()
+        else:
+            (optimize / "_nnls.py").write_text(
+                wrapper.replace("_nnls(A, b, maxiter)", "_nnls(A, b, maxiter, atol)"))
+        assert oscillator._load_nnls(str(tmp_path)) is None
+
+        masks = (DEFAULT_MASTER_MASK, DEFAULT_FOLLOWER_MASK, mask_of([(1, -161), (10, -84)]))
+        direct = [fit_outcome(mask) for mask in masks]
+        public, calls = scipy.optimize.nnls, []
+
+        def counted(*args):
+            calls.append(args)
+            return public(*args)
+        monkeypatch.setattr(scipy.optimize, "nnls", counted)
+        monkeypatch.setattr(oscillator, "_nnls_extension",
+                            lambda: oscillator._load_nnls(str(tmp_path)))
+        assert [fit_outcome(mask) for mask in masks] == direct
+        assert len(calls) == 3
+        oscillator._fit.cache_clear()
+
+    @pytest.mark.parametrize("solver", ["direct", "public"])
+    def test_a_level_whose_power_underflows_is_refused(self, solver, monkeypatch):
+        # 10**(-4000/10) underflows to 0, so the point's weighted row is
+        # infinite; the wrapper's finiteness check refuses it before the
+        # compiled solver is called
+        compiled, calls = oscillator._nnls_extension(), []
+
+        def solve(*args):
+            calls.append(args)
+            return compiled(*args)
+        monkeypatch.setattr(oscillator, "_nnls_extension",
+                            lambda: solve if solver == "direct" else None)
+        with np.errstate(divide="ignore"), pytest.raises(ValueError) as info:
+            fit_two_state(mask_of([(1.0, -4000.0), (10.0, -100.0)]), 8e6)
+        assert type(info.value) is ValueError
+        assert str(info.value) == "array must not contain infs or NaNs"
+        assert calls == []
+
+    def test_repeats_the_wrappers_conversion_limit_and_error(self, monkeypatch):
+        seen = []
+
+        def solve(A, b, maxiter):
+            seen.append((A.dtype, A.flags.c_contiguous, b.dtype, maxiter))
+            return np.zeros(A.shape[1]), 0.0, 3
+        monkeypatch.setattr(oscillator, "_nnls_extension", lambda: solve)
+        # an int, Fortran-ordered A and a list b
+        A = np.ones((3, 4), dtype=np.int64).T
+        with pytest.raises(RuntimeError, match=r"^Maximum number of iterations reached\.$"):
+            oscillator._nnls(A, [1, 1, 1, 1])
+        assert seen == [(np.float64, True, np.float64, 9)]
 
 
 class TestClockStep:
