@@ -10,7 +10,12 @@
    by Schubfach (Giulietti 2020, "The Schubfach way to render doubles"):
    the shortest, then closest, decimal that reads back to it, as repr
    lays it out.  Its powers g(k) are filled in g_table by _native.library,
-   which binds csv_text as a PYFUNCTYPE: it runs holding the GIL. */
+   which binds csv_text as a PYFUNCTYPE, so it is called holding the GIL.
+   Holding it, csv_text opens the columns, checks and encodes the batch's
+   str cells, keeping a reference to each, and reserves the most bytes the
+   rows can take; then it releases the GIL while its one loop formats the
+   rows, so threads writing other files format at once, and takes it back
+   to build the str. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -115,7 +120,8 @@ static char *digits_before(char *p, uint64_t u)
 }
 
 /* room for any number these functions write, with the bytes they copy
-   past its end: "-", 16 digits and 16 zeros at most */
+   past its end: "-", 16 digits and 16 zeros at most; csv_text leaves it
+   after a batch's widest text */
 #define CELL_MAX 40
 
 /* str(x) for a float x, written at p; returns its end */
@@ -188,28 +194,10 @@ static char *put_int(char *p, long long v)
     return p + (end - d);
 }
 
-typedef struct {
-    char *p;
-    Py_ssize_t len, cap;
-} text;
-
-/* room for n more bytes */
-static int reserve(text *t, Py_ssize_t n)
-{
-    if (t->len + n <= t->cap)
-        return 0;
-    Py_ssize_t cap = t->cap ? t->cap : 1 << 16;
-    while (cap < t->len + n)
-        cap *= 2;
-    char *p = PyMem_Realloc(t->p, cap);
-    if (p == NULL) {
-        PyErr_NoMemory();
-        return -1;
-    }
-    t->p = p;
-    t->cap = cap;
-    return 0;
-}
+/* the longest str() of a float64 ("-2.2250738585072014e-308") and of an
+   int64 ("-9223372036854775808") */
+#define FLOAT_STR_MAX 24
+#define INT_STR_MAX 20
 
 static PyObject *column_name(PyObject *header, Py_ssize_t col)
 {
@@ -217,36 +205,36 @@ static PyObject *column_name(PyObject *header, Py_ssize_t col)
                ? PyTuple_GET_ITEM(header, col) : Py_None;
 }
 
-/* the UTF-8 of a str cell; any other cell raises TypeError naming it */
-static int put_cell(text *t, PyObject *cell, Py_ssize_t row, Py_ssize_t col,
-                    PyObject *header)
-{
-    if (!PyUnicode_CheckExact(cell)) {
-        PyErr_Format(PyExc_TypeError, "row %zd, column %zd (%R) holds a %s, not a str; "
-                     "write numbers as a float64 or int64 array", row, col,
-                     column_name(header, col), Py_TYPE(cell)->tp_name);
-        return -1;
-    }
-    Py_ssize_t n;
-    const char *u = PyUnicode_AsUTF8AndSize(cell, &n);
-    if (u == NULL || reserve(t, n))
-        return -1;
-    memcpy(t->p + t->len, u, n);
-    t->len += n;
-    return 0;
-}
-
 enum { FLOATS, INTS, STRS };
+
+/* a str cell's UTF-8, owned by the str */
+typedef struct {
+    const char *p;
+    Py_ssize_t n;
+} utf8;
 
 typedef struct {
     int kind;
     Py_buffer view; /* FLOATS, INTS */
-    PyObject *seq;  /* STRS */
+    PyObject *held; /* STRS: a tuple of the batch's cells, which keeps their UTF-8 alive */
+    utf8 *cells;    /* STRS: that UTF-8, one per row of the batch */
 } column;
 
-/* col as one of the three kinds, holding at least `rows` rows */
-static int open_column(column *c, PyObject *col, Py_ssize_t rows, Py_ssize_t j,
-                       PyObject *header)
+static void close_column(column *c)
+{
+    if (c->kind == STRS) {
+        Py_XDECREF(c->held);
+        PyMem_Free(c->cells);
+    }
+    else
+        PyBuffer_Release(&c->view);
+}
+
+/* col as one of the three kinds, holding at least rows first .. first + n - 1;
+   a str column's cells in those rows are copied into a tuple of its own,
+   which no other thread can change, with room for their UTF-8 */
+static int open_column(column *c, PyObject *col, Py_ssize_t first, Py_ssize_t n,
+                       Py_ssize_t j, PyObject *header)
 {
     Py_ssize_t len;
     if (PyObject_CheckBuffer(col)) {
@@ -266,19 +254,35 @@ static int open_column(column *c, PyObject *col, Py_ssize_t rows, Py_ssize_t j,
     }
     else {
         c->kind = STRS;
-        c->seq = PySequence_Fast(col, "a CSV column must be an array or a sequence of str");
-        if (c->seq == NULL)
+        PyObject *seq = PySequence_Fast(col, "a CSV column must be an array or a sequence "
+                                             "of str");
+        if (seq == NULL)
             return -1;
-        len = PySequence_Fast_GET_SIZE(c->seq);
+        c->held = PyTuple_New(n);
+        c->cells = PyMem_Malloc(n ? n * sizeof *c->cells : 1);
+        /* read after the allocations, which may run a collection that
+           changes the column; the copy runs no Python code */
+        len = PySequence_Fast_GET_SIZE(seq);
+        if (c->held != NULL && c->cells != NULL && len >= first + n) {
+            for (Py_ssize_t i = 0; i < n; i++) {
+                PyObject *cell = PySequence_Fast_GET_ITEM(seq, first + i);
+                Py_INCREF(cell);
+                PyTuple_SET_ITEM(c->held, i, cell);
+            }
+        }
+        Py_DECREF(seq);
+        if (c->held == NULL || c->cells == NULL) {
+            if (c->held != NULL)
+                PyErr_NoMemory();
+            close_column(c);
+            return -1;
+        }
     }
-    if (len >= rows)
+    if (len >= first + n)
         return 0;
     PyErr_Format(PyExc_ValueError, "column %zd (%R) has %zd rows, fewer than %zd", j,
-                 column_name(header, j), len, rows);
-    if (c->kind == STRS)
-        Py_DECREF(c->seq);
-    else
-        PyBuffer_Release(&c->view);
+                 column_name(header, j), len, first + n);
+    close_column(c);
     return -1;
 }
 
@@ -289,44 +293,73 @@ PyObject *csv_text(PyObject *columns, Py_ssize_t first, Py_ssize_t n, PyObject *
         return NULL;
     Py_ssize_t m = PySequence_Fast_GET_SIZE(fast), opened = 0;
     column *cols = PyMem_Calloc(m ? m : 1, sizeof *cols);
-    text t = {NULL, 0, 0};
+    char *text = NULL;
     PyObject *result = NULL;
     if (cols == NULL) {
         PyErr_NoMemory();
         goto done;
     }
-    for (; opened < m; opened++)
-        if (open_column(&cols[opened], PySequence_Fast_GET_ITEM(fast, opened), first + n,
-                        opened, header))
+    /* a comma or the newline after each cell, one newline for a row of none */
+    Py_ssize_t row_bytes = m ? m : 1;
+    for (; opened < m; opened++) {
+        column *c = &cols[opened];
+        if (open_column(c, PySequence_Fast_GET_ITEM(fast, opened), first, n, opened, header))
             goto done;
-    for (Py_ssize_t i = first; i < first + n; i++) {
+        row_bytes += c->kind == FLOATS ? FLOAT_STR_MAX : c->kind == INTS ? INT_STR_MAX : 0;
+    }
+    /* the str cells in row order, so the first refused cell is the first
+       one a row-by-row writer meets */
+    Py_ssize_t bytes = n * row_bytes + CELL_MAX;
+    for (Py_ssize_t i = 0; i < n; i++) {
         for (Py_ssize_t j = 0; j < m; j++) {
-            if (reserve(&t, CELL_MAX + 2))
-                goto done;
-            if (j)
-                t.p[t.len++] = ',';
             column *c = &cols[j];
-            if (c->kind == FLOATS)
-                t.len = put_float(t.p + t.len, ((const double *)c->view.buf)[i]) - t.p;
-            else if (c->kind == INTS)
-                t.len = put_int(t.p + t.len, ((const int64_t *)c->view.buf)[i]) - t.p;
-            else if (put_cell(&t, PySequence_Fast_GET_ITEM(c->seq, i), i, j, header))
+            if (c->kind != STRS)
+                continue;
+            PyObject *cell = PyTuple_GET_ITEM(c->held, i);
+            if (!PyUnicode_CheckExact(cell)) {
+                PyErr_Format(PyExc_TypeError, "row %zd, column %zd (%R) holds a %s, not a str; "
+                             "write numbers as a float64 or int64 array", first + i, j,
+                             column_name(header, j), Py_TYPE(cell)->tp_name);
                 goto done;
+            }
+            c->cells[i].p = PyUnicode_AsUTF8AndSize(cell, &c->cells[i].n);
+            if (c->cells[i].p == NULL)
+                goto done;
+            bytes += c->cells[i].n;
         }
-        if (reserve(&t, 1))
-            goto done;
-        t.p[t.len++] = '\n';
     }
-    result = PyUnicode_DecodeUTF8(t.p, t.len, "strict");
+    text = PyMem_Malloc(bytes);
+    if (text == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    /* the one formatting loop, which touches no Python object: the arrays'
+       buffers and the str cells' tuples are held until it ends */
+    char *p = text;
+    Py_BEGIN_ALLOW_THREADS
+    for (Py_ssize_t i = 0; i < n; i++) {
+        for (Py_ssize_t j = 0; j < m; j++) {
+            column *c = &cols[j];
+            if (j)
+                *p++ = ',';
+            if (c->kind == FLOATS)
+                p = put_float(p, ((const double *)c->view.buf)[first + i]);
+            else if (c->kind == INTS)
+                p = put_int(p, ((const int64_t *)c->view.buf)[first + i]);
+            else {
+                memcpy(p, c->cells[i].p, c->cells[i].n);
+                p += c->cells[i].n;
+            }
+        }
+        *p++ = '\n';
+    }
+    Py_END_ALLOW_THREADS
+    result = PyUnicode_DecodeUTF8(text, p - text, "strict");
 done:
-    for (Py_ssize_t j = 0; j < opened; j++) {
-        if (cols[j].kind == STRS)
-            Py_DECREF(cols[j].seq);
-        else
-            PyBuffer_Release(&cols[j].view);
-    }
+    for (Py_ssize_t j = 0; j < opened; j++)
+        close_column(&cols[j]);
     PyMem_Free(cols);
-    PyMem_Free(t.p);
+    PyMem_Free(text);
     Py_DECREF(fast);
     return result;
 }

@@ -18,6 +18,7 @@ import ctypes
 import functools
 import os
 import stat
+import threading
 from pathlib import Path
 
 SOURCES = tuple(Path(__file__).with_name(name)
@@ -129,15 +130,32 @@ def g_table() -> list[int]:
     return out
 
 
-@functools.cache
+def cache_once(fn):
+    """``functools.cache`` of the argument-less ``fn``, whose calls take a
+    lock, so threads that call it at once before it is cached run ``fn``
+    once and share its result; ``cache_clear`` and ``cache_info`` are the
+    cache's."""
+    cached, lock = functools.cache(fn), threading.Lock()
+
+    @functools.wraps(fn)
+    def call():
+        with lock:
+            return cached()
+    call.cache_clear, call.cache_info = cached.cache_clear, cached.cache_info
+    return call
+
+
+@cache_once
 def library() -> ctypes.CDLL:
     """The library, loaded on the first call of the process, with its
     functions ``tick_loop``, ``normal_fill``, ``synth_phase``,
     ``cheb_main_lobe`` and ``csv_text`` declared and its ``g_table``
-    filled from ``g_table()``.
+    filled from ``g_table()``; threads calling it at once build and load
+    it once.
 
     ``csv_text`` calls the C API, so it is bound as a ``PYFUNCTYPE`` and
-    runs holding the interpreter lock; the other four release it."""
+    is called holding the interpreter lock, which it releases while it
+    formats rows; the other four release it for their whole call."""
     lib = ctypes.CDLL(str(build(SOURCES, SOURCES[0].parent / "__pycache__", flags())))
     i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
     lib.tick_loop.argtypes = [i64, *[f64] * 6, ptr, ptr, *[f64] * 5, ptr, f64, i64,

@@ -13,6 +13,7 @@ import functools
 import json
 import os
 import sys
+import threading
 
 import numpy as np
 
@@ -243,8 +244,50 @@ def _sweep_point(cfg: ScenarioConfig, directory: str) -> DivergenceError | None:
         return exc
 
 
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+def _sweep_points(points: list, dirs: list[str], workers: int) -> list:
+    """_sweep_point of every grid point, in grid order, on `workers` threads.
+
+    The calling thread runs point 0 alone, which loads the C library and
+    scipy's solver and fills the fit and window memos; then it and
+    workers - 1 pool threads take the other points in grid order.  The
+    rings' C layers and the CSV formatting release the interpreter lock,
+    so the threads run rings at once.  The calling thread takes points
+    too: each pool thread's first ring grows a malloc arena of its own,
+    which an idle caller would add to the peak memory."""
+    diverged = [_sweep_point(points[0], dirs[0])] + [None] * (len(points) - 1)
+    rest, lock = iter(range(1, len(points))), threading.Lock()
+
+    def take():
+        while True:
+            with lock:
+                i = next(rest, None)
+            if i is None:
+                return
+            diverged[i] = _sweep_point(points[i], dirs[i])
+
+    if workers == 1:
+        take()
+        return diverged
+    # imported here, where a sweep first runs on more than one thread
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=workers - 1) as pool:
+        futures = [pool.submit(take) for _ in range(workers - 1)]
+        take()
+    for future in futures:
+        future.result()
+    return diverged
+
+
 def cmd_sweep(args) -> int:
-    if args.workers < 1:
+    if args.workers is not None and args.workers < 1:
         raise ValueError(f"--workers must be >= 1, got {args.workers}")
     cfg = _load_config(args)
     out = _outdir(args, cfg)
@@ -271,16 +314,8 @@ def cmd_sweep(args) -> int:
         raise ConfigError(errors)
     dirs = [os.path.join(out, f"sweep_{i:03d}") for i in range(len(points))]
     # every point runs, whatever the worker count; the first divergence is raised after
-    workers = min(args.workers, len(points))
-    if workers > 1:
-        # imported here: it loads multiprocessing, which no other command needs
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            diverged = list(pool.map(_sweep_point, points, dirs))
-    else:
-        diverged = list(map(_sweep_point, points, dirs))
-    for exc in filter(None, diverged):
+    workers = _usable_cores() if args.workers is None else args.workers
+    for exc in filter(None, _sweep_points(points, dirs, min(workers, len(points)))):
         raise exc
     # a bool grid value is written 1/0, which its config parser reads back;
     # a seed may pass int64 ("1e19" parses), so seeds are written as text too
@@ -395,7 +430,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="run a config grid defined by the [sweep] section",
                        parents=[common])
-    p.add_argument("--workers", type=int, default=1, help="parallel scenario workers")
+    p.add_argument("--workers", type=int,
+                   help="threads running grid points at once (default: the usable cores)")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("reproduce", help="run a built-in demonstration recipe (fig13..fig22)",

@@ -69,6 +69,12 @@ class NoiseMask:
             raise ValueError("points' offsets must be positive, finite and strictly increasing")
         if not all(math.isfinite(p[1]) for p in pts):
             raise ValueError("points' levels must be finite")
+        # the fit's linear powers, computed as _fit computes them
+        power = 10.0 ** (np.array([p[1] for p in pts], dtype=float) / 10.0)
+        if not power.all():
+            f, level = pts[int(np.argmin(power))]
+            raise ValueError(f"points' level {level:g} dBc/Hz at {f:g} Hz underflows to a "
+                             f"linear power of 0")
         if not (math.isfinite(self.reference_freq_hz) and self.reference_freq_hz > 0):
             raise ValueError("reference_freq_hz must be positive and finite")
         object.__setattr__(self, "points", pts)
@@ -172,10 +178,10 @@ def _load_nnls(scipy_dir: str):
     return getattr(module, "nnls", None)
 
 
-@functools.cache
+@_native.cache_once
 def _nnls_extension():
-    """``_load_nnls`` of the installed scipy, once per process; None without
-    a scipy that it can load."""
+    """``_load_nnls`` of the installed scipy, once per process, threads
+    calling at once included; None without a scipy that it can load."""
     spec = importlib.util.find_spec("scipy")
     if spec is None or not spec.submodule_search_locations:
         return None

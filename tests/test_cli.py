@@ -238,9 +238,10 @@ def test_analysis_bytes_are_pinned(tmp_path, argv, digests):
             for name in digests} == digests
 
 
-# modules that only some commands need, each imported where it runs: the
-# process pool by sweep --workers > 1, scipy.optimize by mask fits and
-# numpy's polynomial module by bode and delay-margin
+# modules that only some commands need, each imported where it runs:
+# scipy's solver by mask fits and numpy's polynomial module by bode and
+# delay-margin; and modules that no command needs, since sweep runs its
+# points on threads: the process pool and multiprocessing
 DEFERRED_MODULES = ("multiprocessing", "concurrent.futures.process", "numpy.polynomial", "scipy")
 
 
@@ -386,6 +387,46 @@ def test_command_writes_its_row_and_names_every_file(command, tmp_path, capsys):
     line = capsys.readouterr().out
     assert line.startswith("wrote ") and line.endswith("\n")
     assert sorted(line[len("wrote "):-1].split(", ")) == sorted(str(out / n) for n in names)
+
+
+# --workers of the sweep tests: one thread, more threads than this host's
+# cores, and the default (None), the usable cores
+WORKER_COUNTS = (1, 3, None)
+
+
+def worker_args(workers):
+    return () if workers is None else ("--workers", str(workers))
+
+
+def seed_grid(tmp_path, n_points):
+    values = ", ".join(str(seed) for seed in range(1, n_points + 1))
+    return write_config(tmp_path, "[run]\nduration_s = 0.01\n"
+                        f"[sweep]\nkey = run.seed\nvalues = {values}\n")
+
+
+def stand_in_pool(monkeypatch):
+    """Replace the thread pool with one that records its size and runs each
+    task when it is submitted; returns the list of sizes."""
+    sizes = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+    # cmd_sweep imports the pool class from concurrent.futures when it runs
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
+    return sizes
 
 
 class TestSweep:
@@ -561,59 +602,71 @@ class TestSweep:
         assert point == sim
 
     def test_parallel_sweep_matches_sequential(self, tmp_path):
-        text = ("[run]\nduration_s = 0.1\n[sweep]\nkey = follower.omega_s_hz\n"
-                "values = 50, 120\n")
-        cfg = write_config(tmp_path, text)
-        seq_out = str(tmp_path / "seq")
-        par_out = str(tmp_path / "par")
-        assert run_cli("sweep", "--config", cfg, "--out", seq_out, "--quiet") == 0
-        assert run_cli("sweep", "--config", cfg, "--out", par_out, "--quiet",
-                       "--workers", "2") == 0
-        for i in range(2):
-            a = open(os.path.join(seq_out, f"sweep_{i:03d}", "timeseries.csv"), "rb").read()
-            b = open(os.path.join(par_out, f"sweep_{i:03d}", "timeseries.csv"), "rb").read()
-            assert a == b
+        cfg = write_config(tmp_path, "[run]\nduration_s = 0.1\n[sweep]\n"
+                           "key = follower.omega_s_hz\nvalues = 50, 120, 80\n")
+        files = {}
+        for workers in WORKER_COUNTS:
+            out = tmp_path / str(workers)
+            assert run_cli("sweep", "--config", cfg, "--out", str(out), "--quiet",
+                           *worker_args(workers)) == 0
+            files[workers] = [(out / f"sweep_{i:03d}" / "timeseries.csv").read_bytes()
+                              for i in range(3)]
+        assert files[3] == files[1] and files[None] == files[1]
 
     def test_parallel_sweep_from_an_empty_kernel_cache(self, tmp_path):
-        # a copy of the package has no compiled library yet, so both workers
-        # build it at once; each installs a whole library by rename, and the
-        # parent, writing manifest.csv, loads the workers' library
+        # a copy of the package has no compiled library yet: a default sweep
+        # in a fresh process builds it once, on the calling thread's first
+        # point, and every later process loads that library
         package = tmp_path / "src" / "dualsync"
         shutil.copytree(os.path.dirname(cli.__file__), package,
                         ignore=shutil.ignore_patterns("__pycache__"))
         cfg = write_config(tmp_path, "[run]\nduration_s = 0.1\n[sweep]\n"
-                           "key = follower.omega_s_hz\nvalues = 50, 120\n")
+                           "key = follower.omega_s_hz\nvalues = 50, 120, 80\n")
         env = dict(os.environ, PYTHONPATH=str(package.parent))
-        for workers in ("2", "1"):
+        for workers in (None, 1):
             subprocess.run([sys.executable, "-m", "dualsync.cli", "sweep", "--config", cfg,
-                            "--out", str(tmp_path / workers), "--quiet", "--workers", workers],
-                           env=env, check=True)
+                            "--out", str(tmp_path / str(workers)), "--quiet",
+                            *worker_args(workers)], env=env, check=True)
         libraries = [p.name for p in (package / "__pycache__").iterdir()
                      if not p.name.endswith(".pyc")]
         assert [name.split("-")[0] for name in libraries] == ["_native"], libraries
         assert all(name.endswith(".so") for name in libraries), libraries
-        for i in range(2):
+        for i in range(3):
             point = f"sweep_{i:03d}"
-            assert sorted(os.listdir(tmp_path / "2" / point)) == ["timeseries.csv"]
-            assert ((tmp_path / "2" / point / "timeseries.csv").read_bytes()
+            assert sorted(os.listdir(tmp_path / "None" / point)) == ["timeseries.csv"]
+            assert ((tmp_path / "None" / point / "timeseries.csv").read_bytes()
                     == (tmp_path / "1" / point / "timeseries.csv").read_bytes())
+
+    def test_a_threaded_sweep_loads_no_process_pool(self, tmp_path):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        cfg = write_config(tmp_path, "[run]\nduration_s = 0.05\n[sweep]\n"
+                           "key = run.seed\nvalues = 1, 2, 3\n")
+        probe = ("import sys\nfrom dualsync.cli import main\n"
+                 f"assert main(['sweep', '--config', {cfg!r}, '--out', "
+                 f"{str(tmp_path / 'out')!r}, '--quiet', '--workers', '3']) == 0\n"
+                 f"assert main(['sweep', '--config', {cfg!r}, '--out', "
+                 f"{str(tmp_path / 'out')!r}, '--quiet']) == 0\n"
+                 "print('concurrent.futures.thread' in sys.modules,\n"
+                 "      [m for m in ('multiprocessing', 'concurrent.futures.process')\n"
+                 "       if m in sys.modules])")
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src), check=True, timeout=120)
+        assert proc.stdout == "True []\n"
 
     @pytest.mark.filterwarnings("ignore:.*:UserWarning")
     def test_parallel_sweep_reports_divergence_as_sequential(self, tmp_path, capsys):
-        # the error crosses the process boundary by pickle, which must rebuild
-        # it from its tick rather than from its message
         cfg = write_config(
             tmp_path,
             "[run]\nduration_s = 1\nideal_clocks = on\n[master]\nomega_m_hz = 4000\n"
             "[follower]\nomega_s_hz = 4000\ninitial_phase_deg = 60\n"
-            "[sweep]\nkey = run.seed\nvalues = 1, 2\n",
+            "[sweep]\nkey = run.seed\nvalues = 1, 2, 3\n",
         )
         errors = []
-        for workers in ("1", "2"):
-            assert run_cli("sweep", "--config", cfg, "--out", str(tmp_path / workers),
-                           "--quiet", "--workers", workers) == 3
+        for workers in WORKER_COUNTS:
+            assert run_cli("sweep", "--config", cfg, "--out", str(tmp_path / str(workers)),
+                           "--quiet", *worker_args(workers)) == 3
             errors.append(capsys.readouterr().err)
-        assert errors[1] == errors[0]
+        assert errors[1] == errors[0] and errors[2] == errors[0]
         assert json.loads(errors[0]) == {
             "error": "divergence", "tick": 5069,
             "detail": "scenario diverged at tick 5069 (phase beyond 1e+06 rad or NaN)"}
@@ -628,46 +681,38 @@ class TestSweep:
             "[sweep]\nkey = master.omega_m_hz\nvalues = 4000, 100, 100\n",
         )
         trees, errors = [], []
-        for workers in ("1", "2"):
-            out = tmp_path / workers
+        for workers in WORKER_COUNTS:
+            out = tmp_path / str(workers)
             assert run_cli("sweep", "--config", cfg, "--out", str(out), "--quiet",
-                           "--workers", workers) == 3
+                           *worker_args(workers)) == 3
             errors.append(json.loads(capsys.readouterr().err))
             trees.append({str(p.relative_to(out)): p.read_bytes() if p.is_file() else None
                           for p in out.rglob("*")})
-        assert errors[0] == errors[1]
+        assert errors[0] == errors[1] == errors[2]
         assert errors[0]["tick"] == 2571
-        assert trees[0] == trees[1]
+        assert trees[0] == trees[1] == trees[2]
         assert sorted(trees[0]) == ["sweep_000", "sweep_001", "sweep_001/timeseries.csv",
                                     "sweep_002", "sweep_002/timeseries.csv"]
 
     def test_pool_has_at_most_one_worker_per_point(self, tmp_path, monkeypatch):
-        # a stand-in records each pool's size and runs the points in-process
-        sizes = []
-
-        class Pool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        # cmd_sweep imports the pool class from concurrent.futures when it runs
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
-        for n_points, workers, size in [(3, 8, 3), (3, 2, 2), (1, 4, None), (3, 1, None)]:
-            values = ", ".join(str(seed) for seed in range(1, n_points + 1))
-            cfg = write_config(tmp_path, "[run]\nduration_s = 0.01\n"
-                               f"[sweep]\nkey = run.seed\nvalues = {values}\n")
+        # the calling thread runs points too, so the pool has one thread fewer
+        sizes = stand_in_pool(monkeypatch)
+        for n_points, workers, size in [(3, 8, 2), (3, 2, 1), (1, 4, None), (3, 1, None)]:
             sizes.clear()
-            assert run_cli("sweep", "--config", cfg, "--out", str(tmp_path / "o"),
-                           "--quiet", "--workers", str(workers)) == 0
+            assert run_cli("sweep", "--config", seed_grid(tmp_path, n_points), "--out",
+                           str(tmp_path / "o"), "--quiet", "--workers", str(workers)) == 0
             assert sizes == ([] if size is None else [size])
+
+    def test_default_workers_are_the_usable_cores(self, tmp_path, monkeypatch):
+        sizes = stand_in_pool(monkeypatch)
+        cfg = seed_grid(tmp_path, 5)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert run_cli("sweep", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet") == 0
+        # where the affinity call is missing, the cores the system has
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert run_cli("sweep", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet") == 0
+        assert sizes == [2, 4]
 
     @pytest.mark.parametrize("workers", ["0", "-2"])
     def test_workers_below_one_exit_2(self, workers, tmp_path, capsys):

@@ -141,6 +141,13 @@ class TestValidation:
         assert info.value.errors == [
             "master.mask: points' offsets must be positive, finite and strictly increasing"]
 
+    @pytest.mark.parametrize("side", ["master", "follower"])
+    def test_mask_level_whose_power_underflows_rejected(self, side):
+        with pytest.raises(ConfigError) as info:
+            parse_config(f"[{side}]\nmask = [(1, -85), (10, -4000), (10000, -160)]\n")
+        assert info.value.errors == [f"{side}.mask: points' level -4000 dBc/Hz at 10 Hz "
+                                     f"underflows to a linear power of 0"]
+
     def test_scenario_problems_are_reported_under_config_keys(self):
         text = ("[channel]\ntau_s = -1e-9\nloop_latency_ticks = 0\n"
                 "[framing]\npilot_len = 64\n[run]\nduration_s = 1e-9\n")

@@ -7,6 +7,9 @@ a bool or a number included, is refused by row and column."""
 import ctypes
 import io
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -111,6 +114,35 @@ def column(kind, n, rng, cells):
 def test_mixed_columns_have_the_oracle_bytes(tmp_path, kinds, cells, n, seed):
     rng = np.random.default_rng(seed)
     check_same_bytes(tmp_path / "out.csv", [column(k, n, rng, cells) for k in kinds])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(kinds=st.tuples(COLUMN_KINDS, COLUMN_KINDS),
+       cells=st.lists(st.text(), min_size=1, max_size=12),
+       n=st.sampled_from([B + 1, 3 * B]) | st.integers(0, 40), seed=st.integers(0, 2**32 - 1))
+def test_two_threads_writing_at_once_get_the_oracle_bytes(tmp_path, kinds, cells, n, seed):
+    # csv_text formats without the GIL, reading cells the other thread
+    # cannot reach; each thread's file must still be the oracle's
+    rng = np.random.default_rng(seed)
+    sets = [[column(k, n, rng, cells) for k in ks] for ks in kinds]
+    paths = [str(tmp_path / f"out{i}.csv") for i in range(2)]
+    barrier = threading.Barrier(2, timeout=60)
+
+    def write(i):
+        barrier.wait()
+        cli._write_csv(paths[i], "c", names(sets[i]), sets[i])
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            for future in [pool.submit(write, i) for i in range(2)]:
+                future.result(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    for path, columns in zip(paths, sets):
+        with open(path, "rb") as fh:
+            assert fh.read() == oracle_bytes("c", names(columns), columns)
 
 
 @pytest.mark.parametrize("n_rows", [0, 1, B - 1, B, B + 1])

@@ -5,6 +5,7 @@ import math
 import os
 import pathlib
 import pickle
+import shutil
 import subprocess
 import sys
 import sysconfig
@@ -345,6 +346,40 @@ class TestKernelBuild:
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                               text=True, check=True)
         assert proc.stdout == "0\n"
+
+    def test_threads_build_and_load_once(self, tmp_path):
+        # four threads released at once, in a fresh process on a copy of the
+        # package with no library built: one build, one library, one load
+        # of scipy's solver
+        package = tmp_path / "dualsync"
+        shutil.copytree(_native.SOURCES[0].parent, package,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        code = (
+            "import sys, threading\n"
+            "from dualsync import _native, oscillator\n"
+            "sys.setswitchinterval(1e-6)\n"
+            "builds, loads, got = [], [], []\n"
+            "build, load = _native.build, oscillator._load_nnls\n"
+            "_native.build = lambda *args: builds.append(args) or build(*args)\n"
+            "oscillator._load_nnls = lambda path: loads.append(path) or load(path)\n"
+            "barrier = threading.Barrier(4, timeout=60)\n"
+            "def call():\n"
+            "    barrier.wait()\n"
+            "    solver = oscillator._nnls_extension()\n"
+            "    barrier.wait()\n"
+            "    got.append((solver, _native.library()))\n"
+            "threads = [threading.Thread(target=call) for _ in range(4)]\n"
+            "for thread in threads:\n"
+            "    thread.start()\n"
+            "for thread in threads:\n"
+            "    thread.join(120)\n"
+            "module = sys.modules[oscillator._NNLS_MODULE]\n"
+            "print(len(got), len(builds), len({id(lib) for _, lib in got}), len(loads),\n"
+            "     all(solver is module.nnls for solver, _ in got))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=str(tmp_path)), check=True,
+                              timeout=240)
+        assert proc.stdout == "4 1 1 1 True\n"
 
 
 # run_scenario runs the kernel, run_reference the oracle in its place
@@ -800,7 +835,7 @@ class TestRunScenario:
             assert 0 <= info.value.tick < scn.n_ticks, run.__name__
 
     def test_divergence_error_survives_pickle(self):
-        # a sweep worker sends the error back to its parent by pickle
+        # a library caller's process pool sends the error back to its parent by pickle
         err = pickle.loads(pickle.dumps(DivergenceError(5069)))
         assert type(err) is DivergenceError
         assert err.tick == 5069

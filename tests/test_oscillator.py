@@ -47,7 +47,7 @@ class TestNoiseMask:
     @pytest.mark.parametrize("bad, value", [
         *[("reference_freq_hz", v) for v in (0.0, -1.0, math.nan, math.inf, -math.inf)],
         *[("offset", v) for v in (0.0, -1.0, math.nan, math.inf, -math.inf)],
-        *[("level", v) for v in (math.nan, math.inf, -math.inf)],
+        *[("level", v) for v in (math.nan, math.inf, -math.inf, -4000.0)],
         ("points", "empty"), ("points", "repeated"), (None, None),
     ])
     @settings(max_examples=10, deadline=None, derandomize=True)
@@ -74,6 +74,15 @@ class TestNoiseMask:
         field = "reference_freq_hz" if bad == "reference_freq_hz" else "points"
         with pytest.raises(ValueError, match=f"^{field}"):
             NoiseMask(ref, points)
+
+    @pytest.mark.parametrize("level", [-4000.0, -3237.0, -1e300])
+    def test_refuses_a_level_whose_power_underflows_naming_the_point(self, level):
+        # 10**(L/10) is 0 below about -3236 dBc/Hz, which the fit cannot weight
+        with pytest.raises(ValueError) as info:
+            mask_of([(1.0, -85.0), (10.0, level), (100.0, -5000.0)])
+        assert str(info.value) == (f"points' level {level:g} dBc/Hz at 10 Hz underflows "
+                                   f"to a linear power of 0")
+        assert mask_of([(1.0, -3236.0)]).points == ((1.0, -3236.0),)
 
 
 class TestTwoStateParams:
@@ -269,10 +278,8 @@ class TestNnls:
         oscillator._fit.cache_clear()
 
     @pytest.mark.parametrize("solver", ["direct", "public"])
-    def test_a_level_whose_power_underflows_is_refused(self, solver, monkeypatch):
-        # 10**(-4000/10) underflows to 0, so the point's weighted row is
-        # infinite; the wrapper's finiteness check refuses it before the
-        # compiled solver is called
+    def test_an_infinite_row_is_refused_before_the_solver(self, solver, monkeypatch):
+        # the wrapper's finiteness check, repeated around the compiled solver
         compiled, calls = oscillator._nnls_extension(), []
 
         def solve(*args):
@@ -280,8 +287,9 @@ class TestNnls:
             return compiled(*args)
         monkeypatch.setattr(oscillator, "_nnls_extension",
                             lambda: solve if solver == "direct" else None)
-        with np.errstate(divide="ignore"), pytest.raises(ValueError) as info:
-            fit_two_state(mask_of([(1.0, -4000.0), (10.0, -100.0)]), 8e6)
+        A = np.array([[1.0, 1.0, 1.0], [math.inf, math.inf, math.inf]])
+        with pytest.raises(ValueError) as info:
+            oscillator._nnls(A, np.ones(2))
         assert type(info.value) is ValueError
         assert str(info.value) == "array must not contain infs or NaNs"
         assert calls == []
