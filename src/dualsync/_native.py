@@ -8,7 +8,8 @@ earlier process built there, declares its five functions and fills the
 CSV writer's table of powers of ten, ``g_table()``; importing the package
 builds and loads nothing.  ``nodes._tick_loop_fast`` calls
 ``tick_loop``, ``oscillator.standard_normal`` ``normal_fill``,
-``oscillator.synthesize_phase`` ``synth_phase``, ``spectral.cheb_window``
+``oscillator.PhaseStream`` ``normal_fill`` to find where its draws start
+and ``synth_phase`` to make them, ``spectral.cheb_window``
 ``cheb_main_lobe`` and ``cli._write_csv`` ``csv_text``.
 """
 
@@ -130,17 +131,20 @@ def g_table() -> list[int]:
     return out
 
 
-def cache_once(fn):
-    """``functools.cache`` of the argument-less ``fn``, whose calls take a
-    lock, so threads that call it at once before it is cached run ``fn``
-    once and share its result; ``cache_clear`` and ``cache_info`` are the
-    cache's."""
-    cached, lock = functools.cache(fn), threading.Lock()
+def cache_once(fn=None, *, maxsize=None):
+    """``functools.lru_cache(maxsize)`` of ``fn``, unbounded by default,
+    whose calls take one lock, so threads that call it at once with the
+    same arguments before they are cached run ``fn`` once and share its
+    result; ``cache_clear`` and ``cache_info`` are the cache's.  Used as
+    ``@cache_once`` or ``@cache_once(maxsize=n)``."""
+    if fn is None:
+        return functools.partial(cache_once, maxsize=maxsize)
+    cached, lock = functools.lru_cache(maxsize)(fn), threading.Lock()
 
     @functools.wraps(fn)
-    def call():
+    def call(*args, **kwargs):
         with lock:
-            return cached()
+            return cached(*args, **kwargs)
     call.cache_clear, call.cache_info = cached.cache_clear, cached.cache_info
     return call
 

@@ -20,9 +20,14 @@
    into one FMA would accept other draws and so change the whole stream
    after them.  The draws are numpy's bit for bit on the same libm.
 
-   synth_phase(s, n, sigma0, sigma1, sigma2, scale, out, phase) synthesizes
-   an n-sample clock from the same stream in one pass, each sample times
-   scale (see oscillator.synthesize_phase). */
+   normal_fill(s, n, scale, NULL) makes the same draws and discards them: it
+   only advances the state past the n draws, the 64-bit words that tail
+   and wedge rejections consume included.
+
+   synth_phase(s, n, sigma0, sigma1, sigma2, scale, sums, out) writes the
+   next n samples of a clock, each times scale, drawing its three streams
+   in lockstep from three states and carrying the states and both running
+   sums from one call to the next (see oscillator.synthesize_phase). */
 
 #include <math.h>
 #include <stdint.h>
@@ -315,38 +320,53 @@ void normal_fill(uint64_t *s, int64_t n, double scale, double *out)
 {
     u128 state = (u128)s[0] << 64 | s[1];
     u128 inc = (u128)s[2] << 64 | s[3];
-    for (int64_t i = 0; i < n; i++)
-        out[i] = normal(&state, inc) * scale;
+    if (out)
+        for (int64_t i = 0; i < n; i++)
+            out[i] = normal(&state, inc) * scale;
+    else
+        for (int64_t i = 0; i < n; i++)
+            (void)normal(&state, inc);
     s[0] = (uint64_t)(state >> 64);
     s[1] = (uint64_t)state;
 }
 
-/* The two-state clock of oscillator.synthesize_phase: g0 into out, g1 into
-   phase, then per sample one g2 draw and both running sums, each IEEE
-   operation numpy's, in numpy's order:
+/* The two-state clock of oscillator.synthesize_phase, n samples a call,
+   each IEEE operation numpy's, in numpy's order:
 
-       freq = cumsum(g2 * sigma2)
-       ph   = cumsum(g1 * sigma1 + freq)
-       out  = g0 * sigma0 + ph
+       g    = standard_normal((3, N))
+       freq = cumsum(g[2] * sigma2)
+       ph   = cumsum(g[1] * sigma1 + freq)
+       out  = (g[0] * sigma0 + ph) * scale
 
-   np.cumsum copies its first element rather than adding it to 0.0, and
-   0.0 + -0.0 is +0.0, so each sum starts from its first term.  phase is
-   scratch: it holds g1 on return. */
+   s holds the states where the next draws of g[0], g[1] and g[2] start,
+   then the increment, as eight 64-bit words, high word first: {g0_hi,
+   g0_lo, g1_hi, g1_lo, g2_hi, g2_lo, inc_hi, inc_lo}; the caller finds the
+   g[1] and g[2] states by advancing a copy of the g[0] state past N draws
+   and then N more (normal_fill with out NULL).  Each call draws the three
+   streams in lockstep and writes the three states and the two sums
+   {freq, ph} back, so a clock can be written in blocks of any length with
+   the bytes of one call.  np.cumsum copies its first element rather than
+   adding it to 0.0, and 0.0 + -0.0 is +0.0: the sums start at -0.0, to
+   which adding any x gives x's bits. */
 void synth_phase(uint64_t *s, int64_t n, double sigma0, double sigma1, double sigma2,
-                 double scale, double *out, double *phase)
+                 double scale, double *sums, double *out)
 {
-    normal_fill(s, n, 1.0, out);
-    normal_fill(s, n, 1.0, phase);
-    u128 state = (u128)s[0] << 64 | s[1];
-    u128 inc = (u128)s[2] << 64 | s[3];
-    double freq = 0.0, ph = 0.0;
+    u128 inc = (u128)s[6] << 64 | s[7];
+    u128 s0 = (u128)s[0] << 64 | s[1];
+    u128 s1 = (u128)s[2] << 64 | s[3];
+    u128 s2 = (u128)s[4] << 64 | s[5];
+    double freq = sums[0], ph = sums[1];
     for (int64_t i = 0; i < n; i++) {
-        double df = normal(&state, inc) * sigma2;
-        freq = i ? freq + df : df;
-        double dp = phase[i] * sigma1 + freq;
-        ph = i ? ph + dp : dp;
-        out[i] = (out[i] * sigma0 + ph) * scale;
+        double g0 = normal(&s0, inc), g1 = normal(&s1, inc), g2 = normal(&s2, inc);
+        freq = freq + g2 * sigma2;
+        ph = ph + (g1 * sigma1 + freq);
+        out[i] = (g0 * sigma0 + ph) * scale;
     }
-    s[0] = (uint64_t)(state >> 64);
-    s[1] = (uint64_t)state;
+    u128 states[3] = {s0, s1, s2};
+    for (int k = 0; k < 3; k++) {
+        s[2 * k] = (uint64_t)(states[k] >> 64);
+        s[2 * k + 1] = (uint64_t)states[k];
+    }
+    sums[0] = freq;
+    sums[1] = ph;
 }

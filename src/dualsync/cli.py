@@ -99,9 +99,9 @@ def _say(args, message: str) -> None:
         print(message)
 
 
-def _psd_series(cfg: ScenarioConfig, result) -> np.ndarray:
-    """Series selected by output.psd_source; the ring sources are read from
-    `result`."""
+def _psd_series(cfg: ScenarioConfig, result):
+    """Series selected by output.psd_source: a ring series of `result`, or
+    a clock's PhaseStream, which psd_estimate reads a block at a time."""
     source = cfg.get("output", "psd_source")
     if source not in CLOCK_SOURCES:
         return np.asarray(getattr(result, source))
@@ -162,10 +162,7 @@ def _emit(cfg: ScenarioConfig, timeseries=None, psd=None, jumps=None, window_res
                    (np.arange(result.n_ticks), result.t_s,
                     *(getattr(result, name) for name in TIMESERIES_SERIES)))
     if psd:
-        # the window before the series: built after it, the kept window splits
-        # the heap the next series reuses, and fig13's peak memory rose by 7 MB
-        window = _window(cfg)
-        _write_psd(psd, cfg, _psd_series(cfg, result), window)
+        _write_psd(psd, cfg, _psd_series(cfg, result), _window(cfg))
     if jumps:
         found = detect_ambiguity_jumps(result.theta_bf_minus_theta0, result.tick_rate_hz)
         tick = np.array([i for i, _ in found], dtype=np.int64)
@@ -198,9 +195,9 @@ def _emit(cfg: ScenarioConfig, timeseries=None, psd=None, jumps=None, window_res
         for side, name in NOISE_FIT_PSDS.items():
             params = fit_two_state(getattr(scn, f"{side}_mask"), scn.baud_hz)
             rows.append((params.sigma0, params.sigma1, params.sigma2, params.tick_rate_hz))
-            stream = nodes._stream(cfg.get("run", "seed"), nodes.CLOCK_STREAM[side])
+            seeds = nodes._stream(cfg.get("run", "seed"), nodes.CLOCK_STREAM[side])
             series = synthesize_phase(params.rescaled(scn.decimation), n,
-                                      np.random.default_rng(stream))
+                                      np.random.default_rng(seeds), stream=True)
             _write_psd(os.path.join(os.path.dirname(noise_fit), name), cfg, series, window)
         _write_csv(noise_fit, _stamp(cfg),
                    ["node", "sigma0_rad", "sigma1_rad", "sigma2_rad_per_tick", "tick_rate_hz"],
@@ -244,51 +241,62 @@ def _sweep_point(cfg: ScenarioConfig, directory: str) -> DivergenceError | None:
         return exc
 
 
-def _usable_cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no sched_getaffinity on this platform
-        return os.cpu_count() or 1
+def _workers(args) -> int:
+    """--workers, by default the number of usable cores; ValueError below 1."""
+    if args.workers is None:
+        try:
+            return len(os.sched_getaffinity(0))
+        except AttributeError:  # no sched_getaffinity on this platform
+            return os.cpu_count() or 1
+    if args.workers < 1:
+        raise ValueError(f"--workers must be >= 1, got {args.workers}")
+    return args.workers
 
 
-def _sweep_points(points: list, dirs: list[str], workers: int) -> list:
-    """_sweep_point of every grid point, in grid order, on `workers` threads.
+def _run_threads(task, items, workers: int) -> list:
+    """[task(item) for item in items], in item order, on up to `workers`
+    threads, at most one per item.
 
-    The calling thread runs point 0 alone, which loads the C library and
-    scipy's solver and fills the fit and window memos; then it and
-    workers - 1 pool threads take the other points in grid order.  The
-    rings' C layers and the CSV formatting release the interpreter lock,
-    so the threads run rings at once.  The calling thread takes points
-    too: each pool thread's first ring grows a malloc arena of its own,
-    which an idle caller would add to the peak memory."""
-    diverged = [_sweep_point(points[0], dirs[0])] + [None] * (len(points) - 1)
-    rest, lock = iter(range(1, len(points))), threading.Lock()
+    The calling thread and workers - 1 pool threads take the items in
+    order.  The rings' C layers, the clock synthesis and the CSV formatting
+    release the interpreter lock, so the threads run them at once.  The
+    calling thread takes items too: each pool thread's first ring grows a
+    malloc arena of its own, which an idle caller would add to the peak
+    memory.  Every item runs even when one raises, and the first exception
+    in item order is raised once all have run."""
+    items, lock = list(items), threading.Lock()
+    results, errors, order = [None] * len(items), [None] * len(items), iter(range(len(items)))
 
     def take():
         while True:
             with lock:
-                i = next(rest, None)
+                i = next(order, None)
             if i is None:
                 return
-            diverged[i] = _sweep_point(points[i], dirs[i])
+            try:
+                results[i] = task(items[i])
+            except Exception as exc:
+                errors[i] = exc
 
-    if workers == 1:
+    workers = min(workers, len(items))
+    if workers <= 1:
         take()
-        return diverged
-    # imported here, where a sweep first runs on more than one thread
-    from concurrent.futures import ThreadPoolExecutor
+    else:
+        # imported here, where a command first runs on more than one thread
+        from concurrent.futures import ThreadPoolExecutor
 
-    with ThreadPoolExecutor(max_workers=workers - 1) as pool:
-        futures = [pool.submit(take) for _ in range(workers - 1)]
-        take()
-    for future in futures:
-        future.result()
-    return diverged
+        with ThreadPoolExecutor(max_workers=workers - 1) as pool:
+            futures = [pool.submit(take) for _ in range(workers - 1)]
+            take()
+        for future in futures:
+            future.result()
+    for exc in filter(None, errors):
+        raise exc
+    return results
 
 
 def cmd_sweep(args) -> int:
-    if args.workers is not None and args.workers < 1:
-        raise ValueError(f"--workers must be >= 1, got {args.workers}")
+    workers = _workers(args)
     cfg = _load_config(args)
     out = _outdir(args, cfg)
     key = cfg.get("sweep", "key")
@@ -313,9 +321,14 @@ def cmd_sweep(args) -> int:
     if errors:
         raise ConfigError(errors)
     dirs = [os.path.join(out, f"sweep_{i:03d}") for i in range(len(points))]
-    # every point runs, whatever the worker count; the first divergence is raised after
-    workers = _usable_cores() if args.workers is None else args.workers
-    for exc in filter(None, _sweep_points(points, dirs, min(workers, len(points)))):
+    # point 0 runs alone first, which loads the C library and scipy's solver
+    # and fills the fit and window memos before other threads need them;
+    # every point runs, whatever the worker count, and the first divergence
+    # is raised after
+    diverged = [_sweep_point(points[0], dirs[0])]
+    diverged += _run_threads(lambda i: _sweep_point(points[i], dirs[i]),
+                             range(1, len(points)), workers)
+    for exc in filter(None, diverged):
         raise exc
     # a bool grid value is written 1/0, which its config parser reads back;
     # a seed may pass int64 ("1e19" parses), so seeds are written as text too
@@ -382,6 +395,7 @@ RECIPES: dict[str, list[tuple[dict, dict]]] = {
 
 
 def cmd_reproduce(args) -> int:
+    workers = _workers(args)
     cfg0 = _load_config(args)
     # recipes take only run.seed and output.directory from --config
     defaults = parse_config("")
@@ -395,12 +409,12 @@ def cmd_reproduce(args) -> int:
         raise ConfigError([f"unsupported figure {args.figure!r}; supported: fig13..fig22"])
     out = _outdir(args, cfg0)
     base = defaults.with_values({"run.seed": cfg0.get("run", "seed")})
-    written, configs = [], []
-    for files, overrides in RECIPES[fig]:
-        cfg = base.with_values(overrides)
-        written += _write_files(cfg, out, files)
-        configs.append(f"# {next(iter(files.values()))} (sha256 {cfg.sha256()})\n"
-                       f"{cfg.canonical_text()}\n")
+    runs = [(base.with_values(overrides), files) for files, overrides in RECIPES[fig]]
+    # every run runs, whatever the worker count; the first error is raised after
+    written = [path for paths in _run_threads(lambda run: _write_files(run[0], out, run[1]),
+                                              runs, workers) for path in paths]
+    configs = [f"# {next(iter(files.values()))} (sha256 {cfg.sha256()})\n"
+               f"{cfg.canonical_text()}\n" for cfg, files in runs]
     path = os.path.join(out, "configs.txt")
     _write_atomic(path, lambda fh: fh.writelines(configs))
     _say(args, "wrote " + ", ".join(written + [path]))
@@ -428,14 +442,17 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=text, parents=[common])
         p.set_defaults(func=cmd_write)
 
+    threaded = argparse.ArgumentParser(add_help=False, parents=[common])
+    threaded.add_argument("--workers", type=int,
+                          help="threads running grid points or recipe runs at once "
+                               "(default: the usable cores)")
+
     p = sub.add_parser("sweep", help="run a config grid defined by the [sweep] section",
-                       parents=[common])
-    p.add_argument("--workers", type=int,
-                   help="threads running grid points at once (default: the usable cores)")
+                       parents=[threaded])
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("reproduce", help="run a built-in demonstration recipe (fig13..fig22)",
-                       parents=[common])
+                       parents=[threaded])
     p.add_argument("figure", help="recipe id, e.g. fig17")
     p.set_defaults(func=cmd_reproduce)
     return parser

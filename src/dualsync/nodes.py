@@ -74,6 +74,7 @@ from .oscillator import (
     DEFAULT_FOLLOWER_MASK,
     DEFAULT_MASTER_MASK,
     NoiseMask,
+    PhaseStream,
     fit_two_state,
     standard_normal,
     synthesize_phase,
@@ -238,19 +239,20 @@ def _stream(seed: int, child: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(seed, spawn_key=(child,))
 
 
-def _clock_series(scn: Scenario, seed: int, side: str, n: int) -> np.ndarray:
+def _clock_series(scn: Scenario, seed: int, side: str, n: int) -> PhaseStream:
     """RF-scaled phase series of the ``side`` ("master" or "follower")
-    oscillator at the decimated tick rate, drawn from the side's stream.
+    oscillator at the decimated tick rate, drawn from the side's stream, as
+    a ``PhaseStream`` whose samples are drawn as they are read.
 
     Parameters are fitted at the baud rate and rescaled to the decimated
-    rate, mirroring full-rate synthesis followed by plain decimation.
+    rate, mirroring full-rate synthesis followed by plain decimation.  The
+    clock is noisy even where ``scn.ideal_clocks`` is on: ``run_scenario``
+    then takes zeros and does not call this.
     """
-    if scn.ideal_clocks:
-        return np.zeros(n)
     mask = getattr(scn, f"{side}_mask")
     params = fit_two_state(mask, scn.baud_hz).rescaled(scn.decimation)
     return synthesize_phase(params, n, np.random.default_rng(_stream(seed, CLOCK_STREAM[side])),
-                            scn.plan.fc_hz / mask.reference_freq_hz)
+                            scn.plan.fc_hz / mask.reference_freq_hz, stream=True)
 
 
 def _address(buf, n: int) -> int:
@@ -319,8 +321,11 @@ def run_scenario(scn: Scenario, seed: int, *, discriminators: bool = True) -> Sc
     keep their bits.
     """
     n = scn.n_ticks
-    th0 = _clock_series(scn, seed, "master", n)
-    thx = _clock_series(scn, seed, "follower", n)
+    if scn.ideal_clocks:
+        th0, thx = np.zeros(n), np.zeros(n)
+    else:
+        th0 = _clock_series(scn, seed, "master", n).read(n)
+        thx = _clock_series(scn, seed, "follower", n).read(n)
     if scn.initial_follower_phase_rad:
         thx += scn.initial_follower_phase_rad
     if scn.follower_freq_offset_hz:

@@ -25,7 +25,6 @@ periodogram of the spectral module (see the test suite).
 
 from __future__ import annotations
 
-import functools
 import importlib.machinery
 import importlib.util
 import math
@@ -69,12 +68,18 @@ class NoiseMask:
             raise ValueError("points' offsets must be positive, finite and strictly increasing")
         if not all(math.isfinite(p[1]) for p in pts):
             raise ValueError("points' levels must be finite")
-        # the fit's linear powers, computed as _fit computes them
-        power = 10.0 ** (np.array([p[1] for p in pts], dtype=float) / 10.0)
+        # the fit's system, as _fit builds it
+        with np.errstate(over="ignore", divide="ignore"):
+            _, power, basis = _fit_system(pts)
+            finite = np.isfinite(basis / power[:, None]).all(axis=1)
         if not power.all():
             f, level = pts[int(np.argmin(power))]
             raise ValueError(f"points' level {level:g} dBc/Hz at {f:g} Hz underflows to a "
                              f"linear power of 0")
+        if not finite.all():
+            f, level = pts[int(np.argmin(finite))]
+            raise ValueError(f"points' level {level:g} dBc/Hz at {f:g} Hz weights its row "
+                             f"of the fit to a non-finite value")
         if not (math.isfinite(self.reference_freq_hz) and self.reference_freq_hz > 0):
             raise ValueError("reference_freq_hz must be positive and finite")
         object.__setattr__(self, "points", pts)
@@ -124,8 +129,9 @@ def fit_two_state(mask: NoiseMask, tick_rate_hz: float) -> TwoStateParams:
     MaskFitError when the best fit misses any point by more than
     MASK_FIT_TOL_DB, and ValueError for a tick rate that is not positive
     and finite.  The fit is memoised per process on (mask, tick rate), up
-    to FIT_MEMO_SIZE of them, so a sweep fits each mask once; the result is
-    frozen, and a MaskFitError is raised again on every call.
+    to FIT_MEMO_SIZE of them, so a sweep fits each mask once, and threads
+    that ask for one fit at once share it; the result is frozen, and a
+    MaskFitError is raised again on every call.
     """
     if not (math.isfinite(tick_rate_hz) and tick_rate_hz > 0):
         raise ValueError("tick_rate_hz must be positive and finite")
@@ -209,13 +215,20 @@ def _nnls(A, b):
     return x, rnorm
 
 
-@functools.lru_cache(maxsize=FIT_MEMO_SIZE)
+def _fit_system(points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The offsets, linear powers and (1, f^-2, f^-4) basis rows of the
+    (offset_hz, level_dbc_hz) ``points``: the fit's system, whose rows the
+    fit weights by dividing each by its power."""
+    f = np.array([p[0] for p in points], dtype=float)
+    power = 10.0 ** (np.array([p[1] for p in points], dtype=float) / 10.0)
+    return f, power, np.column_stack([np.ones_like(f), f**-2.0, f**-4.0])
+
+
+@_native.cache_once(maxsize=FIT_MEMO_SIZE)
 def _fit(mask: NoiseMask, fs: float) -> TwoStateParams:
     # _nnls loads scipy's compiled solver on the first fit; bode,
     # delay-margin and ideal-clock runs never fit a mask, so never load it
-    f = np.array([p[0] for p in mask.points], dtype=float)
-    power = 10.0 ** (np.array([p[1] for p in mask.points], dtype=float) / 10.0)
-    basis = np.column_stack([np.ones_like(f), f**-2.0, f**-4.0])
+    f, power, basis = _fit_system(mask.points)
     a, _ = _nnls(basis / power[:, None], np.ones_like(power))
     model = basis @ a
     contrib = basis * a
@@ -250,15 +263,16 @@ def model_psd_dbc_hz(params: TwoStateParams, freqs_hz) -> np.ndarray:
     return 10.0 * np.log10(a0 + a2 / f**2 + a4 / f**4)
 
 
-def _advance(rng: np.random.Generator, caller: str, function: str, *args) -> None:
-    """Call the C function ``function`` of ``_native`` on the PCG64 state of
-    ``rng`` and ``args``, and write the state it advanced back into ``rng``.
+def _advance(rng: np.random.Generator, caller: str, advance) -> None:
+    """Call ``advance(words)`` on the PCG64 state of ``rng`` and write the
+    state it leaves in ``words`` back into ``rng``.
 
-    The state goes in as four 64-bit words, {state_hi, state_lo, inc_hi,
-    inc_lo}, and comes back through the bit generator's public ``state``
-    dict, under its lock.  Raises TypeError, naming ``caller``, if ``rng``
-    is not a Generator on a PCG64 bit generator (there is no fallback to
-    numpy); ``rng`` is then left as it was.
+    ``words`` holds the state and increment as four 64-bit words,
+    {state_hi, state_lo, inc_hi, inc_lo}; they come from and go back
+    through the bit generator's public ``state`` dict, under its lock.
+    Raises TypeError, naming ``caller``, if ``rng`` is not a Generator on a
+    PCG64 bit generator (there is no fallback to numpy); ``rng`` is then
+    left as it was.
     """
     import ctypes
 
@@ -266,14 +280,13 @@ def _advance(rng: np.random.Generator, caller: str, function: str, *args) -> Non
     if type(bits) is not np.random.PCG64:
         raise TypeError(f"{caller} draws from a Generator on a PCG64 bit "
                         f"generator, got {rng!r}")
-    call = getattr(_native.library(), function)
     mask = (1 << 64) - 1
     with bits.lock:
         state = bits.state
         pcg = state["state"]
         words = (ctypes.c_uint64 * 4)(pcg["state"] >> 64, pcg["state"] & mask,
                                       pcg["inc"] >> 64, pcg["inc"] & mask)
-        call(words, *args)
+        advance(words)
         pcg["state"] = words[0] << 64 | words[1]
         bits.state = state
 
@@ -295,12 +308,66 @@ def standard_normal(rng: np.random.Generator, out: np.ndarray,
     if not (isinstance(out, np.ndarray) and out.dtype == np.float64
             and out.flags.c_contiguous and out.flags.writeable):
         raise ValueError("out must be a writeable C-contiguous float64 array")
-    _advance(rng, "standard_normal", "normal_fill", out.size, scale, out.ctypes.data)
+    fill = _native.library().normal_fill
+    _advance(rng, "standard_normal", lambda words: fill(words, out.size, scale,
+                                                        out.ctypes.data))
     return out
 
 
+class PhaseStream:
+    """The n samples of ``synthesize_phase(params, n, rng, scale)``, each
+    synthesised when it is read: ``read(m)`` returns the next m, and
+    ``len()`` is n.
+
+    The stream holds its draw states, not the series, so a consumer that
+    reads it a block at a time (``spectral.psd_estimate``) holds one block.
+    It is made where the three runs of the (3, n) draw start: the g0 run
+    at ``rng``'s state, the g1 and g2 runs n and 2n draws after it, found
+    by drawing and discarding n normals twice on a copy of that state.
+    ``rng`` is not advanced until the last sample is read, and is then
+    where ``rng.standard_normal((3, n))`` leaves it, so it must not be
+    drawn from in between.
+    """
+
+    def __init__(self, params: TwoStateParams, n: int, rng: np.random.Generator,
+                 scale: float = 1.0):
+        import ctypes
+
+        if n < 0:
+            raise ValueError(f"cannot synthesize {n} samples")
+        self._lib, self._n, self._left, self._rng = _native.library(), n, n, rng
+        self._args = (params.sigma0, params.sigma1, params.sigma2, scale)
+        # {g0, g1, g2 state, increment}, 2 words each; the sums start at -0.0
+        self._words = (ctypes.c_uint64 * 8)()
+        self._sums = (ctypes.c_double * 2)(-0.0, -0.0)
+
+        def find_runs(words):
+            run = (ctypes.c_uint64 * 4)(*words)
+            self._words[0:2], self._words[6:8] = words[0:2], words[2:4]
+            for k in (2, 4):
+                self._lib.normal_fill(run, n, 1.0, None)
+                self._words[k:k + 2] = run[0:2]
+        _advance(rng, "synthesize_phase", find_runs)
+
+    def __len__(self) -> int:
+        return self._n
+
+    def read(self, m: int) -> np.ndarray:
+        """The next ``m`` samples, a new array; ValueError if fewer are left."""
+        if not 0 <= m <= self._left:
+            raise ValueError(f"cannot read {m} samples, {self._left} are left")
+        out = np.empty(m)
+        self._lib.synth_phase(self._words, m, *self._args, self._sums, out.ctypes.data)
+        self._left -= m
+        if m and not self._left:
+            def end_of_g2(words):
+                words[0:2] = self._words[4:6]
+            _advance(self._rng, "synthesize_phase", end_of_g2)
+        return out
+
+
 def synthesize_phase(params: TwoStateParams, n: int, rng: np.random.Generator,
-                     scale: float = 1.0) -> np.ndarray:
+                     scale: float = 1.0, *, stream: bool = False):
     """Synthesis of n emitted phase samples from a zeroed clock, times scale.
 
     Identical sample-for-sample to running the per-tick recursion of the
@@ -312,20 +379,24 @@ def synthesize_phase(params: TwoStateParams, n: int, rng: np.random.Generator,
         phase = np.cumsum(freq + sigma1 * g[1])
         return (phase + sigma0 * g[0]) * scale
 
-    while holding 2n floats instead of six full-length arrays.  One C pass,
-    ``synth_phase`` in ``_normal.c``, draws g0 into the output and g1 into
-    a scratch buffer, as the (3, n) draw fills them from the stream, then
-    draws g2 one value at a time and runs both sums with it, each IEEE
-    operation the formula's in its order.  ``rng`` must be a Generator on a
-    PCG64 bit generator (TypeError otherwise, see ``_advance``); a negative
-    n raises ValueError.
+    while holding the n output floats instead of six full-length arrays,
+    and with ``stream=True`` none: a ``PhaseStream`` of the samples is
+    returned in place of the array.  The C function ``synth_phase`` in
+    ``_normal.c`` draws g0, g1 and g2 in lockstep from three copies of the
+    state, which ``PhaseStream`` finds first, and runs both sums with them,
+    each IEEE operation the formula's in its order; it carries the states
+    and the sums from one block to the next.  ``rng`` must be a Generator
+    on a PCG64 bit generator (TypeError otherwise, see ``_advance``); a
+    negative n raises ValueError.
+
+    The package's own callers (``nodes._clock_series`` and fit-noise in
+    ``cli``) all pass ``stream=True``; the array return is the public one.
+    fit-noise streams through this function rather than ``PhaseStream``
+    so that its synthesis stays a call of ``cli.synthesize_phase``, the
+    name the benchmark's tracer patches to time it.
     """
-    if n < 0:
-        raise ValueError(f"cannot synthesize {n} samples")
-    out, phase = np.empty(n), np.empty(n)
-    _advance(rng, "synthesize_phase", "synth_phase", out.size, params.sigma0,
-             params.sigma1, params.sigma2, scale, out.ctypes.data, phase.ctypes.data)
-    return out
+    series = PhaseStream(params, n, rng, scale)
+    return series if stream else series.read(n)
 
 
 # default masks: a low-noise chip-scale atomic clock class reference for

@@ -10,7 +10,6 @@ applied.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +22,7 @@ __all__ = ["PsdEstimate", "cheb_window", "psd_estimate"]
 WINDOW_MEMO_SIZE = 8
 
 
-@functools.lru_cache(maxsize=WINDOW_MEMO_SIZE)
+@_native.cache_once(maxsize=WINDOW_MEMO_SIZE)
 def cheb_window(n: int, atten_db: float) -> np.ndarray:
     """Dolph-Chebyshev window with equiripple sidelobes at -atten_db.
 
@@ -36,7 +35,8 @@ def cheb_window(n: int, atten_db: float) -> np.ndarray:
     for attenuations far beyond 120 dB.  The cosine sum runs in C
     (``_window.c``), one main-lobe sample after another over a table of
     cos(pi*r/n), with the bytes of the per-sample numpy loop it replaced.
-    A process keeps its WINDOW_MEMO_SIZE latest windows, shared and read-only.
+    A process keeps its WINDOW_MEMO_SIZE latest windows, shared and
+    read-only, and builds each once even when threads ask for it at once.
     """
     if n < 16:
         raise ValueError("window length must be >= 16")
@@ -101,21 +101,26 @@ def psd_estimate(phase_rad, fs_hz: float, block_len: int, n_blocks: int,
                  window: np.ndarray) -> PsdEstimate:
     """Averaged periodogram over non-overlapped windowed blocks.
 
-    Needs at least block_len*n_blocks samples and a block_len-sample
-    window such as ``cheb_window``.  The estimate is one-sided (DC bin not
-    doubled), scaled by the window power and bin width, and reported as
+    ``phase_rad`` is an array, or a stream such as
+    ``oscillator.PhaseStream`` whose ``read(m)`` returns its next m
+    samples and whose ``len()`` counts them; a stream is read one block at
+    a time, so only one block of it is held.  Needs at least
+    block_len*n_blocks samples and a block_len-sample window such as
+    ``cheb_window``.  The estimate is one-sided (DC bin not doubled),
+    scaled by the window power and bin width, and reported as
     L(f) = S_phi/2 in dBc/Hz.
     """
-    x = np.asarray(phase_rad, dtype=float)
-    require_samples(x.size, block_len, n_blocks)
+    read = getattr(phase_rad, "read", None)
+    x = None if read else np.asarray(phase_rad, dtype=float)
+    require_samples(len(phase_rad) if read else x.size, block_len, n_blocks)
     if len(window) != block_len:
         raise ValueError("window length must equal block_len")
     u = np.sum(np.asarray(window) ** 2)
     half = block_len // 2
     acc = np.zeros(half)
     for b in range(n_blocks):
-        seg = x[b * block_len:(b + 1) * block_len] * window
-        spec = np.fft.rfft(seg)[:half]
+        block = read(block_len) if read else x[b * block_len:(b + 1) * block_len]
+        spec = np.fft.rfft(block * window)[:half]
         acc += np.abs(spec) ** 2
     s_phi = acc / (n_blocks * u * fs_hz)
     s_phi[1:] *= 2.0

@@ -200,13 +200,15 @@ def test_one_window_per_process(tmp_path, monkeypatch):
     # each (length, attenuation) window is built once per process: fit-noise
     # twice builds the 4096-sample 120 dB window once, and fig13's two PSDs
     # and fig14 after them build the 2^17-sample 300 dB window once
-    # (the window is what this counts; zero clock series stand in)
+    # (the window is what this counts; zero clock series stand in), also
+    # when fig13's two runs, on two threads, ask for it at the same time
     monkeypatch.setattr(cli.nodes, "_clock_series", lambda scn, seed, side, n: np.zeros(n))
     cheb_window = cli.spectral.cheb_window
     cheb_window.cache_clear()
     built = []
     for i, argv in enumerate([["fit-noise"], ["fit-noise"],
-                              ["reproduce", "fig13"], ["reproduce", "fig14"]]):
+                              ["reproduce", "fig13", "--workers", "2"],
+                              ["reproduce", "fig14"]]):
         assert run_cli(*argv, "--out", str(tmp_path / f"out{i}"), "--quiet") == 0
         built.append(cheb_window.cache_info().misses)
     assert built == [1, 1, 2, 2]
@@ -369,6 +371,30 @@ class TestAnalysisCommands:
         out = str(tmp_path / "out")
         assert run_cli("spectrum", "--config", cfg, "--out", out, "--quiet") == 0
         assert os.path.exists(os.path.join(out, "psd.csv"))
+
+
+@pytest.mark.parametrize("block_len", [33, 64, 1001, 4096])
+def test_streamed_clock_psds_are_the_psds_of_the_series(tmp_path, monkeypatch, block_len):
+    # spectrum's and fit-noise's clock PSDs read each clock a block at a
+    # time; with the whole series drawn first they have the same bytes
+    cfg = write_config(tmp_path, f"[output]\npsd_source = master_clock\n"
+                                 f"psd_block_len = {block_len}\npsd_n_blocks = 5\n")
+    files = {"spectrum": ["psd.csv"], "fit-noise": ["psd_master.csv", "psd_follower.csv"]}
+
+    def written(tag):
+        for command in files:
+            assert run_cli(command, "--config", cfg, "--out", str(tmp_path / tag / command),
+                           "--quiet") == 0
+        return {name: (tmp_path / tag / command / name).read_bytes()
+                for command, names in files.items() for name in names}
+
+    streamed = written("streamed")
+    clock_series, synthesize_phase = cli.nodes._clock_series, cli.synthesize_phase
+    monkeypatch.setattr(cli.nodes, "_clock_series",
+                        lambda scn, seed, side, n: clock_series(scn, seed, side, n).read(n))
+    monkeypatch.setattr(cli, "synthesize_phase",
+                        lambda params, n, rng, stream: synthesize_phase(params, n, rng))
+    assert written("whole") == streamed
 
 
 # files a command writes beyond its COMMANDS row: psd.csv beside the time
@@ -695,9 +721,11 @@ class TestSweep:
                                     "sweep_002", "sweep_002/timeseries.csv"]
 
     def test_pool_has_at_most_one_worker_per_point(self, tmp_path, monkeypatch):
-        # the calling thread runs points too, so the pool has one thread fewer
+        # point 0 runs alone, and the calling thread then takes points too, so
+        # the pool has one thread fewer than the points after point 0
         sizes = stand_in_pool(monkeypatch)
-        for n_points, workers, size in [(3, 8, 2), (3, 2, 1), (1, 4, None), (3, 1, None)]:
+        for n_points, workers, size in [(3, 8, 1), (4, 8, 2), (3, 2, 1), (1, 4, None),
+                                        (3, 1, None)]:
             sizes.clear()
             assert run_cli("sweep", "--config", seed_grid(tmp_path, n_points), "--out",
                            str(tmp_path / "o"), "--quiet", "--workers", str(workers)) == 0
@@ -712,7 +740,8 @@ class TestSweep:
         # where the affinity call is missing, the cores the system has
         monkeypatch.delattr(os, "sched_getaffinity")
         assert run_cli("sweep", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet") == 0
-        assert sizes == [2, 4]
+        # 3 and 8 threads for the 4 points after point 0: 3 and 4 threads
+        assert sizes == [2, 3]
 
     @pytest.mark.parametrize("workers", ["0", "-2"])
     def test_workers_below_one_exit_2(self, workers, tmp_path, capsys):
@@ -760,12 +789,75 @@ class TestReproduce:
             requested.append(paths)
 
         monkeypatch.setattr(cli, "_emit", record)
-        out = tmp_path / "out"
-        assert run_cli("reproduce", fig, "--out", str(out), "--seed", "1", "--quiet") == 0
+        want = [str(tmp_path / "{}" / name)
+                for files, _ in cli.RECIPES[fig] for name in files.values()]
+        # one worker requests the files in recipe order
+        out = tmp_path / "1"
+        assert run_cli("reproduce", fig, "--out", str(out), "--seed", "1", "--quiet",
+                       "--workers", "1") == 0
         digest = hashlib.sha256((out / "configs.txt").read_bytes()).hexdigest()
         assert digest == RECIPE_CONFIGS_SHA256[fig]
-        assert [p for r in requested for p in r.values()] == [
-            str(out / name) for files, _ in cli.RECIPES[fig] for name in files.values()]
+        assert [p for r in requested for p in r.values()] == [p.format(1) for p in want]
+        # the default workers start runs in any order, but request the same files
+        requested.clear()
+        out = tmp_path / "default"
+        assert run_cli("reproduce", fig, "--out", str(out), "--seed", "1", "--quiet") == 0
+        assert (out / "configs.txt").read_bytes() == (tmp_path / "1" / "configs.txt").read_bytes()
+        assert sorted(p for r in requested for p in r.values()) == sorted(
+            p.format("default") for p in want)
+
+    def test_runs_write_the_same_bytes_on_any_worker_count(self, tmp_path, monkeypatch,
+                                                           capsys):
+        # fig13 as it is, and fig17 with 0.5 s rings
+        monkeypatch.setitem(cli.RECIPES, "fig17", [
+            (files, {**overrides, "run.duration_s": 0.5})
+            for files, overrides in cli.RECIPES["fig17"]])
+        for fig in ("fig13", "fig17"):
+            first_files = [next(iter(files.values())) for files, _ in cli.RECIPES[fig]]
+            names = [name for files, _ in cli.RECIPES[fig] for name in files.values()]
+            trees = []
+            for workers in (1, 2, None):
+                out = tmp_path / fig / str(workers)
+                assert run_cli("reproduce", fig, "--out", str(out), "--seed", "1",
+                               *worker_args(workers)) == 0
+                # the files in recipe order, then configs.txt
+                assert capsys.readouterr().out == "wrote " + ", ".join(
+                    str(out / name) for name in [*names, "configs.txt"]) + "\n"
+                configs = (out / "configs.txt").read_text().splitlines()
+                assert [line[2:].split(" (sha256")[0] for line in configs
+                        if line.startswith("# ")] == first_files
+                trees.append({p.name: p.read_bytes() for p in out.iterdir()})
+            assert trees[0] == trees[1] == trees[2]
+            assert sorted(trees[0]) == sorted([*names, "configs.txt"])
+
+    @pytest.mark.filterwarnings("ignore:.*:UserWarning")
+    def test_every_run_runs_and_the_first_error_is_raised(self, tmp_path, monkeypatch,
+                                                           capsys):
+        # run 0 diverges at tick 2571 (as in the sweep tests), run 1 does not;
+        # no configs.txt is written
+        ring = {"run.duration_s": 1, "run.ideal_clocks": "on",
+                "follower.initial_phase_deg": 60}
+        monkeypatch.setitem(cli.RECIPES, "fig99", [
+            ({"timeseries": f"timeseries_w{w}.csv"}, {**ring, "master.omega_m_hz": w})
+            for w in (4000, 100)])
+        trees = []
+        for workers in (1, 2, None):
+            out = tmp_path / str(workers)
+            assert run_cli("reproduce", "fig99", "--out", str(out), "--quiet",
+                           *worker_args(workers)) == 3
+            assert json.loads(capsys.readouterr().err)["tick"] == 2571
+            trees.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert trees[0] == trees[1] == trees[2]
+        assert sorted(trees[0]) == ["timeseries_w100.csv"]
+
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_workers_below_one_exit_2(self, workers, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert run_cli("reproduce", "fig14", "--out", str(out), "--quiet",
+                       "--workers", workers) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ValueError", "detail": f"--workers must be >= 1, got {workers}"}
+        assert not out.exists()
 
     def test_fig17_emits_both_bandwidths(self, tmp_path):
         out = str(tmp_path / "out")

@@ -865,7 +865,8 @@ class TestRunScenario:
         scn = Scenario(duration_s=0.2)
         run_scenario(scn, seed=7)
         for side, series in seen.items():
-            assert np.array_equal(series, nodes._clock_series(scn, 7, side, scn.n_ticks))
+            assert np.array_equal(series,
+                                  nodes._clock_series(scn, 7, side, scn.n_ticks).read(scn.n_ticks))
         assert not np.array_equal(seen["master"], seen["follower"])
 
     @settings(max_examples=20, deadline=None, derandomize=True)
@@ -880,7 +881,7 @@ class TestRunScenario:
         params = fit_two_state(mask, scn.baud_hz).rescaled(scn.decimation)
         rng = np.random.default_rng(nodes._stream(seed, nodes.CLOCK_STREAM[side]))
         want = oracles.one_shot_synthesis(params, n, rng) * (scn.plan.fc_hz / reference_hz)
-        assert nodes._clock_series(scn, seed, side, n).tobytes() == want.tobytes()
+        assert nodes._clock_series(scn, seed, side, n).read(n).tobytes() == want.tobytes()
 
     def test_result_time_axis(self):
         scn = Scenario(duration_s=0.1, ideal_clocks=True)

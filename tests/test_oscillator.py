@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -82,7 +83,37 @@ class TestNoiseMask:
             mask_of([(1.0, -85.0), (10.0, level), (100.0, -5000.0)])
         assert str(info.value) == (f"points' level {level:g} dBc/Hz at 10 Hz underflows "
                                    f"to a linear power of 0")
-        assert mask_of([(1.0, -3236.0)]).points == ((1.0, -3236.0),)
+
+    @pytest.mark.parametrize("offset, level", [(1.0, -3236.0), (1.0, -3200.0), (1.0, -3100.0),
+                                               (1e-3, -2963.0), (1e6, -3236.0)])
+    def test_refuses_a_level_whose_weighted_row_overflows_naming_the_point(self, offset,
+                                                                           level):
+        # the fit divides each point's row (1, f^-2, f^-4) by its power: a
+        # power above 0 can still make that row inf, which the solver refused
+        # without naming the point
+        with pytest.raises(ValueError) as info:
+            mask_of([(offset / 10, -85.0), (offset, level), (offset * 10, -90.0)])
+        assert str(info.value) == (f"points' level {level:g} dBc/Hz at {offset:g} Hz weights "
+                                   f"its row of the fit to a non-finite value")
+        assert mask_of([(1.0, -3080.0)]).points == ((1.0, -3080.0),)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(points=st.lists(st.tuples(st.floats(1e-3, 1e6), st.floats(-3300.0, -3000.0)),
+                           min_size=1, max_size=4, unique_by=lambda p: p[0]).map(sorted))
+    @example(points=[(1.0, -3200.0)])
+    @example(points=[(1.0, -3100.0)])
+    def test_a_mask_near_the_underflow_fits_or_is_refused_by_name(self, points):
+        try:
+            mask = mask_of(points)
+        except ValueError as exc:
+            assert re.fullmatch(r"points' level \S+ dBc/Hz at \S+ Hz (underflows to a linear "
+                                r"power of 0|weights its row of the fit to a non-finite value)",
+                                str(exc)), str(exc)
+            return
+        try:
+            assert fit_two_state(mask, 8e6).tick_rate_hz == 8e6
+        except MaskFitError:
+            pass
 
 
 class TestTwoStateParams:
@@ -413,7 +444,43 @@ class TestSynthesisBytes:
         assert got.tobytes() == want.tobytes()
         assert ours.standard_normal(AFTER).tobytes() == numpys.standard_normal(AFTER).tobytes()
 
-    def test_peak_memory_is_two_series(self):
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(n=st.integers(0, 2 * CHUNK + 1), block=st.integers(1, 5000),
+           seed=st.integers(0, 2**32 - 1), sigmas=SIGMAS, scale=SCALES)
+    @example(n=0, block=1, seed=0, sigmas=(2e-3, 5e-4, 1e-6), scale=1.0)
+    @example(n=1, block=1, seed=0, sigmas=(2e-3, 5e-4, 1e-6), scale=220.0)
+    @example(n=1, block=7, seed=8, sigmas=ZERO, scale=-0.0)
+    @example(n=4096, block=1024, seed=1, sigmas=(2e-3, 5e-4, 1e-6), scale=1.0)
+    @example(n=4097, block=1024, seed=1, sigmas=(2e-3, 5e-4, 1e-6), scale=1.0)
+    @example(n=2 * CHUNK + 1, block=4999, seed=5, sigmas=ZERO, scale=220.0)
+    def test_streamed_blocks_join_to_the_one_shot_formula(self, n, block, seed, sigmas, scale):
+        # blocks that do and do not divide n, the last one shorter
+        params = TwoStateParams(*sigmas, 1e3)
+        ours, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
+        before = ours.bit_generator.state
+        series = synthesize_phase(params, n, ours, scale, stream=True)
+        assert len(series) == n
+        blocks = []
+        for first in range(0, n, block):
+            # the generator moves only once the last sample is read
+            assert ours.bit_generator.state == before
+            blocks.append(series.read(min(block, n - first)))
+        with np.errstate(over="ignore", under="ignore"):
+            want = one_shot_synthesis(params, n, numpys) * scale
+        assert np.concatenate([np.empty(0), *blocks]).tobytes() == want.tobytes()
+        # where numpy's (3, n) draw leaves it
+        assert ours.bit_generator.state == numpys.bit_generator.state
+
+    def test_a_stream_reads_no_more_than_it_holds(self):
+        series = synthesize_phase(self.PARAMS, 5, np.random.default_rng(1), stream=True)
+        series.read(3)
+        with pytest.raises(ValueError, match="cannot read 3 samples, 2 are left"):
+            series.read(3)
+        with pytest.raises(ValueError, match="cannot read -1 samples"):
+            series.read(-1)
+        assert series.read(2).size == 2
+
+    def test_peak_memory_is_one_series(self):
         n = 2**20
         synthesize_phase(self.PARAMS, 1, np.random.default_rng(1))  # loads the library
         tracemalloc.start()
@@ -422,9 +489,21 @@ class TestSynthesisBytes:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the output and the g1 scratch, 2n floats; drawing all three
-        # streams at once held 6 x 8n
-        assert peak <= 2.02 * 8 * n
+        # the output, n floats; one g1 scratch more held 2n, and drawing all
+        # three streams at once 6n
+        assert peak <= 1.02 * 8 * n
+
+    def test_a_stream_holds_no_series(self):
+        n = 2**20
+        tracemalloc.start()
+        try:
+            series = synthesize_phase(self.PARAMS, n, np.random.default_rng(1), stream=True)
+            for _ in range(n // 4096):
+                series.read(4096)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 8 * 4096
 
     def test_negative_length_is_refused_before_any_draw(self, monkeypatch):
         def library():

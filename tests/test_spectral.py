@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -47,6 +50,27 @@ class TestChebWindow:
         with pytest.raises(ValueError):
             w[0] = 1.0
         assert w.tobytes() == per_sample_cos_window(64, 100.0).tobytes()
+
+    def test_threads_asking_at_once_build_each_window_once(self):
+        # six threads released together ask for two windows, with the
+        # interpreter switching threads every microsecond
+        cheb_window.cache_clear()
+        barrier, got = threading.Barrier(6, timeout=60), []
+
+        def ask(i):
+            barrier.wait()
+            got.append((i % 2, cheb_window(4096 + i % 2, 120.0)))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                for future in [pool.submit(ask, i) for i in range(6)]:
+                    future.result(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert cheb_window.cache_info().misses == 2
+        assert len(got) == 6
+        assert all(w is cheb_window(4096 + key, 120.0) for key, w in got)
 
     def test_attenuation_range_enforced(self):
         with pytest.raises(ValueError):
