@@ -13,11 +13,11 @@ through the workloads so that slow drift of a shared host spreads over all
 of them.  ``--trace 1`` runs perfbench's traced mode instead, whose result
 lines add the per-layer metrics; measure end-to-end metrics untraced.  The
 JSON file names each checkout's commit and the compiler and flags of its C
-library (the tick kernel, the normal draw, the window sum and the CSV
-writer), and keeps, per workload, every run's ``facts`` line, result line
-and, traced, ``trace`` line (with its list of ``absent`` boundaries) as
-perfbench printed them, and per metric the median and quartiles over the
-runs that produced a result.
+library (the tick kernel, the normal draw and the CSV writer), and keeps,
+per workload, every run's ``facts`` line, result line and, traced,
+``trace`` line (with its list of ``absent`` boundaries) as perfbench
+printed them, and per metric the median and quartiles over the runs that
+produced a result.
 It is written to the root of the checkout this script sits in, so a
 baseline measured on another checkout lands beside the others.
 

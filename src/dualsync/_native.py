@@ -1,16 +1,14 @@
 """The package's one C library: the tick kernel ``_tick.c``, the normal
-draw and clock synthesis ``_normal.c``, the Chebyshev window's main-lobe
-sum ``_window.c`` and the CSV writer ``_csv.c``.
+draw and clock synthesis ``_normal.c`` and the CSV writer ``_csv.c``.
 
-The first call of ``library()`` in a process compiles the four sources with
-one gcc call into ``__pycache__`` beside them, or loads the library an
-earlier process built there, declares its five functions and fills the
+The first call of ``library()`` in a process compiles the three sources
+with one gcc call into ``__pycache__`` beside them, or loads the library
+an earlier process built there, declares its four functions and fills the
 CSV writer's table of powers of ten, ``g_table()``; importing the package
 builds and loads nothing.  ``nodes._tick_loop_fast`` calls
 ``tick_loop``, ``oscillator.standard_normal`` ``normal_fill``,
 ``oscillator.PhaseStream`` ``normal_fill`` to find where its draws start
-and ``synth_phase`` to make them, ``spectral.cheb_window``
-``cheb_main_lobe`` and ``cli._write_csv`` ``csv_text``.
+and ``synth_phase`` to make them, and ``cli._write_csv`` ``csv_text``.
 """
 
 from __future__ import annotations
@@ -23,7 +21,7 @@ import threading
 from pathlib import Path
 
 SOURCES = tuple(Path(__file__).with_name(name)
-                for name in ("_tick.c", "_normal.c", "_window.c", "_csv.c"))
+                for name in ("_tick.c", "_normal.c", "_csv.c"))
 
 
 def flags() -> tuple[str, ...]:
@@ -152,14 +150,13 @@ def cache_once(fn=None, *, maxsize=None):
 @cache_once
 def library() -> ctypes.CDLL:
     """The library, loaded on the first call of the process, with its
-    functions ``tick_loop``, ``normal_fill``, ``synth_phase``,
-    ``cheb_main_lobe`` and ``csv_text`` declared and its ``g_table``
-    filled from ``g_table()``; threads calling it at once build and load
-    it once.
+    functions ``tick_loop``, ``normal_fill``, ``synth_phase`` and
+    ``csv_text`` declared and its ``g_table`` filled from ``g_table()``;
+    threads calling it at once build and load it once.
 
     ``csv_text`` calls the C API, so it is bound as a ``PYFUNCTYPE`` and
     is called holding the interpreter lock, which it releases while it
-    formats rows; the other four release it for their whole call."""
+    formats rows; the other three release it for their whole call."""
     lib = ctypes.CDLL(str(build(SOURCES, SOURCES[0].parent / "__pycache__", flags())))
     i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
     lib.tick_loop.argtypes = [i64, *[f64] * 6, ptr, ptr, *[f64] * 5, ptr, f64, i64,
@@ -169,8 +166,6 @@ def library() -> ctypes.CDLL:
     lib.normal_fill.restype = None
     lib.synth_phase.argtypes = [ptr, i64, *[f64] * 4, ptr, ptr]
     lib.synth_phase.restype = None
-    lib.cheb_main_lobe.argtypes = [i64, i64, i64, *[ptr] * 4]
-    lib.cheb_main_lobe.restype = None
     lib.csv_text = ctypes.PYFUNCTYPE(ctypes.py_object, ctypes.py_object, ctypes.c_ssize_t,
                                      ctypes.c_ssize_t, ctypes.py_object)(("csv_text", lib))
     table = g_table()

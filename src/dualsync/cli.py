@@ -233,14 +233,6 @@ def cmd_write(args) -> int:
     return 0
 
 
-def _sweep_point(cfg: ScenarioConfig, directory: str) -> DivergenceError | None:
-    os.makedirs(directory, exist_ok=True)
-    try:
-        _write_files(cfg, directory, COMMANDS["simulate"][1])
-    except DivergenceError as exc:
-        return exc
-
-
 def _workers(args) -> int:
     """--workers, by default the number of usable cores; ValueError below 1."""
     if args.workers is None:
@@ -321,15 +313,12 @@ def cmd_sweep(args) -> int:
     if errors:
         raise ConfigError(errors)
     dirs = [os.path.join(out, f"sweep_{i:03d}") for i in range(len(points))]
-    # point 0 runs alone first, which loads the C library and scipy's solver
-    # and fills the fit and window memos before other threads need them;
-    # every point runs, whatever the worker count, and the first divergence
-    # is raised after
-    diverged = [_sweep_point(points[0], dirs[0])]
-    diverged += _run_threads(lambda i: _sweep_point(points[i], dirs[i]),
-                             range(1, len(points)), workers)
-    for exc in filter(None, diverged):
-        raise exc
+
+    def point(i):
+        os.makedirs(dirs[i], exist_ok=True)
+        _write_files(points[i], dirs[i], COMMANDS["simulate"][1])
+    # every point runs, whatever the worker count; the first error is raised after
+    _run_threads(point, range(len(points)), workers)
     # a bool grid value is written 1/0, which its config parser reads back;
     # a seed may pass int64 ("1e19" parses), so seeds are written as text too
     values = [p.values[key] for p in points]

@@ -22,7 +22,6 @@ __all__ = ["PsdEstimate", "cheb_window", "psd_estimate"]
 WINDOW_MEMO_SIZE = 8
 
 
-@_native.cache_once(maxsize=WINDOW_MEMO_SIZE)
 def cheb_window(n: int, atten_db: float) -> np.ndarray:
     """Dolph-Chebyshev window with equiripple sidelobes at -atten_db.
 
@@ -32,12 +31,19 @@ def cheb_window(n: int, atten_db: float) -> np.ndarray:
     above the ripple) are inverse-transformed by a direct cosine sum with
     integer-exact phase reduction while the ripple samples go through the
     FFT; this keeps coefficient roundoff below the design sidelobe level
-    for attenuations far beyond 120 dB.  The cosine sum runs in C
-    (``_window.c``), one main-lobe sample after another over a table of
-    cos(pi*r/n), with the bytes of the per-sample numpy loop it replaced.
-    A process keeps its WINDOW_MEMO_SIZE latest windows, shared and
-    read-only, and builds each once even when threads ask for it at once.
+    for attenuations far beyond 120 dB; numpy sums the cosines over a
+    table of cos(pi*r/n).  A process keeps its WINDOW_MEMO_SIZE latest
+    windows, shared and read-only, and builds each once even when threads
+    ask for it at once.  A length that is no Python or numpy integer is a
+    TypeError, raised before the memo, where 4096.0 would find 4096's window.
     """
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise TypeError(f"window length must be an integer, not {n!r}")
+    return _window(n, atten_db)
+
+
+@_native.cache_once(maxsize=WINDOW_MEMO_SIZE)
+def _window(n: int, atten_db: float) -> np.ndarray:
     if n < 16:
         raise ValueError("window length must be >= 16")
     if not 40.0 <= atten_db <= 320.0:
@@ -70,16 +76,25 @@ def cheb_window(n: int, atten_db: float) -> np.ndarray:
         phase = np.exp(1j * np.pi * k / n)
         w = np.fft.fft(np.where(main, 0.0 + 0.0j, p * phase)).real.copy()
         half, first = n // 2 + 1, 1
-    # w[m] += p[i] * cos(pi*r/n) per main-lobe sample i and m < half, r the
-    # exact phase index mod 2n: 2*i*m for odd n, i*(2m - 1) for even n
-    idx = np.flatnonzero(main).astype(np.int64, copy=False)
+    # w[m] += p[i] * cos(pi*r/n) per main-lobe sample i (at most 24), in order,
+    # and m < half; r = i*mm mod 2n is the exact phase index, mm = 2m for odd
+    # n and 2m - 1 for even n
     cos_table = np.cos(np.pi * np.arange(2 * n) / n)
-    _native.library().cheb_main_lobe(n, half, idx.size, idx.ctypes.data, p.ctypes.data,
-                                     cos_table.ctypes.data, w.ctypes.data)
+    mm = 2 * np.arange(half, dtype=np.int64) - (1 - n % 2)
+    r, term = np.empty(half, dtype=np.int64), np.empty(half)
+    for i in np.flatnonzero(main):
+        np.multiply(mm, i, out=r)
+        np.remainder(r, 2 * n, out=r)
+        np.take(cos_table, r, out=term)
+        term *= p[i]
+        w[:half] += term
     w = np.concatenate((w[half - 1:0:-1], w[first:half]))
     w /= np.max(w)
     w.flags.writeable = False
     return w
+
+
+cheb_window.cache_clear, cheb_window.cache_info = _window.cache_clear, _window.cache_info
 
 
 @dataclass(frozen=True)

@@ -640,9 +640,9 @@ class TestSweep:
         assert files[3] == files[1] and files[None] == files[1]
 
     def test_parallel_sweep_from_an_empty_kernel_cache(self, tmp_path):
-        # a copy of the package has no compiled library yet: a default sweep
-        # in a fresh process builds it once, on the calling thread's first
-        # point, and every later process loads that library
+        # a copy of the package has no compiled library yet: in a default
+        # sweep of a fresh process two threads race for the first build, and
+        # the library is built once and loaded by every later process
         package = tmp_path / "src" / "dualsync"
         shutil.copytree(os.path.dirname(cli.__file__), package,
                         ignore=shutil.ignore_patterns("__pycache__"))
@@ -721,10 +721,10 @@ class TestSweep:
                                     "sweep_002", "sweep_002/timeseries.csv"]
 
     def test_pool_has_at_most_one_worker_per_point(self, tmp_path, monkeypatch):
-        # point 0 runs alone, and the calling thread then takes points too, so
-        # the pool has one thread fewer than the points after point 0
+        # the calling thread takes points too, so the pool has one thread
+        # fewer than the points
         sizes = stand_in_pool(monkeypatch)
-        for n_points, workers, size in [(3, 8, 1), (4, 8, 2), (3, 2, 1), (1, 4, None),
+        for n_points, workers, size in [(3, 8, 2), (4, 8, 3), (3, 2, 1), (1, 4, None),
                                         (3, 1, None)]:
             sizes.clear()
             assert run_cli("sweep", "--config", seed_grid(tmp_path, n_points), "--out",
@@ -740,8 +740,8 @@ class TestSweep:
         # where the affinity call is missing, the cores the system has
         monkeypatch.delattr(os, "sched_getaffinity")
         assert run_cli("sweep", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet") == 0
-        # 3 and 8 threads for the 4 points after point 0: 3 and 4 threads
-        assert sizes == [2, 3]
+        # 3 and 8 threads for 5 points: 3 and 5 threads
+        assert sizes == [2, 4]
 
     @pytest.mark.parametrize("workers", ["0", "-2"])
     def test_workers_below_one_exit_2(self, workers, tmp_path, capsys):

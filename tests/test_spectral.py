@@ -1,4 +1,8 @@
 import math
+import os
+import pathlib
+import re
+import subprocess
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -8,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dualsync import spectral
 from dualsync.spectral import cheb_window, psd_estimate
 from oracles import psd_level_at
 
@@ -80,6 +85,28 @@ class TestChebWindow:
         with pytest.raises(ValueError):
             cheb_window(8, 100.0)
 
+    @pytest.mark.parametrize("n", [4096.0, np.float64(64.0), True, "4096", None])
+    def test_length_that_is_no_integer_is_named(self, n):
+        # refused before the memo, in which 4096.0 would find 4096's window
+        for length in (64, 4096):
+            cheb_window(length, 120.0)
+        with pytest.raises(TypeError, match=re.escape(f"must be an integer, not {n!r}")):
+            cheb_window(n, 120.0)
+
+    @pytest.mark.parametrize("n", [4096, np.int64(4096), np.int32(4096)])
+    def test_python_and_numpy_integer_lengths(self, n):
+        assert cheb_window(n, 120.0).tobytes() == per_sample_cos_window(4096, 120.0).tobytes()
+
+    def test_window_loads_no_c_library(self):
+        # a fresh process builds a window with numpy alone
+        code = ("from dualsync import _native, spectral\n"
+                "spectral.cheb_window(4096, 120.0)\n"
+                "print(_native.library.cache_info().currsize)")
+        src = pathlib.Path(spectral.__file__).resolve().parents[1]
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=str(src)), check=True)
+        assert proc.stdout == "0\n"
+
 
 def per_sample_cos_window(n, atten_db):
     """cheb_window as written before its cosine table: each main-lobe
@@ -128,7 +155,8 @@ def test_cosine_table_keeps_window_bytes(n):
 @example(n=2**17, atten_db=300.0)
 @example(n=2**17 + 1, atten_db=300.0)
 def test_main_lobe_sum_keeps_window_bytes(n, atten_db):
-    # the C main-lobe sum against numpy's per-sample cosines, odd and even n
+    # the main-lobe sum over the cosine table against numpy's per-sample
+    # cosines over all n, odd and even n
     assert cheb_window(n, atten_db).tobytes() == per_sample_cos_window(n, atten_db).tobytes()
 
 
